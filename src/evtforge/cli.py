@@ -38,7 +38,6 @@ class RunConfig:
     carriers: tuple[tuple[str, int], ...] = ()
     pins: tuple[tuple[str, object], ...] = ()
     ceiling: int = 2 ** 20
-    machine_output: bool = False
     elide_identity: bool = True
 
     def bounds(self) -> Bounds:
@@ -50,7 +49,6 @@ class RunConfig:
 class LoadedWorkspace:
     output: TranslationOutput
     refinements: list[RefinementText] = field(default_factory=list)
-    sugar_specs: list[tuple[str, object]] = field(default_factory=list)
 
 
 def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
@@ -81,7 +79,6 @@ def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
         text = path.read_text(encoding="utf-8")
         if fmt == "sugar":
             specs, refs = parse_document(text, out.library)
-            ws.sugar_specs.extend(specs)
             out.order.extend(("spec", n) for n, _ in specs)
             ws.refinements.extend(refs)
         else:

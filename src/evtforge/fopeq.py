@@ -7,7 +7,8 @@ undefined, and an atom containing an undefined term evaluates to false.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import EnumerationLimit, SortError
@@ -105,11 +106,11 @@ class FopeqSignature:
     def __hash__(self):
         return self._hash
 
-    @property
+    @cached_property
     def op_map(self) -> dict[str, Op]:
         return {o.name: o for o in self.ops}
 
-    @property
+    @cached_property
     def pred_map(self) -> dict[str, Pred]:
         return {p.name: p for p in self.preds}
 
@@ -540,15 +541,15 @@ class FiniteAlgebra:
     def __hash__(self):
         return self._hash
 
-    @property
+    @cached_property
     def carrier_map(self) -> dict[str, tuple[Value, ...]]:
         return dict(self.carriers)
 
-    @property
+    @cached_property
     def op_tables(self) -> dict[str, dict[tuple[Value, ...], Value]]:
         return {name: dict(rows) for name, rows in self.ops}
 
-    @property
+    @cached_property
     def pred_tables(self) -> dict[str, frozenset[tuple[Value, ...]]]:
         return {name: frozenset(rows) for name, rows in self.preds}
 
@@ -558,7 +559,7 @@ class FiniteAlgebra:
             raise SortError(f"no carrier for sort {sort}")
         return m[sort]
 
-    @property
+    @cached_property
     def int_bound(self) -> int:
         return max(self.carrier(INT))
 
@@ -721,7 +722,15 @@ def eval_formula(f: Formula, a: FiniteAlgebra, val: Valuation) -> bool:
 def compile_term(t: Term, a: FiniteAlgebra):
     if isinstance(t, Var):
         key = t.key
-        return lambda val: val.get(key, UNDEF)
+
+        def run_var(val):
+            try:
+                return val[key]
+            except KeyError:
+                raise SortError(
+                    f"unbound variable {t.name}{'′' if t.primed else ''}") from None
+
+        return run_var
     if isinstance(t, IntLit):
         v = t.value if abs(t.value) <= a.int_bound else UNDEF
         return lambda val: v
@@ -889,19 +898,28 @@ def compile_formula(f: Formula, a: FiniteAlgebra):
 
 @dataclass(frozen=True)
 class FopeqMorphism:
-    """Total, profile-preserving renaming of user symbols; builtins are fixed."""
+    """Total, profile-preserving renaming of user symbols; builtins are fixed.
+
+    The *_dict views are built once, by the validation that needs them.
+    """
 
     source: FopeqSignature
     target: FopeqSignature
     sort_map: tuple[tuple[str, str], ...]
     op_map: tuple[tuple[str, str], ...]
     pred_map: tuple[tuple[str, str], ...]
+    sort_dict: dict[str, str] = field(init=False, repr=False, compare=False)
+    op_dict: dict[str, str] = field(init=False, repr=False, compare=False)
+    pred_dict: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sort_map", tuple(sorted(self.sort_map)))
         object.__setattr__(self, "op_map", tuple(sorted(self.op_map)))
         object.__setattr__(self, "pred_map", tuple(sorted(self.pred_map)))
-        smap, omap, pmap = dict(self.sort_map), dict(self.op_map), dict(self.pred_map)
+        object.__setattr__(self, "sort_dict", dict(self.sort_map))
+        object.__setattr__(self, "op_dict", dict(self.op_map))
+        object.__setattr__(self, "pred_dict", dict(self.pred_map))
+        smap, omap, pmap = self.sort_dict, self.op_dict, self.pred_dict
         for s in self.source.sorts:
             if s not in smap:
                 raise SortError(f"sort map not total: {s} unmapped")
@@ -930,7 +948,7 @@ class FopeqMorphism:
     def apply_sort(self, s: str) -> str:
         if s in BUILTIN_SORTS:
             return s
-        m = dict(self.sort_map)
+        m = self.sort_dict
         if s not in m:
             raise SortError(f"sort {s} outside the morphism domain")
         return m[s]
@@ -938,7 +956,7 @@ class FopeqMorphism:
     def apply_op(self, name: str) -> str:
         if name in BUILTIN_OPS:
             return name
-        m = dict(self.op_map)
+        m = self.op_dict
         if name not in m:
             raise SortError(f"operation {name} outside the morphism domain")
         return m[name]
@@ -946,19 +964,33 @@ class FopeqMorphism:
     def apply_pred(self, name: str) -> str:
         if name in BUILTIN_PREDS:
             return name
-        m = dict(self.pred_map)
+        m = self.pred_dict
         if name not in m:
             raise SortError(f"predicate {name} outside the morphism domain")
         return m[name]
 
 
-def fopeq_identity(sig: FopeqSignature) -> FopeqMorphism:
+def fopeq_morphism(
+    source: FopeqSignature,
+    target: FopeqSignature,
+    sorts: Mapping[str, str] = {},
+    ops: Mapping[str, str] = {},
+) -> FopeqMorphism:
+    """The morphism sending each listed sort and operation to its image and
+    every other user symbol, predicates included, to its own name."""
+    stray = (set(sorts) - set(source.sorts)) | (set(ops) - set(source.op_map))
+    if stray:
+        raise SortError(f"morphism maps symbols outside its source: {sorted(stray)}")
     return FopeqMorphism(
-        sig, sig,
-        tuple((s, s) for s in sig.sorts),
-        tuple((o.name, o.name) for o in sig.ops),
-        tuple((p.name, p.name) for p in sig.preds),
+        source, target,
+        tuple((s, sorts.get(s, s)) for s in source.sorts),
+        tuple((o.name, ops.get(o.name, o.name)) for o in source.ops),
+        tuple((p.name, p.name) for p in source.preds),
     )
+
+
+def fopeq_identity(sig: FopeqSignature) -> FopeqMorphism:
+    return fopeq_morphism(sig, sig)
 
 
 def fopeq_compose(m2: FopeqMorphism, m1: FopeqMorphism) -> FopeqMorphism:
@@ -1081,13 +1113,13 @@ def fopeq_pushout(
     src, s1, s2 = m1.source, m1.target, m2.target
 
     sort1, sort2 = pushout_names(
-        src.sorts, s1.sorts, s2.sorts, dict(m1.sort_map), dict(m2.sort_map))
+        src.sorts, s1.sorts, s2.sorts, m1.sort_dict, m2.sort_dict)
     op1, op2 = pushout_names(
         [o.name for o in src.ops], [o.name for o in s1.ops], [o.name for o in s2.ops],
-        dict(m1.op_map), dict(m2.op_map))
+        m1.op_dict, m2.op_dict)
     pred1, pred2 = pushout_names(
         [p.name for p in src.preds], [p.name for p in s1.preds], [p.name for p in s2.preds],
-        dict(m1.pred_map), dict(m2.pred_map))
+        m1.pred_dict, m2.pred_dict)
 
     def out_sort(side_map, s):
         return s if s in BUILTIN_SORTS else side_map[s]

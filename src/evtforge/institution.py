@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EnumerationLimit, SortError, SpecError
@@ -18,7 +19,7 @@ from . import fopeq
 from .fopeq import (
     And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Not,
     TRUE, Value, algebra_reduct, compile_formula, eval_formula, fopeq_compose,
-    fopeq_identity, fopeq_pushout, free_vars, pushout_names, rename_free_vars,
+    fopeq_morphism, fopeq_pushout, free_vars, pushout_names, rename_free_vars,
     translate_formula,
 )
 
@@ -58,6 +59,8 @@ class EvtSignature:
     fopeq: FopeqSignature = fopeq.EMPTY_SIGNATURE
     events: tuple[tuple[str, Status], ...] = ()
     vars: tuple[tuple[str, str], ...] = ()
+    event_map: dict[str, Status] = field(init=False, repr=False, compare=False)
+    var_map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ev = dict(self.events)
@@ -67,10 +70,12 @@ class EvtSignature:
             raise SortError("the initial event must have ordinary status")
         ev.setdefault(INIT, Status.ordinary)
         object.__setattr__(self, "events", tuple(sorted(ev.items())))
+        object.__setattr__(self, "event_map", dict(self.events))
         vs = dict(self.vars)
         if len(vs) != len(self.vars):
             raise SortError("duplicate variable names in signature")
         object.__setattr__(self, "vars", tuple(sorted(vs.items())))
+        object.__setattr__(self, "var_map", dict(self.vars))
         for name, sort in self.vars:
             if _is_primed_name(name):
                 raise SortError(f"variable name {name} looks primed")
@@ -84,23 +89,15 @@ class EvtSignature:
     def __hash__(self):
         return self._hash
 
-    @property
-    def event_map(self) -> dict[str, Status]:
-        return dict(self.events)
-
-    @property
-    def var_map(self) -> dict[str, str]:
-        return dict(self.vars)
-
-    @property
+    @cached_property
     def event_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.events)
 
-    @property
+    @cached_property
     def non_init_events(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.events if n != INIT)
 
-    @property
+    @cached_property
     def var_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.vars)
 
@@ -139,13 +136,17 @@ class EvtMorphism:
     event_map: tuple[tuple[str, str], ...]
     var_map: tuple[tuple[str, str], ...]
     check_status: bool = True
+    event_dict: dict[str, str] = field(init=False, repr=False, compare=False)
+    var_dict: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "event_map", tuple(sorted(self.event_map)))
         object.__setattr__(self, "var_map", tuple(sorted(self.var_map)))
+        object.__setattr__(self, "event_dict", dict(self.event_map))
+        object.__setattr__(self, "var_dict", dict(self.var_map))
         if self.fopeq.source != self.source.fopeq or self.fopeq.target != self.target.fopeq:
             raise SortError("first-order component does not match the endpoints")
-        em, vm = dict(self.event_map), dict(self.var_map)
+        em, vm = self.event_dict, self.var_dict
         tgt_events = self.target.event_map
         if em.get(INIT, INIT) != INIT:
             raise SortError("the initial event must map to the initial event")
@@ -177,25 +178,49 @@ class EvtMorphism:
     def __hash__(self):
         return self._hash
 
+    @cached_property
+    def state_positions(self) -> tuple[tuple[str, int], ...]:
+        """Each source variable with the index of its image in a target state."""
+        index = {v: i for i, v in enumerate(self.target.var_names)}
+        return tuple((v, index[t]) for v, t in self.var_map)
+
     def apply_event(self, name: str) -> str:
-        m = dict(self.event_map)
+        m = self.event_dict
         if name not in m:
             raise SortError(f"event {name} outside the morphism domain")
         return m[name]
 
     def apply_var(self, name: str) -> str:
-        m = dict(self.var_map)
+        m = self.var_dict
         if name not in m:
             raise SortError(f"variable {name} outside the morphism domain")
         return m[name]
 
 
-def evt_identity(sig: EvtSignature) -> EvtMorphism:
+def evt_morphism(
+    source: EvtSignature,
+    target: EvtSignature,
+    events: Mapping[str, str] = {},
+    vars: Mapping[str, str] = {},
+    sorts: Mapping[str, str] = {},
+    ops: Mapping[str, str] = {},
+    check_status: bool = True,
+) -> EvtMorphism:
+    """The morphism sending each listed symbol to its image and every other
+    source symbol, predicates included, to its own name."""
+    stray = (set(events) - set(source.event_map)) | (set(vars) - set(source.var_map))
+    if stray:
+        raise SortError(f"morphism maps symbols outside its source: {sorted(stray)}")
     return EvtMorphism(
-        sig, sig, fopeq_identity(sig.fopeq),
-        tuple((n, n) for n, _ in sig.events),
-        tuple((n, n) for n, _ in sig.vars),
+        source, target, fopeq_morphism(source.fopeq, target.fopeq, sorts, ops),
+        tuple((e, events.get(e, e)) for e, _ in source.events),
+        tuple((v, vars.get(v, v)) for v, _ in source.vars),
+        check_status,
     )
+
+
+def evt_identity(sig: EvtSignature) -> EvtMorphism:
+    return evt_morphism(sig, sig)
 
 
 def evt_compose(m2: EvtMorphism, m1: EvtMorphism) -> EvtMorphism:
@@ -232,7 +257,7 @@ def check_sentence(s: EvtSentence, sig: EvtSignature) -> None:
 
 def translate_sentence(m: EvtMorphism, s: EvtSentence) -> EvtSentence:
     body = translate_formula(m.fopeq, s.body)
-    body = rename_free_vars(body, dict(m.var_map))
+    body = rename_free_vars(body, m.var_dict)
     return EvtSentence(m.apply_event(s.event), body)
 
 
@@ -257,8 +282,10 @@ def pair_valuation(before: State, after: State) -> dict[tuple[str, bool], Value]
 
 
 def reduce_state(s: State, m: EvtMorphism) -> State:
-    big = dict(s)
-    return tuple(sorted((v, big[m.apply_var(v)]) for v, _ in m.source.vars))
+    """View a state over the morphism's target as one over its source."""
+    if tuple([n for n, _ in s]) != m.target.var_names:
+        raise SortError(f"state {s} is not over the variables of the morphism's target")
+    return tuple([(v, s[i][1]) for v, i in m.state_positions])
 
 
 @dataclass(frozen=True)
@@ -282,7 +309,7 @@ class EvtModel:
         if not self.signature.vars and self.init != frozenset({()}):
             raise SortError("with no variables the initialising set is the empty map")
 
-    @property
+    @cached_property
     def rel_map(self) -> dict[str, frozenset[tuple[State, State]]]:
         return dict(self.rel)
 
@@ -367,7 +394,7 @@ def model_reduct(m: EvtMorphism, model: EvtModel) -> EvtModel:
 
 def enumerate_states(sig: EvtSignature, algebra: FiniteAlgebra) -> list[State]:
     names = sig.var_names
-    domains = [algebra.carrier(dict(sig.vars)[n]) for n in names]
+    domains = [algebra.carrier(sig.var_map[n]) for n in names]
     return [tuple(zip(names, combo)) for combo in itertools.product(*domains)]
 
 
@@ -398,8 +425,7 @@ def _filter_pool(
     formed; remaining conjuncts filter the product.
     """
     names = sig.var_names
-    sorts = dict(sig.vars)
-    candidates = {n: list(algebra.carrier(sorts[n])) for n in names}
+    candidates = {n: list(algebra.carrier(s)) for n, s in sig.vars}
     rest = []
     for c in conjuncts:
         key = _single_var(free_vars(c))
@@ -510,21 +536,17 @@ def evt_pushout(
 
     ev1, ev2 = pushout_names(
         src.event_names, s1.target.event_names, s2.target.event_names,
-        dict(s1.event_map), dict(s2.event_map))
+        s1.event_dict, s2.event_dict)
     statuses: dict[str, Status] = {}
-    for name, st in s1.target.events:
-        out = ev1[name]
-        statuses[out] = status_sup(statuses.get(out, Status.ordinary), st) \
-            if out in statuses else st
-    for name, st in s2.target.events:
-        out = ev2[name]
-        statuses[out] = status_sup(statuses.get(out, Status.ordinary), st) \
-            if out in statuses else st
+    for inj, side in ((ev1, s1.target), (ev2, s2.target)):
+        for name, st in side.events:
+            out = inj[name]
+            statuses[out] = status_sup(statuses[out], st) if out in statuses else st
     statuses[INIT] = Status.ordinary
 
     v1, v2 = pushout_names(
         src.var_names, s1.target.var_names, s2.target.var_names,
-        dict(s1.var_map), dict(s2.var_map))
+        s1.var_dict, s2.var_dict)
     var_sorts: dict[str, str] = {}
     for name, sort in s1.target.vars:
         var_sorts[v1[name]] = finj1.apply_sort(sort)

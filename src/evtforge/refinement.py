@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SortError, SpecError
-from . import fopeq as F
 from .fopeq import algebra_reduct
 from .institution import (
     INIT, EvtMorphism, EvtSignature, State, evt_compose, evt_identity,
     reduce_state,
 )
 from .specs import Evaluator, ModelClassRep, Spec, SpecLibrary, sig_of
-from .sugar import RefinementText
+from .sugar import RefinementText, build_morphism
 
 
 @dataclass(frozen=True)
@@ -71,56 +70,23 @@ def resolve_refinement(
     warnings: Optional[list[str]] = None,
 ) -> RefinementDecl:
     """Build the abstract-to-concrete morphism from a parsed declaration;
-    unmapped symbols default to the identity."""
-    abstract = sig_of(lib.lookup(rt.abstract), lib)
-    concrete = sig_of(lib.lookup(rt.concrete), lib)
+    unmapped symbols default to the identity.  With allow_status_drop an
+    event map that lowers statuses is accepted, with one warning per lowered
+    event."""
+    abstract = lib.signature(rt.abstract)
+    concrete = lib.signature(rt.concrete)
     if not isinstance(abstract, EvtSignature) or not isinstance(concrete, EvtSignature):
         raise SpecError(f"refinement {rt.name}: both sides must be machine specs")
-
-    ev_map = {e: e for e, _ in abstract.events}
-    var_map = {v: v for v, _ in abstract.vars}
-    sort_map = {s: s for s in abstract.fopeq.sorts}
-    op_map = {o.name: o.name for o in abstract.fopeq.ops}
-    ev_names = abstract.event_map
-    var_names = abstract.var_map
-    for m in rt.maplets:
-        kinds = [m.src in ev_names, m.src in var_names,
-                 m.src in op_map, m.src in sort_map]
-        if sum(kinds) > 1:
-            raise SpecError(f"refinement {rt.name}: maplet source {m.src} ambiguous")
-        if m.src in ev_names:
-            ev_map[m.src] = m.dst
-        elif m.src in var_names:
-            var_map[m.src] = m.dst
-        elif m.src in op_map:
-            op_map[m.src] = m.dst
-        elif m.src in sort_map:
-            sort_map[m.src] = m.dst
-        else:
-            raise SpecError(
-                f"refinement {rt.name}: {m.src} not in the abstract signature")
-    for e, target in ev_map.items():
-        if target not in concrete.event_map:
-            raise SpecError(
-                f"refinement {rt.name}: {e} maps to unknown concrete event {target}")
-    for v, target in var_map.items():
-        if target not in concrete.var_map:
-            raise SpecError(
-                f"refinement {rt.name}: {v} maps to unknown concrete variable {target}")
-
-    fm = F.FopeqMorphism(abstract.fopeq, concrete.fopeq, tuple(sort_map.items()),
-                         tuple(op_map.items()),
-                         tuple((p.name, p.name) for p in abstract.fopeq.preds))
     try:
-        morphism = EvtMorphism(abstract, concrete, fm, tuple(ev_map.items()),
-                               tuple(var_map.items()))
-    except SortError as e:
-        if not allow_status_drop or "status" not in str(e):
-            raise SpecError(f"refinement {rt.name}: {e}") from e
-        if warnings is not None:
-            warnings.append(f"refinement {rt.name}: {e} (accepted, statuses ignored)")
-        morphism = EvtMorphism(abstract, concrete, fm, tuple(ev_map.items()),
-                               tuple(var_map.items()), check_status=False)
+        morphism = build_morphism(abstract, concrete, rt.maplets,
+                                  check_status=not allow_status_drop)
+    except (SortError, SpecError) as e:
+        raise SpecError(f"refinement {rt.name}: {e}") from e
+    for e, out in morphism.event_map:
+        before, after = abstract.status(e), concrete.status(out)
+        if after < before and warnings is not None:
+            warnings.append(f"refinement {rt.name}: event map lowers the status of {e} "
+                            f"({before} to {after}) (accepted, statuses ignored)")
     return RefinementDecl(rt.name, rt.abstract, rt.concrete, morphism)
 
 

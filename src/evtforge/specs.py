@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import EnumerationLimit, SortError, SpecError
@@ -27,8 +28,8 @@ from .fopeq import (
 )
 from .institution import (
     INIT, EvtMorphism, EvtSentence, EvtSignature, State, Status,
-    comorphism_sign, evt_identity, maximal_model, reduce_state,
-    signature_union, status_sup,
+    comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
+    reduce_state, signature_union, status_sup,
 )
 from .mathlang import SubsetType, TypeExpr, type_constraint, type_sort
 
@@ -191,20 +192,28 @@ def sum_all(parts: Sequence[Spec]) -> Spec:
 
 
 class SpecLibrary:
-    """Named specifications, in definition order."""
+    """Named specifications, in definition order, each with its signature."""
 
     def __init__(self):
         self.entries: dict[str, Spec] = {}
+        self._signatures: dict[str, Union[EvtSignature, FopeqSignature]] = {}
 
     def define(self, name: str, spec: Spec) -> None:
         if name in self.entries:
             raise SpecError(f"specification {name} defined twice")
+        sig = sig_of(spec, self)
         self.entries[name] = spec
+        self._signatures[name] = sig
 
     def lookup(self, name: str) -> Spec:
         if name not in self.entries:
             raise SpecError(f"unknown specification {name}")
         return self.entries[name]
+
+    def signature(self, name: str) -> Union[EvtSignature, FopeqSignature]:
+        if name not in self._signatures:
+            raise SpecError(f"unknown specification {name}")
+        return self._signatures[name]
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.entries)
@@ -225,7 +234,7 @@ def sig_of(spec: Spec, lib: Optional[SpecLibrary] = None):
     if isinstance(spec, Named):
         if lib is None:
             raise SpecError(f"no library to resolve {spec.name}")
-        return sig_of(lib.lookup(spec.name), lib)
+        return lib.signature(spec.name)
     if isinstance(spec, Translate):
         if sig_of(spec.child, lib) != spec.morphism.source:
             raise SpecError("rename morphism does not start at the child's signature")
@@ -256,17 +265,7 @@ def sig_of(spec: Spec, lib: Optional[SpecLibrary] = None):
 
 def inclusion_morphism(small: EvtSignature, big: EvtSignature) -> EvtMorphism:
     """Identity-on-names morphism between signatures related by union."""
-    fm = F.FopeqMorphism(
-        small.fopeq, big.fopeq,
-        tuple((s, s) for s in small.fopeq.sorts),
-        tuple((o.name, o.name) for o in small.fopeq.ops),
-        tuple((p.name, p.name) for p in small.fopeq.preds),
-    )
-    return EvtMorphism(
-        small, big, fm,
-        tuple((e, e) for e, _ in small.events),
-        tuple((v, v) for v, _ in small.vars),
-    )
+    return evt_morphism(small, big)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +280,7 @@ class AlgebraSlice:
     l_max: frozenset[State]
     r_max: tuple[tuple[str, frozenset[tuple[State, State]]], ...]
 
-    @property
+    @cached_property
     def r_map(self) -> dict[str, frozenset[tuple[State, State]]]:
         return dict(self.r_max)
 
@@ -297,7 +296,7 @@ class ModelClassRep:
     signature: EvtSignature
     slices: tuple[AlgebraSlice, ...]
 
-    @property
+    @cached_property
     def by_algebra(self) -> dict[FiniteAlgebra, AlgebraSlice]:
         return {s.algebra: s for s in self.slices}
 
@@ -431,7 +430,7 @@ class Evaluator:
             child = self.flatten(spec.child)
             m = spec.morphism
             out = Flattened()
-            vmap = dict(m.var_map)
+            vmap = m.var_dict
             for f, paired in child.families:
                 g = rename_free_vars(translate_formula(m.fopeq, f), vmap)
                 out.families.append((g, paired))
@@ -443,7 +442,7 @@ class Evaluator:
             for f in child.axioms:
                 out.axioms.append(translate_formula(m.fopeq, f))
             for rep, tau in child.constraints:
-                out.constraints.append((rep, _compose_evt(m, tau)))
+                out.constraints.append((rep, evt_compose(m, tau)))
             return out
         if isinstance(spec, Hide):
             rep = self._hide_image(self.model_class(spec.child), spec.morphism)
@@ -471,7 +470,7 @@ class Evaluator:
         out = Flattened(list(fl.families), list(fl.variants),
                         list(fl.sentences), list(fl.axioms), [])
         for rep, tau in fl.constraints:
-            out.constraints.append((rep, _compose_evt(incl, tau)))
+            out.constraints.append((rep, evt_compose(incl, tau)))
         return out
 
     def _flat_contents(self, flat: Flat) -> Flattened:
@@ -619,12 +618,6 @@ def _dedupe(items: list) -> list:
             seen.add(x)
             out.append(x)
     return out
-
-
-def _compose_evt(outer: EvtMorphism, inner: EvtMorphism) -> EvtMorphism:
-    from .institution import evt_compose
-
-    return evt_compose(outer, inner)
 
 
 # ---------------------------------------------------------------------------

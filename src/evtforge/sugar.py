@@ -18,7 +18,9 @@ from typing import Optional, Sequence
 from .errors import ParseError, SortError, SpecError
 from . import fopeq as F
 from .fopeq import FopeqSignature
-from .institution import INIT, EvtMorphism, EvtSignature, Status, signature_union
+from .institution import (
+    INIT, EvtMorphism, EvtSignature, Status, evt_morphism, signature_union,
+)
 from .mathlang import (
     ElabContext, ExprParser, TokenStream, TypeExpr, elab_formula, elab_term,
     parse_type_expr, tokenize, type_constraint, type_sort, unparse_formula,
@@ -152,7 +154,7 @@ def _render_morphism(m: EvtMorphism, hide: bool) -> str:
     items = []
     src_status = m.source.event_map
     dst_status = m.target.event_map
-    all_vars_kept = (set(dict(m.var_map).values()) == set(m.target.var_names)
+    all_vars_kept = (set(m.var_dict.values()) == set(m.target.var_names)
                      and all(a == b for a, b in m.var_map))
     for a, b in m.event_map:
         if a == INIT:
@@ -686,22 +688,12 @@ def _parse_signature_body(ts: TokenStream) -> EvtSignature:
 
 
 def build_morphism(src: EvtSignature, dst: EvtSignature,
-                   maplets: Sequence[Maplet]) -> EvtMorphism:
+                   maplets: Sequence[Maplet], check_status: bool = True) -> EvtMorphism:
     """Total morphism from maplets; unmapped symbols default to their own
     name (which must exist in the target)."""
     events, vars_, ops, sorts = _classify_maplets(maplets, src)
-    ev_map = {e: e for e, _ in src.events}
-    ev_map.update({m.src: m.dst for m in events})
-    var_map = {v: v for v, _ in src.vars}
-    var_map.update({m.src: m.dst for m in vars_})
-    sort_map = {s: s for s in src.fopeq.sorts}
-    sort_map.update({m.src: m.dst for m in sorts})
-    op_map = {o.name: o.name for o in src.fopeq.ops}
-    op_map.update({m.src: m.dst for m in ops})
-    pred_map = {p.name: p.name for p in src.fopeq.preds}
-    fm = F.FopeqMorphism(src.fopeq, dst.fopeq, tuple(sort_map.items()),
-                         tuple(op_map.items()), tuple(pred_map.items()))
-    return EvtMorphism(src, dst, fm, tuple(ev_map.items()), tuple(var_map.items()))
+    return evt_morphism(src, dst, events=events, vars=vars_, sorts=sorts, ops=ops,
+                        check_status=check_status)
 
 
 def print_signature(sig: EvtSignature) -> str:
@@ -724,25 +716,21 @@ def print_signature(sig: EvtSignature) -> str:
 # morphisms from maplet literals
 
 
-def _classify_maplets(maplets: Sequence[Maplet], sig: EvtSignature):
-    events, vars_, ops, sorts = [], [], [], []
-    ev, vm = sig.event_map, sig.var_map
-    op_names = {o.name for o in sig.fopeq.ops}
+def _classify_maplets(maplets: Sequence[Maplet], sig: EvtSignature,
+                      by_dst: bool = False):
+    """Split maplets into event, variable, operation and sort name maps, by
+    the kind that their source (with by_dst, their destination) has in sig."""
+    events, vars_, ops, sorts = {}, {}, {}, {}
+    kinds = ((sig.event_map, events), (sig.var_map, vars_),
+             (sig.fopeq.op_map, ops), (sig.fopeq.sorts, sorts))
     for m in maplets:
-        kinds = [m.src in ev, m.src in vm, m.src in op_names,
-                 m.src in sig.fopeq.sorts]
-        if sum(kinds) > 1:
-            raise SpecError(f"maplet source {m.src} is ambiguous in this signature")
-        if m.src in ev:
-            events.append(m)
-        elif m.src in vm:
-            vars_.append(m)
-        elif m.src in op_names:
-            ops.append(m)
-        elif m.src in sig.fopeq.sorts:
-            sorts.append(m)
-        else:
-            raise SpecError(f"maplet source {m.src} not in the signature")
+        name = m.dst if by_dst else m.src
+        found = [out for names, out in kinds if name in names]
+        if len(found) > 1:
+            raise SpecError(f"maplet symbol {name} is ambiguous in this signature")
+        if not found:
+            raise SpecError(f"maplet symbol {name} not in the signature")
+        found[0][m.src] = m.dst
     return events, vars_, ops, sorts
 
 
@@ -752,87 +740,55 @@ def _build_translate(child: Spec, maplets: Sequence[Maplet],
     if not isinstance(src, EvtSignature):
         raise SpecError("renaming of plain first-order specifications is not supported")
     events, vars_, ops, sorts = _classify_maplets(maplets, src)
-    sort_map = {s: s for s in src.fopeq.sorts}
-    for m in sorts:
-        sort_map[m.src] = m.dst
-    op_map = {o.name: o.name for o in src.fopeq.ops}
-    for m in ops:
-        op_map[m.src] = m.dst
-    pred_map = {p.name: p.name for p in src.fopeq.preds}
-
-    ev_map = {e: e for e, _ in src.events}
     statuses: dict[str, Status] = {}
-    for m in events:
+    for m in maplets:
+        if m.src not in events:
+            continue
         if m.src_status is not None and m.src_status != src.event_map[m.src]:
             raise SpecError(
                 f"maplet source status of {m.src} disagrees with the signature")
-        ev_map[m.src] = m.dst
         if m.dst_status is not None:
             statuses[m.dst] = m.dst_status
-    var_map = {v: v for v, _ in src.vars}
-    for m in vars_:
-        var_map[m.src] = m.dst
 
     tgt_events: dict[str, Status] = {}
     for e, st in src.events:
-        out = ev_map[e]
+        out = events.get(e, e)
         want = statuses.get(out, st)
-        if out in tgt_events:
-            tgt_events[out] = max(tgt_events[out], want)
-        else:
-            tgt_events[out] = want
+        tgt_events[out] = max(tgt_events.get(out, want), want)
     tgt_vars: dict[str, str] = {}
     for v, s in src.vars:
-        out = var_map[v]
-        out_sort = sort_map.get(s, s)
+        out, out_sort = vars_.get(v, v), sorts.get(s, s)
         if tgt_vars.get(out, out_sort) != out_sort:
             raise SpecError(f"renaming merges variables of different sorts at {out}")
         tgt_vars[out] = out_sort
 
     tgt_ops = {}
     for o in src.fopeq.ops:
-        prof = F.Op(op_map[o.name],
-                    tuple(sort_map.get(s, s) for s in o.args),
-                    sort_map.get(o.result, o.result))
+        prof = F.Op(ops.get(o.name, o.name), tuple(sorts.get(s, s) for s in o.args),
+                    sorts.get(o.result, o.result))
         if tgt_ops.get(prof.name, prof) != prof:
             raise SpecError(f"renaming merges operations with different profiles")
         tgt_ops[prof.name] = prof
     tgt_fopeq = FopeqSignature(
-        sorts=tuple(set(sort_map.values())),
+        sorts=tuple(sorts.get(s, s) for s in src.fopeq.sorts),
         ops=tuple(tgt_ops.values()),
         preds=src.fopeq.preds,
     )
     target = EvtSignature(tgt_fopeq, tuple(tgt_events.items()), tuple(tgt_vars.items()))
-    fm = F.FopeqMorphism(src.fopeq, tgt_fopeq, tuple(sort_map.items()),
-                         tuple(op_map.items()), tuple(pred_map.items()))
-    morphism = EvtMorphism(src, target, fm, tuple(ev_map.items()),
-                           tuple(var_map.items()))
-    return Translate(child, morphism)
+    return Translate(child, evt_morphism(src, target, events=events, vars=vars_,
+                                         sorts=sorts, ops=ops))
 
 
 def _build_hide(child: Spec, maplets: Sequence[Maplet], lib: SpecLibrary) -> Spec:
     target = sig_of(child, lib)
     if not isinstance(target, EvtSignature):
         raise SpecError("hiding of plain first-order specifications is not supported")
-    events, vars_, ops, sorts = _classify_maplets(
-        [Maplet(m.dst, m.src, m.dst_status, m.src_status) for m in maplets], target)
-    # classified by target name (the maplet destination); flip back
-    events = [Maplet(m.dst, m.src) for m in events]
-    vars_ = [Maplet(m.dst, m.src) for m in vars_]
+    events, vars_, ops, sorts = _classify_maplets(maplets, target, by_dst=True)
     if ops or sorts:
         raise SpecError("hiding of sorts or operations is not supported")
-
-    ev_map = {m.src: m.dst for m in events}
-    ev_map[INIT] = INIT
-    if vars_:
-        var_map = {m.src: m.dst for m in vars_}
-    else:
-        var_map = {v: v for v, _ in target.vars}  # no var maplets: keep all
-
-    src_events = tuple((e, target.event_map[t]) for e, t in ev_map.items())
-    src_vars = tuple((v, target.var_map[t]) for v, t in var_map.items())
+    # no variable maplets: every variable is kept
+    src_events = tuple((e, target.event_map[t]) for e, t in events.items())
+    src_vars = (tuple((v, target.var_map[t]) for v, t in vars_.items())
+                if vars_ else target.vars)
     source = EvtSignature(target.fopeq, src_events, src_vars)
-    fm = F.fopeq_identity(target.fopeq)
-    morphism = EvtMorphism(source, target, fm, tuple(ev_map.items()),
-                           tuple(var_map.items()))
-    return Hide(child, morphism)
+    return Hide(child, evt_morphism(source, target, events=events, vars=vars_))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import SortError, SpecError
 from .fopeq import Formula, INT, free_vars
-from .institution import INIT, EvtMorphism, EvtSignature, Status
+from .institution import INIT, EvtSignature, Status, evt_morphism
 from . import fopeq as F
 from .eventb import (
     ContextDef, EbSpecification, Environment, EventDef, MachineDef,
@@ -263,19 +263,9 @@ def _refinement_slices(m: MachineDef, sig: EvtSignature,
             abstract_sig.fopeq,
             tuple((e, Status.ordinary) for e in abstract_events),
             abstract_sig.vars)
-        sigma_h = EvtMorphism(
-            hidden, abstract_sig, F.fopeq_identity(abstract_sig.fopeq),
-            tuple((e, e) for e in hidden.event_names),
-            tuple((v, v) for v in hidden.var_names))
-        fincl = F.FopeqMorphism(
-            abstract_sig.fopeq, sig.fopeq,
-            tuple((s, s) for s in abstract_sig.fopeq.sorts),
-            tuple((o.name, o.name) for o in abstract_sig.fopeq.ops),
-            tuple((p.name, p.name) for p in abstract_sig.fopeq.preds))
-        sigma_m = EvtMorphism(
-            hidden, sig, fincl,
-            tuple((e, concrete if e != INIT else INIT) for e in hidden.event_names),
-            tuple((v, v) for v in hidden.var_names))
+        sigma_h = evt_morphism(hidden, abstract_sig)
+        sigma_m = evt_morphism(hidden, sig, events={
+            e: concrete for e in hidden.non_init_events})
         return Translate(Hide(Named(m.refines), sigma_h), sigma_m)
 
     slices.append(make_slice((INIT,), INIT))

@@ -130,6 +130,15 @@ def test_compiled_matches_reference(f, d, x, y):
     assert compile_formula(f, a)(val) == eval_formula(f, a, val)
 
 
+def test_compiled_missing_binding_is_structural():
+    # same contract as eval_term: an unbound variable is an error, not UNDEF
+    a = plain_algebra()
+    with pytest.raises(SortError):
+        compile_formula(Equal(Var("zz"), IntLit(0)), a)({})
+    with pytest.raises(SortError):
+        compile_formula(Not(Equal(Var("zz", True), IntLit(0))), a)({("zz", False): 0})
+
+
 # -- translation -------------------------------------------------------------
 
 

@@ -14,9 +14,9 @@ from evtforge.fopeq import (
 from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
     amalgamate, comorphism_mod, comorphism_sen, comorphism_sign,
-    enumerate_states, evt_compose, evt_identity, evt_pushout, init_d1,
-    make_model, make_state, maximal_model, model_reduct, satisfies,
-    status_sup, translate_sentence,
+    enumerate_states, evt_compose, evt_identity, evt_morphism, evt_pushout,
+    init_d1, make_model, make_state, maximal_model, model_reduct,
+    reduce_state, satisfies, status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 
@@ -84,6 +84,34 @@ class TestMorphism:
         b = EvtSignature(USORT, (), (("w", INT),))
         with pytest.raises(SortError):
             EvtMorphism(a, b, fopeq_identity(USORT), ((INIT, INIT),), (("x", "w"),))
+
+
+class TestEvtMorphismBuilder:
+    def test_unlisted_symbols_map_to_themselves(self):
+        a = usig(nvars=2, events=("e", "f"))
+        b = EvtSignature(USORT, (("e", Status.ordinary), ("g", Status.ordinary)),
+                         (("x", "U"), ("y", "U")))
+        m = evt_morphism(a, b, events={"f": "g"}, vars={"x": "y"})
+        assert m.event_map == ((INIT, INIT), ("e", "e"), ("f", "g"))
+        assert m.var_map == (("x", "y"), ("y", "y"))
+        assert m.fopeq == fopeq_identity(USORT)  # sorts and predicates too
+        assert evt_morphism(a, a) == evt_identity(a)
+
+    def test_listed_symbols_must_be_in_the_source(self):
+        a = usig()
+        with pytest.raises(SortError):
+            evt_morphism(a, a, events={"nowhere": "e"})
+        with pytest.raises(SortError):
+            evt_morphism(a, a, sorts={"V": "U"})
+
+    def test_the_result_is_validated(self):
+        a = usig(statuses={"e": Status.convergent})
+        b = usig()
+        with pytest.raises(SortError):
+            evt_morphism(a, b)
+        assert not evt_morphism(a, b, check_status=False).check_status
+        with pytest.raises(SortError):
+            evt_morphism(b, b, events={"e": INIT})
 
 
 def _rex_setup():
@@ -215,6 +243,15 @@ class TestReduct:
         red = model_reduct(m, model)
         assert red.init == {make_state({"x": "u0"})}
         assert red.rel_map["e"] == {(make_state({"x": "u0"}), make_state({"x": "u1"}))}
+
+    def test_state_over_other_variables_is_rejected(self):
+        big = usig(nvars=2)
+        m = evt_morphism(usig(nvars=1), big, vars={"x": "y"})
+        assert reduce_state(make_state({"x": "u0", "y": "u1"}), m) == \
+            make_state({"x": "u1"})
+        for bad in ({"y": "u1"}, {"x": "u0", "z": "u1"}):
+            with pytest.raises(SortError):
+                reduce_state(make_state(bad), m)
 
     def test_functoriality_randomised(self):
         rng = random.Random(7)

@@ -75,6 +75,29 @@ class TestSameSignature:
             check_refinement_same_sig("BAD", spa, spc, ev)
 
 
+_LAMP_MACHINES = """
+machine ma
+  variables lamp_status
+  invariants
+    inv1: lamp_status ∈ BOOL
+  events
+    event Initialisation
+      thenAct act1: lamp_status := TRUE
+    end
+end
+
+machine mc
+  variables y
+  invariants
+    inv1: y ∈ ℕ
+  events
+    event Initialisation
+      thenAct act1: y := 0
+    end
+end
+"""
+
+
 @pytest.fixture(scope="module")
 def chain(bridge):
     lib = bridge.library
@@ -113,8 +136,21 @@ class TestDeclarations:
         warnings = []
         decl = resolve_refinement(refs[1], lib, allow_status_drop=True,
                                   warnings=warnings)
-        assert warnings and "status" in warnings[0]
+        # one warning per lowered event
+        assert len(warnings) == 2 and all("status" in w for w in warnings)
+        assert "of IL_in " in warnings[0] and "of IL_out " in warnings[1]
         assert decl.morphism.apply_event("IL_out") == "IL_out1"
+
+    def test_sort_error_is_not_taken_for_a_status_drop(self):
+        # the variable's name contains "status", but the failure is its sort
+        out = translate(parse_text(_LAMP_MACHINES))
+        _, (rt,) = parse_document(
+            "refinement R : ma to mc =\n  lamp_status ↦ y\nend\n", out.library)
+        warnings = []
+        with pytest.raises(SpecError, match=r"^refinement R: .*sort of lamp_status"):
+            resolve_refinement(rt, out.library, allow_status_drop=True,
+                               warnings=warnings)
+        assert warnings == []
 
 
 class TestChain:

@@ -282,3 +282,60 @@ end""", lib)
         stricter = rep2.slices[0].r_map["e"]
         assert stricter < base_pairs
         assert all(dict(s)["v"] > 0 for s, _ in stricter)
+
+
+def _refinement_chain(depth, width=5, nev=8):
+    """Machines m0 ⊑ … ⊑ m{depth-1}; each level adds `width` variables and
+    refines the previous level's `nev` events, renaming the odd-indexed ones."""
+    blocks, all_vars, prev = [], [], None
+    for k in range(depth):
+        new_vars = [f"x{k}_{i}" for i in range(width)]
+        all_vars = all_vars + new_vars
+        events = []
+        for j in range(nev):
+            if prev is None:
+                events.append((f"e{k}_{j}", None))
+            else:
+                events.append((prev[j] if j % 2 == 0 else f"e{k}_{j}", prev[j]))
+        lines = [f"machine m{k}"] + ([f"  refines m{k - 1}"] if prev else [])
+        lines += ["  variables " + ", ".join(all_vars), "  invariants"]
+        lines += [f"    inv{i}: {v} ∈ ℕ" for i, v in enumerate(new_vars)]
+        lines += ["  events", "    event Initialisation", "      thenAct"]
+        lines += [f"        act{i}: {v} := 0" for i, v in enumerate(new_vars)]
+        lines.append("    end")
+        for j, (name, refines) in enumerate(events):
+            v = all_vars[j % len(all_vars)]
+            lines += [f"    event {name}", "      status ordinary"]
+            lines += [f"      refines {refines}"] if refines else []
+            lines += ["      when", f"        grd1: {v} < 2", "      thenAct",
+                      f"        act1: {v} := {v} + 1", "    end"]
+        blocks.append("\n".join(lines + ["end"]))
+        prev = [name for name, _ in events]
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_sig_of_work_grows_linearly_with_chain_depth(monkeypatch):
+    """Named specs resolve to the signature stored at definition, so deeper
+    chains cost more sig_of calls per level, not exponentially more."""
+    import evtforge.specs as specs_mod
+    import evtforge.translate as translate_mod
+
+    calls = {"n": 0}
+    original = specs_mod.sig_of
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(specs_mod, "sig_of", counting)
+    monkeypatch.setattr(translate_mod, "sig_of", counting)
+
+    def calls_at(depth):
+        parsed = parse_text(_refinement_chain(depth))
+        calls["n"] = 0
+        out = translate(parsed)
+        assert out.library.names() == tuple(f"m{k}" for k in range(depth))
+        return calls["n"]
+
+    shallow, deep = calls_at(3), calls_at(6)
+    assert 0 < shallow and deep <= 3 * shallow, (shallow, deep)
