@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
 from .fopeq import (
     And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Not,
-    TRUE, Value, algebra_reduct, compile_formula, eval_formula, fopeq_compose,
+    TRUE, Value, algebra_reduct, compile_formula, fopeq_compose,
     fopeq_morphism, fopeq_pushout, free_vars, pushout_names, rename_free_vars,
     translate_formula,
 )
@@ -183,6 +184,15 @@ class EvtMorphism:
         """Each source variable with the index of its image in a target state."""
         index = {v: i for i, v in enumerate(self.target.var_names)}
         return tuple((v, index[t]) for v, t in self.var_map)
+
+    @cached_property
+    def preimages(self) -> dict[str, tuple[str, ...]]:
+        """Each target event with the non-initial source events mapped to it."""
+        out: dict[str, tuple[str, ...]] = {e: () for e in self.target.event_names}
+        for e, t in self.event_map:
+            if e != INIT:
+                out[t] += (e,)
+        return out
 
     def apply_event(self, name: str) -> str:
         m = self.event_dict
@@ -362,30 +372,68 @@ def satisfies(m: EvtModel, s: EvtSentence) -> bool:
     if s.event not in sig.event_map:
         raise SortError(f"sentence names unknown event {s.event}")
     if s.event == INIT:
-        body = init_d1(s.body, sig.var_names)
-        return all(
-            eval_formula(body, m.algebra, state_valuation(after, True))
-            for after in m.init
-        )
-    return all(
-        eval_formula(s.body, m.algebra, pair_valuation(before, after))
-        for before, after in m.rel_map[s.event]
-    )
+        fn = compile_formula(init_d1(s.body, sig.var_names), m.algebra)
+        return all(fn(state_valuation(after, True)) for after in m.init)
+    fn = compile_formula(s.body, m.algebra)
+    return all(fn(pair_valuation(before, after))
+               for before, after in m.rel_map[s.event])
+
+
+def state_reducer(m: EvtMorphism) -> Callable[[State], State]:
+    """reduce_state along m, computed once per distinct state."""
+    memo: dict[State, State] = {}
+
+    def reduce(s: State) -> State:
+        r = memo.get(s)
+        if r is None:
+            r = memo[s] = reduce_state(s, m)
+        return r
+
+    return reduce
+
+
+Relations = Mapping[str, Iterable[tuple[State, State]]]
+
+
+def reduct_image(
+    m: EvtMorphism, init: Iterable[State], rel_map: Relations,
+) -> tuple[frozenset[State], dict[str, frozenset[tuple[State, State]]]]:
+    """An initialising set and relations over m's target, reduced along m:
+    each source event gets the reduct of its image's relation."""
+    red = state_reducer(m)
+    rel = {e: frozenset((red(s), red(t)) for s, t in rel_map[m.apply_event(e)])
+           for e in m.source.non_init_events}
+    return frozenset(map(red, init)), rel
+
+
+def restrict_along(
+    init: Iterable[State],
+    rel_map: Relations,
+    bounds: Sequence[tuple[EvtMorphism, frozenset[State], Relations]],
+) -> tuple[frozenset[State], dict[str, frozenset[tuple[State, State]]]]:
+    """The states and pairs whose reducts along every listed morphism lie in
+    its bounds: (morphism, initialising set, relations over its source).
+
+    A pair of event e is bounded by the relations of e's preimages; every
+    bound is tested in one pass, so no intermediate set is built.
+    """
+    views = [(state_reducer(m), b_init, b_rel, m.preimages) for m, b_init, b_rel in bounds]
+    out_init = frozenset(
+        s for s in init if all(red(s) in b_init for red, b_init, _, _ in views))
+    out_rel = {}
+    for e, pairs in rel_map.items():
+        tests = [(red, b_rel[e0]) for red, _, b_rel, pre in views for e0 in pre[e]]
+        out_rel[e] = frozenset(pairs) if not tests else frozenset(
+            (s, t) for s, t in pairs if all((red(s), red(t)) in r for red, r in tests))
+    return out_init, out_rel
 
 
 def model_reduct(m: EvtMorphism, model: EvtModel) -> EvtModel:
     """View a model over the morphism's target as one over its source."""
     if model.signature != m.target:
         raise SortError("model is not over the morphism's target")
-    algebra = algebra_reduct(model.algebra, m.fopeq)
-    init = frozenset(reduce_state(s, m) for s in model.init)
-    rel = {}
-    rmap = model.rel_map
-    for e in m.source.non_init_events:
-        pairs = rmap[m.apply_event(e)]
-        rel[e] = frozenset(
-            (reduce_state(s, m), reduce_state(t, m)) for s, t in pairs)
-    return make_model(m.source, algebra, init, rel)
+    init, rel = reduct_image(m, model.init, model.rel_map)
+    return make_model(m.source, algebra_reduct(model.algebra, m.fopeq), init, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +520,7 @@ def maximal_model(
     primed_conjs = []
     for c in init_conjs:
         if not free_vars(c):
-            closed_true = closed_true and eval_formula(c, algebra, {})
+            closed_true = closed_true and compile_formula(c, algebra)({})
         else:
             primed_conjs.append(c)
     if closed_true:
@@ -490,7 +538,7 @@ def maximal_model(
         for c in conjs:
             fv = free_vars(c)
             if not fv:
-                closed_ok = closed_ok and eval_formula(c, algebra, {})
+                closed_ok = closed_ok and compile_formula(c, algebra)({})
             elif all(not primed for _, primed in fv):
                 before_only.append(c)
             elif all(primed for _, primed in fv):
@@ -621,40 +669,17 @@ def amalgamate(
 
     algebra = _amalgamate_algebra(merged, inj1, inj2, m1.algebra, m2.algebra)
     states = enumerate_states(merged, algebra)
-
-    init = frozenset(
-        s for s in states
-        if reduce_state(s, inj1) in m1.init and reduce_state(s, inj2) in m2.init)
-    rel: dict[str, frozenset] = {}
-    back1 = {}
-    for e in inj1.source.non_init_events:
-        back1.setdefault(inj1.apply_event(e), []).append(e)
-    back2 = {}
-    for e in inj2.source.non_init_events:
-        back2.setdefault(inj2.apply_event(e), []).append(e)
-    rm1, rm2 = m1.rel_map, m2.rel_map
-    for e in merged.non_init_events:
-        pairs = []
-        for s, t in itertools.product(states, states):
-            ok = all(
-                (reduce_state(s, inj1), reduce_state(t, inj1)) in rm1[e1]
-                for e1 in back1.get(e, ()))
-            ok = ok and all(
-                (reduce_state(s, inj2), reduce_state(t, inj2)) in rm2[e2]
-                for e2 in back2.get(e, ()))
-            if ok:
-                pairs.append((s, t))
-        rel[e] = frozenset(pairs)
+    init, rel = restrict_along(
+        states,
+        {e: itertools.product(states, states) for e in merged.non_init_events},
+        [(inj1, m1.init, m1.rel_map), (inj2, m2.init, m2.rel_map)])
 
     if not init:
         raise SpecError("no amalgam exists: the joined initialising set is empty")
     candidate = make_model(merged, algebra, init, rel)
     if model_reduct(inj1, candidate) != m1 or model_reduct(inj2, candidate) != m2:
         raise SpecError("no amalgam exists: the maximal join does not reduce back")
-
-    unique = not (_has_redundant_state(candidate, inj1, inj2)
-                  or _has_redundant_pair(candidate, inj1, inj2))
-    return candidate, unique
+    return candidate, not _has_redundant_item(candidate, (inj1, inj2))
 
 
 def _first_model_difference(r1: EvtModel, r2: EvtModel) -> str:
@@ -668,30 +693,23 @@ def _first_model_difference(r1: EvtModel, r2: EvtModel) -> str:
     return "models differ"
 
 
-def _has_redundant_state(m: EvtModel, inj1: EvtMorphism, inj2: EvtMorphism) -> bool:
-    for x in m.init:
-        others = m.init - {x}
-        if not others:
-            continue
-        if (reduce_state(x, inj1) in {reduce_state(y, inj1) for y in others}
-                and reduce_state(x, inj2) in {reduce_state(y, inj2) for y in others}):
-            return True
-    return False
+def _has_redundant_item(m: EvtModel, injections: Sequence[EvtMorphism]) -> bool:
+    """Whether dropping one initialising state or one pair leaves the reduct
+    along every injection unchanged: the item's image along each injection
+    that sees it is shared with another item."""
+    reducers = [state_reducer(j) for j in injections]
 
+    def redundant(items, keys) -> bool:
+        counts = [Counter(map(key, items)) for key in keys]
+        return any(all(c[key(x)] > 1 for c, key in zip(counts, keys)) for x in items)
 
-def _has_redundant_pair(m: EvtModel, inj1: EvtMorphism, inj2: EvtMorphism) -> bool:
-    def red(p, inj):
-        return (reduce_state(p[0], inj), reduce_state(p[1], inj))
-
+    if redundant(m.init, reducers):
+        return True
     for e, pairs in m.rel:
-        for x in pairs:
-            others = pairs - {x}
-            if not others:
-                continue
-            cover1 = any(red(x, inj1) == red(y, inj1) for y in others)
-            cover2 = any(red(x, inj2) == red(y, inj2) for y in others)
-            if cover1 and cover2:
-                return True
+        keys = [lambda p, red=red: (red(p[0]), red(p[1]))
+                for red, j in zip(reducers, injections) if j.preimages[e]]
+        if redundant(pairs, keys):
+            return True
     return False
 
 

@@ -16,7 +16,7 @@ from .errors import SortError, SpecError
 from .fopeq import algebra_reduct
 from .institution import (
     INIT, EvtMorphism, EvtSignature, State, evt_compose, evt_identity,
-    reduce_state,
+    state_reducer,
 )
 from .specs import Evaluator, ModelClassRep, Spec, SpecLibrary, sig_of
 from .sugar import RefinementText, build_morphism
@@ -115,36 +115,27 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
                      m: EvtMorphism) -> RefinementVerdict:
     algebras = 0
     pairs_checked = 0
+    red = state_reducer(m)
+
+    def verdict(cx: Optional[Counterexample] = None) -> RefinementVerdict:
+        return RefinementVerdict(name, cx is None, cx,
+                                 {"algebras": algebras, "pairs": pairs_checked})
+
     for sl in rep_c.slices:
         algebras += 1
-        reduced_alg = algebra_reduct(sl.algebra, m.fopeq)
-        asl = rep_a.by_algebra.get(reduced_alg)
+        asl = rep_a.by_algebra.get(algebra_reduct(sl.algebra, m.fopeq))
         label = sl.algebra.describe()
         if asl is None:
-            return RefinementVerdict(
-                name, False,
-                Counterexample(label, None),
-                {"algebras": algebras, "pairs": pairs_checked})
+            return verdict(Counterexample(label, None))
         for s in sorted(sl.l_max):
-            red = reduce_state(s, m)
-            if red not in asl.l_max:
-                return RefinementVerdict(
-                    name, False, Counterexample(label, INIT, after=red),
-                    {"algebras": algebras, "pairs": pairs_checked})
-        arm = asl.r_map
-        crm = sl.r_map
+            if red(s) not in asl.l_max:
+                return verdict(Counterexample(label, INIT, after=red(s)))
         for e in m.source.non_init_events:
-            target = m.apply_event(e)
-            for s, t in sorted(crm[target]):
+            for s, t in sorted(sl.r_map[m.apply_event(e)]):
                 pairs_checked += 1
-                red = (reduce_state(s, m), reduce_state(t, m))
-                if red not in arm[e]:
-                    return RefinementVerdict(
-                        name, False,
-                        Counterexample(label, e, before=red[0], after=red[1]),
-                        {"algebras": algebras, "pairs": pairs_checked})
-    return RefinementVerdict(name, True, None,
-                             {"algebras": algebras, "pairs": pairs_checked})
+                if (red(s), red(t)) not in asl.r_map[e]:
+                    return verdict(Counterexample(label, e, before=red(s), after=red(t)))
+    return verdict()
 
 
 def compose_refinements(name: str, first: RefinementDecl,

@@ -29,7 +29,7 @@ from .fopeq import (
 from .institution import (
     INIT, EvtMorphism, EvtSentence, EvtSignature, State, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
-    reduce_state, signature_union, status_sup,
+    reduct_image, restrict_along, signature_union, status_sup,
 )
 from .mathlang import SubsetType, TypeExpr, type_constraint, type_sort
 
@@ -100,12 +100,7 @@ class Flat:
 
 
 def extend_signature(base: EvtSignature, flat: Flat) -> EvtSignature:
-    fsig = base.fopeq
-    if flat.sorts:
-        fsig = fsig.union(FopeqSignature(sorts=flat.sorts))
-    if flat.constants:
-        ops = tuple(F.Op(n, (), type_sort(te, fsig)) for n, te in flat.constants)
-        fsig = FopeqSignature(fsig.sorts, fsig.ops + ops, fsig.preds)
+    fsig = extend_fopeq_signature(base.fopeq, flat)
     events = dict(base.events)
     for ev in flat.events:
         if ev.name in events:
@@ -535,36 +530,17 @@ class Evaluator:
 
         slices = []
         for a in algebras:
-            constraint_slices = []
-            admissible = True
+            bounds = []
             for rep, tau in fl.constraints:
-                reduced = algebra_reduct(a, tau.fopeq)
-                sl = rep.by_algebra.get(reduced)
+                sl = rep.by_algebra.get(algebra_reduct(a, tau.fopeq))
                 if sl is None:
-                    admissible = False
-                    break
-                constraint_slices.append((sl, tau))
-            if not admissible:
-                continue
-            l_max, r_max = maximal_model(sig, sentences, a, self.bounds)
-            for sl, tau in constraint_slices:
-                l_max = frozenset(
-                    s for s in l_max if reduce_state(s, tau) in sl.l_max)
-                rm = sl.r_map
-                back: dict[str, list[str]] = {}
-                for e0 in tau.source.non_init_events:
-                    back.setdefault(tau.apply_event(e0), []).append(e0)
-                new_r = {}
-                for e, pairs in r_max.items():
-                    sources = back.get(e, ())
-                    if sources:
-                        pairs = frozenset(
-                            (s, t) for s, t in pairs
-                            if all((reduce_state(s, tau), reduce_state(t, tau)) in rm[e0]
-                                   for e0 in sources))
-                    new_r[e] = pairs
-                r_max = new_r
-            slices.append(AlgebraSlice(a, l_max, tuple(sorted(r_max.items()))))
+                    break  # the algebra is not admissible under this hide image
+                bounds.append((tau, sl.l_max, sl.r_map))
+            else:
+                l_max, r_max = maximal_model(sig, sentences, a, self.bounds)
+                if bounds:
+                    l_max, r_max = restrict_along(l_max, r_max, bounds)
+                slices.append(AlgebraSlice(a, l_max, tuple(sorted(r_max.items()))))
         return make_rep(sig, slices)
 
     # -- hiding -------------------------------------------------------------
@@ -584,13 +560,8 @@ class Evaluator:
         grouped: dict[FiniteAlgebra, AlgebraSlice] = {}
         for sl in rep.slices:
             reduced_alg = algebra_reduct(sl.algebra, m.fopeq)
-            l_img = frozenset(reduce_state(s, m) for s in sl.l_max)
-            rm = sl.r_map
-            r_img = tuple(sorted(
-                (e, frozenset((reduce_state(s, m), reduce_state(t, m))
-                              for s, t in rm[m.apply_event(e)]))
-                for e in m.source.non_init_events))
-            candidate = AlgebraSlice(reduced_alg, l_img, r_img)
+            l_img, r_img = reduct_image(m, sl.l_max, sl.r_map)
+            candidate = AlgebraSlice(reduced_alg, l_img, tuple(sorted(r_img.items())))
             prior = grouped.get(reduced_alg)
             if prior is not None and prior != candidate:
                 raise EnumerationLimit(

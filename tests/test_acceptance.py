@@ -15,8 +15,8 @@ from evtforge.cli import main
 from evtforge.eventb import build_env, parse_text
 from evtforge.fopeq import (
     Bounds, Equal, FopeqMorphism, FopeqSignature, INT, IntLit, Not, Op, OpApp,
-    Pred, PredApp, TRUE, FALSE, Var, enumerate_algebras, eval_formula,
-    fopeq_identity, make_algebra,
+    Pred, PredApp, TRUE, FALSE, Var, enumerate_algebras, fopeq_identity,
+    make_algebra,
 )
 from evtforge.institution import (
     INIT, EvtMorphism, EvtSentence, EvtSignature, Status, amalgamate,
@@ -36,6 +36,7 @@ from evtforge.specs import (
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
 from tests.conftest import FIXTURES, load_fixture
+from tests.reference_eval import eval_formula
 
 B3 = Bounds(int_bound=3)
 

@@ -8,11 +8,12 @@ from evtforge.fopeq import (
     BOOL, INT, And, BoolLit, Bounds, CarrierEq, Equal, FiniteAlgebra,
     FopeqMorphism, FopeqSignature, Forall, Exists, Implies, InSet, IntLit, Not,
     Op, OpApp, Or, Pred, PredApp, TRUE, FALSE, UNDEF, Var, algebra_reduct,
-    compile_formula, conjoin, enumerate_algebras, eval_formula, eval_term,
-    fopeq_compose, fopeq_identity, fopeq_pushout, free_vars, make_algebra,
-    prime_free_vars, rename_free_vars, translate_formula,
+    compile_formula, conjoin, enumerate_algebras, fopeq_compose,
+    fopeq_identity, fopeq_pushout, free_vars, make_algebra, prime_free_vars,
+    rename_free_vars, translate_formula,
 )
 from evtforge.mathlang import ElabContext, canonical, parse_formula_text, unparse_formula
+from tests.reference_eval import eval_formula, eval_term
 
 B3 = Bounds(int_bound=3)
 

@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evtforge import institution
 from evtforge.errors import SortError, SpecError
 from evtforge.fopeq import (
     BOOL, INT, And, Bounds, Equal, Exists, Forall, FopeqMorphism,
     FopeqSignature, Implies, IntLit, Not, Op, OpApp, Or, Pred, PredApp, TRUE,
-    FALSE, Var, enumerate_algebras, eval_formula, fopeq_identity, free_vars,
-    make_algebra,
+    FALSE, Var, enumerate_algebras, fopeq_identity, free_vars, make_algebra,
 )
 from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
@@ -19,6 +19,7 @@ from evtforge.institution import (
     reduce_state, satisfies, status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
+from tests.reference_eval import eval_formula
 
 B1 = Bounds(int_bound=1)
 B3 = Bounds(int_bound=3)
@@ -507,6 +508,43 @@ class TestAmalgamation:
             got, unique = amalgamate(m1, m2, s1, s2, (merged, j1, j2))
             assert model_reduct(j1, got) == m1
             assert model_reduct(j2, got) == m2
+            assert unique == (not _smaller_amalgam_exists(got, j1, j2, m1, m2))
+
+    def test_projections_linear_in_states(self, monkeypatch):
+        # x shared, a on side 1, b on side 2: 27 merged states, e on both sides
+        shared = usig(1)
+        t1 = EvtSignature(USORT, (("e", Status.ordinary),), (("x", "U"), ("a", "U")))
+        t2 = EvtSignature(USORT, (("e", Status.ordinary),), (("x", "U"), ("b", "U")))
+        s1, s2 = evt_morphism(shared, t1), evt_morphism(shared, t2)
+        merged, j1, j2 = evt_pushout(s1, s2)
+        alg = ualg(("u0", "u1", "u2"))
+        states = enumerate_states(merged, alg)
+        n = len(states)
+        assert n == 27
+        model = make_model(merged, alg, states[:4], {"e": set(zip(states, states[1:]))})
+        m1, m2 = model_reduct(j1, model), model_reduct(j2, model)
+        calls = 0
+
+        def counting(s, m):
+            nonlocal calls
+            calls += 1
+            return reduce_state(s, m)
+
+        monkeypatch.setattr(institution, "reduce_state", counting)
+        got, _ = amalgamate(m1, m2, s1, s2, (merged, j1, j2))
+        assert calls <= 10 * n
+        assert model.init <= got.init and model.rel_map["e"] <= got.rel_map["e"]
+
+
+def _smaller_amalgam_exists(got, j1, j2, m1, m2) -> bool:
+    """Literally: dropping one initialising state, or one pair of one event,
+    from the amalgam leaves both reduct equations true."""
+    smaller = [make_model(got.signature, got.algebra, got.init - {x}, got.rel_map)
+               for x in got.init if len(got.init) > 1]
+    for e, pairs in got.rel:
+        smaller += [make_model(got.signature, got.algebra, got.init,
+                               {**got.rel_map, e: pairs - {p}}) for p in pairs]
+    return any(model_reduct(j1, c) == m1 and model_reduct(j2, c) == m2 for c in smaller)
 
 
 # -- the context embedding ---------------------------------------------------
