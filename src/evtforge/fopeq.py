@@ -292,15 +292,6 @@ def conjoin(parts: Sequence[Formula]) -> Formula:
     return And(parts)
 
 
-def disjoin(parts: Sequence[Formula]) -> Formula:
-    parts = tuple(parts)
-    if not parts:
-        return FALSE
-    if len(parts) == 1:
-        return parts[0]
-    return Or(parts)
-
-
 def term_vars(t: Term) -> frozenset[tuple[str, bool]]:
     if isinstance(t, Var):
         return frozenset({t.key})
@@ -347,97 +338,98 @@ def free_vars(f: Formula) -> frozenset[tuple[str, bool]]:
     raise SortError(f"not a formula: {f!r}")
 
 
-def map_terms(f: Formula, fn) -> Formula:
-    """Rebuild a formula applying fn to every top-level term."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Equal):
-        return Equal(fn(f.left), fn(f.right))
-    if isinstance(f, PredApp):
-        return PredApp(f.pred, tuple(fn(a) for a in f.args))
-    if isinstance(f, InSet):
-        return InSet(fn(f.item), tuple(fn(e) for e in f.elems))
-    if isinstance(f, CarrierEq):
-        return CarrierEq(f.sort, tuple(fn(e) for e in f.elems))
-    if isinstance(f, Not):
-        return Not(map_terms(f.body, fn))
-    if isinstance(f, And):
-        return And(tuple(map_terms(p, fn) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(map_terms(p, fn) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(map_terms(f.left, fn), map_terms(f.right, fn))
-    if isinstance(f, Iff):
-        return Iff(map_terms(f.left, fn), map_terms(f.right, fn))
-    if isinstance(f, (Forall, Exists)):
-        body = map_terms(f.body, fn)
-        return type(f)(f.vars, body)
-    raise SortError(f"not a formula: {f!r}")
+def substitute(
+    x: Union[Term, Formula],
+    vars: Mapping[tuple[str, bool], Term] = {},
+    m: Optional[FopeqMorphism] = None,
+) -> Union[Term, Formula]:
+    """Sentence translation in one capture-avoiding pass over a term or formula.
+
+    Free variable occurrences are replaced by key (name, primed); operations,
+    predicates and sorts are renamed along m when it is given.  A quantifier
+    binds only the unprimed occurrences of its variables.  A bound variable
+    that would capture an incoming term is renamed apart to the first of
+    name_1, name_2, ... that is not free in the body, not bound by the
+    quantifier and not in any incoming term.
+    """
+    op = m.apply_op if m else _same
+    pred = m.apply_pred if m else _same
+    sort = m.apply_sort if m else _same
+
+    def term(t: Term, env) -> Term:
+        if isinstance(t, Var):
+            return env.get(t.key, t)
+        if isinstance(t, OpApp):
+            return OpApp(op(t.op), tuple(term(a, env) for a in t.args))
+        if isinstance(t, (IntLit, BoolLit)):
+            return t
+        raise SortError(f"not a term: {t!r}")
+
+    def form(f: Formula, env) -> Formula:
+        if isinstance(f, (TrueF, FalseF)):
+            return f
+        if isinstance(f, Equal):
+            return Equal(term(f.left, env), term(f.right, env))
+        if isinstance(f, PredApp):
+            return PredApp(pred(f.pred), tuple(term(a, env) for a in f.args))
+        if isinstance(f, InSet):
+            return InSet(term(f.item, env), tuple(term(e, env) for e in f.elems))
+        if isinstance(f, CarrierEq):
+            return CarrierEq(sort(f.sort), tuple(term(e, env) for e in f.elems))
+        if isinstance(f, Not):
+            return Not(form(f.body, env))
+        if isinstance(f, (And, Or)):
+            return type(f)(tuple(form(p, env) for p in f.parts))
+        if isinstance(f, (Implies, Iff)):
+            return type(f)(form(f.left, env), form(f.right, env))
+        if isinstance(f, (Forall, Exists)):
+            bound = {n for n, _ in f.vars}
+            env = {k: t for k, t in env.items() if k[1] or k[0] not in bound}
+            fresh = _rename_apart(f, bound, env) if env else {}
+            env.update({(n, False): Var(v) for n, v in fresh.items()})
+            vs = tuple((fresh.get(n, n), sort(s)) for n, s in f.vars)
+            return type(f)(vs, form(f.body, env))
+        raise SortError(f"not a formula: {f!r}")
+
+    return term(x, vars) if isinstance(x, (Var, IntLit, BoolLit, OpApp)) else form(x, vars)
+
+
+def _same(name: str) -> str:
+    return name
+
+
+def _rename_apart(
+    q: Union[Forall, Exists], bound: set[str], env: Mapping[tuple[str, bool], Term],
+) -> dict[str, str]:
+    """Fresh names for the bound variables of q that an incoming term for one
+    of the body's free variables would capture."""
+    body_free = free_vars(q.body)
+    landing = [t for k, t in env.items() if k in body_free]
+    captured = bound & {n for t in landing for n, primed in term_vars(t) if not primed}
+    if not captured:
+        return {}
+    taken = bound | {n for n, _ in body_free} | {
+        n for t in env.values() for n, _ in term_vars(t)}
+    fresh = {}
+    for n, _ in q.vars:
+        if n in captured:
+            k = 1
+            while f"{n}_{k}" in taken:
+                k += 1
+            fresh[n] = f"{n}_{k}"
+            taken.add(fresh[n])
+    return fresh
 
 
 def rename_free_vars(f: Formula, name_map: Mapping[str, str]) -> Formula:
     """Rename free variables; primed occurrences follow the unprimed map."""
-
-    def walk(f: Formula, shadowed: frozenset[str]) -> Formula:
-        if isinstance(f, (Forall, Exists)):
-            inner = shadowed | {n for n, _ in f.vars}
-            return type(f)(f.vars, walk(f.body, inner))
-        if isinstance(f, Not):
-            return Not(walk(f.body, shadowed))
-        if isinstance(f, And):
-            return And(tuple(walk(p, shadowed) for p in f.parts))
-        if isinstance(f, Or):
-            return Or(tuple(walk(p, shadowed) for p in f.parts))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left, shadowed), walk(f.right, shadowed))
-        if isinstance(f, Iff):
-            return Iff(walk(f.left, shadowed), walk(f.right, shadowed))
-
-        def on_term(t: Term) -> Term:
-            if isinstance(t, Var):
-                if t.name in shadowed or t.name not in name_map:
-                    return t
-                return Var(name_map[t.name], t.primed)
-            if isinstance(t, OpApp):
-                return OpApp(t.op, tuple(on_term(a) for a in t.args))
-            return t
-
-        return map_terms(f, on_term)
-
-    return walk(f, frozenset())
+    return substitute(
+        f, {(n, p): Var(t, p) for n, t in name_map.items() for p in (False, True)})
 
 
-def prime_free_vars(f: Formula, names: Iterable[str]) -> Formula:
+def prime_free_vars(x: Union[Term, Formula], names: Iterable[str]) -> Union[Term, Formula]:
     """Prime every free occurrence of the listed (unprimed) variable names."""
-    names = set(names)
-
-    def walk(f: Formula, shadowed: frozenset[str]) -> Formula:
-        if isinstance(f, (Forall, Exists)):
-            inner = shadowed | {n for n, _ in f.vars}
-            return type(f)(f.vars, walk(f.body, inner))
-        if isinstance(f, Not):
-            return Not(walk(f.body, shadowed))
-        if isinstance(f, And):
-            return And(tuple(walk(p, shadowed) for p in f.parts))
-        if isinstance(f, Or):
-            return Or(tuple(walk(p, shadowed) for p in f.parts))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left, shadowed), walk(f.right, shadowed))
-        if isinstance(f, Iff):
-            return Iff(walk(f.left, shadowed), walk(f.right, shadowed))
-
-        def on_term(t: Term) -> Term:
-            if isinstance(t, Var):
-                if not t.primed and t.name in names and t.name not in shadowed:
-                    return Var(t.name, True)
-                return t
-            if isinstance(t, OpApp):
-                return OpApp(t.op, tuple(on_term(a) for a in t.args))
-            return t
-
-        return map_terms(f, on_term)
-
-    return walk(f, frozenset())
+    return substitute(x, {(n, False): Var(n, True) for n in names})
 
 
 # ---------------------------------------------------------------------------
@@ -906,36 +898,9 @@ def fopeq_compose(m2: FopeqMorphism, m1: FopeqMorphism) -> FopeqMorphism:
     )
 
 
-def translate_term(m: FopeqMorphism, t: Term) -> Term:
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, (IntLit, BoolLit)):
-        return t
-    if isinstance(t, OpApp):
-        return OpApp(m.apply_op(t.op), tuple(translate_term(m, a) for a in t.args))
-    raise SortError(f"not a term: {t!r}")
-
-
 def translate_formula(m: FopeqMorphism, f: Formula) -> Formula:
     """Systematic renaming; variables keep their names, sorts follow the map."""
-    if isinstance(f, PredApp):
-        return PredApp(m.apply_pred(f.pred), tuple(translate_term(m, a) for a in f.args))
-    if isinstance(f, CarrierEq):
-        return CarrierEq(m.apply_sort(f.sort), tuple(translate_term(m, e) for e in f.elems))
-    if isinstance(f, Not):
-        return Not(translate_formula(m, f.body))
-    if isinstance(f, And):
-        return And(tuple(translate_formula(m, p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(translate_formula(m, p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(translate_formula(m, f.left), translate_formula(m, f.right))
-    if isinstance(f, Iff):
-        return Iff(translate_formula(m, f.left), translate_formula(m, f.right))
-    if isinstance(f, (Forall, Exists)):
-        vs = tuple((n, m.apply_sort(s)) for n, s in f.vars)
-        return type(f)(vs, translate_formula(m, f.body))
-    return map_terms(f, lambda t: translate_term(m, t))
+    return substitute(f, {}, m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
 from .fopeq import (
     And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Not,
     TRUE, Value, algebra_reduct, compile_formula, fopeq_compose,
-    fopeq_morphism, fopeq_pushout, free_vars, pushout_names, rename_free_vars,
-    translate_formula,
+    fopeq_morphism, fopeq_pushout, free_vars, pushout_names, substitute,
 )
 
 INIT = "Init"
@@ -194,6 +193,11 @@ class EvtMorphism:
                 out[t] += (e,)
         return out
 
+    @cached_property
+    def var_terms(self) -> dict[tuple[str, bool], fopeq.Var]:
+        """Each source variable, unprimed and primed, with its image as a term."""
+        return {(v, p): fopeq.Var(t, p) for v, t in self.var_map for p in (False, True)}
+
     def apply_event(self, name: str) -> str:
         m = self.event_dict
         if name not in m:
@@ -255,20 +259,8 @@ class EvtSentence:
     body: Formula
 
 
-def check_sentence(s: EvtSentence, sig: EvtSignature) -> None:
-    if s.event not in sig.event_map:
-        raise SortError(f"sentence names unknown event {s.event}")
-    ctx = sig.var_map
-    for name, primed in free_vars(s.body):
-        if name not in ctx:
-            raise SortError(f"sentence body uses unknown variable {name}")
-    fopeq.check_formula(s.body, sig.fopeq, ctx)
-
-
 def translate_sentence(m: EvtMorphism, s: EvtSentence) -> EvtSentence:
-    body = translate_formula(m.fopeq, s.body)
-    body = rename_free_vars(body, m.var_dict)
-    return EvtSentence(m.apply_event(s.event), body)
+    return EvtSentence(m.apply_event(s.event), substitute(s.body, m.var_terms, m.fopeq))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +458,9 @@ def _filter_pool(
     algebra: FiniteAlgebra,
     conjuncts: Sequence[Formula],
     primed: bool,
-) -> list[State]:
-    """States satisfying conjuncts whose free variables are all on one side.
+) -> Iterator[State]:
+    """States satisfying conjuncts whose free variables are all on one side,
+    generated lazily so that callers can stop at a ceiling.
 
     Per-variable unary conjuncts prune candidate values before the product is
     formed; remaining conjuncts filter the product.
@@ -484,13 +477,11 @@ def _filter_pool(
                 v for v in candidates[name] if fn({(name, primed): v})]
         else:
             rest.append(compile_formula(c, algebra))
-    pool = []
     domains = [candidates[n] for n in names]
     for combo in itertools.product(*domains):
         val = {(n, primed): v for n, v in zip(names, combo)}
         if all(fn(val) for fn in rest):
-            pool.append(tuple(zip(names, combo)))
-    return pool
+            yield tuple(zip(names, combo))
 
 
 def maximal_model(
@@ -548,13 +539,19 @@ def maximal_model(
         if not closed_ok:
             r_max[e] = frozenset()
             continue
-        before_pool = _filter_pool(sig, algebra, before_only, False)
-        after_pool = _filter_pool(sig, algebra, after_only, True)
-        n_pairs = len(before_pool) * len(after_pool)
-        if n_pairs > bounds.pair_ceiling:
+        # take only as many states as it takes to see the ceiling crossed
+        ceiling = bounds.pair_ceiling
+        before_pool = list(itertools.islice(
+            _filter_pool(sig, algebra, before_only, False), ceiling + 1))
+        if not before_pool:
+            r_max[e] = frozenset()
+            continue
+        after_pool = list(itertools.islice(
+            _filter_pool(sig, algebra, after_only, True),
+            ceiling // len(before_pool) + 1))
+        if len(before_pool) * len(after_pool) > ceiling:
             raise EnumerationLimit(
-                f"event {e}: {len(before_pool)}x{len(after_pool)} state pairs "
-                f"exceed the ceiling {bounds.pair_ceiling}")
+                f"event {e}: state pairs exceed the ceiling {ceiling}")
         mixed_fns = [compile_formula(c, algebra) for c in mixed]
         pairs = []
         before_vals = [(s, state_valuation(s, False)) for s in before_pool]

@@ -23,13 +23,12 @@ from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq as F
 from .fopeq import (
     Bounds, FiniteAlgebra, FopeqSignature, Formula, OpApp, PredApp, Term, Var,
-    algebra_reduct, conjoin, enumerate_algebras, prime_free_vars,
-    rename_free_vars, translate_formula,
+    algebra_reduct, conjoin, enumerate_algebras, prime_free_vars, substitute,
 )
 from .institution import (
     INIT, EvtMorphism, EvtSentence, EvtSignature, State, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
-    reduct_image, restrict_along, signature_union, status_sup,
+    reduct_image, restrict_along, signature_union, status_sup, translate_sentence,
 )
 from .mathlang import SubsetType, TypeExpr, type_constraint, type_sort
 
@@ -316,29 +315,6 @@ def rep_contains(rep: ModelClassRep, model) -> bool:
     return all(pairs <= rm[e] for e, pairs in model.rel)
 
 
-def term_prime(t: Term, names: Iterable[str]) -> Term:
-    names = set(names)
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            if not t.primed and t.name in names:
-                return Var(t.name, True)
-            return t
-        if isinstance(t, OpApp):
-            return OpApp(t.op, tuple(walk(a) for a in t.args))
-        return t
-
-    return walk(t)
-
-
-def term_rename(t: Term, m: EvtMorphism) -> Term:
-    if isinstance(t, Var):
-        return Var(m.apply_var(t.name), t.primed)
-    if isinstance(t, OpApp):
-        return OpApp(m.fopeq.apply_op(t.op), tuple(term_rename(a, m) for a in t.args))
-    return t
-
-
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -365,7 +341,7 @@ def expand_families(fl: Flattened, sig: EvtSignature) -> list[EvtSentence]:
         for e in sig.event_names:
             out.append(EvtSentence(e, body))
     for n in fl.variants:
-        primed = term_prime(n, names)
+        primed = prime_free_vars(n, names)
         for e, st in sig.events:
             if st == Status.convergent:
                 out.append(EvtSentence(e, PredApp("<", (primed, n))))
@@ -424,21 +400,13 @@ class Evaluator:
         if isinstance(spec, Translate):
             child = self.flatten(spec.child)
             m = spec.morphism
-            out = Flattened()
-            vmap = m.var_dict
-            for f, paired in child.families:
-                g = rename_free_vars(translate_formula(m.fopeq, f), vmap)
-                out.families.append((g, paired))
-            for t in child.variants:
-                out.variants.append(term_rename(t, m))
-            for s in child.sentences:
-                body = rename_free_vars(translate_formula(m.fopeq, s.body), vmap)
-                out.sentences.append(EvtSentence(m.apply_event(s.event), body))
-            for f in child.axioms:
-                out.axioms.append(translate_formula(m.fopeq, f))
-            for rep, tau in child.constraints:
-                out.constraints.append((rep, evt_compose(m, tau)))
-            return out
+            vmap = m.var_terms
+            return Flattened(
+                [(substitute(f, vmap, m.fopeq), paired) for f, paired in child.families],
+                [substitute(t, vmap, m.fopeq) for t in child.variants],
+                [translate_sentence(m, s) for s in child.sentences],
+                [substitute(f, vmap, m.fopeq) for f in child.axioms],
+                [(rep, evt_compose(m, tau)) for rep, tau in child.constraints])
         if isinstance(spec, Hide):
             rep = self._hide_image(self.model_class(spec.child), spec.morphism)
             fl = Flattened()

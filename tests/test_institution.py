@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evtforge import institution
-from evtforge.errors import SortError, SpecError
+from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.fopeq import (
     BOOL, INT, And, Bounds, Equal, Exists, Forall, FopeqMorphism,
     FopeqSignature, Implies, IntLit, Not, Op, OpApp, Or, Pred, PredApp, TRUE,
@@ -218,10 +219,26 @@ class TestMaximalModel:
     def test_ceiling(self):
         sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
         alg = make_algebra(FopeqSignature(), 3, {}, {})
-        from evtforge.errors import EnumerationLimit
         with pytest.raises(EnumerationLimit):
             maximal_model(sig, [EvtSentence("e", TRUE)], alg,
                           Bounds(int_bound=3, pair_ceiling=10))
+
+    def test_ceiling_checked_before_the_pools_are_built(self):
+        # 5^6 states on each side of e; the initial state is pinned
+        names = [f"v{i}" for i in range(6)]
+        sig = EvtSignature(events=(("e", Status.ordinary),),
+                           vars=tuple((n, INT) for n in names))
+        alg = make_algebra(FopeqSignature(), 2, {}, {})
+        pin = EvtSentence(INIT, And(tuple(Equal(Var(n, True), IntLit(0)) for n in names)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimit, match="event e: .*exceed the ceiling"):
+                maximal_model(sig, [pin, EvtSentence("e", TRUE)], alg,
+                              Bounds(int_bound=2, pair_ceiling=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestReduct:
@@ -316,7 +333,7 @@ def _all_var_maps(src, tgt):
 
 
 def _schemas(sig):
-    """Twelve sentence shapes over up to two U-sorted variables."""
+    """Fourteen sentence shapes over up to two U-sorted variables."""
     x, y = Var("x"), Var("y")
     xp, yp = Var("x", True), Var("y", True)
     candidates = [
@@ -332,6 +349,9 @@ def _schemas(sig):
         EvtSentence("e", Forall((("u", "U"),), Implies(
             Equal(Var("u"), x), PredApp("p", (Var("u"),))))),
         EvtSentence("e", Exists((("u", "U"),), Not(Equal(Var("u"), xp)))),
+        # a binder named like a variable's image, and x′ under a binder of x
+        EvtSentence("e", Exists((("y", "U"),), Not(Equal(y, x)))),
+        EvtSentence("e", Exists((("x", "U"),), And((Equal(x, xp), PredApp("p", (x,)))))),
         EvtSentence(INIT, PredApp("p", (xp,))),
     ]
     vars_ = set(sig.var_names)

@@ -223,6 +223,60 @@ class TestOperatorLaws:
         assert ev.model_class(Translate(se_sum, tau)) == ev.model_class(lib.lookup("M"))
 
 
+CAPTURE = """
+spec a =
+  ops x : ℤ
+  events
+    e ordinary
+      any p : ℤ
+      when p > x
+      thenAct x := p
+end
+spec b =
+  a with {x ↦ p}
+end
+"""
+
+SHADOW = """
+spec a =
+  ops x : ℤ
+  events
+    e ordinary
+      any x : ℤ
+      when x > 0
+      thenAct x := x
+end
+spec b =
+  a with {x ↦ y}
+end
+"""
+
+
+class TestRenameAvoidsCapture:
+    """Renaming the one state variable x of a to `new` gives b exactly a's
+    maxima with x renamed, whatever the event parameter is called."""
+
+    def renamed_maxima(self, text, new):
+        lib = SpecLibrary()
+        parse_document(text, lib)
+        ev = Evaluator(lib, Bounds(int_bound=1))
+        (a,) = ev.model_class(lib.lookup("a")).slices
+        (b,) = ev.model_class(lib.lookup("b")).slices
+
+        def ren(s):
+            return tuple((new, v) for _, v in s)
+
+        assert b.l_max == frozenset(map(ren, a.l_max))
+        assert b.r_map["e"] == frozenset((ren(s), ren(t)) for s, t in a.r_map["e"])
+        return a.r_map["e"]
+
+    def test_parameter_named_like_the_image(self):
+        assert len(self.renamed_maxima(CAPTURE, "p")) == 3
+
+    def test_primed_variable_under_a_parameter_of_its_name(self):
+        assert len(self.renamed_maxima(SHADOW, "y")) == 3
+
+
 class TestIndependentOracle:
     def test_m1_relation_against_handwritten_brute_force(self, bridge):
         """The evaluator's maxima for the first refinement equal a brute
