@@ -72,13 +72,6 @@ class MachineDef:
     variant: Optional[object] = None  # surface expression
     events: tuple[EventDef, ...] = ()
 
-    @property
-    def init_event(self) -> EventDef:
-        for e in self.events:
-            if e.is_init:
-                return e
-        raise SpecError(f"machine {self.name} has no initialisation event")
-
 
 @dataclass(frozen=True)
 class ContextDef:

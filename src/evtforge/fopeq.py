@@ -138,25 +138,36 @@ class FopeqSignature:
 
     def union(self, other: "FopeqSignature") -> "FopeqSignature":
         """Merge by name; shared names must carry identical profiles."""
-        ops = {o.name: o for o in self.ops}
-        for o in other.ops:
-            if o.name in ops and ops[o.name] != o:
-                raise SortError(
-                    f"operation {o.name} declared with conflicting profiles"
-                )
-            ops[o.name] = o
-        preds = {p.name: p for p in self.preds}
-        for p in other.preds:
-            if p.name in preds and preds[p.name] != p:
-                raise SortError(
-                    f"predicate {p.name} declared with conflicting profiles"
-                )
-            preds[p.name] = p
-        return FopeqSignature(
-            sorts=self.sorts + other.sorts,
-            ops=tuple(ops.values()),
-            preds=tuple(preds.values()),
-        )
+        return signature_image((self,), (other,))
+
+
+def signature_image(*parts: tuple) -> FopeqSignature:
+    """The signature generated by the images of signatures along name maps.
+
+    Each part is (signature, sort map, operation map, predicate map); maps
+    may be left off, and names a map does not list map to themselves.
+    Operations, and predicates, whose images meet must get one profile.
+    """
+    sorts: set[str] = set()
+    ops: dict[str, Op] = {}
+    preds: dict[str, Pred] = {}
+    for sig, *maps in parts:
+        smap, omap, pmap = (*maps, {}, {}, {})[:3]
+        sorts.update(smap.get(s, s) for s in sig.sorts)
+        for o in sig.ops:
+            if smap or omap:
+                o = Op(omap.get(o.name, o.name), tuple(smap.get(s, s) for s in o.args),
+                       smap.get(o.result, o.result))
+            prior = ops.setdefault(o.name, o)
+            if prior is not o and prior != o:
+                raise SortError(f"operation {o.name} gets conflicting profiles")
+        for p in sig.preds:
+            if smap or pmap:
+                p = Pred(pmap.get(p.name, p.name), tuple(smap.get(s, s) for s in p.args))
+            prior = preds.setdefault(p.name, p)
+            if prior is not p and prior != p:
+                raise SortError(f"predicate {p.name} gets conflicting profiles")
+    return FopeqSignature(tuple(sorts), tuple(ops.values()), tuple(preds.values()))
 
 
 EMPTY_SIGNATURE = FopeqSignature()
@@ -430,85 +441,6 @@ def rename_free_vars(f: Formula, name_map: Mapping[str, str]) -> Formula:
 def prime_free_vars(x: Union[Term, Formula], names: Iterable[str]) -> Union[Term, Formula]:
     """Prime every free occurrence of the listed (unprimed) variable names."""
     return substitute(x, {(n, False): Var(n, True) for n in names})
-
-
-# ---------------------------------------------------------------------------
-# well-sortedness
-
-
-def term_sort(t: Term, sig: FopeqSignature, ctx: Mapping[str, str]) -> str:
-    if isinstance(t, Var):
-        s = ctx.get(t.name)
-        if s is None:
-            raise SortError(f"variable {t.name} not in scope")
-        return s
-    if isinstance(t, IntLit):
-        return INT
-    if isinstance(t, BoolLit):
-        return BOOL
-    if isinstance(t, OpApp):
-        args, result = sig.op_profile(t.op)
-        if len(args) != len(t.args):
-            raise SortError(f"operation {t.op} expects {len(args)} arguments")
-        for expect, a in zip(args, t.args):
-            got = term_sort(a, sig, ctx)
-            if got != expect:
-                raise SortError(f"argument of {t.op} has sort {got}, expected {expect}")
-        return result
-    raise SortError(f"not a term: {t!r}")
-
-
-def check_formula(f: Formula, sig: FopeqSignature, ctx: Mapping[str, str]) -> None:
-    if isinstance(f, (TrueF, FalseF)):
-        return
-    if isinstance(f, Equal):
-        ls = term_sort(f.left, sig, ctx)
-        rs = term_sort(f.right, sig, ctx)
-        if ls != rs:
-            raise SortError(f"equality between sorts {ls} and {rs}")
-        return
-    if isinstance(f, PredApp):
-        args = sig.pred_profile(f.pred)
-        if len(args) != len(f.args):
-            raise SortError(f"predicate {f.pred} expects {len(args)} arguments")
-        for expect, a in zip(args, f.args):
-            got = term_sort(a, sig, ctx)
-            if got != expect:
-                raise SortError(f"argument of {f.pred} has sort {got}, expected {expect}")
-        return
-    if isinstance(f, InSet):
-        s = term_sort(f.item, sig, ctx)
-        for e in f.elems:
-            got = term_sort(e, sig, ctx)
-            if got != s:
-                raise SortError(f"set element has sort {got}, expected {s}")
-        return
-    if isinstance(f, CarrierEq):
-        if not sig.has_sort(f.sort):
-            raise SortError(f"unknown sort {f.sort}")
-        for e in f.elems:
-            got = term_sort(e, sig, ctx)
-            if got != f.sort:
-                raise SortError(f"enumeration element has sort {got}, expected {f.sort}")
-        return
-    if isinstance(f, Not):
-        return check_formula(f.body, sig, ctx)
-    if isinstance(f, (And, Or)):
-        for p in f.parts:
-            check_formula(p, sig, ctx)
-        return
-    if isinstance(f, (Implies, Iff)):
-        check_formula(f.left, sig, ctx)
-        check_formula(f.right, sig, ctx)
-        return
-    if isinstance(f, (Forall, Exists)):
-        inner = dict(ctx)
-        for n, s in f.vars:
-            if not sig.has_sort(s):
-                raise SortError(f"unknown sort {s} for bound variable {n}")
-            inner[n] = s
-        return check_formula(f.body, sig, inner)
-    raise SortError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -987,35 +919,7 @@ def fopeq_pushout(
         [p.name for p in src.preds], [p.name for p in s1.preds], [p.name for p in s2.preds],
         m1.pred_dict, m2.pred_dict)
 
-    def out_sort(side_map, s):
-        return s if s in BUILTIN_SORTS else side_map[s]
-
-    ops: dict[str, Op] = {}
-    for o in s1.ops:
-        ops[op1[o.name]] = Op(op1[o.name],
-                              tuple(out_sort(sort1, s) for s in o.args),
-                              out_sort(sort1, o.result))
-    for o in s2.ops:
-        prof = Op(op2[o.name],
-                  tuple(out_sort(sort2, s) for s in o.args),
-                  out_sort(sort2, o.result))
-        if op2[o.name] in ops and ops[op2[o.name]] != prof:
-            raise SortError(f"pushout merges operation {o.name} with conflicting profiles")
-        ops[op2[o.name]] = prof
-    preds: dict[str, Pred] = {}
-    for p in s1.preds:
-        preds[pred1[p.name]] = Pred(pred1[p.name], tuple(out_sort(sort1, s) for s in p.args))
-    for p in s2.preds:
-        prof = Pred(pred2[p.name], tuple(out_sort(sort2, s) for s in p.args))
-        if pred2[p.name] in preds and preds[pred2[p.name]] != prof:
-            raise SortError(f"pushout merges predicate {p.name} with conflicting profiles")
-        preds[pred2[p.name]] = prof
-
-    merged = FopeqSignature(
-        sorts=tuple(set(sort1.values()) | set(sort2.values())),
-        ops=tuple(ops.values()),
-        preds=tuple(preds.values()),
-    )
+    merged = signature_image((s1, sort1, op1, pred1), (s2, sort2, op2, pred2))
     inj1 = FopeqMorphism(s1, merged, tuple(sort1.items()), tuple(op1.items()),
                          tuple(pred1.items()))
     inj2 = FopeqMorphism(s2, merged, tuple(sort2.items()), tuple(op2.items()),

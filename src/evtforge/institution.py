@@ -108,20 +108,29 @@ class EvtSignature:
         return m[event]
 
 
+def merged_signature(
+    fsig: FopeqSignature,
+    events: Iterable[tuple[str, Status]],
+    vars: Iterable[tuple[str, str]],
+) -> EvtSignature:
+    """The signature over fsig with the listed events and variables, which may
+    repeat: the statuses of one event join by supremum, and a variable must
+    keep one sort."""
+    ev: dict[str, Status] = {}
+    for name, st in events:
+        if ev.setdefault(name, st) != st:
+            ev[name] = status_sup(ev[name], st)
+    vs: dict[str, str] = {}
+    for name, sort in vars:
+        if vs.setdefault(name, sort) != sort:
+            raise SortError(f"variable {name} gets conflicting sorts")
+    return EvtSignature(fsig, tuple(ev.items()), tuple(vs.items()))
+
+
 def signature_union(a: EvtSignature, b: EvtSignature) -> EvtSignature:
     """Name-based union: shared symbols need identical profiles, shared events
     join by status supremum."""
-    ev = dict(a.events)
-    for name, st in b.events:
-        ev[name] = status_sup(ev.get(name, Status.ordinary), st) if name in ev else st
-    if ev.get(INIT, Status.ordinary) != Status.ordinary:
-        raise SortError("union would give the initial event a non-ordinary status")
-    vs = dict(a.vars)
-    for name, sort in b.vars:
-        if name in vs and vs[name] != sort:
-            raise SortError(f"variable {name} declared with conflicting sorts")
-        vs[name] = sort
-    return EvtSignature(a.fopeq.union(b.fopeq), tuple(ev.items()), tuple(vs.items()))
+    return merged_signature(a.fopeq.union(b.fopeq), a.events + b.events, a.vars + b.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +523,12 @@ def maximal_model(
             closed_true = closed_true and compile_formula(c, algebra)({})
         else:
             primed_conjs.append(c)
-    if closed_true:
-        l_max = frozenset(_filter_pool(sig, algebra, primed_conjs, True))
-    else:
-        l_max = frozenset()
+    # take only as many states as it takes to see the ceiling crossed
+    ceiling = bounds.pair_ceiling
+    l_max = frozenset(itertools.islice(
+        _filter_pool(sig, algebra, primed_conjs, True), ceiling + 1) if closed_true else ())
+    if len(l_max) > ceiling:
+        raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
 
     r_max: dict[str, frozenset[tuple[State, State]]] = {}
     for e in sig.non_init_events:
@@ -539,8 +550,6 @@ def maximal_model(
         if not closed_ok:
             r_max[e] = frozenset()
             continue
-        # take only as many states as it takes to see the ceiling crossed
-        ceiling = bounds.pair_ceiling
         before_pool = list(itertools.islice(
             _filter_pool(sig, algebra, before_only, False), ceiling + 1))
         if not before_pool:
@@ -582,26 +591,14 @@ def evt_pushout(
     ev1, ev2 = pushout_names(
         src.event_names, s1.target.event_names, s2.target.event_names,
         s1.event_dict, s2.event_dict)
-    statuses: dict[str, Status] = {}
-    for inj, side in ((ev1, s1.target), (ev2, s2.target)):
-        for name, st in side.events:
-            out = inj[name]
-            statuses[out] = status_sup(statuses[out], st) if out in statuses else st
-    statuses[INIT] = Status.ordinary
-
     v1, v2 = pushout_names(
         src.var_names, s1.target.var_names, s2.target.var_names,
         s1.var_dict, s2.var_dict)
-    var_sorts: dict[str, str] = {}
-    for name, sort in s1.target.vars:
-        var_sorts[v1[name]] = finj1.apply_sort(sort)
-    for name, sort in s2.target.vars:
-        out_sort = finj2.apply_sort(sort)
-        if var_sorts.get(v2[name], out_sort) != out_sort:
-            raise SortError(f"pushout merges variable {name} with conflicting sorts")
-        var_sorts[v2[name]] = out_sort
-
-    merged = EvtSignature(fsig, tuple(statuses.items()), tuple(var_sorts.items()))
+    merged = merged_signature(
+        fsig,
+        [(ev1[e], st) for e, st in s1.target.events] + [(ev2[e], st) for e, st in s2.target.events],
+        [(v1[v], finj1.apply_sort(s)) for v, s in s1.target.vars]
+        + [(v2[v], finj2.apply_sort(s)) for v, s in s2.target.vars])
     inj1 = EvtMorphism(s1.target, merged, finj1, tuple(ev1.items()), tuple(v1.items()))
     inj2 = EvtMorphism(s2.target, merged, finj2, tuple(ev2.items()), tuple(v2.items()))
     return merged, inj1, inj2

@@ -423,15 +423,6 @@ def parse_expression(ts: TokenStream, stop_at_newline: bool = False):
     return ExprParser(ts, stop_at_newline).parse_formula_expr()
 
 
-def parse_expression_text(text: str):
-    ts = TokenStream(tokenize(text))
-    node = parse_expression(ts)
-    t = ts.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return node
-
-
 _SURF_PREC = {
     "<=>": 1, "=>": 2, "\\/": 3, "/\\": 4,
     "=": 6, "/=": 6, "<": 6, "<=": 6, ">": 6, ">=": 6, "in": 6,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import EnumerationLimit, SortError, SpecError
+from .errors import EnumerationLimit, SpecError
 from . import fopeq as F
 from .fopeq import (
     Bounds, FiniteAlgebra, FopeqSignature, Formula, OpApp, PredApp, Term, Var,
@@ -28,7 +28,8 @@ from .fopeq import (
 from .institution import (
     INIT, EvtMorphism, EvtSentence, EvtSignature, State, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
-    reduct_image, restrict_along, signature_union, status_sup, translate_sentence,
+    merged_signature, reduct_image, restrict_along, signature_union,
+    translate_sentence,
 )
 from .mathlang import SubsetType, TypeExpr, type_constraint, type_sort
 
@@ -100,19 +101,9 @@ class Flat:
 
 def extend_signature(base: EvtSignature, flat: Flat) -> EvtSignature:
     fsig = extend_fopeq_signature(base.fopeq, flat)
-    events = dict(base.events)
-    for ev in flat.events:
-        if ev.name in events:
-            events[ev.name] = status_sup(events[ev.name], ev.status)
-        else:
-            events[ev.name] = ev.status
-    vars_ = dict(base.vars)
-    for name, te in flat.variables:
-        sort = type_sort(te, fsig)
-        if vars_.get(name, sort) != sort:
-            raise SortError(f"variable {name} redeclared with a different sort")
-        vars_[name] = sort
-    return EvtSignature(fsig, tuple(events.items()), tuple(vars_.items()))
+    return merged_signature(
+        fsig, base.events + tuple((ev.name, ev.status) for ev in flat.events),
+        base.vars + tuple((name, type_sort(te, fsig)) for name, te in flat.variables))
 
 
 def flat_signature(flat: Flat) -> EvtSignature:
@@ -125,7 +116,7 @@ def extend_fopeq_signature(base: FopeqSignature, flat: Flat) -> FopeqSignature:
         fsig = fsig.union(FopeqSignature(sorts=flat.sorts))
     if flat.constants:
         ops = tuple(F.Op(n, (), type_sort(te, fsig)) for n, te in flat.constants)
-        fsig = FopeqSignature(fsig.sorts, fsig.ops + ops, fsig.preds)
+        fsig = fsig.union(FopeqSignature(fsig.sorts, ops))
     return fsig
 
 

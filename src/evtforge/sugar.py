@@ -17,9 +17,10 @@ from typing import Optional, Sequence
 
 from .errors import ParseError, SortError, SpecError
 from . import fopeq as F
-from .fopeq import FopeqSignature
+from .fopeq import FopeqSignature, signature_image
 from .institution import (
-    INIT, EvtMorphism, EvtSignature, Status, evt_morphism, signature_union,
+    INIT, EvtMorphism, EvtSignature, Status, evt_morphism, merged_signature,
+    signature_union,
 )
 from .mathlang import (
     ElabContext, ExprParser, TokenStream, TypeExpr, elab_formula, elab_term,
@@ -140,6 +141,10 @@ def _render_import(leaf: Spec, lib: SpecLibrary, elide_identity: bool) -> Option
     if isinstance(leaf, Hide):
         inner = _render_import(leaf.child, lib, elide_identity)
         return f"({inner} hide via {_render_morphism(leaf.morphism, hide=True)})"
+    if isinstance(leaf, Sum):
+        # elision drops an import from the chain, never from inside a term
+        left, right = (_render_import(s, lib, False) for s in (leaf.left, leaf.right))
+        return f"({left} and {right})"
     raise SpecError(f"cannot render import {leaf!r}")
 
 
@@ -750,31 +755,10 @@ def _build_translate(child: Spec, maplets: Sequence[Maplet],
         if m.dst_status is not None:
             statuses[m.dst] = m.dst_status
 
-    tgt_events: dict[str, Status] = {}
-    for e, st in src.events:
-        out = events.get(e, e)
-        want = statuses.get(out, st)
-        tgt_events[out] = max(tgt_events.get(out, want), want)
-    tgt_vars: dict[str, str] = {}
-    for v, s in src.vars:
-        out, out_sort = vars_.get(v, v), sorts.get(s, s)
-        if tgt_vars.get(out, out_sort) != out_sort:
-            raise SpecError(f"renaming merges variables of different sorts at {out}")
-        tgt_vars[out] = out_sort
-
-    tgt_ops = {}
-    for o in src.fopeq.ops:
-        prof = F.Op(ops.get(o.name, o.name), tuple(sorts.get(s, s) for s in o.args),
-                    sorts.get(o.result, o.result))
-        if tgt_ops.get(prof.name, prof) != prof:
-            raise SpecError(f"renaming merges operations with different profiles")
-        tgt_ops[prof.name] = prof
-    tgt_fopeq = FopeqSignature(
-        sorts=tuple(sorts.get(s, s) for s in src.fopeq.sorts),
-        ops=tuple(tgt_ops.values()),
-        preds=src.fopeq.preds,
-    )
-    target = EvtSignature(tgt_fopeq, tuple(tgt_events.items()), tuple(tgt_vars.items()))
+    target = merged_signature(
+        signature_image((src.fopeq, sorts, ops)),
+        [(events.get(e, e), statuses.get(events.get(e, e), st)) for e, st in src.events],
+        [(vars_.get(v, v), sorts.get(s, s)) for v, s in src.vars])
     return Translate(child, evt_morphism(src, target, events=events, vars=vars_,
                                          sorts=sorts, ops=ops))
 

@@ -224,21 +224,28 @@ class TestMaximalModel:
                           Bounds(int_bound=3, pair_ceiling=10))
 
     def test_ceiling_checked_before_the_pools_are_built(self):
-        # 5^6 states on each side of e; the initial state is pinned
-        names = [f"v{i}" for i in range(6)]
-        sig = EvtSignature(events=(("e", Status.ordinary),),
-                           vars=tuple((n, INT) for n in names))
         alg = make_algebra(FopeqSignature(), 2, {}, {})
-        pin = EvtSentence(INIT, And(tuple(Equal(Var(n, True), IntLit(0)) for n in names)))
-        tracemalloc.start()
-        try:
-            with pytest.raises(EnumerationLimit, match="event e: .*exceed the ceiling"):
-                maximal_model(sig, [pin, EvtSentence("e", TRUE)], alg,
-                              Bounds(int_bound=2, pair_ceiling=100))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        for nvars, after, ceiling, refusal in (
+            # 5^6 states on each side of e; the initial state is pinned
+            (6, "{v}′ = 0", 100, "event e: .*exceed the ceiling"),
+            # 5^8 initial states: each variable is initialised by v :| v′ ∈ ℤ
+            (8, "{v}′ ∈ ℤ", 1000, "event Init: .*exceed the ceiling"),
+        ):
+            names = [f"v{i}" for i in range(nvars)]
+            sig = EvtSignature(events=(("e", Status.ordinary),),
+                               vars=tuple((n, INT) for n in names))
+            ctx = ElabContext(FopeqSignature(), vars=sig.vars)
+            init = EvtSentence(INIT, And(tuple(
+                parse_formula_text(after.format(v=n), ctx) for n in names)))
+            tracemalloc.start()
+            try:
+                with pytest.raises(EnumerationLimit, match=refusal):
+                    maximal_model(sig, [init, EvtSentence("e", TRUE)], alg,
+                                  Bounds(int_bound=2, pair_ceiling=ceiling))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 class TestReduct:

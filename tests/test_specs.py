@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from evtforge.errors import EnumerationLimit, SpecError
+from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import (
-    Bounds, FopeqSignature, INT, Op, fopeq_identity,
+    Bounds, FopeqSignature, INT, Op, fopeq_identity, fopeq_morphism, fopeq_pushout,
 )
 from evtforge.institution import (
-    INIT, EvtMorphism, EvtSignature, Status, evt_identity, make_state,
-    model_reduct,
+    INIT, EvtMorphism, EvtSignature, Status, comorphism_sign, evt_identity,
+    evt_morphism, evt_pushout, make_state, model_reduct,
 )
 from evtforge.mathlang import (
     ElabContext, NatType, parse_formula_text, parse_term_text,
@@ -80,7 +80,7 @@ class TestSigOf:
     def test_sum_conflicting_profiles_rejected(self):
         a = EvtSignature(vars=(("x", INT),))
         b = EvtSignature(FopeqSignature(sorts=("S",)), (), (("x", "S"),))
-        with pytest.raises(Exception):
+        with pytest.raises(SortError):
             sig_of(Sum(Presentation(a, Flat()), Presentation(b, Flat())), None)
 
     def test_hide_gives_source(self, bridge):
@@ -91,6 +91,115 @@ class TestSigOf:
         sig = sig_of(m1, out.library)
         assert set(sig.var_names) == {"v1", "v2"}
         assert set(sig.event_names) == {INIT, "e1", "e2", "e3_e"}
+
+
+# -- the merge rule: one per layer, whatever builds the signature -------------
+
+MERGE_LIBRARY = """
+spec a =
+  ops x : BOOL
+  events
+    e ordinary
+end
+
+spec b =
+  events
+    e convergent
+end
+
+spec g =
+  events
+    g convergent
+end
+
+spec zx =
+  ops x : ℤ
+  events
+    f ordinary
+end
+
+spec zy =
+  ops y : ℤ
+  events
+    f ordinary
+end
+
+spec c1 =
+  sorts S
+  ops k : S
+end
+
+spec c2 =
+  ops k : ℤ
+end
+
+spec c3 =
+  sorts S
+  ops k : S
+end
+
+spec cj =
+  ops j : ℤ
+end
+
+spec ct =
+  sorts T
+  ops m : T
+end
+"""
+
+# the body of spec t, per entry point and case; "meet" joins a sort and a
+# constant, which the renaming does by merging T, m into the existing S, k
+# as genins.evt merges S1, C1 into ctx2_S1, ctx2_C1
+SUGAR_MERGES = {
+    "sum": {"status": "a and b", "var_sort": "a and zx",
+            "op_profile": "c1 and c2", "meet": "c1 and c3"},
+    "then": {"status": "a then events e convergent", "var_sort": "a then ops x : ℤ",
+             "op_profile": "c1 then ops k : ℤ", "meet": "c1 then sorts S ops k : S"},
+    "with": {"status": "(a and g) with {g ↦ e}",
+             "var_sort": "(a and zy) with {y ↦ x}",
+             "op_profile": "(c1 and cj and a) with {j ↦ k}",
+             "meet": "(c1 and ct and a) with {T ↦ S, m ↦ k}"},
+}
+# a pushout of profile-preserving maps never makes symbols of different
+# profiles meet, so pushouts cover the status join and a meet only
+MERGE_CASES = [(entry, case) for entry, cases in SUGAR_MERGES.items() for case in cases] + [
+    ("evt_pushout", "status"), ("evt_pushout", "meet"), ("fopeq_pushout", "meet")]
+
+
+def _merged(entry: str, case: str):
+    if entry in SUGAR_MERGES:
+        lib = SpecLibrary()
+        parse_document(f"{MERGE_LIBRARY}\nspec t =\n  {SUGAR_MERGES[entry][case]}\nend\n", lib)
+        return lib.signature("t")
+    if case == "status":
+        base = EvtSignature(events=(("e", Status.ordinary),))
+        conv = EvtSignature(events=(("e", Status.convergent),))
+        return evt_pushout(evt_identity(base), evt_morphism(base, conv))[0]
+    base = FopeqSignature(("S",), (Op("k", (), "S"),))
+    other = FopeqSignature(("T",), (Op("m", (), "T"),))
+    if entry == "fopeq_pushout":
+        return fopeq_pushout(fopeq_identity(base),
+                             fopeq_morphism(base, other, {"S": "T"}, {"k": "m"}))[0]
+    base, other = comorphism_sign(base), comorphism_sign(other)
+    return evt_pushout(evt_identity(base),
+                       evt_morphism(base, other, sorts={"S": "T"}, ops={"k": "m"}))[0]
+
+
+@pytest.mark.parametrize("entry, case", MERGE_CASES, ids=lambda x: x)
+def test_merge_rule(entry, case):
+    if case == "var_sort":
+        with pytest.raises(SortError, match="variable x gets conflicting sorts"):
+            _merged(entry, case)
+    elif case == "op_profile":
+        with pytest.raises(SortError, match="operation k gets conflicting profiles"):
+            _merged(entry, case)
+    elif case == "status":
+        assert _merged(entry, case).status("e") == Status.convergent
+    else:
+        sig = _merged(entry, case)
+        fsig = sig.fopeq if isinstance(sig, EvtSignature) else sig
+        assert (fsig.sorts, fsig.ops) == (("S",), (Op("k", (), "S"),))
 
 
 class TestModOf:
@@ -447,6 +556,7 @@ class TestSugar:
         lib = out.library
         parse_document(load_fixture("decomp_sv.evt"), lib)
         parse_document(load_fixture("decomp_se.evt"), lib)
+        parse_document(load_fixture("genins.evt"), lib)  # a renamed sum
         order = [("spec", n) for n in lib.names()]
         full = print_library(lib, order)
         lib2 = SpecLibrary()
