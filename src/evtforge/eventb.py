@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .errors import ParseError, SpecError
-from .fopeq import BOOL, INT, FopeqSignature, Op
+from .errors import ParseError, SortError, SpecError
+from .fopeq import FopeqSignature, Op
 from .institution import INIT, EvtSignature, Status
 from .mathlang import (
-    BoolType, ExprParser, IntType, NatType, SBin, SName, SSet, SortType,
-    SubsetType, TokenStream, TypeExpr, parse_type_expr, tokenize, type_sort,
+    BUILTIN_TYPES, ExprParser, SBin, SName, SSet, SortType, SubsetType,
+    TokenStream, TypeExpr, parse_type_expr, tokenize, type_sort,
     unparse_surface, unparse_type, _literal_term,
 )
 
@@ -402,32 +402,25 @@ def _mentions_unprimed_var(node, names: set[str]) -> bool:
 # typing classification
 
 
-def typing_of_invariant(lp: LabelledPred, own_vars: Sequence[str],
-                        known_sorts: Sequence[str]) -> Optional[tuple[str, TypeExpr]]:
-    """Recognise `v ∈ ℕ / ℤ / BOOL / S / {literals}` as a sort declaration."""
-    node = lp.pred
+def typing_of(node, names: Sequence[str],
+              known_sorts: Sequence[str]) -> Optional[tuple[str, TypeExpr]]:
+    """Recognise `v ∈ ℕ / ℤ / BOOL / S / {literals}`, for an unprimed v among
+    names, as a sort declaration (v, type)."""
     if not (isinstance(node, SBin) and node.op == "in"):
         return None
-    lhs = node.left
-    if not (isinstance(lhs, SName) and not lhs.primed and lhs.name in own_vars):
+    lhs, rhs = node.left, node.right
+    if not (isinstance(lhs, SName) and not lhs.primed and lhs.name in names):
         return None
-    rhs = node.right
     if isinstance(rhs, SName) and not rhs.primed:
-        if rhs.name == "NAT":
-            return (lhs.name, NatType())
-        if rhs.name in ("INT", INT):
-            return (lhs.name, IntType())
-        if rhs.name in ("BOOL", BOOL):
-            return (lhs.name, BoolType())
-        if rhs.name in known_sorts:
-            return (lhs.name, SortType(rhs.name))
-        return None
+        te = BUILTIN_TYPES.get(rhs.name)
+        if te is None and rhs.name in known_sorts:
+            te = SortType(rhs.name)
+        return None if te is None else (lhs.name, te)
     if isinstance(rhs, SSet):
         try:
-            elems = tuple(_literal_term(e) for e in rhs.elems)
-        except Exception:
+            return (lhs.name, SubsetType(tuple(_literal_term(e) for e in rhs.elems)))
+        except SortError:
             return None
-        return (lhs.name, SubsetType(elems))
     return None
 
 
@@ -435,28 +428,15 @@ def typing_of_axiom(lp: LabelledPred, constants: Sequence[str],
                     known_sorts: Sequence[str]):
     """Constant typing from axioms.
 
-    `c ∈ ℕ/ℤ/BOOL/S` types c and is consumed; `S = {c1, ..., cn}` types the
-    members and is kept as an enumeration-exhaustiveness axiom.
+    `c ∈ ℕ/ℤ/BOOL/S` types c and is consumed; `c ∈ {literals}` types c and is
+    kept as a membership axiom; `S = {c1, ..., cn}` types the members and is
+    kept as an enumeration-exhaustiveness axiom.
     """
     node = lp.pred
-    if isinstance(node, SBin) and node.op == "in":
-        lhs, rhs = node.left, node.right
-        if isinstance(lhs, SName) and not lhs.primed and lhs.name in constants:
-            if isinstance(rhs, SName) and not rhs.primed:
-                if rhs.name == "NAT":
-                    return {lhs.name: NatType()}, False
-                if rhs.name in ("INT", INT):
-                    return {lhs.name: IntType()}, False
-                if rhs.name in ("BOOL", BOOL):
-                    return {lhs.name: BoolType()}, False
-                if rhs.name in known_sorts:
-                    return {lhs.name: SortType(rhs.name)}, False
-            if isinstance(rhs, SSet):
-                try:
-                    elems = tuple(_literal_term(e) for e in rhs.elems)
-                except Exception:
-                    return None, True
-                return {lhs.name: SubsetType(elems)}, True
+    found = typing_of(node, constants, known_sorts)
+    if found is not None:
+        name, te = found
+        return {name: te}, isinstance(te, SubsetType)
     if isinstance(node, SBin) and node.op == "=":
         lhs, rhs = node.left, node.right
         if (isinstance(lhs, SName) and not lhs.primed and lhs.name in known_sorts
@@ -532,7 +512,7 @@ def machine_signature(m: MachineDef, env: Environment) -> tuple[EvtSignature, di
 
     vtypes: dict[str, TypeExpr] = {}
     for inv in m.invariants:
-        found = typing_of_invariant(inv, m.variables, fsig.all_sorts())
+        found = typing_of(inv.pred, m.variables, fsig.all_sorts())
         if found:
             name, te = found
             if name in vtypes:

@@ -909,6 +909,12 @@ def fopeq_pushout(
     if m1.source != m2.source:
         raise SortError("pushout requires a common source signature")
     src, s1, s2 = m1.source, m1.target, m2.target
+    for m in (m1, m2):
+        for s, t in m.sort_map:
+            if t in BUILTIN_SORTS:
+                raise SortError(
+                    f"pushout of a leg sending sort {s} to the builtin sort {t} "
+                    "is not supported")
 
     sort1, sort2 = pushout_names(
         src.sorts, s1.sorts, s2.sorts, m1.sort_dict, m2.sort_dict)

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
 from .fopeq import (
-    And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Not,
-    TRUE, Value, algebra_reduct, compile_formula, fopeq_compose,
+    And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
+    algebra_reduct, compile_formula, conjoin, fopeq_compose,
     fopeq_morphism, fopeq_pushout, free_vars, pushout_names, substitute,
 )
 
@@ -335,35 +335,14 @@ def make_model(
     return EvtModel(sig, algebra, frozenset(init), tuple(full.items()))
 
 
-def init_d1(f: Formula, var_names: Iterable[str]) -> Formula:
-    """Replace maximal atoms mentioning an unprimed state variable by true.
+def init_conjuncts(body: Formula) -> list[Formula]:
+    """The conjuncts of an initial-event sentence that are evaluated.
 
-    Initialising states bind only after-values, so only the primed part of an
-    initial-event sentence is evaluated.
+    Initialising states bind only after-values, so a conjunct counts when
+    all its free variables are primed; closed conjuncts count as well.
     """
-    names = set(var_names)
-
-    def walk(f: Formula, shadowed: frozenset[str]) -> Formula:
-        if isinstance(f, Not):
-            return Not(walk(f.body, shadowed))
-        if isinstance(f, And):
-            return And(tuple(walk(p, shadowed) for p in f.parts))
-        if isinstance(f, fopeq.Or):
-            return fopeq.Or(tuple(walk(p, shadowed) for p in f.parts))
-        if isinstance(f, fopeq.Implies):
-            return fopeq.Implies(walk(f.left, shadowed), walk(f.right, shadowed))
-        if isinstance(f, fopeq.Iff):
-            return fopeq.Iff(walk(f.left, shadowed), walk(f.right, shadowed))
-        if isinstance(f, (fopeq.Forall, fopeq.Exists)):
-            inner = shadowed | {n for n, _ in f.vars}
-            return type(f)(f.vars, walk(f.body, inner))
-        hits = {
-            name for name, primed in free_vars(f)
-            if not primed and name in names and name not in shadowed
-        }
-        return TRUE if hits else f
-
-    return walk(f, frozenset())
+    return [c for c in _flatten_conjuncts(body)
+            if all(primed for _, primed in free_vars(c))]
 
 
 def satisfies(m: EvtModel, s: EvtSentence) -> bool:
@@ -373,7 +352,7 @@ def satisfies(m: EvtModel, s: EvtSentence) -> bool:
     if s.event not in sig.event_map:
         raise SortError(f"sentence names unknown event {s.event}")
     if s.event == INIT:
-        fn = compile_formula(init_d1(s.body, sig.var_names), m.algebra)
+        fn = compile_formula(conjoin(init_conjuncts(s.body)), m.algebra)
         return all(fn(state_valuation(after, True)) for after in m.init)
     fn = compile_formula(s.body, m.algebra)
     return all(fn(pair_valuation(before, after))
@@ -512,10 +491,8 @@ def maximal_model(
             raise SortError(f"sentence names unknown event {s.event}")
         by_event[s.event].append(s.body)
 
-    # initialising set: only the primed part of initial-event bodies applies
-    init_conjs: list[Formula] = []
-    for body in by_event[INIT]:
-        init_conjs.extend(_flatten_conjuncts(init_d1(body, sig.var_names)))
+    # initialising set: only the conjuncts over after-values apply
+    init_conjs = [c for body in by_event[INIT] for c in init_conjuncts(body)]
     closed_true = True
     primed_conjs = []
     for c in init_conjs:

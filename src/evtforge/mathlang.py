@@ -512,6 +512,8 @@ TypeExpr = object
 NAT = NatType()
 INT_TYPE = IntType()
 BOOL_TYPE = BoolType()
+BUILTIN_TYPES = {"NAT": NAT, "INT": INT_TYPE, INT: INT_TYPE,
+                 "BOOL": BOOL_TYPE, BOOL: BOOL_TYPE}
 
 
 def parse_type_expr(ts: TokenStream, skip_nl: bool = True) -> TypeExpr:
@@ -522,13 +524,7 @@ def parse_type_expr(ts: TokenStream, skip_nl: bool = True) -> TypeExpr:
     tok = ts.expect_ident()
     if tok.primed:
         raise ParseError("sort names may not be primed", tok.line, tok.col)
-    if tok.text == "NAT":
-        return NAT
-    if tok.text in ("INT", INT):
-        return INT_TYPE
-    if tok.text in ("BOOL", BOOL):
-        return BOOL_TYPE
-    return SortType(tok.text)
+    return BUILTIN_TYPES.get(tok.text, SortType(tok.text))
 
 
 def _literal_term(node) -> Term:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import EnumerationLimit, SpecError
+from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq as F
 from .fopeq import (
     Bounds, FiniteAlgebra, FopeqSignature, Formula, OpApp, PredApp, Term, Var,
@@ -31,7 +31,10 @@ from .institution import (
     merged_signature, reduct_image, restrict_along, signature_union,
     translate_sentence,
 )
-from .mathlang import SubsetType, TypeExpr, type_constraint, type_sort
+from .mathlang import (
+    ElabContext, SubsetType, TypeExpr, elab_formula, elab_term, type_constraint,
+    type_sort,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,60 @@ class EventClauses:
         if self.params:
             body = F.Exists(self.params, body)
         return body
+
+
+# ---------------------------------------------------------------------------
+# elaboration of surface clauses, shared by the Event-B and sugared readers;
+# `where` prefixes every error message
+
+
+def elaborate_event(where: str, sig: EvtSignature, name: str, status: Status,
+                    params: Sequence[tuple[str, str, Optional[TypeExpr]]],
+                    guards: Sequence, witnesses: Sequence,
+                    actions: Sequence[tuple[str, str, object]]) -> EventClauses:
+    """An event's clauses over sig: params are (name, sort, declared type or
+    None), actions (variable, ":=" or ":|", right-hand side).  A declared
+    type adds its membership constraint to the guards."""
+    sorts = tuple((n, s) for n, s, _ in params)
+    g_ctx = ElabContext(sig.fopeq, vars=sig.vars + sorts, allow_primes=False)
+    p_ctx = ElabContext(sig.fopeq, vars=sig.vars + sorts, allow_primes=True)
+    elab_guards = [elab_formula(g, g_ctx) for g in guards]
+    for n, _, te in params:
+        g = None if te is None else type_constraint(te, Var(n))
+        if g is not None:
+            elab_guards.append(g)
+    elab_witnesses = tuple(elab_formula(w, p_ctx) for w in witnesses)
+    clauses = []
+    var_sorts = sig.var_map
+    for var, kind, rhs in actions:
+        if var not in var_sorts:
+            raise SpecError(f"{where}: assignment to unknown variable {var}")
+        if kind == ":=":
+            t, s = elab_term(rhs, g_ctx)
+            if s != var_sorts[var]:
+                raise SortError(f"{where}: {var} := expression of sort {s}")
+            clauses.append(ActionClause(var, ":=", term=t))
+        else:
+            clauses.append(ActionClause(var, ":|", pred=elab_formula(rhs, p_ctx)))
+    return EventClauses(name, status, sorts, tuple(elab_guards), elab_witnesses,
+                        tuple(clauses))
+
+
+def elaborate_variant(where: str, sig: EvtSignature, node) -> Term:
+    t, s = elab_term(node, ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False))
+    if s != F.INT:
+        raise SpecError(f"{where}: variant must be numeric")
+    return t
+
+
+def elaborate_axioms(where: str, fsig: FopeqSignature,
+                     nodes: Sequence) -> tuple[Formula, ...]:
+    ctx = ElabContext(fsig)
+    axioms = tuple(elab_formula(n, ctx) for n in nodes)
+    for f in axioms:
+        if F.free_vars(f):
+            raise SpecError(f"{where}: axiom is not closed")
+    return axioms
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ParseError, SortError, SpecError
+from .errors import ParseError, SpecError
 from . import fopeq as F
 from .fopeq import FopeqSignature, signature_image
 from .institution import (
@@ -23,14 +23,15 @@ from .institution import (
     signature_union,
 )
 from .mathlang import (
-    ElabContext, ExprParser, TokenStream, TypeExpr, elab_formula, elab_term,
-    parse_type_expr, tokenize, type_constraint, type_sort, unparse_formula,
-    unparse_term, unparse_type,
+    ElabContext, ExprParser, TokenStream, TypeExpr, elab_formula,
+    parse_type_expr, tokenize, type_sort, unparse_formula, unparse_term,
+    unparse_type,
 )
 from .specs import (
-    ActionClause, Embed, Enrich, EventClauses, Flat, Hide, Named, Presentation,
-    Spec, SpecLibrary, Sum, Translate, extend_fopeq_signature, extend_signature,
-    is_fopeq_spec, sig_of, sum_all,
+    Embed, Enrich, EventClauses, Flat, Hide, Named, Presentation, Spec,
+    SpecLibrary, Sum, Translate, elaborate_axioms, elaborate_event,
+    elaborate_variant, extend_fopeq_signature, extend_signature, is_fopeq_spec,
+    sig_of, sum_all,
 )
 
 INIT_PRINT_NAME = "Initialisation"
@@ -81,11 +82,12 @@ def print_spec(name: str, spec: Spec, lib: SpecLibrary,
         lines.extend(_print_flat(spec.flat, "  ", fopeq_flavour))
     else:
         imports, flat = _split_enrich(spec)
-        rendered = []
-        for leaf in imports:
-            r = _render_import(leaf, lib, elide_identity)
-            if r is not None:
-                rendered.append(r)
+        # elision drops a same-name event import from the chain, never from
+        # inside a term: its sentences merge implicitly
+        rendered = [_render_import(leaf, lib) for leaf in imports
+                    if not (elide_identity and isinstance(leaf, Translate)
+                            and isinstance(leaf.child, Hide)
+                            and _is_identity_rename(leaf.morphism))]
         simple = [r for r in rendered if "\n" not in r and not r.startswith("(")]
         complex_ = [r for r in rendered if r not in simple]
         chain: list[str] = []
@@ -121,7 +123,7 @@ def _split_enrich(spec: Spec) -> tuple[list[Spec], Optional[Flat]]:
     return leaves, flat
 
 
-def _render_import(leaf: Spec, lib: SpecLibrary, elide_identity: bool) -> Optional[str]:
+def _render_import(leaf: Spec, lib: SpecLibrary) -> str:
     if isinstance(leaf, Named):
         return leaf.name
     if isinstance(leaf, Embed):
@@ -132,18 +134,13 @@ def _render_import(leaf: Spec, lib: SpecLibrary, elide_identity: bool) -> Option
     if isinstance(leaf, Presentation) and leaf.flat.abstract_of:
         return leaf.flat.abstract_of
     if isinstance(leaf, Translate):
-        if (elide_identity and isinstance(leaf.child, Hide)
-                and _is_identity_rename(leaf.morphism)):
-            # same-name event import: sentences merge implicitly
-            return None
-        inner = _render_import(leaf.child, lib, elide_identity)
+        inner = _render_import(leaf.child, lib)
         return f"{inner} with {_render_morphism(leaf.morphism, hide=False)}"
     if isinstance(leaf, Hide):
-        inner = _render_import(leaf.child, lib, elide_identity)
+        inner = _render_import(leaf.child, lib)
         return f"({inner} hide via {_render_morphism(leaf.morphism, hide=True)})"
     if isinstance(leaf, Sum):
-        # elision drops an import from the chain, never from inside a term
-        left, right = (_render_import(s, lib, False) for s in (leaf.left, leaf.right))
+        left, right = (_render_import(s, lib) for s in (leaf.left, leaf.right))
         return f"({left} and {right})"
     raise SpecError(f"cannot render import {leaf!r}")
 
@@ -515,43 +512,20 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
                events=tuple(EventClauses(ev.name, ev.status) for ev in raw.events))
     sig = extend_signature(base, pre)
 
+    where = f"spec {name}"
     inv_ctx = ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False)
     invariants = tuple(elab_formula(f, inv_ctx) for f in raw.formulas)
     variant = None
     if raw.variant is not None:
-        t, s = elab_term(raw.variant, inv_ctx)
-        if s != F.INT:
-            raise SpecError(f"spec {name}: variant must be numeric")
-        variant = t
-
-    events = []
-    for ev in raw.events:
-        params = tuple((n, type_sort(te, sig.fopeq)) for n, te in ev.params)
-        g_ctx = ElabContext(sig.fopeq, vars=sig.vars + params, allow_primes=False)
-        p_ctx = ElabContext(sig.fopeq, vars=sig.vars + params, allow_primes=True)
-        guards = [elab_formula(g, g_ctx) for g in ev.guards]
-        for (n, te), (pn, _) in zip(ev.params, params):
-            g = type_constraint(te, F.Var(pn))
-            if g is not None:
-                guards.append(g)
-        witnesses = [elab_formula(w, p_ctx) for w in ev.witnesses]
-        actions = []
-        var_sorts = sig.var_map
-        for var, kind, rhs in ev.actions:
-            if var not in var_sorts:
-                raise SpecError(f"spec {name}: assignment to unknown variable {var}")
-            if kind == ":=":
-                t, s = elab_term(rhs, g_ctx)
-                if s != var_sorts[var]:
-                    raise SortError(f"spec {name}: {var} := expression of sort {s}")
-                actions.append(ActionClause(var, ":=", term=t))
-            else:
-                actions.append(ActionClause(var, ":|", pred=elab_formula(rhs, p_ctx)))
-        events.append(EventClauses(ev.name, ev.status, params,
-                                   tuple(guards), tuple(witnesses), tuple(actions)))
+        variant = elaborate_variant(where, sig, raw.variant)
+    events = tuple(
+        elaborate_event(where, sig, ev.name, ev.status,
+                        [(n, type_sort(te, sig.fopeq), te) for n, te in ev.params],
+                        ev.guards, ev.witnesses, ev.actions)
+        for ev in raw.events)
 
     flat = Flat(sorts=tuple(raw.sorts), variables=tuple(raw.decls),
-                invariants=invariants, variant=variant, events=tuple(events))
+                invariants=invariants, variant=variant, events=events)
     if leaves:
         return Enrich(sum_all(leaves), flat)
     return Presentation(extend_signature(EvtSignature(), flat), flat)
@@ -568,11 +542,7 @@ def _materialise_fopeq(name: str, imports: list[Spec], raw: Optional[_RawBlock],
         return sum_all(imports)
     pre = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls))
     fsig = extend_fopeq_signature(base, pre)
-    ctx = ElabContext(fsig)
-    axioms = tuple(elab_formula(f, ctx) for f in raw.formulas)
-    for f in axioms:
-        if F.free_vars(f):
-            raise SpecError(f"spec {name}: axiom is not closed")
+    axioms = elaborate_axioms(f"spec {name}", fsig, raw.formulas)
     flat = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls), axioms=axioms)
     if imports:
         return Enrich(sum_all(imports), flat)

@@ -17,21 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import SortError, SpecError
-from .fopeq import Formula, INT, free_vars
+from .errors import SpecError
+from .fopeq import Formula
 from .institution import INIT, EvtSignature, Status, evt_morphism
-from . import fopeq as F
 from .eventb import (
     ContextDef, EbSpecification, Environment, EventDef, MachineDef,
-    build_env, typing_of_axiom, typing_of_invariant,
+    build_env, typing_of, typing_of_axiom,
 )
-from .mathlang import (
-    ElabContext, SBin, SName, SSet, SubsetType, elab_formula, elab_term,
-    type_constraint, type_sort,
-)
+from .mathlang import ElabContext, elab_formula, type_sort
 from .specs import (
-    ActionClause, Embed, Enrich, EventClauses, Flat, Hide, Named,
-    Presentation, Spec, SpecLibrary, Translate, sig_of, sum_all,
+    Embed, Enrich, EventClauses, Flat, Hide, Named, Presentation, Spec,
+    SpecLibrary, Translate, elaborate_axioms, elaborate_event,
+    elaborate_variant, sig_of, sum_all,
 )
 
 
@@ -63,23 +60,16 @@ def translate(spec: EbSpecification,
 
 def _translate_context(c: ContextDef, out: TranslationOutput) -> None:
     fsig = out.env.fopeq(c.name)
-    ctx = ElabContext(fsig)
-    axioms = []
-    for ax in c.axioms:
-        _, kept = typing_of_axiom(ax, c.constants, fsig.all_sorts())
-        if not kept:
-            continue
-        axioms.append(elab_formula(ax.pred, ctx))
-    for f in axioms:
-        if free_vars(f):
-            raise SpecError(f"context {c.name}: axiom is not closed")
+    kept = [ax.pred for ax in c.axioms
+            if typing_of_axiom(ax, c.constants, fsig.all_sorts())[1]]
+    axioms = elaborate_axioms(f"context {c.name}", fsig, kept)
     if c.theorems:
         out.diagnostics.append(
             f"context {c.name}: {len(c.theorems)} theorem(s) parsed and ignored")
 
     ctypes = out.env.constant_types[c.name]
     own_constants = tuple((n, ctypes[n]) for n in c.constants)
-    flat = Flat(sorts=c.sets, constants=own_constants, axioms=tuple(axioms))
+    flat = Flat(sorts=c.sets, constants=own_constants, axioms=axioms)
     if c.extends:
         spec: Spec = Enrich(sum_all([Named(n) for n in c.extends]), flat)
     else:
@@ -130,97 +120,39 @@ def _machine_body_flat(m: MachineDef, sig: EvtSignature,
             raise SpecError(f"machine {m.name}: variable {v} has no typing invariant")
 
     base = ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False)
-    invariants = []
-    for inv in m.invariants:
-        if typing_of_invariant(inv, m.variables, sig.fopeq.all_sorts()):
-            continue
-        invariants.append(elab_formula(inv.pred, base))
-
+    known_sorts = sig.fopeq.all_sorts()
+    invariants = tuple(elab_formula(inv.pred, base) for inv in m.invariants
+                       if not typing_of(inv.pred, m.variables, known_sorts))
     variant = None
     if m.variant is not None:
-        t, s = elab_term(m.variant, base)
-        if s != INT:
-            raise SpecError(f"machine {m.name}: variant must be numeric")
-        variant = t
-
-    events = tuple(_event_clauses(m, e, sig, out) for e in m.events)
-    return Flat(variables=own_vars, invariants=tuple(invariants),
+        variant = elaborate_variant(f"machine {m.name}", sig, m.variant)
+    events = tuple(_event_clauses(m, e, sig) for e in m.events)
+    return Flat(variables=own_vars, invariants=invariants,
                 variant=variant, events=events)
 
 
-def _event_clauses(m: MachineDef, e: EventDef, sig: EvtSignature,
-                   out: TranslationOutput) -> EventClauses:
-    name = INIT if e.is_init else e.name
-    params = _param_sorts(m, e, sig)
-    guard_ctx = ElabContext(sig.fopeq, vars=sig.vars + params, allow_primes=False)
-    prime_ctx = ElabContext(sig.fopeq, vars=sig.vars + params, allow_primes=True)
-
-    guards = [elab_formula(g.pred, guard_ctx) for g in e.guards]
-    for p, te in zip(e.params, params):
-        if p[1] is not None:
-            g = type_constraint(p[1], F.Var(te[0]))
-            if g is not None:
-                guards.append(g)
-    witnesses = [elab_formula(w.pred, prime_ctx) for w in e.witnesses]
-
-    actions = []
-    var_sorts = sig.var_map
-    for a in e.actions:
-        want = var_sorts[a.var]
-        if a.kind == ":=":
-            t, got = elab_term(a.rhs, guard_ctx if not e.is_init else
-                               ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False))
-            if got != want:
-                raise SortError(
-                    f"{m.name}.{e.name}: {a.var} := expression of sort {got}")
-            actions.append(ActionClause(a.var, ":=", term=t))
-        else:
-            f = elab_formula(a.rhs, prime_ctx)
-            actions.append(ActionClause(a.var, ":|", pred=f))
-
-    return EventClauses(
-        name=name, status=sig.status(name), params=params,
-        guards=tuple(guards), witnesses=tuple(witnesses), actions=tuple(actions))
-
-
-def _param_sorts(m: MachineDef, e: EventDef,
-                 sig: EvtSignature) -> tuple[tuple[str, str], ...]:
-    """Parameter sorts from annotations, else from typing-shaped guards."""
-    resolved = []
+def _event_clauses(m: MachineDef, e: EventDef, sig: EvtSignature) -> EventClauses:
+    """Event-B parameter rules, then the shared elaboration: a parameter may
+    not shadow a variable, and an unannotated one takes its sort from the
+    first typing-shaped guard."""
+    where = f"{m.name}.{e.name}"
+    known_sorts = sig.fopeq.all_sorts()
+    params = []
     for name, te in e.params:
         if name in sig.var_map:
-            raise SpecError(f"{m.name}.{e.name}: parameter {name} shadows a variable")
-        if te is not None:
-            resolved.append((name, type_sort(te, sig.fopeq)))
-            continue
-        sort = None
-        for g in e.guards:
-            node = g.pred
-            if (isinstance(node, SBin) and node.op == "in"
-                    and isinstance(node.left, SName) and node.left.name == name
-                    and not node.left.primed):
-                rhs = node.right
-                if isinstance(rhs, SName):
-                    if rhs.name in ("NAT", "INT", INT):
-                        sort = INT
-                    elif rhs.name in ("BOOL", F.BOOL):
-                        sort = F.BOOL
-                    elif sig.fopeq.has_sort(rhs.name):
-                        sort = rhs.name
-                elif isinstance(rhs, SSet):
-                    from .mathlang import _literal_term
-                    try:
-                        st = SubsetType(tuple(_literal_term(x) for x in rhs.elems))
-                        sort = type_sort(st, sig.fopeq)
-                    except Exception:
-                        pass
-            if sort:
-                break
-        if sort is None:
-            raise SpecError(
-                f"{m.name}.{e.name}: cannot infer a sort for parameter {name}")
-        resolved.append((name, sort))
-    return tuple(resolved)
+            raise SpecError(f"{where}: parameter {name} shadows a variable")
+        typed = te
+        if typed is None:
+            found = (typing_of(g.pred, (name,), known_sorts) for g in e.guards)
+            typed = next((t for _, t in filter(None, found)), None)
+        if typed is None:
+            raise SpecError(f"{where}: cannot infer a sort for parameter {name}")
+        params.append((name, type_sort(typed, sig.fopeq), te))
+    name = INIT if e.is_init else e.name
+    return elaborate_event(
+        where, sig, name, sig.status(name), params,
+        [g.pred for g in e.guards], [w.pred for w in e.witnesses],
+        [(a.var, a.kind, a.rhs) for a in e.actions])
 
 
 # ---------------------------------------------------------------------------

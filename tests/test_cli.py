@@ -128,6 +128,18 @@ end""", encoding="utf-8")
         assert "pour: 3 pair(s)" in res.output
         assert "(w=0) -> (w=2)" in res.output
 
+    def test_negated_invariant_admits_initial_state(self, runner, tmp_path):
+        src = tmp_path / "neq.eb"
+        src.write_text(
+            "machine m variables n invariants inv1: n ∈ ℤ inv2: n ≠ 5\n"
+            "events event Initialisation thenAct act1: n := 0 end\n"
+            "event inc status ordinary when grd1: n < 2\n"
+            "thenAct act1: n := n + 1 end end\n", encoding="utf-8")
+        res = runner.invoke(main, ["models", "m", str(src), "--bound", "3"])
+        assert res.exit_code == 0
+        assert "Init: 1 initial state(s)" in res.output
+        assert "inc: 5 pair(s)" in res.output
+
     def test_unknown_event_name_errors(self, runner):
         res = runner.invoke(main, ["models", "m0", *fx("ebm0.eb"),
                                    "--event", "nosuch"])
@@ -208,3 +220,16 @@ end
         res = runner.invoke(main, ["pushout", str(f), str(f)])
         assert res.exit_code == 0
         assert "e ordinary" in res.output
+
+    def test_leg_to_a_builtin_sort_exits_2(self, runner, tmp_path):
+        source = "signature S0 =\n  sorts U\n  vars x : U\nend\n"
+        ident = tmp_path / "id.sig"
+        ident.write_text(source + "morphism id : S0 -> S0 =\n  {}\nend\n",
+                         encoding="utf-8")
+        to_int = tmp_path / "to_int.sig"
+        to_int.write_text(
+            source + "signature S1 =\n  vars x : Int\nend\n"
+            "morphism sigma : S0 -> S1 =\n  {U ↦ Int}\nend\n", encoding="utf-8")
+        res = runner.invoke(main, ["pushout", str(ident), str(to_int)])
+        assert res.exit_code == 2
+        assert "builtin sort Int" in res.output

@@ -9,8 +9,8 @@ from evtforge.fopeq import (
     FopeqMorphism, FopeqSignature, Forall, Exists, Implies, InSet, IntLit, Not,
     Op, OpApp, Or, Pred, PredApp, TRUE, FALSE, UNDEF, Var, algebra_reduct,
     compile_formula, conjoin, enumerate_algebras, fopeq_compose,
-    fopeq_identity, fopeq_pushout, free_vars, make_algebra, prime_free_vars,
-    rename_free_vars, translate_formula,
+    fopeq_identity, fopeq_morphism, fopeq_pushout, free_vars, make_algebra,
+    prime_free_vars, rename_free_vars, translate_formula,
 )
 from evtforge.mathlang import ElabContext, canonical, parse_formula_text, unparse_formula
 from tests.reference_eval import eval_formula, eval_term
@@ -246,6 +246,14 @@ class TestPushout:
         m2 = FopeqMorphism(base, s2, (("s", "v"),), (("k", "k2"),), ())
         merged, j1, j2 = fopeq_pushout(m1, m2)
         assert fopeq_compose(j1, m1) == fopeq_compose(j2, m2)
+
+    def test_leg_to_a_builtin_sort_is_refused(self):
+        base = FopeqSignature(sorts=("S",))
+        leg = fopeq_morphism(base, FopeqSignature(), {"S": INT})
+        with pytest.raises(SortError, match="builtin sort Int"):
+            fopeq_pushout(fopeq_identity(base), leg)
+        with pytest.raises(SortError, match="builtin sort Int"):
+            fopeq_pushout(leg, fopeq_identity(base))
 
 
 def _all_morphisms(src: FopeqSignature, tgt: FopeqSignature):

@@ -16,7 +16,7 @@ from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
     amalgamate, comorphism_mod, comorphism_sen, comorphism_sign,
     enumerate_states, evt_compose, evt_identity, evt_morphism, evt_pushout,
-    init_d1, make_model, make_state, maximal_model, model_reduct,
+    init_conjuncts, make_model, make_state, maximal_model, model_reduct,
     reduce_state, satisfies, status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
@@ -167,12 +167,17 @@ class TestSatisfies:
         assert not satisfies(bad, EvtSentence(INIT, fam))
 
 
-def test_init_d1_replaces_unprimed_atoms():
+def test_init_conjuncts_keep_after_value_conjuncts():
     ctx = ElabContext(FopeqSignature(), vars=(("n", INT),))
     fam = parse_formula_text("n ≤ 2 ∧ n′ ≤ 2", ctx)
-    assert init_d1(fam, ["n"]) == And((TRUE, parse_formula_text("n′ ≤ 2", ctx)))
+    assert init_conjuncts(fam) == [parse_formula_text("n′ ≤ 2", ctx)]
     mixed = parse_formula_text("n′ = n + 1", ctx)
-    assert init_d1(mixed, ["n"]) == TRUE
+    assert init_conjuncts(mixed) == []
+    # the unprimed copy of a negated invariant is dropped, not read as ¬TRUE
+    neq = parse_formula_text("n ≠ 5 ∧ n′ ≠ 5", ctx)
+    assert init_conjuncts(neq) == [parse_formula_text("n′ ≠ 5", ctx)]
+    closed = parse_formula_text("1 ≤ 2 ∧ n ≤ 2", ctx)
+    assert init_conjuncts(closed) == [parse_formula_text("1 ≤ 2", ctx)]
 
 
 class TestMaximalModel:

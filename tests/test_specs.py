@@ -557,6 +557,12 @@ class TestSugar:
         parse_document(load_fixture("decomp_sv.evt"), lib)
         parse_document(load_fixture("decomp_se.evt"), lib)
         parse_document(load_fixture("genins.evt"), lib)  # a renamed sum
+        # a renaming of an identity-renamed hide: nothing inside it is elided
+        parse_document(
+            "spec nest_a =\n  ops x : ℤ\n  events\n    e ordinary\n"
+            "      thenAct x := 0\nend\n"
+            "spec nest_b =\n"
+            "  ((nest_a hide via {x ↦ x, e ↦ e}) with {}) with {e ↦ f}\nend\n", lib)
         order = [("spec", n) for n in lib.names()]
         full = print_library(lib, order)
         lib2 = SpecLibrary()

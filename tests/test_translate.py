@@ -1,10 +1,12 @@
 import pytest
 
+from evtforge.errors import SortError, SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import Bounds, INT, free_vars
 from evtforge.institution import INIT, Status, make_state
 from evtforge.mathlang import canonical, parse_formula_text, unparse_formula, ElabContext
-from evtforge.specs import Evaluator, Named, sig_of
+from evtforge.specs import Evaluator, Named, SpecLibrary, sig_of
+from evtforge.sugar import parse_document
 from evtforge.translate import translate
 from tests.conftest import load_fixture
 
@@ -123,7 +125,6 @@ machine pm
     event Initialisation thenAct a: v := 0 end
     event e status ordinary any p thenAct a1: v := v end
 end"""
-        from evtforge.errors import SpecError
         with pytest.raises(SpecError):
             translate(parse_text(src))
 
@@ -147,6 +148,64 @@ end"""
                 for s in ev.sentences_of(out.library.lookup("pm"))
                 if s.event == "e"][0]
         assert "v′ = p" in body and "v′ ≥ 0" in body
+
+
+# Both readers elaborate through the same functions in specs, so each
+# malformed clause fails with the same message behind the reader's prefix.
+_EB_MACHINE = """
+machine m
+  variables n b
+  invariants t1: n ∈ ℤ t2: b ∈ BOOL
+  {variant}
+  events
+    event Initialisation thenAct a1: n := 0 a2: b := TRUE end
+    event inc status ordinary thenAct a1: n := {rhs} end
+end"""
+_EVT_MACHINE = """
+spec m =
+  ops n : ℤ
+      b : BOOL
+  {variant}
+  events
+    Initialisation ordinary
+      thenAct n := 0
+              b := TRUE
+    inc ordinary
+      thenAct n := {rhs}
+end"""
+_EB_CONTEXT = "context c constants k axioms t: k ∈ ℤ a: {axiom} end"
+_EVT_CONTEXT = "spec c =\n  ops k : ℤ\n  . {axiom}\nend"
+
+
+def _read_eb(text):
+    translate(parse_text(text))
+
+
+def _read_evt(text):
+    parse_document(text, SpecLibrary())
+
+
+@pytest.mark.parametrize("reader,machine,context,prefix", [
+    (_read_eb, _EB_MACHINE, _EB_CONTEXT, "machine m: "),
+    (_read_evt, _EVT_MACHINE, _EVT_CONTEXT, "spec m: "),
+], ids=["eventb", "evt"])
+@pytest.mark.parametrize("case", ["variant", "assignment", "open_axiom"])
+def test_shared_elaboration_errors(reader, machine, context, prefix, case):
+    if case == "variant":
+        text, error, message = (machine.format(variant="variant b", rhs="n + 1"),
+                                SpecError, prefix + "variant must be numeric")
+    elif case == "assignment":
+        where = "m.inc: " if reader is _read_eb else prefix
+        text, error, message = (machine.format(variant="", rhs="TRUE"),
+                                SortError, where + "n := expression of sort Bool")
+    else:
+        # neither reader can express a non-closed axiom: a free name is
+        # refused while elaborating, before the closedness check
+        text, error, message = (context.format(axiom="k < x"),
+                                SortError, "unknown identifier x")
+    with pytest.raises(error) as info:
+        reader(text)
+    assert str(info.value) == message
 
 
 class TestContexts:
