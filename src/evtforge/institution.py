@@ -435,41 +435,56 @@ def _flatten_conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
-def _single_var(keys: frozenset[tuple[str, bool]]) -> Optional[tuple[str, bool]]:
-    if len(keys) == 1:
-        return next(iter(keys))
-    return None
+Compiled = tuple[frozenset[tuple[str, bool]], Callable[[Mapping], bool]]
 
 
 def _filter_pool(
     sig: EvtSignature,
     algebra: FiniteAlgebra,
-    conjuncts: Sequence[Formula],
+    conjuncts: Sequence[Compiled],
     primed: bool,
 ) -> Iterator[State]:
-    """States satisfying conjuncts whose free variables are all on one side,
-    generated lazily so that callers can stop at a ceiling.
+    """States satisfying compiled conjuncts, given with their free variables,
+    whose variables are all on one side; generated lazily so that callers
+    can stop at a ceiling.
 
-    Per-variable unary conjuncts prune candidate values before the product is
-    formed; remaining conjuncts filter the product.
+    Unary conjuncts prune candidate values.  A backtracking search then binds
+    the variables fail-first (fewest candidates, then most conjuncts) in one
+    valuation, and checks each other conjunct as soon as all its variables
+    are bound.  A conjunct naming a variable outside the pool is checked
+    last, where evaluating it raises SortError.
     """
     names = sig.var_names
-    candidates = {n: list(algebra.carrier(s)) for n, s in sig.vars}
+    candidates = {(n, primed): list(algebra.carrier(s)) for n, s in sig.vars}
     rest = []
-    for c in conjuncts:
-        key = _single_var(free_vars(c))
-        if key is not None and key[1] == primed:
-            name = key[0]
-            fn = compile_formula(c, algebra)
-            candidates[name] = [
-                v for v in candidates[name] if fn({(name, primed): v})]
+    for fv, fn in conjuncts:
+        key = next(iter(fv)) if len(fv) == 1 else None
+        if key in candidates:
+            candidates[key] = [v for v in candidates[key] if fn({key: v})]
         else:
-            rest.append(compile_formula(c, algebra))
-    domains = [candidates[n] for n in names]
-    for combo in itertools.product(*domains):
-        val = {(n, primed): v for n, v in zip(names, combo)}
-        if all(fn(val) for fn in rest):
-            yield tuple(zip(names, combo))
+            rest.append((fv, fn))
+    mentions = Counter(k for fv, _ in rest for k in fv)
+    order = sorted(candidates, key=lambda k: (len(candidates[k]), -mentions[k]))
+    depth = {k: d for d, k in enumerate(order, 1)}
+    checks: list[list[Callable]] = [[] for _ in range(len(order) + 1)]
+    for fv, fn in rest:
+        at = max(map(depth.get, fv), default=0) if fv.issubset(depth) else len(order)
+        checks[at].append(fn)
+    layers = [(k, candidates[k], checks[d]) for d, k in enumerate(order, 1)]
+    val: dict[tuple[str, bool], Value] = {}
+
+    def extend(d: int) -> Iterator[State]:
+        if d == len(layers):
+            yield tuple([(n, val[n, primed]) for n in names])
+            return
+        key, values, tests = layers[d]
+        for v in values:
+            val[key] = v
+            if all(fn(val) for fn in tests):
+                yield from extend(d + 1)
+
+    if all(fn(val) for fn in checks[0]):
+        yield from extend(0)
 
 
 def maximal_model(
@@ -483,7 +498,7 @@ def maximal_model(
 
     Satisfaction quantifies universally over each relation, so the class of
     satisfying models is exactly the non-empty-L downward closure of this
-    maximum.
+    maximum.  Each distinct conjunct is compiled once per call.
     """
     by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
     for s in sentences:
@@ -491,15 +506,18 @@ def maximal_model(
             raise SortError(f"sentence names unknown event {s.event}")
         by_event[s.event].append(s.body)
 
+    memo: dict[Formula, Compiled] = {}
+
+    def compiled(c: Formula) -> Compiled:
+        hit = memo.get(c)
+        if hit is None:
+            hit = memo[c] = (free_vars(c), compile_formula(c, algebra))
+        return hit
+
     # initialising set: only the conjuncts over after-values apply
-    init_conjs = [c for body in by_event[INIT] for c in init_conjuncts(body)]
-    closed_true = True
-    primed_conjs = []
-    for c in init_conjs:
-        if not free_vars(c):
-            closed_true = closed_true and compile_formula(c, algebra)({})
-        else:
-            primed_conjs.append(c)
+    init_conjs = [compiled(c) for body in by_event[INIT] for c in init_conjuncts(body)]
+    closed_true = all(fn({}) for fv, fn in init_conjs if not fv)
+    primed_conjs = [(fv, fn) for fv, fn in init_conjs if fv]
     # take only as many states as it takes to see the ceiling crossed
     ceiling = bounds.pair_ceiling
     l_max = frozenset(itertools.islice(
@@ -509,24 +527,21 @@ def maximal_model(
 
     r_max: dict[str, frozenset[tuple[State, State]]] = {}
     for e in sig.non_init_events:
-        conjs = []
-        for body in by_event[e]:
-            conjs.extend(_flatten_conjuncts(body))
-        closed_ok = True
-        before_only, after_only, mixed = [], [], []
-        for c in conjs:
-            fv = free_vars(c)
-            if not fv:
-                closed_ok = closed_ok and compile_formula(c, algebra)({})
-            elif all(not primed for _, primed in fv):
-                before_only.append(c)
-            elif all(primed for _, primed in fv):
-                after_only.append(c)
-            else:
-                mixed.append(c)
-        if not closed_ok:
+        conjs = [compiled(c) for body in by_event[e] for c in _flatten_conjuncts(body)]
+        if not all(fn({}) for fv, fn in conjs if not fv):
             r_max[e] = frozenset()
             continue
+        before_only, after_only, mixed = [], [], []
+        for fv, fn in conjs:
+            if not fv:
+                continue
+            sides = {primed for _, primed in fv}
+            if sides == {False}:
+                before_only.append((fv, fn))
+            elif sides == {True}:
+                after_only.append((fv, fn))
+            else:
+                mixed.append(fn)
         before_pool = list(itertools.islice(
             _filter_pool(sig, algebra, before_only, False), ceiling + 1))
         if not before_pool:
@@ -538,14 +553,13 @@ def maximal_model(
         if len(before_pool) * len(after_pool) > ceiling:
             raise EnumerationLimit(
                 f"event {e}: state pairs exceed the ceiling {ceiling}")
-        mixed_fns = [compile_formula(c, algebra) for c in mixed]
         pairs = []
-        before_vals = [(s, state_valuation(s, False)) for s in before_pool]
         after_vals = [(t, state_valuation(t, True)) for t in after_pool]
-        for s, sval in before_vals:
+        for s in before_pool:
+            val = state_valuation(s, False)
             for t, tval in after_vals:
-                val = {**sval, **tval}
-                if all(fn(val) for fn in mixed_fns):
+                val.update(tval)
+                if all(fn(val) for fn in mixed):
                     pairs.append((s, t))
         r_max[e] = frozenset(pairs)
     return l_max, r_max

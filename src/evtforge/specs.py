@@ -106,8 +106,13 @@ def elaborate_event(where: str, sig: EvtSignature, name: str, status: Status,
             clauses.append(ActionClause(var, ":=", term=t))
         else:
             clauses.append(ActionClause(var, ":|", pred=elab_formula(rhs, p_ctx)))
-    return EventClauses(name, status, sorts, tuple(elab_guards), elab_witnesses,
-                        tuple(clauses))
+    ev = EventClauses(name, status, sorts, tuple(elab_guards), elab_witnesses,
+                      tuple(clauses))
+    # Init binds only after-values: a clause reading a before-value is never
+    # evaluated, so it is refused rather than dropped
+    if name == INIT and not all(primed for _, primed in F.free_vars(ev.body())):
+        raise SpecError(f"{where}: initialisation may not read state variables")
+    return ev
 
 
 def elaborate_variant(where: str, sig: EvtSignature, node) -> Term:
@@ -115,16 +120,6 @@ def elaborate_variant(where: str, sig: EvtSignature, node) -> Term:
     if s != F.INT:
         raise SpecError(f"{where}: variant must be numeric")
     return t
-
-
-def elaborate_axioms(where: str, fsig: FopeqSignature,
-                     nodes: Sequence) -> tuple[Formula, ...]:
-    ctx = ElabContext(fsig)
-    axioms = tuple(elab_formula(n, ctx) for n in nodes)
-    for f in axioms:
-        if F.free_vars(f):
-            raise SpecError(f"{where}: axiom is not closed")
-    return axioms
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .mathlang import (
 )
 from .specs import (
     Embed, Enrich, EventClauses, Flat, Hide, Named, Presentation, Spec,
-    SpecLibrary, Sum, Translate, elaborate_axioms, elaborate_event,
+    SpecLibrary, Sum, Translate, elaborate_event,
     elaborate_variant, extend_fopeq_signature, extend_signature, is_fopeq_spec,
     sig_of, sum_all,
 )
@@ -542,7 +542,7 @@ def _materialise_fopeq(name: str, imports: list[Spec], raw: Optional[_RawBlock],
         return sum_all(imports)
     pre = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls))
     fsig = extend_fopeq_signature(base, pre)
-    axioms = elaborate_axioms(f"spec {name}", fsig, raw.formulas)
+    axioms = tuple(elab_formula(f, ElabContext(fsig)) for f in raw.formulas)
     flat = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls), axioms=axioms)
     if imports:
         return Enrich(sum_all(imports), flat)

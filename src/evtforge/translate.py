@@ -27,7 +27,7 @@ from .eventb import (
 from .mathlang import ElabContext, elab_formula, type_sort
 from .specs import (
     Embed, Enrich, EventClauses, Flat, Hide, Named, Presentation, Spec,
-    SpecLibrary, Translate, elaborate_axioms, elaborate_event,
+    SpecLibrary, Translate, elaborate_event,
     elaborate_variant, sig_of, sum_all,
 )
 
@@ -62,7 +62,7 @@ def _translate_context(c: ContextDef, out: TranslationOutput) -> None:
     fsig = out.env.fopeq(c.name)
     kept = [ax.pred for ax in c.axioms
             if typing_of_axiom(ax, c.constants, fsig.all_sorts())[1]]
-    axioms = elaborate_axioms(f"context {c.name}", fsig, kept)
+    axioms = tuple(elab_formula(f, ElabContext(fsig)) for f in kept)
     if c.theorems:
         out.diagnostics.append(
             f"context {c.name}: {len(c.theorems)} theorem(s) parsed and ignored")

@@ -140,6 +140,21 @@ end""", encoding="utf-8")
         assert "Init: 1 initial state(s)" in res.output
         assert "inc: 5 pair(s)" in res.output
 
+    @pytest.mark.parametrize("name,where,text", [
+        ("r.eb", "r", "machine r variables n invariants t: n ∈ ℤ\n"
+                      "events event Initialisation thenAct a1: n := n + 1 end end\n"),
+        ("r.evt", "spec r", "spec r =\n  ops n : ℤ\n  events\n    Initialisation ordinary\n"
+                            "      thenAct n := n + 1\nend\n"),
+        ("g.evt", "spec r", "spec r =\n  ops n : ℤ\n  events\n    Initialisation ordinary\n"
+                            "      when n > 0\n      thenAct n := 1\nend\n"),
+    ], ids=["eventb", "evt-action", "evt-guard"])
+    def test_initialisation_reading_state_exits_2(self, runner, tmp_path, name, where, text):
+        src = tmp_path / name
+        src.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, ["models", "r", str(src), "--bound", "2"])
+        assert res.exit_code == 2
+        assert res.output == f"error: {where}: initialisation may not read state variables\n"
+
     def test_unknown_event_name_errors(self, runner):
         res = runner.invoke(main, ["models", "m0", *fx("ebm0.eb"),
                                    "--event", "nosuch"])

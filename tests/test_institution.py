@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -9,8 +10,9 @@ from evtforge import institution
 from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.fopeq import (
     BOOL, INT, And, Bounds, Equal, Exists, Forall, FopeqMorphism,
-    FopeqSignature, Implies, IntLit, Not, Op, OpApp, Or, Pred, PredApp, TRUE,
-    FALSE, Var, enumerate_algebras, fopeq_identity, free_vars, make_algebra,
+    BoolLit, FopeqSignature, Implies, IntLit, Not, Op, OpApp, Or, Pred, PredApp,
+    TRUE, FALSE, Var, compile_formula, enumerate_algebras, fopeq_identity,
+    free_vars, make_algebra,
 )
 from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
@@ -251,6 +253,123 @@ class TestMaximalModel:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+
+# -- scheduled state pools against the product-filter oracle ----------------
+
+
+def _product_filter_pool(sig, algebra, conjuncts, primed):
+    """The full-product state pool that the scheduled search replaced, kept
+    as its oracle: prune unary conjuncts, then filter the product."""
+    names = sig.var_names
+    candidates = {n: list(algebra.carrier(s)) for n, s in sig.vars}
+    rest = []
+    for c in conjuncts:
+        fv = free_vars(c)
+        key = next(iter(fv)) if len(fv) == 1 else None
+        if key is not None and key[1] == primed:
+            name = key[0]
+            fn = compile_formula(c, algebra)
+            candidates[name] = [
+                v for v in candidates[name] if fn({(name, primed): v})]
+        else:
+            rest.append(compile_formula(c, algebra))
+    domains = [candidates[n] for n in names]
+    for combo in itertools.product(*domains):
+        val = {(n, primed): v for n, v in zip(names, combo)}
+        if all(fn(val) for fn in rest):
+            yield tuple(zip(names, combo))
+
+
+_POOL_FSIG = FopeqSignature(sorts=("E",), preds=(Pred("p", ("E",)),))
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_formulas(ints, bools, elems, depth):
+    """Formulas over the given ℤ, Bool and E variables: arithmetic may leave
+    the bound, and quantifiers bind q over ℤ or E.  Strategies are cached per
+    scope, because building them costs more than drawing from them."""
+    leaves = st.sampled_from(tuple(map(IntLit, range(-3, 4))))
+    if ints:
+        leaves = st.one_of(st.sampled_from(ints), st.sampled_from(ints), leaves)
+    terms = st.one_of(leaves, st.builds(lambda o, a, b: OpApp(o, (a, b)),
+                                        st.sampled_from(["+", "-", "*"]), leaves, leaves))
+    atoms = [st.builds(Equal, terms, terms),
+             st.builds(lambda o, a, b: PredApp(o, (a, b)),
+                       st.sampled_from(["<", "<=", ">", ">="]), terms, terms)]
+    if bools:
+        atoms.append(st.builds(Equal, st.sampled_from(bools),
+                               st.sampled_from((BoolLit(True), BoolLit(False)))))
+    if elems:
+        atoms.append(st.builds(lambda v: PredApp("p", (v,)), st.sampled_from(elems)))
+    # relations between two distinct variables of one sort
+    if len(ints) > 1:
+        atoms.append(st.builds(lambda o, ab, c: PredApp(o, (OpApp("+", ab[:2]), c)),
+                               st.sampled_from(["<", "<=", ">", ">="]),
+                               st.permutations(ints), leaves))
+    atoms += [st.permutations(vs).map(lambda ab: Equal(*ab[:2]))
+              for vs in (bools, elems) if len(vs) > 1]
+    # relations first and constants last: failures shrink towards the first
+    atoms = st.one_of(*reversed(atoms), st.sampled_from([TRUE, FALSE]))
+    if depth == 0:
+        return atoms
+    sub = _pool_formulas(ints, bools, elems, depth - 1)
+    q = Var("q")
+    quantified = st.one_of(
+        st.builds(lambda k, f: k((("q", INT),), f), st.sampled_from([Exists, Forall]),
+                  _pool_formulas((*ints, q), bools, elems, depth - 1)),
+        st.builds(lambda k, f: k((("q", "E"),), f), st.sampled_from([Exists, Forall]),
+                  _pool_formulas(ints, bools, (*elems, q), depth - 1)))
+    return st.one_of(st.builds(lambda a, b: Or((a, b)), sub, sub),
+                     st.builds(Implies, sub, sub), atoms, quantified,
+                     st.builds(lambda a, b: And((a, b)), sub, sub), st.builds(Not, sub))
+
+
+@st.composite
+def _pool_problems(draw):
+    primed = draw(st.booleans())
+    sorts = draw(st.lists(st.sampled_from([INT, BOOL, "E"]), max_size=4))
+    sig = EvtSignature(_POOL_FSIG, (), tuple((f"v{i}", s) for i, s in enumerate(sorts)))
+    carrier = [f"c{i}" for i in range(draw(st.sampled_from([2, 3, 1, 0])))]
+    marked = draw(st.sets(st.sampled_from(carrier))) if carrier else set()
+    alg = make_algebra(_POOL_FSIG, draw(st.integers(1, 2)), {"E": carrier}, {},
+                       {"p": {(c,) for c in marked}})
+    scope = [tuple(Var(n, primed) for n, s2 in sig.vars if s2 == s) for s in (INT, BOOL, "E")]
+    conjuncts = draw(st.lists(_pool_formulas(*scope, 2), max_size=4))
+    return sig, alg, conjuncts, primed
+
+
+@given(_pool_problems())
+@settings(max_examples=300, deadline=None)
+def test_scheduled_pool_matches_product_filter(problem):
+    sig, alg, conjuncts, primed = problem
+    compiled = [(free_vars(c), compile_formula(c, alg)) for c in conjuncts]
+
+    def scheduled():
+        return institution._filter_pool(sig, alg, compiled, primed)
+
+    def oracle():
+        return _product_filter_pool(sig, alg, conjuncts, primed)
+
+    got, want = list(scheduled()), list(oracle())
+    assert set(got) == set(want)
+    assert len(got) == len(want) == len(set(want))
+    # maximal_model refuses when the (k+1)-th state exists
+    n = len(want)
+    for k in {0, 1, n // 2, max(n - 1, 0), n, n + 1}:
+        assert (len(list(itertools.islice(scheduled(), k + 1))) > k) == (
+            len(list(itertools.islice(oracle(), k + 1))) > k)
+
+
+def test_pool_conjunct_outside_the_signature_raises():
+    sig = EvtSignature(vars=(("x", INT), ("y", INT)))
+    alg = make_algebra(FopeqSignature(), 1, {}, {})
+    x, y, z = Var("x", True), Var("y", True), Var("z", True)
+    for stray in (Equal(z, IntLit(0)), Equal(x, Var("x")), Equal(x, OpApp("+", (y, z)))):
+        compiled = [(free_vars(c), compile_formula(c, alg))
+                    for c in (stray, PredApp("<", (x, y)))]
+        with pytest.raises(SortError, match="unbound variable"):
+            list(institution._filter_pool(sig, alg, compiled, True))
 
 
 class TestReduct:

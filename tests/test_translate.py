@@ -200,7 +200,7 @@ def test_shared_elaboration_errors(reader, machine, context, prefix, case):
                                 SortError, where + "n := expression of sort Bool")
     else:
         # neither reader can express a non-closed axiom: a free name is
-        # refused while elaborating, before the closedness check
+        # refused while elaborating
         text, error, message = (context.format(axiom="k < x"),
                                 SortError, "unknown identifier x")
     with pytest.raises(error) as info:
