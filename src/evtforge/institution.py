@@ -435,6 +435,20 @@ def _flatten_conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
+def _action_key(
+    c: Formula, position: Mapping[str, int],
+) -> Optional[tuple[int, fopeq.Term]]:
+    """(position of x, t) when c is x′ = t or t = x′ for a state variable x
+    and a term t over unprimed state variables: c fixes x′ from the
+    before-state.  position maps the state variables to their places."""
+    if isinstance(c, fopeq.Equal):
+        for lhs, t in ((c.left, c.right), (c.right, c.left)):
+            if (isinstance(lhs, fopeq.Var) and lhs.primed and lhs.name in position
+                    and all(not p and n in position for n, p in fopeq.term_vars(t))):
+                return position[lhs.name], t
+    return None
+
+
 Compiled = tuple[frozenset[tuple[str, bool]], Callable[[Mapping], bool]]
 
 
@@ -507,11 +521,18 @@ def maximal_model(
         by_event[s.event].append(s.body)
 
     memo: dict[Formula, Compiled] = {}
+    term_memo: dict[fopeq.Term, Callable[[Mapping], Value]] = {}
 
     def compiled(c: Formula) -> Compiled:
         hit = memo.get(c)
         if hit is None:
             hit = memo[c] = (free_vars(c), compile_formula(c, algebra))
+        return hit
+
+    def compiled_term(t: fopeq.Term) -> Callable[[Mapping], Value]:
+        hit = term_memo.get(t)
+        if hit is None:
+            hit = term_memo[t] = fopeq.compile_term(t, algebra)
         return hit
 
     # initialising set: only the conjuncts over after-values apply
@@ -525,14 +546,20 @@ def maximal_model(
     if len(l_max) > ceiling:
         raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
 
+    position = {n: i for i, n in enumerate(sig.var_names)}
     r_max: dict[str, frozenset[tuple[State, State]]] = {}
     for e in sig.non_init_events:
-        conjs = [compiled(c) for body in by_event[e] for c in _flatten_conjuncts(body)]
-        if not all(fn({}) for fv, fn in conjs if not fv):
+        conjs = [(c, *compiled(c)) for body in by_event[e] for c in _flatten_conjuncts(body)]
+        if not all(fn({}) for _, fv, fn in conjs if not fv):
             r_max[e] = frozenset()
             continue
-        before_only, after_only, mixed = [], [], []
-        for fv, fn in conjs:
+        # the pools are joined on the after-values that actions fix: the
+        # first x′ = t per variable is a key, every other mixed conjunct a
+        # check, and a pair's valuation holds only the after-values checks read
+        before_only, after_only, checks = [], [], []
+        keys: dict[int, Callable[[Mapping], Value]] = {}
+        read: set[tuple[str, bool]] = set()
+        for c, fv, fn in conjs:
             if not fv:
                 continue
             sides = {primed for _, primed in fv}
@@ -541,7 +568,12 @@ def maximal_model(
             elif sides == {True}:
                 after_only.append((fv, fn))
             else:
-                mixed.append(fn)
+                key = _action_key(c, position)
+                if key is None or key[0] in keys:
+                    checks.append(fn)
+                    read |= fv
+                else:
+                    keys[key[0]] = compiled_term(key[1])
         before_pool = list(itertools.islice(
             _filter_pool(sig, algebra, before_only, False), ceiling + 1))
         if not before_pool:
@@ -553,13 +585,23 @@ def maximal_model(
         if len(before_pool) * len(after_pool) > ceiling:
             raise EnumerationLimit(
                 f"event {e}: state pairs exceed the ceiling {ceiling}")
+        if not after_pool:
+            r_max[e] = frozenset()
+            continue
+        index: dict[tuple, list[tuple[State, dict]]] = {}
+        for t in after_pool:
+            index.setdefault(tuple([t[i][1] for i in keys]), []).append(
+                (t, {(n, True): v for n, v in t if (n, True) in read}))
         pairs = []
-        after_vals = [(t, state_valuation(t, True)) for t in after_pool]
         for s in before_pool:
             val = state_valuation(s, False)
-            for t, tval in after_vals:
+            # an undefined key term matches no bucket, as x′ = t is then false
+            for t, tval in index.get(tuple([fn(val) for fn in keys.values()]), ()):
                 val.update(tval)
-                if all(fn(val) for fn in mixed):
+                for fn in checks:
+                    if not fn(val):
+                        break
+                else:
                     pairs.append((s, t))
         r_max[e] = frozenset(pairs)
     return l_max, r_max

@@ -11,7 +11,7 @@ from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.fopeq import (
     BOOL, INT, And, Bounds, Equal, Exists, Forall, FopeqMorphism,
     BoolLit, FopeqSignature, Implies, IntLit, Not, Op, OpApp, Or, Pred, PredApp,
-    TRUE, FALSE, Var, compile_formula, enumerate_algebras, fopeq_identity,
+    TRUE, FALSE, Var, compile_formula, conjoin, enumerate_algebras, fopeq_identity,
     free_vars, make_algebra,
 )
 from evtforge.institution import (
@@ -304,7 +304,7 @@ def _pool_formulas(ints, bools, elems, depth):
         atoms.append(st.builds(lambda v: PredApp("p", (v,)), st.sampled_from(elems)))
     # relations between two distinct variables of one sort
     if len(ints) > 1:
-        atoms.append(st.builds(lambda o, ab, c: PredApp(o, (OpApp("+", ab[:2]), c)),
+        atoms.append(st.builds(lambda o, ab, c: PredApp(o, (OpApp("+", tuple(ab[:2])), c)),
                                st.sampled_from(["<", "<=", ">", ">="]),
                                st.permutations(ints), leaves))
     atoms += [st.permutations(vs).map(lambda ab: Equal(*ab[:2]))
@@ -315,11 +315,16 @@ def _pool_formulas(ints, bools, elems, depth):
         return atoms
     sub = _pool_formulas(ints, bools, elems, depth - 1)
     q = Var("q")
+
+    def drop_q(vs):
+        return tuple(v for v in vs if v != q)
+
+    # binding q over one sort shadows an outer q of any other sort
     quantified = st.one_of(
         st.builds(lambda k, f: k((("q", INT),), f), st.sampled_from([Exists, Forall]),
-                  _pool_formulas((*ints, q), bools, elems, depth - 1)),
+                  _pool_formulas((*ints, q), drop_q(bools), drop_q(elems), depth - 1)),
         st.builds(lambda k, f: k((("q", "E"),), f), st.sampled_from([Exists, Forall]),
-                  _pool_formulas(ints, bools, (*elems, q), depth - 1)))
+                  _pool_formulas(drop_q(ints), drop_q(bools), (*elems, q), depth - 1)))
     return st.one_of(st.builds(lambda a, b: Or((a, b)), sub, sub),
                      st.builds(Implies, sub, sub), atoms, quantified,
                      st.builds(lambda a, b: And((a, b)), sub, sub), st.builds(Not, sub))
@@ -370,6 +375,131 @@ def test_pool_conjunct_outside_the_signature_raises():
                     for c in (stray, PredApp("<", (x, y)))]
         with pytest.raises(SortError, match="unbound variable"):
             list(institution._filter_pool(sig, alg, compiled, True))
+
+
+# -- joined event pairs against the product-loop oracle ---------------------
+
+
+def _product_maximal_model(sig, sentences, algebra, bounds):
+    """maximal_model as it was before the join, kept as its oracle: every
+    mixed conjunct is tested on the whole before×after product.  Also
+    returns the smallest ceiling that admits the call."""
+    ceiling = bounds.pair_ceiling
+
+    def compiled(event, flatten):
+        return [(free_vars(c), compile_formula(c, algebra))
+                for s in sentences if s.event == event for c in flatten(s.body)]
+
+    def side(conjs, primed):
+        return [(fv, fn) for fv, fn in conjs if fv and {p for _, p in fv} == {primed}]
+
+    init = compiled(INIT, init_conjuncts)
+    l_max = frozenset(itertools.islice(
+        institution._filter_pool(sig, algebra, side(init, True), True), ceiling + 1)
+        if all(fn({}) for fv, fn in init if not fv) else ())
+    if len(l_max) > ceiling:
+        raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
+    need, r_max = max(len(l_max), 1), {}
+    for e in sig.non_init_events:
+        conjs = compiled(e, institution._flatten_conjuncts)
+        before = list(itertools.islice(
+            institution._filter_pool(sig, algebra, side(conjs, False), False), ceiling + 1)
+            if all(fn({}) for fv, fn in conjs if not fv) else ())
+        if not before:
+            r_max[e] = frozenset()
+            continue
+        after = list(itertools.islice(
+            institution._filter_pool(sig, algebra, side(conjs, True), True),
+            ceiling // len(before) + 1))
+        if len(before) * len(after) > ceiling:
+            raise EnumerationLimit(f"event {e}: state pairs exceed the ceiling {ceiling}")
+        need = max(need, len(before) * len(after))
+        mixed = [fn for fv, fn in conjs if len({p for _, p in fv}) == 2]
+        r_max[e] = frozenset((s, t) for s in before for t in after
+                             if all(fn(institution.pair_valuation(s, t)) for fn in mixed))
+    return l_max, r_max, need
+
+
+def _int_terms(ints):
+    """ℤ terms over the given variables whose arithmetic may leave the bound."""
+    leaves = st.sampled_from(tuple(map(IntLit, range(-2, 3))))
+    if ints:
+        leaves = st.one_of(st.sampled_from(ints), leaves)
+    return st.recursive(leaves, lambda sub: st.builds(
+        lambda o, a, b: OpApp(o, (a, b)), st.sampled_from(["+", "-", "*"]), sub, sub),
+        max_leaves=3)
+
+
+@st.composite
+def _join_problems(draw):
+    sorts = draw(st.lists(st.sampled_from([INT, BOOL, "E"]), min_size=1, max_size=3))
+    events = tuple((f"e{i}", Status.ordinary) for i in range(draw(st.integers(1, 2))))
+    sig = EvtSignature(_POOL_FSIG, events, tuple((f"v{i}", s) for i, s in enumerate(sorts)))
+    carrier = [f"c{i}" for i in range(draw(st.sampled_from([2, 3, 1, 0])))]
+    marked = draw(st.sets(st.sampled_from(carrier))) if carrier else set()
+    bound = draw(st.integers(1, 2))
+    alg = make_algebra(_POOL_FSIG, bound, {"E": carrier}, {},
+                       {"p": {(c,) for c in marked}})
+
+    def scope(primed_sides):
+        return [tuple(Var(n, p) for n, s2 in sig.vars for p in primed_sides if s2 == s)
+                for s in (INT, BOOL, "E")]
+
+    before, both = scope((False,)), scope((False, True))
+    rhs = {INT: st.one_of(_int_terms(before[0]), _int_terms(both[0])),
+           BOOL: st.sampled_from(before[1] + (BoolLit(True), BoolLit(False))),
+           "E": st.sampled_from(before[2] + both[2])}
+    sentences = [EvtSentence(INIT, conjoin(draw(st.lists(
+        _pool_formulas(*scope((True,)), 1), max_size=2))))]
+    for e, _ in events:
+        # actions x′ = t in both orientations, some on the same variable;
+        # a term over primed variables makes a check, not a key
+        actions = []
+        for n, s in draw(st.lists(st.sampled_from(sig.vars), min_size=1, max_size=4)):
+            t = draw(rhs[s])
+            actions.append(draw(st.sampled_from(
+                [Equal(Var(n, True), t), Equal(t, Var(n, True))])))
+        extra = draw(st.lists(_pool_formulas(*both, 1), max_size=3))
+        sentences.append(EvtSentence(e, conjoin(draw(st.permutations(actions + extra)))))
+    return sig, alg, sentences, bound
+
+
+@given(_join_problems())
+@settings(max_examples=200, deadline=None)
+def test_joined_pairs_match_product_loop(problem):
+    sig, alg, sentences, bound = problem
+
+    def outcome(run, ceiling):
+        try:
+            return run(sig, sentences, alg, Bounds(int_bound=bound, pair_ceiling=ceiling))[:2]
+        except EnumerationLimit as exc:
+            return str(exc)
+
+    l_max, r_max, need = _product_maximal_model(sig, sentences, alg, Bounds(int_bound=bound))
+    assert maximal_model(sig, sentences, alg, Bounds(int_bound=bound)) == (l_max, r_max)
+    # refusals at the ceilings around the smallest admitting one
+    for k in {1, need // 2, need - 1, need} - {0}:
+        assert outcome(maximal_model, k) == outcome(_product_maximal_model, k)
+
+
+def test_action_keys_in_both_orientations():
+    position = {"x": 0, "y": 1}
+    x, xp, yp = Var("x"), Var("x", True), Var("y", True)
+    t = OpApp("+", (x, Var("y")))
+    assert institution._action_key(Equal(xp, t), position) == (0, t)
+    assert institution._action_key(Equal(t, xp), position) == (0, t)
+    assert institution._action_key(Equal(yp, xp), position) is None
+    assert institution._action_key(Equal(xp, OpApp("+", (x, yp))), position) is None
+
+
+def test_key_like_equation_outside_the_signature_stays_a_check():
+    sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
+    alg = make_algebra(FopeqSignature(), 1, {}, {})
+    x, xp, z, zp = Var("x"), Var("x", True), Var("z"), Var("z", True)
+    for stray in (Equal(zp, x), Equal(x, zp), Equal(xp, z), Equal(z, xp)):
+        body = And((stray, Equal(xp, x)))
+        with pytest.raises(SortError, match="unbound variable"):
+            maximal_model(sig, [EvtSentence("e", body)], alg, B1)
 
 
 class TestReduct:
