@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +21,7 @@ from . import fopeq
 from .fopeq import (
     And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
     algebra_reduct, compile_formula, conjoin, fopeq_compose,
-    fopeq_morphism, fopeq_pushout, free_vars, pushout_names, substitute,
+    fopeq_morphism, fopeq_pushout, free_vars, pushout_names, substitute, value_key,
 )
 
 INIT = "Init"
@@ -512,7 +513,9 @@ def maximal_model(
 
     Satisfaction quantifies universally over each relation, so the class of
     satisfying models is exactly the non-empty-L downward closure of this
-    maximum.  Each distinct conjunct is compiled once per call.
+    maximum.  Each distinct conjunct is compiled once per call, and one
+    naming a variable outside the signature raises SortError before any
+    state is enumerated.
     """
     by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
     for s in sentences:
@@ -526,7 +529,11 @@ def maximal_model(
     def compiled(c: Formula) -> Compiled:
         hit = memo.get(c)
         if hit is None:
-            hit = memo[c] = (free_vars(c), compile_formula(c, algebra))
+            fv = free_vars(c)
+            for name, primed in sorted(fv):
+                if name not in sig.var_map:
+                    raise SortError(f"unbound variable {name}{'′' if primed else ''}")
+            hit = memo[c] = (fv, compile_formula(c, algebra))
         return hit
 
     def compiled_term(t: fopeq.Term) -> Callable[[Mapping], Value]:
@@ -535,6 +542,9 @@ def maximal_model(
             hit = term_memo[t] = fopeq.compile_term(t, algebra)
         return hit
 
+    # every conjunct is compiled, and its variables checked, before any pool
+    conjuncts = {e: [(c, *compiled(c)) for body in bodies for c in _flatten_conjuncts(body)]
+                 for e, bodies in by_event.items()}
     # initialising set: only the conjuncts over after-values apply
     init_conjs = [compiled(c) for body in by_event[INIT] for c in init_conjuncts(body)]
     closed_true = all(fn({}) for fv, fn in init_conjs if not fv)
@@ -549,7 +559,7 @@ def maximal_model(
     position = {n: i for i, n in enumerate(sig.var_names)}
     r_max: dict[str, frozenset[tuple[State, State]]] = {}
     for e in sig.non_init_events:
-        conjs = [(c, *compiled(c)) for body in by_event[e] for c in _flatten_conjuncts(body)]
+        conjs = conjuncts[e]
         if not all(fn({}) for _, fv, fn in conjs if not fv):
             r_max[e] = frozenset()
             continue
@@ -641,33 +651,91 @@ def _amalgamate_algebra(
     merged: EvtSignature, inj1: EvtMorphism, inj2: EvtMorphism,
     a1: FiniteAlgebra, a2: FiniteAlgebra,
 ) -> FiniteAlgebra:
-    inv_sort1 = {inj1.fopeq.apply_sort(s): s for s in inj1.fopeq.source.sorts}
-    inv_sort2 = {inj2.fopeq.apply_sort(s): s for s in inj2.fopeq.source.sorts}
-    carriers = {}
-    for s in merged.fopeq.sorts:
-        if s in inv_sort1:
-            carriers[s] = a1.carrier(inv_sort1[s])
-        elif s in inv_sort2:
-            carriers[s] = a2.carrier(inv_sort2[s])
-        else:
-            raise SortError(f"sort {s} not covered by either injection")
-    inv_op1 = {inj1.fopeq.apply_op(o.name): o.name for o in inj1.fopeq.source.ops}
-    inv_op2 = {inj2.fopeq.apply_op(o.name): o.name for o in inj2.fopeq.source.ops}
-    ops = {}
-    for o in merged.fopeq.ops:
-        if o.name in inv_op1:
-            ops[o.name] = a1.op_tables[inv_op1[o.name]]
-        else:
-            ops[o.name] = a2.op_tables[inv_op2[o.name]]
-    inv_p1 = {inj1.fopeq.apply_pred(p.name): p.name for p in inj1.fopeq.source.preds}
-    inv_p2 = {inj2.fopeq.apply_pred(p.name): p.name for p in inj2.fopeq.source.preds}
-    preds = {}
-    for p in merged.fopeq.preds:
-        if p.name in inv_p1:
-            preds[p.name] = a1.pred_tables[inv_p1[p.name]]
-        else:
-            preds[p.name] = a2.pred_tables[inv_p2[p.name]]
-    return fopeq.make_algebra(merged.fopeq, a1.int_bound, carriers, ops, preds)
+    """Each merged sort, operation and predicate takes its interpretation from
+    the first side whose injection covers it."""
+    parts = []
+    for kind, names, image, meaning in (
+        ("sort", lambda f: f.sorts, FopeqMorphism.apply_sort, FiniteAlgebra.carrier),
+        ("operation", lambda f: [o.name for o in f.ops], FopeqMorphism.apply_op,
+         lambda a, n: a.op_tables[n]),
+        ("predicate", lambda f: [p.name for p in f.preds], FopeqMorphism.apply_pred,
+         lambda a, n: a.pred_tables[n]),
+    ):
+        table = {}
+        for j, a in ((inj2.fopeq, a2), (inj1.fopeq, a1)):
+            table.update((image(j, n), meaning(a, n)) for n in names(j.source))
+        for n in names(merged.fopeq):
+            if n not in table:
+                raise SortError(f"{kind} {n} not covered by either injection")
+        parts.append({n: table[n] for n in names(merged.fopeq)})
+    return fopeq.make_algebra(merged.fopeq, a1.int_bound, *parts)
+
+
+Row = tuple[Value, ...]
+
+
+def _side_rows(
+    j: EvtMorphism, members: Sequence[frozenset[Value]],
+) -> tuple[list[int], Callable[[State], Optional[Row]]]:
+    """The merged places j's variables fill, in increasing order, and a view
+    of a state over j's source as its values at those places.  A state joins
+    nothing (its view is None) when it is not over j's source variables, when
+    two variables with one image disagree, or when a value lies outside the
+    carrier of its place: no merged state reduces to it."""
+    names = j.source.var_names
+    places = [i for _, i in j.state_positions]
+    own = sorted(set(places))
+    memo: dict[State, Optional[Row]] = {}
+
+    def view(s: State) -> Optional[Row]:
+        if s not in memo:
+            row: dict[int, Value] = {}
+            ok = len(s) == len(names) and all(
+                n == want and v in members[p] and row.setdefault(p, v) == v
+                for (n, v), want, p in zip(s, names, places))
+            memo[s] = tuple([row[p] for p in own]) if ok else None
+        return memo[s]
+
+    return own, view
+
+
+def _join(
+    sides: Sequence[tuple[Sequence[int], Sequence[Row]]],
+    carriers: Sequence[Sequence[Value]],
+) -> tuple[int, Callable[[], Iterator[Row]]]:
+    """The rows over len(carriers) places whose restriction to each of at
+    most two sides' places is one of that side's rows; a side is its places,
+    in increasing order, and its rows.
+
+    The second side's rows are bucketed by their values on the places both
+    sides fix and the first side's rows probe the buckets; places no side
+    fixes range over their carriers.  Returns the number of rows, counted
+    from the bucket sizes, and a generator of the rows, so that a caller can
+    refuse before any row is built.
+    """
+    (own1, rows1), (own2, rows2) = [*sides, ((), [()]), ((), [()])][:2]
+    fixed = set(own1)
+    probe = [own1.index(p) for p in own2 if p in fixed]
+    shared = [i for i, p in enumerate(own2) if p in fixed]
+    new = [i for i, p in enumerate(own2) if p not in fixed]
+    free = [p for p in range(len(carriers)) if p not in fixed and p not in own2]
+    index: dict[Row, list[Row]] = {}
+    for r in rows2:
+        index.setdefault(tuple([r[i] for i in shared]), []).append(tuple([r[i] for i in new]))
+    matches = [(r, index.get(tuple([r[i] for i in probe]), ())) for r in rows1]
+    size = sum(len(b) for _, b in matches) * math.prod(len(carriers[p]) for p in free)
+    order = [*own1, *(own2[i] for i in new), *free]
+    layout = sorted(range(len(order)), key=order.__getitem__)
+
+    def rows() -> Iterator[Row]:
+        extra = [carriers[p] for p in free]
+        for r1, bucket in matches:
+            for r2 in bucket:
+                for f in itertools.product(*extra):
+                    row = r1 + r2 + f
+                    yield tuple([row[i] for i in layout])
+
+    return size, rows
 
 
 def amalgamate(
@@ -676,13 +744,21 @@ def amalgamate(
     span1: EvtMorphism,
     span2: EvtMorphism,
     pushout: Optional[tuple[EvtSignature, EvtMorphism, EvtMorphism]] = None,
+    bounds: Bounds = Bounds(),
 ) -> tuple[EvtModel, bool]:
     """Combine models with equal reducts along a span into a model over the
     pushout signature.
 
     Returns the canonical maximal amalgam plus a uniqueness flag (False when
     a smaller amalgam also satisfies both reduct equations).  Raises when the
-    reducts differ, or when no amalgam exists.
+    reducts differ, when no amalgam exists, or with EnumerationLimit when the
+    initialising set or an event's relation would exceed bounds.pair_ceiling.
+
+    The maximal amalgam is a join of the side models on the shared merged
+    variables: the initialising sets join, and each merged event joins the
+    intersected relations of its preimages on each side that has any; the
+    variables no such side covers range over their carriers, before- and
+    after-values independently.
     """
     if pushout is None:
         pushout = evt_pushout(span1, span2)
@@ -695,14 +771,36 @@ def amalgamate(
         raise SpecError(f"reducts along the span differ: {diff}")
 
     algebra = _amalgamate_algebra(merged, inj1, inj2, m1.algebra, m2.algebra)
-    states = enumerate_states(merged, algebra)
-    init, rel = restrict_along(
-        states,
-        {e: itertools.product(states, states) for e in merged.non_init_events},
-        [(inj1, m1.init, m1.rel_map), (inj2, m2.init, m2.rel_map)])
+    n = len(merged.var_names)
+    carriers = [algebra.carrier(sort) for _, sort in merged.vars]
+    members = [frozenset(c) for c in carriers]
+    sides = [(m, j, *_side_rows(j, members)) for m, j in ((m1, inj1), (m2, inj2))]
 
-    if not init:
+    init_size, init_rows = _join([
+        (own, [r for r in map(view, m.init) if r is not None])
+        for m, _, own, view in sides], carriers)
+    if not init_size:
         raise SpecError("no amalgam exists: the joined initialising set is empty")
+    joins = {INIT: (init_size, init_rows)}
+    for e in merged.non_init_events:
+        parts = []
+        for m, j, own, view in sides:
+            if j.preimages[e]:
+                pairs = frozenset.intersection(*(m.rel_map[e0] for e0 in j.preimages[e]))
+                views = [(view(s), view(t)) for s, t in pairs]
+                parts.append(([*own, *(n + p for p in own)],
+                              [a + b for a, b in views if a is not None and b is not None]))
+        joins[e] = _join(parts, carriers + carriers)
+    ceiling = bounds.pair_ceiling
+    for e, (size, _) in joins.items():
+        if size > ceiling:
+            what = "initial states" if e == INIT else "state pairs"
+            raise EnumerationLimit(f"event {e}: amalgam {what} exceed the ceiling {ceiling}")
+
+    names = merged.var_names
+    init = frozenset(tuple(zip(names, r)) for r in init_rows())
+    rel = {e: frozenset((tuple(zip(names, r[:n])), tuple(zip(names, r[n:]))) for r in rows())
+           for e, (_, rows) in joins.items() if e != INIT}
     candidate = make_model(merged, algebra, init, rel)
     if model_reduct(inj1, candidate) != m1 or model_reduct(inj2, candidate) != m2:
         raise SpecError("no amalgam exists: the maximal join does not reduce back")
@@ -710,12 +808,15 @@ def amalgamate(
 
 
 def _first_model_difference(r1: EvtModel, r2: EvtModel) -> str:
+    def key(s: State):
+        return [(n, value_key(v)) for n, v in s]
+
     if r1.algebra != r2.algebra:
         return "algebras differ"
-    for s in sorted(r1.init ^ r2.init):
+    for s in sorted(r1.init ^ r2.init, key=key):
         return f"initial state {s} on one side only"
     for e in r1.signature.non_init_events:
-        for p in sorted(r1.rel_map[e] ^ r2.rel_map[e]):
+        for p in sorted(r1.rel_map[e] ^ r2.rel_map[e], key=lambda p: [*map(key, p)]):
             return f"event {e} pair {p} on one side only"
     return "models differ"
 

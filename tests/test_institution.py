@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evtforge import institution
 from evtforge.errors import EnumerationLimit, SortError, SpecError
@@ -502,6 +502,18 @@ def test_key_like_equation_outside_the_signature_stays_a_check():
             maximal_model(sig, [EvtSentence("e", body)], alg, B1)
 
 
+def test_variable_outside_the_signature_is_refused_before_the_pools():
+    # the key x′ = x + 5 is undefined at bound 1, so no pair reaches z = x′
+    sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
+    alg = make_algebra(FopeqSignature(), 1, {}, {})
+    x, xp = Var("x"), Var("x", True)
+    body = And((Equal(xp, OpApp("+", (x, IntLit(5)))), Equal(Var("z"), xp)))
+    with pytest.raises(SortError, match="unbound variable z$"):
+        maximal_model(sig, [EvtSentence("e", body)], alg, B1)
+    with pytest.raises(SortError, match="unbound variable z′"):
+        maximal_model(sig, [EvtSentence(INIT, Equal(Var("z", True), IntLit(0)))], alg, B1)
+
+
 class TestReduct:
     def test_identity(self):
         sig = usig(nvars=2)
@@ -826,6 +838,190 @@ def _smaller_amalgam_exists(got, j1, j2, m1, m2) -> bool:
         smaller += [make_model(got.signature, got.algebra, got.init,
                                {**got.rel_map, e: pairs - {p}}) for p in pairs]
     return any(model_reduct(j1, c) == m1 and model_reduct(j2, c) == m2 for c in smaller)
+
+
+def test_one_sided_event_over_many_free_variables_is_refused_before_building():
+    # e has a preimage on side 1 only, so it ranges over the 8 variables only
+    # side 2 has: 3^8 before-values times 3^8 after-values
+    shared = EvtSignature(USORT, (), (("x", "U"),))
+    t1 = EvtSignature(USORT, (("e", Status.ordinary),), (("x", "U"),))
+    t2 = EvtSignature(USORT, (), (("x", "U"), *((f"w{i}", "U") for i in range(8))))
+    s1, s2 = evt_morphism(shared, t1), evt_morphism(shared, t2)
+    alg = ualg(("u0", "u1", "u2"))
+    u0, u1 = make_state({"x": "u0"}), make_state({"x": "u1"})
+    m1 = make_model(t1, alg, [u0], {"e": {(u0, u1)}})
+    m2 = make_model(t2, alg, [make_state({v: "u0" for v in t2.var_names})], {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimit,
+                           match="event e: amalgam state pairs exceed the ceiling 1048576"):
+            amalgamate(m1, m2, s1, s2, bounds=Bounds())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# -- the joined amalgam against the product-filter oracle -------------------
+
+
+@functools.lru_cache(maxsize=2)
+def _product_join(m1, m2, span1, span2, pushout):
+    """The maximal join as amalgamate built it before the hash join: every
+    merged state, and every pair of merged states per event, is tested
+    against the side models."""
+    merged, inj1, inj2 = pushout
+    r1, r2 = model_reduct(span1, m1), model_reduct(span2, m2)
+    if r1 != r2:
+        diff = institution._first_model_difference(r1, r2)
+        raise SpecError(f"reducts along the span differ: {diff}")
+    algebra = institution._amalgamate_algebra(merged, inj1, inj2, m1.algebra, m2.algebra)
+    states = enumerate_states(merged, algebra)
+    init, rel = institution.restrict_along(
+        states,
+        {e: itertools.product(states, states) for e in merged.non_init_events},
+        [(inj1, m1.init, m1.rel_map), (inj2, m2.init, m2.rel_map)])
+    return algebra, init, rel
+
+
+def _product_amalgamate(m1, m2, span1, span2, pushout, bounds=Bounds()):
+    """amalgamate over the product-filter join, kept as its oracle; the
+    ceiling is checked on the join's initialising set and relations."""
+    merged, inj1, inj2 = pushout
+    algebra, init, rel = _product_join(m1, m2, span1, span2, pushout)
+    if not init:
+        raise SpecError("no amalgam exists: the joined initialising set is empty")
+    for e, items in [(INIT, init), *((e, rel[e]) for e in merged.non_init_events)]:
+        if len(items) > bounds.pair_ceiling:
+            what = "initial states" if e == INIT else "state pairs"
+            raise EnumerationLimit(
+                f"event {e}: amalgam {what} exceed the ceiling {bounds.pair_ceiling}")
+    candidate = make_model(merged, algebra, init, rel)
+    if model_reduct(inj1, candidate) != m1 or model_reduct(inj2, candidate) != m2:
+        raise SpecError("no amalgam exists: the maximal join does not reduce back")
+    return candidate, not institution._has_redundant_item(candidate, (inj1, inj2))
+
+
+_OUTSIDE = "u9"  # lies in no carrier
+
+
+@st.composite
+def _amalgam_problems(draw):
+    """A span whose legs may send two source variables, or two source
+    events, to one target symbol, each target with variables and events of
+    its own, and two side models: the reducts of one merged model, of two,
+    or of one with a side changed where the span does not see it, or
+    anywhere."""
+    sorts = st.sampled_from(["U", BOOL])
+    src_vars = tuple((f"s{i}", s) for i, s in enumerate(draw(st.lists(sorts, max_size=2))))
+    src_events = [f"a{i}" for i in range(draw(st.integers(0, 3)))]
+    src = EvtSignature(USORT, tuple((e, Status.ordinary) for e in src_events), src_vars)
+    span = []
+    for _ in range(2):
+        var_map = {v: f"{'x' if s == 'U' else 'b'}{draw(st.integers(0, 1))}"
+                   for v, s in src_vars}
+        ev_map = {e: f"e{draw(st.integers(0, 1))}" for e in src_events}
+        own_vars = [(f"y{i}", s) for i, s in enumerate(draw(st.lists(sorts, max_size=1)))]
+        own_events = [f"f{i}" for i in range(draw(st.integers(0, 2)))]
+        tgt = EvtSignature(
+            USORT, tuple((e, Status.ordinary) for e in {*ev_map.values(), *own_events}),
+            (*{t: dict(src_vars)[v] for v, t in var_map.items()}.items(), *own_vars))
+        span.append(evt_morphism(src, tgt, ev_map, var_map))
+    pushout = evt_pushout(*span)
+    carrier = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    alg = ualg(carrier, draw(st.sets(st.sampled_from(carrier))))
+    merged, j1, j2 = pushout
+    states = enumerate_states(merged, alg)
+
+    def merged_model():
+        pick = st.sampled_from(states)
+        return make_model(merged, alg, draw(st.lists(pick, min_size=1, max_size=3)), {
+            e: draw(st.lists(st.tuples(pick, pick), max_size=3))
+            for e in merged.non_init_events})
+
+    model = merged_model()
+    sides = [model_reduct(j1, model), model_reduct(j2, model)]
+    mode = draw(st.sampled_from(["reducts", "two models", "off the span", "anywhere"]))
+    if mode == "two models":
+        sides[1] = model_reduct(j2, merged_model())
+    elif mode != "reducts":
+        for k in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+            keep = set(span[k].var_dict.values()) if mode == "off the span" else set()
+            sides[k] = _changed_side(draw, sides[k], keep, carrier)
+    return span, pushout, sides
+
+
+def _changed_side(draw, m, keep, carrier):
+    """m with some initial states changed, and each relation grown by one of
+    its pairs changed, off the variables in keep; the changed values may
+    include one outside the carrier.  Keeping the image of a leg keeps the
+    reduct along it."""
+    outside = draw(st.booleans())
+
+    def value(sort):
+        values = [*(carrier if sort == "U" else (False, True)), *([_OUTSIDE] if outside else [])]
+        return draw(st.sampled_from(values))
+
+    def changed(s):
+        return tuple((v, x if v in keep else value(m.signature.var_map[v])) for v, x in s)
+
+    init = {changed(s) if draw(st.booleans()) else s for s in sorted(m.init)}
+    rel = dict(m.rel_map)
+    for e in sorted(rel):
+        before, after = draw(st.sampled_from(
+            sorted(rel[e]) or [(s, s) for s in sorted(m.init)]))
+        rel[e] = rel[e] | {(changed(before), changed(after))}
+    return make_model(m.signature, m.algebra, init, rel)
+
+
+def _two_preimage_problem():
+    """Side 1 keeps a0 and a1 apart and side 2 merges them, so the merged
+    event has two preimages on side 1, whose relations differ off the span:
+    the join takes their intersection, one pair, and refuses at ceiling 1
+    only if it took one relation alone."""
+    src = EvtSignature(USORT, (("a0", Status.ordinary), ("a1", Status.ordinary)), ())
+    t1 = EvtSignature(USORT, (("e0", Status.ordinary), ("e1", Status.ordinary)),
+                      (("y", "U"),))
+    t2 = EvtSignature(USORT, (("e0", Status.ordinary),), ())
+    span = [evt_morphism(src, t1, {"a0": "e0", "a1": "e1"}),
+            evt_morphism(src, t2, {"a0": "e0", "a1": "e0"})]
+    u0, u1 = make_state({"y": "u0"}), make_state({"y": "u1"})
+    m1 = make_model(t1, ualg(), [u0], {"e0": {(u0, u0), (u0, u1)}, "e1": {(u0, u0)}})
+    m2 = make_model(t2, ualg(), [()], {"e0": {((), ())}})
+    return span, evt_pushout(*span), [m1, m2]
+
+
+@given(_amalgam_problems())
+@example(_two_preimage_problem())
+@settings(max_examples=200, deadline=None)
+def test_joined_amalgam_matches_product_oracle(problem):
+    (s1, s2), pushout, (m1, m2) = problem
+    merged, j1, j2 = pushout
+    # the pushout square commutes and its injections jointly cover
+    assert evt_compose(j1, s1) == evt_compose(j2, s2)
+    assert ({j1.apply_event(e) for e in s1.target.event_names}
+            | {j2.apply_event(e) for e in s2.target.event_names}) == set(merged.event_names)
+    assert ({j1.apply_var(v) for v in s1.target.var_names}
+            | {j2.apply_var(v) for v in s2.target.var_names}) == set(merged.var_names)
+
+    def outcome(run, *bounds):
+        try:
+            return run(m1, m2, s1, s2, pushout, *bounds)
+        except (SpecError, SortError, EnumerationLimit) as exc:
+            return type(exc), str(exc)
+
+    want = outcome(_product_amalgamate)
+    assert outcome(amalgamate) == want
+    # the join's size is counted exactly: refusals at the ceilings at and
+    # just below the size of each joined initialising set and relation
+    try:
+        _, init, rel = _product_join(m1, m2, s1, s2, pushout)
+    except SpecError:
+        return
+    for n in {len(init), *map(len, rel.values())}:
+        for k in {n - 1, n} - {-1, 0}:
+            bounds = Bounds(pair_ceiling=k)
+            assert outcome(amalgamate, bounds) == outcome(_product_amalgamate, bounds)
 
 
 # -- the context embedding ---------------------------------------------------
