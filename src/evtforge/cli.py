@@ -1,7 +1,8 @@
 """Command-line entry point: translate, models, refine, pushout.
 
-Exit codes: 0 success / refinement holds, 1 parse error, 2 semantic or
-enumeration error, 3 refinement fails.
+Exit codes: 0 success / refinement holds, 1 parse error (input that is not
+UTF-8 included), 2 semantic or enumeration error or an unreadable input
+file, 3 refinement fails.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import click
 
-from .errors import EvtForgeError, ParseError, SpecError
+from .errors import EvtForgeError, ParseError, SpecError, read_source
 from .eventb import parse_text
 from .fopeq import Bounds
 from .institution import INIT
@@ -76,7 +77,7 @@ def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
             rodin_batch.append(raw)
             continue
         flush_rodin()
-        text = path.read_text(encoding="utf-8")
+        text = read_source(raw)
         if fmt == "sugar":
             specs, refs = parse_document(text, out.library)
             out.order.extend(("spec", n) for n, _ in specs)
@@ -218,14 +219,14 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
         for sl in rep.slices:
             entry = {
                 "algebra": sl.algebra.describe(),
-                "initial_states": len(sl.l_max),
-                "events": {e: len(p) for e, p in sl.r_max},
+                "initial_states": len(sl.init),
+                "events": {e: len(p) for e, p in sl.rel},
             }
             if list_pairs:
-                entry["init"] = [dict(s) for s in sorted(sl.l_max)]
+                entry["init"] = [dict(s) for s in sorted(sl.init)]
                 entry["relations"] = {
                     e: [[dict(s), dict(t)] for s, t in sorted(p)]
-                    for e, p in sl.r_max}
+                    for e, p in sl.rel}
             payload["algebras"].append(entry)
         click.echo(json.dumps(payload, indent=2, default=str))
         return
@@ -238,11 +239,11 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
     for sl in rep.slices:
         click.echo(f"algebra {sl.algebra.describe()}")
         if event_name is None or event_name == INIT:
-            click.echo(f"  Init: {len(sl.l_max)} initial state(s)")
+            click.echo(f"  Init: {len(sl.init)} initial state(s)")
             if list_pairs:
-                for s in sorted(sl.l_max):
+                for s in sorted(sl.init):
                     click.echo(f"    {_format_state(s)}")
-        for e, pairs in sl.r_max:
+        for e, pairs in sl.rel:
             if event_name is not None and e != event_name:
                 continue
             click.echo(f"  {e}: {len(pairs)} pair(s)")
@@ -303,15 +304,15 @@ def cmd_refine(files, bound, carriers, pins, ceiling, input_format,
 
 
 @main.command("pushout")
-@click.argument("file1", type=click.Path(exists=True))
-@click.argument("file2", type=click.Path(exists=True))
+@click.argument("file1")
+@click.argument("file2")
 def cmd_pushout(file1, file2):
     """Pushout of two signature morphisms with a common source."""
     from .institution import evt_pushout
 
     try:
-        _, ms1 = parse_signature_document(Path(file1).read_text(encoding="utf-8"))
-        _, ms2 = parse_signature_document(Path(file2).read_text(encoding="utf-8"))
+        _, ms1 = parse_signature_document(read_source(file1))
+        _, ms2 = parse_signature_document(read_source(file2))
         if not ms1 or not ms2:
             raise SpecError("each input file must define a morphism")
         n1, m1 = ms1[-1]

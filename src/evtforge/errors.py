@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-file reader
+that turns unreadable files into them."""
+
+from pathlib import Path
 
 
 class EvtForgeError(Exception):
@@ -24,3 +27,14 @@ class SpecError(EvtForgeError):
 
 class EnumerationLimit(EvtForgeError):
     """A bounded enumeration would exceed the configured ceiling."""
+
+
+def read_source(path: str) -> str:
+    """The UTF-8 text of an input file.  A file that cannot be opened raises
+    SpecError and bytes that do not decode ParseError, each naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise SpecError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e

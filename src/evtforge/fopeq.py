@@ -955,7 +955,6 @@ class Bounds:
     carrier_sizes: tuple[tuple[str, int], ...] = ()
     pins: tuple[tuple[str, Value], ...] = ()
     pair_ceiling: int = 2 ** 20
-    default_carrier: int = 2
 
     def __post_init__(self):
         if self.int_bound < 1:
@@ -970,7 +969,7 @@ class Bounds:
             return tuple(range(-self.int_bound, self.int_bound + 1))
         if sort == BOOL:
             return (False, True)
-        size = dict(self.carrier_sizes).get(sort, self.default_carrier)
+        size = dict(self.carrier_sizes).get(sort, 2)
         if size < 1:
             raise EnumerationLimit(f"sort {sort} has no finite carrier configured")
         return tuple(f"{sort}{i}" for i in range(size))
@@ -979,13 +978,12 @@ class Bounds:
 def enumerate_algebras(
     sig: FopeqSignature,
     bounds: Bounds,
-    fixed: Optional[Mapping[str, Value]] = None,
     axioms: Sequence[Formula] = (),
 ) -> list[FiniteAlgebra]:
     """All algebras with standard builtins and free user symbols ranging over
-    every total table, filtered by the closed axioms.  Deterministic order."""
-    fixed = dict(fixed or {})
-    fixed.update(dict(bounds.pins))
+    every total table, filtered by the closed axioms; constants in
+    bounds.pins take their pinned value.  Deterministic order."""
+    fixed = dict(bounds.pins)
     user_carriers = {s: bounds.carrier_for(s) for s in sig.sorts}
 
     def space(sorts):

@@ -373,32 +373,18 @@ def state_reducer(m: EvtMorphism) -> Callable[[State], State]:
     return reduce
 
 
-Relations = Mapping[str, Iterable[tuple[State, State]]]
-
-
-def reduct_image(
-    m: EvtMorphism, init: Iterable[State], rel_map: Relations,
-) -> tuple[frozenset[State], dict[str, frozenset[tuple[State, State]]]]:
-    """An initialising set and relations over m's target, reduced along m:
-    each source event gets the reduct of its image's relation."""
-    red = state_reducer(m)
-    rel = {e: frozenset((red(s), red(t)) for s, t in rel_map[m.apply_event(e)])
-           for e in m.source.non_init_events}
-    return frozenset(map(red, init)), rel
-
-
 def restrict_along(
     init: Iterable[State],
-    rel_map: Relations,
-    bounds: Sequence[tuple[EvtMorphism, frozenset[State], Relations]],
+    rel_map: Mapping[str, Iterable[tuple[State, State]]],
+    bounds: Sequence[tuple[EvtMorphism, EvtModel]],
 ) -> tuple[frozenset[State], dict[str, frozenset[tuple[State, State]]]]:
     """The states and pairs whose reducts along every listed morphism lie in
-    its bounds: (morphism, initialising set, relations over its source).
+    its bound, a model over the morphism's source.
 
     A pair of event e is bounded by the relations of e's preimages; every
     bound is tested in one pass, so no intermediate set is built.
     """
-    views = [(state_reducer(m), b_init, b_rel, m.preimages) for m, b_init, b_rel in bounds]
+    views = [(state_reducer(m), b.init, b.rel_map, m.preimages) for m, b in bounds]
     out_init = frozenset(
         s for s in init if all(red(s) in b_init for red, b_init, _, _ in views))
     out_rel = {}
@@ -410,11 +396,15 @@ def restrict_along(
 
 
 def model_reduct(m: EvtMorphism, model: EvtModel) -> EvtModel:
-    """View a model over the morphism's target as one over its source."""
+    """View a model over the morphism's target as one over its source: each
+    source event gets the reduct of its image's relation."""
     if model.signature != m.target:
         raise SortError("model is not over the morphism's target")
-    init, rel = reduct_image(m, model.init, model.rel_map)
-    return make_model(m.source, algebra_reduct(model.algebra, m.fopeq), init, rel)
+    red = state_reducer(m)
+    rel = {e: frozenset((red(s), red(t)) for s, t in model.rel_map[m.apply_event(e)])
+           for e in m.source.non_init_events}
+    return make_model(m.source, algebra_reduct(model.algebra, m.fopeq),
+                      frozenset(map(red, model.init)), rel)
 
 
 # ---------------------------------------------------------------------------

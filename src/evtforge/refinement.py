@@ -127,13 +127,13 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
         label = sl.algebra.describe()
         if asl is None:
             return verdict(Counterexample(label, None))
-        for s in sorted(sl.l_max):
-            if red(s) not in asl.l_max:
+        for s in sorted(sl.init):
+            if red(s) not in asl.init:
                 return verdict(Counterexample(label, INIT, after=red(s)))
         for e in m.source.non_init_events:
-            for s, t in sorted(sl.r_map[m.apply_event(e)]):
+            for s, t in sorted(sl.rel_map[m.apply_event(e)]):
                 pairs_checked += 1
-                if (red(s), red(t)) not in asl.r_map[e]:
+                if (red(s), red(t)) not in asl.rel_map[e]:
                     return verdict(Counterexample(label, e, before=red(s), after=red(t)))
     return verdict()
 

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ParseError, SpecError
+from .errors import ParseError, SpecError, read_source
 from .eventb import (
     ActionDef, ContextDef, EbSpecification, EventDef, INIT_EVENT_NAME,
     LabelledPred, MachineDef, validate,
@@ -106,11 +106,7 @@ def parse_rodin(files: Sequence[tuple[str, str]]) -> EbSpecification:
 
 
 def parse_rodin_paths(paths: Sequence[str]) -> EbSpecification:
-    files = []
-    for p in paths:
-        path = Path(p)
-        files.append((path.stem, path.read_text(encoding="utf-8")))
-    return parse_rodin(files)
+    return parse_rodin([(Path(p).stem, read_source(p)) for p in paths])
 
 
 def _read_context(name: str, root) -> ContextDef:

@@ -26,9 +26,9 @@ from .fopeq import (
     algebra_reduct, conjoin, enumerate_algebras, prime_free_vars, substitute,
 )
 from .institution import (
-    INIT, EvtMorphism, EvtSentence, EvtSignature, State, Status,
+    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
-    merged_signature, reduct_image, restrict_along, signature_union,
+    merged_signature, model_reduct, restrict_along, signature_union,
     translate_sentence,
 )
 from .mathlang import (
@@ -156,10 +156,6 @@ def extend_signature(base: EvtSignature, flat: Flat) -> EvtSignature:
     return merged_signature(
         fsig, base.events + tuple((ev.name, ev.status) for ev in flat.events),
         base.vars + tuple((name, type_sort(te, fsig)) for name, te in flat.variables))
-
-
-def flat_signature(flat: Flat) -> EvtSignature:
-    return extend_signature(EvtSignature(), flat)
 
 
 def extend_fopeq_signature(base: FopeqSignature, flat: Flat) -> FopeqSignature:
@@ -310,41 +306,24 @@ def inclusion_morphism(small: EvtSignature, big: EvtSignature) -> EvtMorphism:
 
 
 @dataclass(frozen=True)
-class AlgebraSlice:
-    """Maximal initialising set and relations for one admissible algebra."""
-
-    algebra: FiniteAlgebra
-    l_max: frozenset[State]
-    r_max: tuple[tuple[str, frozenset[tuple[State, State]]], ...]
-
-    @cached_property
-    def r_map(self) -> dict[str, frozenset[tuple[State, State]]]:
-        return dict(self.r_max)
-
-
-@dataclass(frozen=True)
 class ModelClassRep:
-    """Per-algebra maxima; the class is the non-empty-L downward closure.
+    """Per-algebra maximal models; the class is their downward closure with
+    non-empty initialising sets.
 
     Algebras whose maximal initialising set is empty admit no models and are
     not listed.
     """
 
     signature: EvtSignature
-    slices: tuple[AlgebraSlice, ...]
+    slices: tuple[EvtModel, ...]
 
     @cached_property
-    def by_algebra(self) -> dict[FiniteAlgebra, AlgebraSlice]:
+    def by_algebra(self) -> dict[FiniteAlgebra, EvtModel]:
         return {s.algebra: s for s in self.slices}
 
-    def algebras(self) -> tuple[FiniteAlgebra, ...]:
-        return tuple(s.algebra for s in self.slices)
 
-
-def make_rep(sig: EvtSignature, slices: Iterable[AlgebraSlice]) -> ModelClassRep:
-    kept = [s for s in slices if s.l_max]
-    kept.sort(key=lambda s: s.algebra.describe())
-    return ModelClassRep(sig, tuple(kept))
+def make_rep(sig: EvtSignature, slices: Iterable[EvtModel]) -> ModelClassRep:
+    return ModelClassRep(sig, tuple(sorted(slices, key=lambda s: s.algebra.describe())))
 
 
 def rep_contains(rep: ModelClassRep, model) -> bool:
@@ -352,9 +331,9 @@ def rep_contains(rep: ModelClassRep, model) -> bool:
     sl = rep.by_algebra.get(model.algebra)
     if sl is None:
         return False
-    if not model.init or not model.init <= sl.l_max:
+    if not model.init or not model.init <= sl.init:
         return False
-    rm = sl.r_map
+    rm = sl.rel_map
     return all(pairs <= rm[e] for e, pairs in model.rel)
 
 
@@ -416,12 +395,8 @@ class Evaluator:
         if isinstance(spec, Named):
             return self.flatten(self._resolve(spec.name))
         if isinstance(spec, Presentation):
-            if isinstance(spec.signature, FopeqSignature):
-                raise SpecError("first-order specification used as an event one")
             return self._flat_contents(spec.flat)
         if isinstance(spec, Enrich):
-            if is_fopeq_spec(spec, self.lib):
-                raise SpecError("first-order specification used as an event one")
             child = self._lift(self.flatten(spec.child),
                                sig_of(spec.child, self.lib), sig_of(spec, self.lib))
             delta = self._flat_contents(spec.flat)
@@ -434,12 +409,9 @@ class Evaluator:
                                sig_of(spec.right, self.lib), sig)
             return _merge_flattened(left, right)
         if isinstance(spec, Embed):
-            fsig, closed = self._flatten_fopeq(spec.child)
-            fl = Flattened()
-            for f in closed:
-                fl.axioms.append(f)
-                fl.families.append((f, False))
-            return fl
+            # a first-order flattening holds only its closed axioms, each
+            # attached to every event as an unpaired family
+            return self.flatten(spec.child)
         if isinstance(spec, Translate):
             child = self.flatten(spec.child)
             m = spec.morphism
@@ -470,8 +442,6 @@ class Evaluator:
         """
         if not fl.constraints or small == big:
             return fl
-        if isinstance(small, FopeqSignature):
-            raise SpecError("first-order specification used as an event one")
         incl = inclusion_morphism(small, big)
         out = Flattened(list(fl.families), list(fl.variants),
                         list(fl.sentences), list(fl.axioms), [])
@@ -494,23 +464,6 @@ class Evaluator:
             name = INIT if ev.name == INIT else ev.name
             out.sentences.append(EvtSentence(name, ev.body()))
         return out
-
-    def _flatten_fopeq(self, spec: Spec) -> tuple[FopeqSignature, list[Formula]]:
-        if isinstance(spec, Named):
-            return self._flatten_fopeq(self._resolve(spec.name))
-        if isinstance(spec, Presentation):
-            if not isinstance(spec.signature, FopeqSignature):
-                raise SpecError("event specification used as a first-order one")
-            return spec.signature, list(spec.flat.axioms) + list(spec.flat.constant_axioms())
-        if isinstance(spec, Enrich):
-            fsig, closed = self._flatten_fopeq(spec.child)
-            out = extend_fopeq_signature(fsig, spec.flat)
-            return out, closed + list(spec.flat.axioms) + list(spec.flat.constant_axioms())
-        if isinstance(spec, Sum):
-            ls, lc = self._flatten_fopeq(spec.left)
-            rs, rc = self._flatten_fopeq(spec.right)
-            return ls.union(rs), lc + rc
-        raise SpecError("unsupported first-order specification shape")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -546,12 +499,13 @@ class Evaluator:
                 sl = rep.by_algebra.get(algebra_reduct(a, tau.fopeq))
                 if sl is None:
                     break  # the algebra is not admissible under this hide image
-                bounds.append((tau, sl.l_max, sl.r_map))
+                bounds.append((tau, sl))
             else:
                 l_max, r_max = maximal_model(sig, sentences, a, self.bounds)
                 if bounds:
                     l_max, r_max = restrict_along(l_max, r_max, bounds)
-                slices.append(AlgebraSlice(a, l_max, tuple(sorted(r_max.items()))))
+                if l_max:
+                    slices.append(EvtModel(sig, a, l_max, tuple(r_max.items())))
         return make_rep(sig, slices)
 
     # -- hiding -------------------------------------------------------------
@@ -568,17 +522,14 @@ class Evaluator:
             raise EnumerationLimit(
                 "hiding along a non-injective event map does not preserve the "
                 "maxima representation")
-        grouped: dict[FiniteAlgebra, AlgebraSlice] = {}
+        grouped: dict[FiniteAlgebra, EvtModel] = {}
         for sl in rep.slices:
-            reduced_alg = algebra_reduct(sl.algebra, m.fopeq)
-            l_img, r_img = reduct_image(m, sl.l_max, sl.r_map)
-            candidate = AlgebraSlice(reduced_alg, l_img, tuple(sorted(r_img.items())))
-            prior = grouped.get(reduced_alg)
-            if prior is not None and prior != candidate:
+            candidate = model_reduct(m, sl)
+            prior = grouped.setdefault(candidate.algebra, candidate)
+            if prior != candidate:
                 raise EnumerationLimit(
                     "hiding collapses algebras with different behaviour; the "
                     "image is not a single downward-closed class")
-            grouped[reduced_alg] = candidate
         return make_rep(m.source, grouped.values())
 
 
@@ -613,16 +564,16 @@ def enumerate_models(rep: ModelClassRep, limit: int = 1 << 16):
 
     total = 0
     for sl in rep.slices:
-        count = (2 ** len(sl.l_max) - 1)
-        for _, pairs in sl.r_max:
+        count = (2 ** len(sl.init) - 1)
+        for _, pairs in sl.rel:
             count *= 2 ** len(pairs)
         total += count
         if total > limit:
             raise EnumerationLimit(f"class has more than {limit} models")
     for sl in rep.slices:
-        l_subsets = _subsets(sorted(sl.l_max), nonempty=True)
-        event_names = [e for e, _ in sl.r_max]
-        pair_choices = [_subsets(sorted(pairs)) for _, pairs in sl.r_max]
+        l_subsets = _subsets(sorted(sl.init), nonempty=True)
+        event_names = [e for e, _ in sl.rel]
+        pair_choices = [_subsets(sorted(pairs)) for _, pairs in sl.rel]
         for init in l_subsets:
             for chosen in itertools.product(*pair_choices):
                 yield make_model(rep.signature, sl.algebra, frozenset(init),

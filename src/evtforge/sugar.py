@@ -553,14 +553,6 @@ def _materialise_fopeq(name: str, imports: list[Spec], raw: Optional[_RawBlock],
 # standalone signature and morphism documents (pushout inputs)
 
 
-@dataclass(frozen=True)
-class MorphismText:
-    name: str
-    source: str
-    target: str
-    maplets: tuple[Maplet, ...]
-
-
 def parse_signature_document(
     text: str,
 ) -> tuple[dict[str, EvtSignature], list[tuple[str, EvtMorphism]]]:

@@ -530,7 +530,7 @@ def test_criterion_09_refinement_chain():
     sl = rep.slices[0]
     before = make_state(cex["before"])
     after = make_state(cex["after"])
-    assert (before, after) not in sl.r_map[cex["event"]]
+    assert (before, after) not in sl.rel_map[cex["event"]]
     assert monotonic() - t0 < 10.0
 
 

@@ -248,3 +248,32 @@ end
         res = runner.invoke(main, ["pushout", str(ident), str(to_int)])
         assert res.exit_code == 2
         assert "builtin sort Int" in res.output
+
+
+_UNREADABLE = [
+    ("missing.eb", None, 2, "No such file or directory"),
+    ("missing.bum", None, 2, "No such file or directory"),
+    ("folder.eb", "dir", 2, "Is a directory"),
+    ("latin1.eb", b"machine m\xe9 end", 1, "not UTF-8 text (invalid continuation byte at byte 9)"),
+    ("latin1.bum", b"\xff<org.eventb.core.machineFile/>", 1,
+     "not UTF-8 text (invalid start byte at byte 0)"),
+]
+
+
+@pytest.mark.parametrize("command,name,content,code,reason", [
+    pytest.param(command, *case, id=f"{command}-{case[0]}")
+    for command in ("translate", "models", "refine", "pushout")
+    for case in _UNREADABLE])
+def test_unreadable_input_is_a_located_error(runner, tmp_path, command, name,
+                                             content, code, reason):
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    args = {"translate": [str(path)], "models": ["m", str(path)],
+            "refine": [str(path)], "pushout": [str(path), str(path)]}[command]
+    res = runner.invoke(main, [command, *args])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == code
+    assert res.stderr == f"error: {path}: {reason}\n"

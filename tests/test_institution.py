@@ -880,7 +880,7 @@ def _product_join(m1, m2, span1, span2, pushout):
     init, rel = institution.restrict_along(
         states,
         {e: itertools.product(states, states) for e in merged.non_init_events},
-        [(inj1, m1.init, m1.rel_map), (inj2, m2.init, m2.rel_map)])
+        [(inj1, m1), (inj2, m2)])
     return algebra, init, rel
 
 

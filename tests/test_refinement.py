@@ -1,20 +1,23 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtforge.errors import SpecError
 from evtforge.eventb import parse_text
-from evtforge.fopeq import Bounds, FopeqSignature, INT, Op
+from evtforge.fopeq import (
+    BOOL, Bounds, FopeqSignature, INT, Op, algebra_reduct, enumerate_algebras,
+)
 from evtforge.institution import (
-    INIT, EvtSentence, EvtSignature, Status, evt_identity, make_model,
-    make_state, satisfies,
+    INIT, EvtModel, EvtSentence, EvtSignature, Status, enumerate_states,
+    evt_identity, evt_morphism, make_model, make_state, satisfies, state_reducer,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.refinement import (
-    check_refinement_morphism, check_refinement_same_sig, compose_refinements,
-    literal_inclusion, resolve_refinement,
+    _check_inclusion, check_refinement_morphism, check_refinement_same_sig,
+    compose_refinements, literal_inclusion, resolve_refinement,
 )
-from evtforge.specs import Evaluator, Flat, Presentation, SpecLibrary, sig_of
+from evtforge.specs import Evaluator, Flat, Presentation, SpecLibrary, make_rep, sig_of
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
 from tests.conftest import load_fixture
@@ -244,3 +247,88 @@ class TestMaximaShortcutSoundness:
             assert verdict.holds == literal, (ga, gc)
             checked += 1
         assert checked == 36
+
+
+# -- the maxima shortcut against literal inclusion, along morphisms ----------
+
+_U_SIG = FopeqSignature(sorts=("U",), ops=(Op("k", (), "U"),))
+_U_ALGEBRAS = enumerate_algebras(_U_SIG, Bounds(int_bound=1, carrier_sizes=(("U", 2),)))
+
+
+@st.composite
+def _inclusion_problems(draw):
+    """A concrete and an abstract class, each the maxima on one or two of
+    the algebras k=U0 and k=U1, and a morphism abstract -> concrete that may
+    send both abstract events to one concrete event and that leaves concrete
+    variables and events outside its image.
+
+    Concrete maxima hold up to two items whose reducts lie in the abstract
+    maximum and, when strays are on, one item drawn from all of them, so both
+    verdicts come up; a class has at most 2 * 7 * 2**9 models, well under
+    enumerate_models' limit."""
+    a_vars = (("x", BOOL),) + ((("u", "U"),) if draw(st.booleans()) else ())
+    var_map = {v: v + "c" for v, _ in a_vars} if draw(st.booleans()) else {}
+    c_vars = tuple((var_map.get(v, v), s) for v, s in a_vars)
+    c_vars += (("z", BOOL),) if draw(st.booleans()) else ()
+    c_events = ("c1", "c2") + (("c3",) if draw(st.booleans()) else ())
+    ev_map = {"a1": "c1", "a2": draw(st.sampled_from(["c1", "c2"]))}
+    abstract = EvtSignature(_U_SIG, (("a1", Status.ordinary), ("a2", Status.ordinary)), a_vars)
+    concrete = EvtSignature(_U_SIG, tuple((e, Status.ordinary) for e in c_events), c_vars)
+    m = evt_morphism(abstract, concrete, ev_map, var_map)
+    red = state_reducer(m)
+    stray = draw(st.integers(0, 1))
+
+    def some(items, lo, hi):
+        if not items:
+            return frozenset()
+        return frozenset(draw(st.lists(st.sampled_from(items), min_size=lo, max_size=hi)))
+
+    def algebras():
+        picks = draw(st.lists(st.sampled_from(range(len(_U_ALGEBRAS))),
+                              min_size=1, max_size=2, unique=True))
+        return [_U_ALGEBRAS[i] for i in picks]
+
+    a_models = {}
+    for alg in algebras():
+        states = enumerate_states(abstract, alg)
+        pairs = list(itertools.product(states, states))
+        a_models[alg] = EvtModel(abstract, alg, some(states, 1, 3),
+                                 tuple((e, some(pairs, 0, 3)) for e in ("a1", "a2")))
+    c_models = []
+    for alg in algebras():
+        am = a_models.get(algebra_reduct(alg, m.fopeq))
+        states = enumerate_states(concrete, alg)
+        pairs = list(itertools.product(states, states))
+        init = some([s for s in states if am is None or red(s) in am.init], 0, 2)
+        init = (init | some(states, 0, stray)) or some(states, 1, 1)
+        rel = []
+        for c in c_events:
+            inside = [(s, t) for s, t in pairs if am is None or all(
+                (red(s), red(t)) in am.rel_map[e] for e in m.preimages[c])]
+            rel.append((c, some(inside, 0, 2) | some(pairs, 0, stray)))
+        c_models.append(EvtModel(concrete, alg, init, tuple(rel)))
+    return make_rep(concrete, c_models), make_rep(abstract, a_models.values()), m
+
+
+@given(_inclusion_problems())
+@settings(max_examples=200, deadline=None)
+def test_maxima_shortcut_matches_literal_inclusion(problem):
+    """Criterion 12 beyond the identity: the per-algebra subset test on the
+    maxima gives the verdict of enumerating every concrete model, and a
+    counterexample is the reduct of a concrete item outside the abstract
+    maximum."""
+    rep_c, rep_a, m = problem
+    verdict = _check_inclusion("P", rep_c, rep_a, m)
+    assert verdict.holds == literal_inclusion(rep_c, rep_a, m)
+    if verdict.holds:
+        return
+    cx, red = verdict.counterexample, state_reducer(m)
+    (sl,) = [s for s in rep_c.slices if s.algebra.describe() == cx.algebra]
+    asl = rep_a.by_algebra.get(algebra_reduct(sl.algebra, m.fopeq))
+    if cx.event is None:
+        assert asl is None
+    elif cx.event == INIT:
+        assert cx.after in set(map(red, sl.init)) - asl.init
+    else:
+        images = {(red(s), red(t)) for s, t in sl.rel_map[m.apply_event(cx.event)]}
+        assert (cx.before, cx.after) in images - asl.rel_map[cx.event]

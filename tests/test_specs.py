@@ -16,7 +16,7 @@ from evtforge.mathlang import (
 )
 from evtforge.specs import (
     ActionClause, Embed, Enrich, Evaluator, EventClauses, Flat, Hide, Named,
-    Presentation, SpecLibrary, Sum, Translate, enumerate_models, flat_signature,
+    Presentation, SpecLibrary, Sum, Translate, enumerate_models,
     inclusion_morphism, rep_contains, sig_of,
 )
 from evtforge.sugar import parse_document, print_library, print_spec
@@ -208,7 +208,7 @@ class TestModOf:
         rep = ev.model_class(bridge.library.lookup("m0"))
         assert [sl.algebra.constant("d") for sl in rep.slices] == [1, 2, 3]
         d2 = [sl for sl in rep.slices if sl.algebra.constant("d") == 2][0]
-        assert d2.r_map["ML_out"] == {
+        assert d2.rel_map["ML_out"] == {
             (make_state({"n": 0}), make_state({"n": 1})),
             (make_state({"n": 1}), make_state({"n": 2}))}
 
@@ -217,16 +217,16 @@ class TestModOf:
                            vars=(("b", "Bool"),))
         rep = Evaluator(None, B3).model_class(Presentation(sig, Flat()))
         sl = rep.slices[0]
-        assert len(sl.l_max) == 2
-        assert len(sl.r_map["e"]) == 4
+        assert len(sl.init) == 2
+        assert len(sl.rel_map["e"]) == 4
 
     def test_embed_models_have_singleton_init(self, bridge):
         ev = Evaluator(bridge.library, B3)
         rep = ev.model_class(Embed(Named("cd")))
         assert [sl.algebra.constant("d") for sl in rep.slices] == [1, 2, 3]
         for sl in rep.slices:
-            assert sl.l_max == frozenset({()})
-            assert sl.r_max == ()
+            assert sl.init == frozenset({()})
+            assert sl.rel == ()
 
     def test_hide_image_is_reduct_of_behaviour(self):
         out = translate(parse_text(load_fixture("decomp.eb")))
@@ -241,8 +241,8 @@ class TestModOf:
         reduced = {
             (tuple((k, v) for k, v in s if k in ("v1", "v2")),
              tuple((k, v) for k, v in t if k in ("v1", "v2")))
-            for s, t in ev.model_class(out.library.lookup("M")).slices[0].r_map["e3"]}
-        assert sl.r_map["e3_e"] == reduced
+            for s, t in ev.model_class(out.library.lookup("M")).slices[0].rel_map["e3"]}
+        assert sl.rel_map["e3_e"] == reduced
 
     def test_hide_refuses_non_injective_event_maps(self):
         sig = EvtSignature(events=(("e", Status.ordinary), ("f", Status.ordinary)),
@@ -296,9 +296,9 @@ class TestOperatorLaws:
         renamed = ev.model_class(Translate(pres, ren))
         assert len(renamed.slices) == len(rep.slices)
         for a, b in zip(rep.slices, renamed.slices):
-            assert len(a.l_max) == len(b.l_max)
-            assert sorted(len(p) for _, p in a.r_max) == \
-                sorted(len(p) for _, p in b.r_max)
+            assert len(a.init) == len(b.init)
+            assert sorted(len(p) for _, p in a.rel) == \
+                sorted(len(p) for _, p in b.rel)
 
     def test_non_injective_translate_forces_coincidence(self):
         # identifying two variables: every model interprets them equally
@@ -311,7 +311,7 @@ class TestOperatorLaws:
         ev = Evaluator(None, B3)
         rep = ev.model_class(Translate(pres, m))
         sl = rep.slices[0]
-        assert len(sl.l_max) == 2 and len(sl.r_map["e"]) == 4
+        assert len(sl.init) == 2 and len(sl.rel_map["e"]) == 4
 
     def test_non_injective_event_translate_synchronises(self):
         out = translate(parse_text(load_fixture("decomp.eb")))
@@ -375,9 +375,9 @@ class TestRenameAvoidsCapture:
         def ren(s):
             return tuple((new, v) for _, v in s)
 
-        assert b.l_max == frozenset(map(ren, a.l_max))
-        assert b.r_map["e"] == frozenset((ren(s), ren(t)) for s, t in a.r_map["e"])
-        return a.r_map["e"]
+        assert b.init == frozenset(map(ren, a.init))
+        assert b.rel_map["e"] == frozenset((ren(s), ren(t)) for s, t in a.rel_map["e"])
+        return a.rel_map["e"]
 
     def test_parameter_named_like_the_image(self):
         assert len(self.renamed_maxima(CAPTURE, "p")) == 3
@@ -436,11 +436,11 @@ class TestIndependentOracle:
         ml_in = pairs(lambda n, a, b, c, n2, a2, b2, c2:
                       n > 0 and n2 == n - 1           # abstract event
                       and c > 0 and c2 == c - 1)
-        assert sl.r_map["ML_out"] == ml_out
-        assert sl.r_map["IL_in"] == il_in
-        assert sl.r_map["IL_out"] == il_out
-        assert sl.r_map["ML_in"] == ml_in
-        assert sl.l_max == frozenset(
+        assert sl.rel_map["ML_out"] == ml_out
+        assert sl.rel_map["IL_in"] == il_in
+        assert sl.rel_map["IL_out"] == il_out
+        assert sl.rel_map["ML_in"] == ml_in
+        assert sl.init == frozenset(
             {make_state({"n": 0, "a": 0, "b": 0, "c": 0})})
 
 
@@ -459,17 +459,17 @@ class TestMaximalModelReduct:
         ev = Evaluator(lib, Bounds(int_bound=3, pins=(("d", 2),)))
         sl = ev.model_class(lib.lookup("m1")).slices[0]
         from evtforge.institution import make_model
-        model = make_model(sig_c, sl.algebra, sl.l_max,
-                           {e: p for e, p in sl.r_max})
+        model = make_model(sig_c, sl.algebra, sl.init,
+                           {e: p for e, p in sl.rel})
         reduced = model_reduct(incl, model)
 
         def restrict(s):
             return tuple((k, v) for k, v in s if k == "n")
 
-        assert reduced.init == {restrict(s) for s in sl.l_max}
+        assert reduced.init == {restrict(s) for s in sl.init}
         for e in ("ML_out", "ML_in"):
             assert reduced.rel_map[e] == {
-                (restrict(s), restrict(t)) for s, t in sl.r_map[e]}
+                (restrict(s), restrict(t)) for s, t in sl.rel_map[e]}
 
 
 class TestTrivialShapes:
@@ -507,7 +507,7 @@ end"""
                        if s.event == INIT]
         assert TRUE in init_bodies
         rep = ev.model_class(out.library.lookup("t"))
-        assert len(rep.slices[0].l_max) == 2  # initial state unconstrained
+        assert len(rep.slices[0].init) == 2  # initial state unconstrained
 
 
 class TestBecomesSuchThat:
@@ -525,8 +525,8 @@ end"""
         out = translate(parse_text(src))
         ev = Evaluator(out.library, B3)
         sl = ev.model_class(out.library.lookup("nd")).slices[0]
-        assert sl.l_max == frozenset({make_state({"v": 0}), make_state({"v": 1})})
-        assert sl.r_map["grow"] == frozenset({
+        assert sl.init == frozenset({make_state({"v": 0}), make_state({"v": 1})})
+        assert sl.rel_map["grow"] == frozenset({
             (make_state({"v": 0}), make_state({"v": 1})),
             (make_state({"v": 0}), make_state({"v": 2})),
             (make_state({"v": 1}), make_state({"v": 2})),
@@ -651,7 +651,7 @@ class TestEnumerateModels:
         ev = Evaluator(None, Bounds(int_bound=3, pins=(("d", 1),)))
         rep = ev.model_class(pres)
         sl = rep.slices[0]
-        total = (2 ** len(sl.l_max) - 1) * 2 ** len(sl.r_map["up"])
+        total = (2 ** len(sl.init) - 1) * 2 ** len(sl.rel_map["up"])
         models = list(enumerate_models(rep))
         assert len(models) == total
         assert all(rep_contains(rep, m) for m in models)

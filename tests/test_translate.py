@@ -211,19 +211,21 @@ def test_shared_elaboration_errors(reader, machine, context, prefix, case):
 class TestContexts:
     def test_cd_translates_to_single_axiom(self, bridge):
         ev = Evaluator(bridge.library, B3)
-        fsig, closed = ev._flatten_fopeq(bridge.library.lookup("cd"))
+        cd = bridge.library.lookup("cd")
+        fsig, closed = sig_of(cd, bridge.library), ev.flatten(cd).axioms
         assert [unparse_formula(f) for f in closed] == ["d > 0"]
         assert {o.name for o in fsig.ops} == {"d"}
 
     def test_axiomless_context(self):
         out = translate(parse_text("context empty constants k axioms t: k ∈ ℤ end"))
         ev = Evaluator(out.library, B3)
-        _, closed = ev._flatten_fopeq(out.library.lookup("empty"))
+        closed = ev.flatten(out.library.lookup("empty")).axioms
         assert closed == []
 
     def test_color_context(self, bridge):
         ev = Evaluator(bridge.library, B3)
-        fsig, closed = ev._flatten_fopeq(bridge.library.lookup("Color"))
+        color = bridge.library.lookup("Color")
+        fsig, closed = sig_of(color, bridge.library), ev.flatten(color).axioms
         assert fsig.sorts == ("Color",)
         assert {o.name for o in fsig.ops} == {"green", "red"}
         texts = [unparse_formula(f) for f in closed]
@@ -263,7 +265,7 @@ class TestNoFrameCondition:
         ev = Evaluator(out.library, Bounds(int_bound=1))
         rep = ev.model_class(out.library.lookup("M"))
         sl = rep.slices[0]
-        pairs = sl.r_map["e1"]
+        pairs = sl.rel_map["e1"]
         befores = {s for s, _ in pairs}
         v2_changes = any(dict(s)["v2"] != dict(t)["v2"] for s, t in pairs)
         assert v2_changes
@@ -273,7 +275,7 @@ class TestNoFrameCondition:
         out = translate(parse_text(load_fixture("rex.eb")))
         ev = Evaluator(out.library, B3)
         rep = ev.model_class(out.library.lookup("rex"))
-        pairs = rep.slices[0].r_map["e"]
+        pairs = rep.slices[0].rel_map["e"]
         expected = {
             (make_state({"x": x, "y": y}), make_state({"x": x + 1, "y": False}))
             for x in (0, 1) for y in (False, True)
@@ -307,7 +309,7 @@ end"""
         assert set(sig.event_names) == {INIT, "both"}
         ev = Evaluator(out.library, B3)
         rep = ev.model_class(out.library.lookup("cc"))
-        pairs = rep.slices[0].r_map["both"]
+        pairs = rep.slices[0].rel_map["both"]
         assert pairs  # conjunction v < 2 and v > 0 is satisfiable
         assert all(dict(s)["v"] == 1 for s, _ in pairs)
 
@@ -326,7 +328,7 @@ end"""
         lib = out.library
         ev = Evaluator(lib, B3)
         rep = ev.model_class(lib.lookup("mm"))
-        base_pairs = rep.slices[0].r_map["e"]
+        base_pairs = rep.slices[0].rel_map["e"]
         # an enrichment re-declaring e adds a second sentence for the same name
         from evtforge.sugar import parse_document
         parse_document("""
@@ -338,7 +340,7 @@ spec mm2 =
         when v > 0
 end""", lib)
         rep2 = ev.model_class(lib.lookup("mm2"))
-        stricter = rep2.slices[0].r_map["e"]
+        stricter = rep2.slices[0].rel_map["e"]
         assert stricter < base_pairs
         assert all(dict(s)["v"] > 0 for s, _ in stricter)
 
