@@ -1,5 +1,5 @@
-"""Machine/context abstract syntax, the plain-text parser and printer, and
-signature extraction into an environment.
+"""Machine/context abstract syntax, the plain-text parser, and signature
+extraction into an environment.
 
 Predicates and expressions are kept as unelaborated surface trees; sort
 elaboration happens once signatures are known.
@@ -15,8 +15,7 @@ from .fopeq import FopeqSignature, Op
 from .institution import INIT, EvtSignature, Status
 from .mathlang import (
     BUILTIN_TYPES, ExprParser, SBin, SName, SSet, SortType, SubsetType,
-    TokenStream, TypeExpr, parse_type_expr, tokenize, type_sort,
-    unparse_surface, unparse_type, _literal_term,
+    TokenStream, TypeExpr, parse_type_expr, tokenize, type_sort, _literal_term,
 )
 
 INIT_EVENT_NAME = "Initialisation"
@@ -567,75 +566,3 @@ def build_env(spec: EbSpecification, base: Optional[Environment] = None) -> Envi
             env.signatures[item.name] = sig
             env.var_types[item.name] = vtypes
     return env
-
-
-# ---------------------------------------------------------------------------
-# printer (round-trips through parse_text)
-
-
-def _print_labelled(lines: list[str], indent: str, preds: Sequence[LabelledPred]):
-    for p in preds:
-        suffix = " theorem" if p.theorem else ""
-        lines.append(f"{indent}{p.label}: {unparse_surface(p.pred)}{suffix}")
-
-
-def pretty_print_eb(spec: EbSpecification) -> str:
-    lines: list[str] = []
-    for item in spec.items:
-        if lines:
-            lines.append("")
-        if isinstance(item, ContextDef):
-            lines.append(f"context {item.name}")
-            if item.extends:
-                lines.append(f"  extends {', '.join(item.extends)}")
-            if item.sets:
-                lines.append(f"  sets {', '.join(item.sets)}")
-            if item.constants:
-                lines.append(f"  constants {', '.join(item.constants)}")
-            axioms = list(item.axioms) + list(item.theorems)
-            if axioms:
-                lines.append("  axioms")
-                _print_labelled(lines, "    ", axioms)
-            lines.append("end")
-            continue
-        m = item
-        lines.append(f"machine {m.name}")
-        if m.refines:
-            lines.append(f"  refines {m.refines}")
-        if m.sees:
-            lines.append(f"  sees {', '.join(m.sees)}")
-        if m.variables:
-            lines.append(f"  variables {', '.join(m.variables)}")
-        invariants = list(m.invariants) + list(m.theorems)
-        if invariants:
-            lines.append("  invariants")
-            _print_labelled(lines, "    ", invariants)
-        if m.variant is not None:
-            lines.append(f"  variant {unparse_surface(m.variant)}")
-        if m.events:
-            lines.append("  events")
-            for e in m.events:
-                lines.append(f"    event {e.name}")
-                if not e.is_init:
-                    lines.append(f"      status {e.status}")
-                if e.refines:
-                    lines.append(f"      refines {', '.join(e.refines)}")
-                if e.params:
-                    decls = ", ".join(
-                        n if te is None else f"{n} : {unparse_type(te)}"
-                        for n, te in e.params)
-                    lines.append(f"      any {decls}")
-                if e.guards:
-                    lines.append("      when")
-                    _print_labelled(lines, "        ", e.guards)
-                if e.witnesses:
-                    lines.append("      with")
-                    _print_labelled(lines, "        ", e.witnesses)
-                if e.actions:
-                    lines.append("      thenAct")
-                    for a in e.actions:
-                        lines.append(
-                            f"        {a.label}: {a.var} {a.kind} {unparse_surface(a.rhs)}")
-                lines.append("    end")
-        lines.append("end")
-    return "\n".join(lines) + "\n"

@@ -432,12 +432,6 @@ def _rename_apart(
     return fresh
 
 
-def rename_free_vars(f: Formula, name_map: Mapping[str, str]) -> Formula:
-    """Rename free variables; primed occurrences follow the unprimed map."""
-    return substitute(
-        f, {(n, p): Var(t, p) for n, t in name_map.items() for p in (False, True)})
-
-
 def prime_free_vars(x: Union[Term, Formula], names: Iterable[str]) -> Union[Term, Formula]:
     """Prime every free occurrence of the listed (unprimed) variable names."""
     return substitute(x, {(n, False): Var(n, True) for n in names})
@@ -828,11 +822,6 @@ def fopeq_compose(m2: FopeqMorphism, m1: FopeqMorphism) -> FopeqMorphism:
         tuple((o, m2.apply_op(t)) for o, t in m1.op_map),
         tuple((p, m2.apply_pred(t)) for p, t in m1.pred_map),
     )
-
-
-def translate_formula(m: FopeqMorphism, f: Formula) -> Formula:
-    """Systematic renaming; variables keep their names, sorts follow the map."""
-    return substitute(f, {}, m)
 
 
 # ---------------------------------------------------------------------------

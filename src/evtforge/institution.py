@@ -408,13 +408,7 @@ def model_reduct(m: EvtMorphism, model: EvtModel) -> EvtModel:
 
 
 # ---------------------------------------------------------------------------
-# state enumeration and maximal models
-
-
-def enumerate_states(sig: EvtSignature, algebra: FiniteAlgebra) -> list[State]:
-    names = sig.var_names
-    domains = [algebra.carrier(sig.var_map[n]) for n in names]
-    return [tuple(zip(names, combo)) for combo in itertools.product(*domains)]
+# maximal models
 
 
 def _flatten_conjuncts(f: Formula) -> list[Formula]:

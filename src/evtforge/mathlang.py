@@ -423,59 +423,6 @@ def parse_expression(ts: TokenStream, stop_at_newline: bool = False):
     return ExprParser(ts, stop_at_newline).parse_formula_expr()
 
 
-_SURF_PREC = {
-    "<=>": 1, "=>": 2, "\\/": 3, "/\\": 4,
-    "=": 6, "/=": 6, "<": 6, "<=": 6, ">": 6, ">=": 6, "in": 6,
-    "+": 10, "-": 10, "*": 20,
-}
-_SURF_SYM = {
-    "<=>": "⇔", "=>": "⇒", "\\/": "∨", "/\\": "∧",
-    "=": "=", "/=": "≠", "<": "<", "<=": "≤", ">": ">", ">=": "≥", "in": "∈",
-    "+": "+", "-": "-", "*": "*",
-}
-
-
-def unparse_surface(node, parent_prec: int = 0) -> str:
-    """Canonical text for an unelaborated expression tree."""
-    if isinstance(node, SNum):
-        return str(node.value)
-    if isinstance(node, SBool):
-        return "true" if node.value else "false"
-    if isinstance(node, SName):
-        base = node.name
-        if base == "NAT":
-            base = "ℕ"
-        elif base == "INT":
-            base = "ℤ"
-        return f"{base}′" if node.primed else base
-    if isinstance(node, SApp):
-        return f"{node.name}({', '.join(unparse_surface(a) for a in node.args)})"
-    if isinstance(node, SSet):
-        return "{" + ", ".join(unparse_surface(e) for e in node.elems) + "}"
-    if isinstance(node, SUn):
-        if node.op == "-":
-            return f"-{unparse_surface(node.body, 30)}"
-        return f"¬{unparse_surface(node.body, 5)}"
-    if isinstance(node, SQuant):
-        sym = "∀" if node.kind == "forall" else "∃"
-        binds = ", ".join(f"{n} : {unparse_type(te)}" for n, te in node.bindings)
-        s = f"{sym} {binds} · {unparse_surface(node.body, 0)}"
-        return f"({s})" if parent_prec >= 1 else s
-    if isinstance(node, SBin):
-        prec = _SURF_PREC[node.op]
-        if node.op == "=>":
-            lp, rp = prec, prec - 1
-        else:
-            lp, rp = prec - 1, prec
-        if node.op in ("=", "/=", "<", "<=", ">", ">=", "in"):
-            lp = rp = prec  # non-associative: parenthesise nested relations
-        left = unparse_surface(node.left, lp)
-        right = unparse_surface(node.right, rp)
-        s = f"{left} {_SURF_SYM[node.op]} {right}"
-        return f"({s})" if prec <= parent_prec else s
-    raise SortError(f"not a surface expression: {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # type expressions
 
@@ -780,15 +727,6 @@ def parse_formula_text(text: str, ctx: ElabContext, stop_at_newline: bool = Fals
     if t.kind != "EOF":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
     return elab_formula(node, ctx)
-
-
-def parse_term_text(text: str, ctx: ElabContext) -> Term:
-    ts = TokenStream(tokenize(text))
-    node = parse_expression(ts)
-    t = ts.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return elab_term(node, ctx)[0]
 
 
 # ---------------------------------------------------------------------------

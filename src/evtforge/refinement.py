@@ -146,16 +146,3 @@ def compose_refinements(name: str, first: RefinementDecl,
     return RefinementDecl(
         name, first.abstract, second.concrete,
         evt_compose(second.morphism, first.morphism))
-
-
-def literal_inclusion(rep_c: ModelClassRep, rep_a: ModelClassRep,
-                      m: EvtMorphism, limit: int = 1 << 16) -> bool:
-    """Oracle: enumerate every concrete model, reduce it, and test abstract
-    membership.  Exponential; test-sized instances only."""
-    from .institution import model_reduct
-    from .specs import enumerate_models, rep_contains
-
-    for model in enumerate_models(rep_c, limit):
-        if not rep_contains(rep_a, model_reduct(m, model)):
-            return False
-    return True

@@ -225,18 +225,18 @@ def sum_all(parts: Sequence[Spec]) -> Spec:
 
 
 class SpecLibrary:
-    """Named specifications, in definition order, each with its signature."""
+    """Named specifications, in definition order, and the signature of every
+    spec node seen so far (the memo of sig_of)."""
 
     def __init__(self):
         self.entries: dict[str, Spec] = {}
-        self._signatures: dict[str, Union[EvtSignature, FopeqSignature]] = {}
+        self._sigs: dict[Spec, Union[EvtSignature, FopeqSignature]] = {}
 
     def define(self, name: str, spec: Spec) -> None:
         if name in self.entries:
             raise SpecError(f"specification {name} defined twice")
-        sig = sig_of(spec, self)
+        sig_of(spec, self)
         self.entries[name] = spec
-        self._signatures[name] = sig
 
     def lookup(self, name: str) -> Spec:
         if name not in self.entries:
@@ -244,9 +244,7 @@ class SpecLibrary:
         return self.entries[name]
 
     def signature(self, name: str) -> Union[EvtSignature, FopeqSignature]:
-        if name not in self._signatures:
-            raise SpecError(f"unknown specification {name}")
-        return self._signatures[name]
+        return self._sigs[self.lookup(name)]
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.entries)
@@ -262,6 +260,18 @@ def is_fopeq_spec(spec: Spec, lib: Optional[SpecLibrary] = None) -> bool:
 
 
 def sig_of(spec: Spec, lib: Optional[SpecLibrary] = None):
+    """The signature of a spec node, fixed by its children's.  With a library
+    it is computed once per distinct node; a node whose check fails is not
+    stored, so it raises again."""
+    if lib is None:
+        return _sig_rule(spec, None)
+    sig = lib._sigs.get(spec)
+    if sig is None:
+        sig = lib._sigs[spec] = _sig_rule(spec, lib)
+    return sig
+
+
+def _sig_rule(spec: Spec, lib: Optional[SpecLibrary]):
     if isinstance(spec, Presentation):
         return spec.signature
     if isinstance(spec, Named):
@@ -294,11 +304,6 @@ def sig_of(spec: Spec, lib: Optional[SpecLibrary] = None):
             return extend_fopeq_signature(child, spec.flat)
         return extend_signature(child, spec.flat)
     raise SpecError(f"not a specification: {spec!r}")
-
-
-def inclusion_morphism(small: EvtSignature, big: EvtSignature) -> EvtMorphism:
-    """Identity-on-names morphism between signatures related by union."""
-    return evt_morphism(small, big)
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +402,11 @@ class Evaluator:
         if isinstance(spec, Presentation):
             return self._flat_contents(spec.flat)
         if isinstance(spec, Enrich):
-            child = self._lift(self.flatten(spec.child),
-                               sig_of(spec.child, self.lib), sig_of(spec, self.lib))
-            delta = self._flat_contents(spec.flat)
-            return _merge_flattened(child, delta)
+            return _merge_flattened(self._lift(spec.child, spec),
+                                    self._flat_contents(spec.flat))
         if isinstance(spec, Sum):
-            sig = sig_of(spec, self.lib)
-            left = self._lift(self.flatten(spec.left),
-                              sig_of(spec.left, self.lib), sig)
-            right = self._lift(self.flatten(spec.right),
-                               sig_of(spec.right, self.lib), sig)
-            return _merge_flattened(left, right)
+            return _merge_flattened(self._lift(spec.left, spec),
+                                    self._lift(spec.right, spec))
         if isinstance(spec, Embed):
             # a first-order flattening holds only its closed axioms, each
             # attached to every event as an unpaired family
@@ -434,15 +433,20 @@ class Evaluator:
             raise SpecError(f"no library to resolve {name}")
         return self.lib.lookup(name)
 
-    def _lift(self, fl: Flattened, small, big) -> Flattened:
-        """Re-target hide-image constraints into an enclosing signature.
+    def _lift(self, child: Spec, parent: Spec) -> Flattened:
+        """The child's flattening, with its hide-image constraints re-targeted
+        into the parent's signature.
 
         Formulas and sentences are name-based and stay valid under union;
         only the constraint morphisms need composing with the inclusion.
         """
-        if not fl.constraints or small == big:
+        fl = self.flatten(child)
+        if not fl.constraints:
             return fl
-        incl = inclusion_morphism(small, big)
+        small, big = sig_of(child, self.lib), sig_of(parent, self.lib)
+        if small == big:
+            return fl
+        incl = evt_morphism(small, big)
         out = Flattened(list(fl.families), list(fl.variants),
                         list(fl.sentences), list(fl.axioms), [])
         for rep, tau in fl.constraints:
@@ -467,12 +471,17 @@ class Evaluator:
 
     # -- evaluation ---------------------------------------------------------
 
-    def sentences_of(self, spec: Spec) -> list[EvtSentence]:
-        """The concrete sentence set at the spec's own signature."""
+    def _embedded(self, spec: Spec) -> tuple[Spec, EvtSignature]:
+        """The spec, embedded when it is first-order, and its signature."""
         sig = sig_of(spec, self.lib)
         if isinstance(sig, FopeqSignature):
             spec = Embed(spec)
             sig = sig_of(spec, self.lib)
+        return spec, sig
+
+    def sentences_of(self, spec: Spec) -> list[EvtSentence]:
+        """The concrete sentence set at the spec's own signature."""
+        spec, sig = self._embedded(spec)
         return expand_families(self.flatten(spec), sig)
 
     def model_class(self, spec: Spec) -> ModelClassRep:
@@ -484,10 +493,7 @@ class Evaluator:
         return rep
 
     def _model_class(self, spec: Spec) -> ModelClassRep:
-        sig = sig_of(spec, self.lib)
-        if isinstance(sig, FopeqSignature):
-            spec = Embed(spec)
-            sig = sig_of(spec, self.lib)
+        spec, sig = self._embedded(spec)
         fl = self.flatten(spec)
         algebras = enumerate_algebras(sig.fopeq, self.bounds, axioms=fl.axioms)
         sentences = expand_families(fl, sig)

@@ -20,7 +20,6 @@ from . import fopeq as F
 from .fopeq import FopeqSignature, signature_image
 from .institution import (
     INIT, EvtMorphism, EvtSignature, Status, evt_morphism, merged_signature,
-    signature_union,
 )
 from .mathlang import (
     ElabContext, ExprParser, TokenStream, TypeExpr, elab_formula,
@@ -501,9 +500,7 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
         return _materialise_fopeq(name, imports, raw, lib)
 
     leaves = [Embed(i) if is_fopeq_spec(i, lib) else i for i in imports]
-    base = EvtSignature()
-    for leaf in leaves:
-        base = signature_union(base, sig_of(leaf, lib))
+    base = sig_of(sum_all(leaves), lib) if leaves else EvtSignature()
 
     if raw is None or not raw.has_content():
         return sum_all(leaves)
@@ -528,14 +525,12 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
                 invariants=invariants, variant=variant, events=events)
     if leaves:
         return Enrich(sum_all(leaves), flat)
-    return Presentation(extend_signature(EvtSignature(), flat), flat)
+    return Presentation(sig, flat)
 
 
 def _materialise_fopeq(name: str, imports: list[Spec], raw: Optional[_RawBlock],
                        lib: SpecLibrary) -> Spec:
-    base = FopeqSignature()
-    for i in imports:
-        base = base.union(sig_of(i, lib))
+    base = sig_of(sum_all(imports), lib) if imports else FopeqSignature()
     if raw is None or not raw.has_content():
         if not imports:
             return Presentation(FopeqSignature(), Flat())

@@ -100,8 +100,7 @@ def _translate_machine(m: MachineDef, out: TranslationOutput) -> None:
         spec: Spec = Enrich(sum_all(imports), body)
     else:
         spec = Presentation(sig, body)
-    got = sig_of(spec, out.library)
-    if got != sig:
+    if sig_of(spec, out.library) != sig:
         raise SpecError(
             f"machine {m.name}: translated signature disagrees with extraction")
     out.library.define(m.name, spec)

@@ -2,7 +2,12 @@ from pathlib import Path
 
 import pytest
 
+from evtforge.errors import ParseError
 from evtforge.eventb import parse_text
+from evtforge.fopeq import Term
+from evtforge.mathlang import (
+    ElabContext, TokenStream, elab_term, parse_expression, tokenize,
+)
 from evtforge.translate import TranslationOutput, translate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -10,6 +15,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def load_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def parse_term_text(text: str, ctx: ElabContext) -> Term:
+    """An elaborated term from text."""
+    ts = TokenStream(tokenize(text))
+    node = parse_expression(ts)
+    t = ts.peek()
+    if t.kind != "EOF":
+        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    return elab_term(node, ctx)[0]
 
 
 @pytest.fixture(scope="session")

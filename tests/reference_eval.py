@@ -1,19 +1,31 @@
-"""The inductive formula evaluator, kept as the oracle for the compiled one.
+"""Test-only oracles, kept out of the library.
 
-``evtforge.fopeq.compile_formula`` is the library's only evaluator; these
-functions walk a formula directly and must agree with it on every closed
-formula and every total valuation.
+- The inductive formula evaluator: ``evtforge.fopeq.compile_formula`` is the
+  library's only evaluator; ``eval_term``/``eval_formula`` walk a formula
+  directly and must agree with it on every closed formula and every total
+  valuation.
+- ``enumerate_states`` and ``literal_inclusion``: every state of a signature
+  over an algebra, and refinement as literal inclusion of enumerated model
+  classes, against which the maxima shortcut is checked.
+- ``pretty_print_eb``: the print half of the Event-B text round trip
+  (print∘parse must be the identity on parsed specifications).
 """
 
 import itertools
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from evtforge.errors import SortError
+from evtforge.eventb import ContextDef, EbSpecification, LabelledPred
 from evtforge.fopeq import (
     BUILTIN_OPS, BUILTIN_PREDS, UNDEF, And, BoolLit, CarrierEq, Equal, FalseF,
     FiniteAlgebra, Forall, Exists, Formula, Iff, Implies, InSet, IntLit, Not,
     OpApp, Or, PredApp, Term, TrueF, Value, Var,
 )
+from evtforge.institution import EvtMorphism, EvtSignature, State, model_reduct
+from evtforge.mathlang import (
+    SApp, SBin, SBool, SName, SNum, SQuant, SSet, SUn, unparse_type,
+)
+from evtforge.specs import ModelClassRep, enumerate_models, rep_contains
 
 Valuation = Mapping[tuple[str, bool], Value]
 
@@ -109,3 +121,147 @@ def eval_formula(f: Formula, a: FiniteAlgebra, val: Valuation) -> bool:
                 return True
         return want_all
     raise SortError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# model classes by enumeration
+
+
+def enumerate_states(sig: EvtSignature, algebra: FiniteAlgebra) -> list[State]:
+    names = sig.var_names
+    domains = [algebra.carrier(sig.var_map[n]) for n in names]
+    return [tuple(zip(names, combo)) for combo in itertools.product(*domains)]
+
+
+def literal_inclusion(rep_c: ModelClassRep, rep_a: ModelClassRep,
+                      m: EvtMorphism, limit: int = 1 << 16) -> bool:
+    """Oracle: enumerate every concrete model, reduce it, and test abstract
+    membership.  Exponential; test-sized instances only."""
+    for model in enumerate_models(rep_c, limit):
+        if not rep_contains(rep_a, model_reduct(m, model)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the Event-B text printer (round-trips through parse_text)
+
+_SURF_PREC = {
+    "<=>": 1, "=>": 2, "\\/": 3, "/\\": 4,
+    "=": 6, "/=": 6, "<": 6, "<=": 6, ">": 6, ">=": 6, "in": 6,
+    "+": 10, "-": 10, "*": 20,
+}
+_SURF_SYM = {
+    "<=>": "⇔", "=>": "⇒", "\\/": "∨", "/\\": "∧",
+    "=": "=", "/=": "≠", "<": "<", "<=": "≤", ">": ">", ">=": "≥", "in": "∈",
+    "+": "+", "-": "-", "*": "*",
+}
+
+
+def unparse_surface(node, parent_prec: int = 0) -> str:
+    """Canonical text for an unelaborated expression tree."""
+    if isinstance(node, SNum):
+        return str(node.value)
+    if isinstance(node, SBool):
+        return "true" if node.value else "false"
+    if isinstance(node, SName):
+        base = node.name
+        if base == "NAT":
+            base = "ℕ"
+        elif base == "INT":
+            base = "ℤ"
+        return f"{base}′" if node.primed else base
+    if isinstance(node, SApp):
+        return f"{node.name}({', '.join(unparse_surface(a) for a in node.args)})"
+    if isinstance(node, SSet):
+        return "{" + ", ".join(unparse_surface(e) for e in node.elems) + "}"
+    if isinstance(node, SUn):
+        if node.op == "-":
+            return f"-{unparse_surface(node.body, 30)}"
+        return f"¬{unparse_surface(node.body, 5)}"
+    if isinstance(node, SQuant):
+        sym = "∀" if node.kind == "forall" else "∃"
+        binds = ", ".join(f"{n} : {unparse_type(te)}" for n, te in node.bindings)
+        s = f"{sym} {binds} · {unparse_surface(node.body, 0)}"
+        return f"({s})" if parent_prec >= 1 else s
+    if isinstance(node, SBin):
+        prec = _SURF_PREC[node.op]
+        if node.op == "=>":
+            lp, rp = prec, prec - 1
+        else:
+            lp, rp = prec - 1, prec
+        if node.op in ("=", "/=", "<", "<=", ">", ">=", "in"):
+            lp = rp = prec  # non-associative: parenthesise nested relations
+        left = unparse_surface(node.left, lp)
+        right = unparse_surface(node.right, rp)
+        s = f"{left} {_SURF_SYM[node.op]} {right}"
+        return f"({s})" if prec <= parent_prec else s
+    raise SortError(f"not a surface expression: {node!r}")
+
+
+def _print_labelled(lines: list[str], indent: str, preds: Sequence[LabelledPred]):
+    for p in preds:
+        suffix = " theorem" if p.theorem else ""
+        lines.append(f"{indent}{p.label}: {unparse_surface(p.pred)}{suffix}")
+
+
+def pretty_print_eb(spec: EbSpecification) -> str:
+    lines: list[str] = []
+    for item in spec.items:
+        if lines:
+            lines.append("")
+        if isinstance(item, ContextDef):
+            lines.append(f"context {item.name}")
+            if item.extends:
+                lines.append(f"  extends {', '.join(item.extends)}")
+            if item.sets:
+                lines.append(f"  sets {', '.join(item.sets)}")
+            if item.constants:
+                lines.append(f"  constants {', '.join(item.constants)}")
+            axioms = list(item.axioms) + list(item.theorems)
+            if axioms:
+                lines.append("  axioms")
+                _print_labelled(lines, "    ", axioms)
+            lines.append("end")
+            continue
+        m = item
+        lines.append(f"machine {m.name}")
+        if m.refines:
+            lines.append(f"  refines {m.refines}")
+        if m.sees:
+            lines.append(f"  sees {', '.join(m.sees)}")
+        if m.variables:
+            lines.append(f"  variables {', '.join(m.variables)}")
+        invariants = list(m.invariants) + list(m.theorems)
+        if invariants:
+            lines.append("  invariants")
+            _print_labelled(lines, "    ", invariants)
+        if m.variant is not None:
+            lines.append(f"  variant {unparse_surface(m.variant)}")
+        if m.events:
+            lines.append("  events")
+            for e in m.events:
+                lines.append(f"    event {e.name}")
+                if not e.is_init:
+                    lines.append(f"      status {e.status}")
+                if e.refines:
+                    lines.append(f"      refines {', '.join(e.refines)}")
+                if e.params:
+                    decls = ", ".join(
+                        n if te is None else f"{n} : {unparse_type(te)}"
+                        for n, te in e.params)
+                    lines.append(f"      any {decls}")
+                if e.guards:
+                    lines.append("      when")
+                    _print_labelled(lines, "        ", e.guards)
+                if e.witnesses:
+                    lines.append("      with")
+                    _print_labelled(lines, "        ", e.witnesses)
+                if e.actions:
+                    lines.append("      thenAct")
+                    for a in e.actions:
+                        lines.append(
+                            f"        {a.label}: {a.var} {a.kind} {unparse_surface(a.rhs)}")
+                lines.append("    end")
+        lines.append("end")
+    return "\n".join(lines) + "\n"

@@ -20,23 +20,22 @@ from evtforge.fopeq import (
 )
 from evtforge.institution import (
     INIT, EvtMorphism, EvtSentence, EvtSignature, Status, amalgamate,
-    comorphism_sen, comorphism_sign, enumerate_states, evt_compose,
-    evt_identity, evt_pushout, make_model, make_state, maximal_model,
-    model_reduct, satisfies, translate_sentence,
+    comorphism_sen, comorphism_sign, evt_compose, evt_identity, evt_morphism,
+    evt_pushout, make_model, make_state, maximal_model, model_reduct, satisfies,
+    translate_sentence,
 )
 from evtforge.mathlang import ElabContext, canonical, parse_formula_text, unparse_formula
 from evtforge.refinement import (
-    check_refinement_same_sig, literal_inclusion, resolve_refinement,
-    check_refinement_morphism,
+    check_refinement_same_sig, resolve_refinement, check_refinement_morphism,
 )
 from evtforge.specs import (
     Evaluator, Flat, Hide, Presentation, SpecLibrary, Sum, Translate,
-    inclusion_morphism, sig_of,
+    sig_of,
 )
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
-from tests.conftest import FIXTURES, load_fixture
-from tests.reference_eval import eval_formula
+from tests.conftest import FIXTURES, load_fixture, parse_term_text
+from tests.reference_eval import enumerate_states, eval_formula, literal_inclusion
 
 B3 = Bounds(int_bound=3)
 
@@ -559,7 +558,7 @@ def test_criterion_11_decomposition_recomposition():
     rep_m = ev.model_class(m_spec)
 
     sv = Sum(lib.lookup("M1"), lib.lookup("M2"))
-    iota = inclusion_morphism(sig_m, sig_of(sv, lib))
+    iota = evt_morphism(sig_m, sig_of(sv, lib))
     assert ev.model_class(Hide(sv, iota)) == rep_m
 
     se = Sum(lib.lookup("N1"), lib.lookup("N2"))
@@ -578,7 +577,7 @@ def test_criterion_11_decomposition_recomposition():
 
 
 def test_criterion_12_maxima_shortcut_soundness():
-    from evtforge.mathlang import NatType, parse_term_text
+    from evtforge.mathlang import NatType
     from evtforge.specs import ActionClause, EventClauses
 
     fsig = FopeqSignature(ops=(Op("d", (), INT),))

@@ -10,7 +10,7 @@ from evtforge.fopeq import (
     Op, OpApp, Or, Pred, PredApp, TRUE, FALSE, UNDEF, Var, algebra_reduct,
     compile_formula, conjoin, enumerate_algebras, fopeq_compose,
     fopeq_identity, fopeq_morphism, fopeq_pushout, free_vars, make_algebra,
-    prime_free_vars, rename_free_vars, translate_formula,
+    prime_free_vars, substitute,
 )
 from evtforge.mathlang import ElabContext, canonical, parse_formula_text, unparse_formula
 from tests.reference_eval import eval_formula, eval_term
@@ -157,18 +157,18 @@ class TestTranslateFormula:
     def test_renames_symbols_but_not_variables(self):
         src, tgt, m = _two_sigs()
         f = And((Equal(Var("v1"), IntLit(0)), PredApp("p", (OpApp("k"),))))
-        g = translate_formula(m, f)
+        g = substitute(f, {}, m)
         assert g == And((Equal(Var("v1"), IntLit(0)), PredApp("q", (OpApp("k2"),))))
 
     def test_identity(self):
         src, tgt, m = _two_sigs()
         f = PredApp("p", (OpApp("k"),))
-        assert translate_formula(fopeq_identity(src), f) == f
+        assert substitute(f, {}, fopeq_identity(src)) == f
 
     def test_symbol_outside_domain(self):
         src, tgt, m = _two_sigs()
         with pytest.raises(SortError):
-            translate_formula(m, PredApp("zz", ()))
+            substitute(PredApp("zz", ()), {}, m)
 
     @given(_formulas(2))
     @settings(max_examples=100, deadline=None)
@@ -177,14 +177,15 @@ class TestTranslateFormula:
         src, tgt, m = _two_sigs()
         m2 = fopeq_identity(tgt)
         composed = fopeq_compose(m2, m)
-        d_free = rename_free_vars(f, {})  # identity rename, exercises walker
-        assert translate_formula(composed, d_free) == translate_formula(
-            m2, translate_formula(m, d_free))
+        d_free = substitute(f, {})  # identity rename, exercises walker
+        assert substitute(d_free, {}, composed) == substitute(
+            substitute(d_free, {}, m), {}, m2)
 
 
 def test_rename_free_vars_respects_binding():
     f = Exists((("x", INT),), Equal(Var("x"), Var("y", True)))
-    g = rename_free_vars(f, {"x": "a", "y": "b"})
+    g = substitute(f, {(n, p): Var(t, p) for n, t in (("x", "a"), ("y", "b"))
+                       for p in (False, True)})
     assert g == Exists((("x", INT),), Equal(Var("x"), Var("b", True)))
 
 
@@ -394,7 +395,7 @@ def test_fopeq_satisfaction_condition_by_enumeration():
         reduced = algebra_reduct(a, m)
         for f in formulas:
             assert eval_formula(f, reduced, {}) == eval_formula(
-                translate_formula(m, f), a, {})
+                substitute(f, {}, m), a, {})
 
 
 # -- parsing / printing round trips ------------------------------------------

@@ -2,13 +2,13 @@ import pytest
 
 from evtforge.errors import ParseError, SpecError
 from evtforge.eventb import (
-    ContextDef, EbSpecification, Environment, MachineDef, build_env,
-    parse_text, pretty_print_eb,
+    ContextDef, EbSpecification, Environment, MachineDef, build_env, parse_text,
 )
 from evtforge.fopeq import INT, FopeqSignature, Op
 from evtforge.institution import INIT, EvtSignature, Status
 from evtforge.rodin import parse_rodin, parse_rodin_paths
 from tests.conftest import load_fixture
+from tests.reference_eval import pretty_print_eb
 
 
 class TestParseText:

@@ -16,13 +16,13 @@ from evtforge.fopeq import (
 )
 from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
-    amalgamate, comorphism_mod, comorphism_sen, comorphism_sign,
-    enumerate_states, evt_compose, evt_identity, evt_morphism, evt_pushout,
-    init_conjuncts, make_model, make_state, maximal_model, model_reduct,
-    reduce_state, satisfies, status_sup, translate_sentence,
+    amalgamate, comorphism_mod, comorphism_sen, comorphism_sign, evt_compose,
+    evt_identity, evt_morphism, evt_pushout, init_conjuncts, make_model,
+    make_state, maximal_model, model_reduct, reduce_state, satisfies,
+    status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
-from tests.reference_eval import eval_formula
+from tests.reference_eval import enumerate_states, eval_formula
 
 B1 = Bounds(int_bound=1)
 B3 = Bounds(int_bound=3)

@@ -9,25 +9,25 @@ from evtforge.fopeq import (
     BOOL, Bounds, FopeqSignature, INT, Op, algebra_reduct, enumerate_algebras,
 )
 from evtforge.institution import (
-    INIT, EvtModel, EvtSentence, EvtSignature, Status, enumerate_states,
-    evt_identity, evt_morphism, make_model, make_state, satisfies, state_reducer,
+    INIT, EvtModel, EvtSentence, EvtSignature, Status, evt_identity,
+    evt_morphism, make_model, make_state, satisfies, state_reducer,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.refinement import (
     _check_inclusion, check_refinement_morphism, check_refinement_same_sig,
-    compose_refinements, literal_inclusion, resolve_refinement,
+    compose_refinements, resolve_refinement,
 )
 from evtforge.specs import Evaluator, Flat, Presentation, SpecLibrary, make_rep, sig_of
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
-from tests.conftest import load_fixture
+from tests.conftest import load_fixture, parse_term_text
+from tests.reference_eval import enumerate_states, literal_inclusion
 
 B3 = Bounds(int_bound=3)
 
 
 def guard_presentation(body_text, fam_text=None):
     """Single event over one integer variable; the body becomes its guard."""
-    from evtforge.mathlang import parse_term_text
     from evtforge.specs import ActionClause, EventClauses
 
     fsig = FopeqSignature(ops=(Op("d", (), INT),))

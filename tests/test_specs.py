@@ -11,17 +11,15 @@ from evtforge.institution import (
     INIT, EvtMorphism, EvtSignature, Status, comorphism_sign, evt_identity,
     evt_morphism, evt_pushout, make_state, model_reduct,
 )
-from evtforge.mathlang import (
-    ElabContext, NatType, parse_formula_text, parse_term_text,
-)
+from evtforge.mathlang import ElabContext, NatType, parse_formula_text
 from evtforge.specs import (
     ActionClause, Embed, Enrich, Evaluator, EventClauses, Flat, Hide, Named,
     Presentation, SpecLibrary, Sum, Translate, enumerate_models,
-    inclusion_morphism, rep_contains, sig_of,
+    rep_contains, sig_of,
 )
 from evtforge.sugar import parse_document, print_library, print_spec
 from evtforge.translate import translate
-from tests.conftest import load_fixture
+from tests.conftest import load_fixture, parse_term_text
 
 B3 = Bounds(int_bound=3)
 
@@ -76,6 +74,18 @@ class TestSigOf:
             sig_of(Translate(Presentation(b, Flat()), ren), None)
         with pytest.raises(SpecError):
             sig_of(Hide(Presentation(a, Flat()), ren), None)
+        lib = SpecLibrary()
+        for bad in (Translate(Presentation(b, Flat()), ren),
+                    Hide(Presentation(a, Flat()), ren)):
+            # a failed check is not memoised: it raises on every call
+            for _ in range(2):
+                with pytest.raises(SpecError):
+                    sig_of(bad, lib)
+            with pytest.raises(SpecError):
+                lib.define("bad", bad)
+            assert "bad" not in lib.names()
+            with pytest.raises(SpecError, match="unknown specification bad"):
+                lib.signature("bad")
 
     def test_sum_conflicting_profiles_rejected(self):
         a = EvtSignature(vars=(("x", INT),))
@@ -451,7 +461,7 @@ class TestMaximalModelReduct:
         lib = bridge.library
         sig_a = bridge.env.evt("m0")
         sig_c = bridge.env.evt("m1")
-        incl = inclusion_morphism(
+        incl = evt_morphism(
             EvtSignature(sig_a.fopeq,
                          tuple((e, s) for e, s in sig_a.events),
                          sig_a.vars),

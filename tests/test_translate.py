@@ -8,7 +8,7 @@ from evtforge.mathlang import canonical, parse_formula_text, unparse_formula, El
 from evtforge.specs import Evaluator, Named, SpecLibrary, sig_of
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
-from tests.conftest import load_fixture
+from tests.conftest import FIXTURES, load_fixture
 
 B3 = Bounds(int_bound=3)
 
@@ -376,27 +376,68 @@ def _refinement_chain(depth, width=5, nev=8):
 
 
 def test_sig_of_work_grows_linearly_with_chain_depth(monkeypatch):
-    """Named specs resolve to the signature stored at definition, so deeper
-    chains cost more sig_of calls per level, not exponentially more."""
+    """sig_of computes each distinct spec node's signature once per library,
+    so a deeper chain costs only the work of its new nodes."""
+    from collections import Counter
+
+    import evtforge.refinement as refinement_mod
     import evtforge.specs as specs_mod
+    import evtforge.sugar as sugar_mod
     import evtforge.translate as translate_mod
+    from click.testing import CliRunner
+    from evtforge.cli import main
 
-    calls = {"n": 0}
-    original = specs_mod.sig_of
+    calls, nodes, rules = Counter(), set(), Counter()
+    original, rule = specs_mod.sig_of, specs_mod._sig_rule
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
+    def counting(spec, lib=None):
+        calls["sig_of"] += 1
+        nodes.add(spec)
+        return original(spec, lib)
 
-    monkeypatch.setattr(specs_mod, "sig_of", counting)
-    monkeypatch.setattr(translate_mod, "sig_of", counting)
+    def counting_rule(spec, lib):
+        rules[spec, id(lib)] += 1
+        return rule(spec, lib)
+
+    def counting_builder(name):
+        build = getattr(specs_mod, name)
+
+        def wrapper(*args):
+            calls["built"] += 1
+            return build(*args)
+        return wrapper
+
+    for mod in (specs_mod, translate_mod, sugar_mod, refinement_mod):
+        monkeypatch.setattr(mod, "sig_of", counting)
+    monkeypatch.setattr(specs_mod, "_sig_rule", counting_rule)
+    # the signature builders of the Enrich, Sum and Embed rules
+    for name in ("extend_signature", "extend_fopeq_signature", "signature_union",
+                 "comorphism_sign"):
+        monkeypatch.setattr(specs_mod, name, counting_builder(name))
+
+    def reset():
+        for counts in (calls, nodes, rules):
+            counts.clear()
+
+    def check_memo():
+        assert calls["built"] <= len(nodes), (calls["built"], len(nodes))
+        assert set(rules.values()) == {1}, max(rules.values())
 
     def calls_at(depth):
         parsed = parse_text(_refinement_chain(depth))
-        calls["n"] = 0
+        reset()
         out = translate(parsed)
         assert out.library.names() == tuple(f"m{k}" for k in range(depth))
-        return calls["n"]
+        check_memo()
+        return calls["sig_of"]
 
     shallow, deep = calls_at(3), calls_at(6)
     assert 0 < shallow and deep <= 3 * shallow, (shallow, deep)
+
+    fixtures = [str(FIXTURES / n) for n in
+                ("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt")]
+    reset()
+    res = CliRunner().invoke(
+        main, ["refine", *fixtures, "--pin", "d=2", "--allow-status-drop"])
+    assert res.exit_code == 0, res.output
+    check_memo()
