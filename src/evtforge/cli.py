@@ -7,9 +7,10 @@ file, 3 refinement fails.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Sequence
 
@@ -189,6 +190,129 @@ def _format_state(s) -> str:
     return "(" + ", ".join(f"{k}={_format_value(v)}" for k, v in s) + ")"
 
 
+def _sorted_pairs(pairs) -> list:
+    """`pairs` in the order of ``sorted(pairs)``, with each comparison made
+    between two ints instead of two nested state tuples: every distinct
+    before-state and after-state is ranked once."""
+    before = {s: i for i, s in enumerate(sorted({s for s, _ in pairs}))}
+    after = {t: i for i, t in enumerate(sorted({t for _, t in pairs}))}
+    n = len(after)
+    return sorted(pairs, key=lambda st: before[st[0]] * n + after[st[1]])
+
+
+class States(list):
+    """A JSON array of states: each ``(name, value)`` tuple prints as an
+    object."""
+
+
+class StatePairs(list):
+    """A JSON array of ``(before, after)`` state pairs: each prints as a
+    two-item array of objects."""
+
+
+def dump_json(payload) -> str:
+    """The text ``json.dumps`` writes for `payload` with a two-space indent
+    and ``default=str``, byte for byte, for payloads of dicts with string
+    keys, lists, tuples, strings, ints, bools, None and values that JSON
+    cannot encode, which print as their quoted ``str``.
+
+    A state in a `States` or `StatePairs` array is rendered once per depth
+    and reused wherever an equal state recurs; the memo lives for this call
+    only.  As ``True == 1``, a variable must take values of one type across
+    the payload's states, as it does in the states over one signature."""
+    out: list[str] = []
+    _put(payload, 0, out, {})
+    return "".join(out)
+
+
+class _StateTexts(dict):
+    """Each state's object text at one depth, rendered on first lookup."""
+
+    def __init__(self, level: int):
+        super().__init__()
+        self.level = level
+
+    def __missing__(self, state) -> str:
+        out: list[str] = []
+        # a state's values hold no state arrays, so they need no memo
+        _put_members(state, self.level, out, {})
+        text = self[state] = "".join(out)
+        return text
+
+
+def _put_members(items, level: int, out: list[str], memos: dict) -> None:
+    """Append the object of the ``(key, value)`` `items` at indent `level`."""
+    if not items:
+        out.append("{}")
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep, comma = "{" + inner, "," + inner
+    for k, v in items:
+        out.append(sep + _quote(k) + ": ")
+        sep = comma
+        _put(v, level + 1, out, memos)
+    out.append("\n" + "  " * level + "}")
+
+
+def _put(o, level: int, out: list[str], memos: dict) -> None:
+    """Append the pieces of `o`'s text at indent `level` to `out`; `memos`
+    maps a depth to its state texts."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        if isinstance(o, States):
+            text = memos.setdefault(level + 1, _StateTexts(level + 1))
+            out += ("[", inner, ("," + inner).join([text[s] for s in o]))
+        elif isinstance(o, StatePairs):
+            text = memos.setdefault(level + 2, _StateTexts(level + 2))
+            inner2 = "\n" + "  " * (level + 2)
+            lead, comma = inner + "[" + inner2, "," + inner + "[" + inner2
+            mid, tail = "," + inner2, inner + "]"
+            out.append("[")
+            for s, t in o:
+                out += (lead, text[s], mid, text[t], tail)
+                lead = comma
+        else:
+            sep, comma = "[" + inner, "," + inner
+            for x in o:
+                out.append(sep)
+                sep = comma
+                _put(x, level + 1, out, memos)
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
+        _put_members(o.items(), level, out, memos)
+    else:
+        out.append(_quote(str(o)))
+
+
+def models_payload(name: str, bound: int, slices, list_pairs: bool) -> dict:
+    """The ``models --json`` report of per-algebra maximal models."""
+    payload = {"spec": name, "bound": bound, "algebras": []}
+    for sl in slices:
+        entry = {
+            "algebra": sl.algebra.describe(),
+            "initial_states": len(sl.init),
+            "events": {e: len(p) for e, p in sl.rel},
+        }
+        if list_pairs:
+            entry["init"] = States(sorted(sl.init))
+            entry["relations"] = {e: StatePairs(_sorted_pairs(p)) for e, p in sl.rel}
+        payload["algebras"].append(entry)
+    return payload
+
+
 @main.command("models")
 @click.argument("name")
 @click.argument("files", nargs=-1, required=True)
@@ -215,41 +339,28 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
         return
 
     if as_json:
-        payload = {"spec": name, "bound": bound, "algebras": []}
-        for sl in rep.slices:
-            entry = {
-                "algebra": sl.algebra.describe(),
-                "initial_states": len(sl.init),
-                "events": {e: len(p) for e, p in sl.rel},
-            }
-            if list_pairs:
-                entry["init"] = [dict(s) for s in sorted(sl.init)]
-                entry["relations"] = {
-                    e: [[dict(s), dict(t)] for s, t in sorted(p)]
-                    for e, p in sl.rel}
-            payload["algebras"].append(entry)
-        click.echo(json.dumps(payload, indent=2, default=str))
+        click.echo(dump_json(models_payload(name, bound, rep.slices, list_pairs)))
         return
 
-    click.echo(f"spec {name}  [bound {bound}"
-               + (f", pins {', '.join(f'{k}={v}' for k, v in cfg.pins)}" if cfg.pins else "")
-               + "]")
+    fmt = cache(_format_state)  # each distinct state formatted once
+    lines = [f"spec {name}  [bound {bound}"
+             + (f", pins {', '.join(f'{k}={v}' for k, v in cfg.pins)}" if cfg.pins else "")
+             + "]"]
     if not rep.slices:
-        click.echo("  no admissible algebras (empty model class)")
+        lines.append("  no admissible algebras (empty model class)")
     for sl in rep.slices:
-        click.echo(f"algebra {sl.algebra.describe()}")
+        lines.append(f"algebra {sl.algebra.describe()}")
         if event_name is None or event_name == INIT:
-            click.echo(f"  Init: {len(sl.init)} initial state(s)")
+            lines.append(f"  Init: {len(sl.init)} initial state(s)")
             if list_pairs:
-                for s in sorted(sl.init):
-                    click.echo(f"    {_format_state(s)}")
+                lines.extend(f"    {fmt(s)}" for s in sorted(sl.init))
         for e, pairs in sl.rel:
             if event_name is not None and e != event_name:
                 continue
-            click.echo(f"  {e}: {len(pairs)} pair(s)")
+            lines.append(f"  {e}: {len(pairs)} pair(s)")
             if list_pairs:
-                for s, t in sorted(pairs):
-                    click.echo(f"    {_format_state(s)} -> {_format_state(t)}")
+                lines.extend(f"    {fmt(s)} -> {fmt(t)}" for s, t in _sorted_pairs(pairs))
+    click.echo("\n".join(lines))
 
 
 @main.command("refine")
@@ -280,7 +391,7 @@ def cmd_refine(files, bound, carriers, pins, ceiling, input_format,
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
     if as_json:
-        click.echo(json.dumps([v.as_dict() for v in verdicts], indent=2, default=str))
+        click.echo(dump_json([v.as_dict() for v in verdicts]))
     else:
         for v in verdicts:
             if v.holds:

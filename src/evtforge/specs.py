@@ -238,6 +238,11 @@ class SpecLibrary:
         sig_of(spec, self)
         self.entries[name] = spec
 
+    def remember(self, spec: Spec, sig: Union[EvtSignature, FopeqSignature]) -> None:
+        """Store `sig` as the signature of `spec`, for a caller that built it
+        by the rule `sig_of` would apply, so it is not built again."""
+        self._sigs[spec] = sig
+
     def lookup(self, name: str) -> Spec:
         if name not in self.entries:
             raise SpecError(f"unknown specification {name}")

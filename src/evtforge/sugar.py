@@ -524,7 +524,11 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
     flat = Flat(sorts=tuple(raw.sorts), variables=tuple(raw.decls),
                 invariants=invariants, variant=variant, events=events)
     if leaves:
-        return Enrich(sum_all(leaves), flat)
+        # sig_of's rule extends the sum's signature by the sorts, variables
+        # and event statuses of flat, which are those of pre
+        spec = Enrich(sum_all(leaves), flat)
+        lib.remember(spec, sig)
+        return spec
     return Presentation(sig, flat)
 
 
@@ -540,7 +544,9 @@ def _materialise_fopeq(name: str, imports: list[Spec], raw: Optional[_RawBlock],
     axioms = tuple(elab_formula(f, ElabContext(fsig)) for f in raw.formulas)
     flat = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls), axioms=axioms)
     if imports:
-        return Enrich(sum_all(imports), flat)
+        spec = Enrich(sum_all(imports), flat)
+        lib.remember(spec, fsig)
+        return spec
     return Presentation(fsig, flat)
 
 

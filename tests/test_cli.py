@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from evtforge.cli import main
+from evtforge.cli import dump_json, main, models_payload
+from evtforge.refinement import Counterexample, RefinementVerdict
 from tests.conftest import FIXTURES
 
 
@@ -171,6 +175,14 @@ end""", encoding="utf-8")
                             env={"EVTFORGE_BOUND": "2"})
         assert "bound 2" in res.output
 
+    def test_json_list_matches_golden(self, runner):
+        res = runner.invoke(main, [
+            "models", "m2", *fx("ebm0.eb", "ebm1.eb", "ebm2.eb"), "--bound", "4",
+            "--json", "--list"])
+        assert res.exit_code == 0
+        golden = FIXTURES / "golden" / "models_m2_bound4_list.json"
+        assert res.stdout_bytes == golden.read_bytes()
+
     def test_ceiling_exit(self, runner):
         res = runner.invoke(main, [
             "models", "m0", *fx("ebm0.eb"), "--ceiling", "3"])
@@ -205,6 +217,14 @@ class TestRefine:
         data = json.loads(res.output)
         assert data[0]["holds"] is False
         assert set(data[0]["counterexample"]) == {"algebra", "event", "before", "after"}
+
+    def test_json_counterexample_matches_golden(self, runner):
+        res = runner.invoke(main, [
+            "refine", *fx("ebm0.eb", "ebm0_weak.eb", "refinement_weak.evt"),
+            "--pin", "d=2", "--json"])
+        assert res.exit_code == 3
+        golden = FIXTURES / "golden" / "refine_weak_d2.json"
+        assert res.stdout_bytes == golden.read_bytes()
 
     def test_no_declarations(self, runner):
         res = runner.invoke(main, ["refine", *fx("ebm0.eb")])
@@ -277,3 +297,81 @@ def test_unreadable_input_is_a_located_error(runner, tmp_path, command, name,
     assert isinstance(res.exception, SystemExit)
     assert res.exit_code == code
     assert res.stderr == f"error: {path}: {reason}\n"
+
+
+def _oracle_models_payload(name, bound, slices, list_pairs):
+    """The ``models --json`` payload as the command built it for
+    ``json.dumps``: every state copied into a dict."""
+    payload = {"spec": name, "bound": bound, "algebras": []}
+    for sl in slices:
+        entry = {
+            "algebra": sl.algebra.describe(),
+            "initial_states": len(sl.init),
+            "events": {e: len(p) for e, p in sl.rel},
+        }
+        if list_pairs:
+            entry["init"] = [dict(s) for s in sorted(sl.init)]
+            entry["relations"] = {
+                e: [[dict(s), dict(t)] for s, t in sorted(p)]
+                for e, p in sl.rel}
+        payload["algebras"].append(entry)
+    return payload
+
+
+# non-ASCII and control characters included
+_names = st.text(max_size=4)
+# one value type per variable, as over one signature (True == 1 as a key)
+_value_kinds = {
+    "bool": st.booleans(),
+    "int": st.integers(-10 ** 12, 10 ** 12),
+    "str": st.text(max_size=3),
+    "other": st.fractions(max_denominator=5),  # printed through str
+}
+
+
+@st.composite
+def _states(draw):
+    """A strategy for states over one drawn set of typed variables, possibly
+    none, which makes the empty state ``()`` the only one."""
+    names = draw(st.lists(_names, unique=True, max_size=3))
+    kinds = [draw(st.sampled_from(sorted(_value_kinds))) for _ in names]
+    return st.tuples(*(st.tuples(st.just(n), _value_kinds[k])
+                       for n, k in sorted(zip(names, kinds))))
+
+
+@st.composite
+def _models_case(draw):
+    states = draw(_states())
+    slices = []
+    for label in draw(st.lists(_names, max_size=3)):
+        events = draw(st.lists(_names, unique=True, max_size=3))
+        slices.append(SimpleNamespace(
+            algebra=SimpleNamespace(describe=lambda label=label: label),
+            init=draw(st.frozensets(states, max_size=4)),
+            rel=tuple(sorted(
+                (e, draw(st.frozensets(st.tuples(states, states), max_size=6)))
+                for e in events))))
+    args = (draw(_names), draw(st.integers(-3, 9)), slices, draw(st.booleans()))
+    return models_payload(*args), _oracle_models_payload(*args)
+
+
+@st.composite
+def _refine_case(draw):
+    states = draw(_states())
+    verdicts = []
+    for name in draw(st.lists(_names, max_size=3)):
+        cex = draw(st.none() | st.builds(
+            Counterexample, _names, st.none() | _names,
+            st.none() | states, st.none() | states))
+        verdicts.append(RefinementVerdict(
+            name, cex is None, cex,
+            {"algebras": draw(st.integers(0, 9)), "pairs": draw(st.integers(0, 99))}))
+    payload = [v.as_dict() for v in verdicts]
+    return payload, payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models_case() | _refine_case())
+def test_json_emitter_matches_json_dumps(case):
+    payload, oracle = case
+    assert dump_json(payload) == json.dumps(oracle, indent=2, default=str)

@@ -18,7 +18,7 @@ from evtforge.specs import (
     rep_contains, sig_of,
 )
 from evtforge.sugar import parse_document, print_library, print_spec
-from evtforge.translate import translate
+from evtforge.translate import TranslationOutput, translate
 from tests.conftest import load_fixture, parse_term_text
 
 B3 = Bounds(int_bound=3)
@@ -92,6 +92,29 @@ class TestSigOf:
         b = EvtSignature(FopeqSignature(sorts=("S",)), (), (("x", "S"),))
         with pytest.raises(SortError):
             sig_of(Sum(Presentation(a, Flat()), Presentation(b, Flat())), None)
+
+    @pytest.mark.parametrize("files", [
+        ("ebm0.eb", "modularm1.evt"),
+        ("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt"),
+        ("genins.evt",),
+        ("decomp.eb", "decomp_se.evt", "decomp_sv.evt"),
+    ])
+    def test_memoised_signatures_match_a_fresh_computation(self, files):
+        out = TranslationOutput()
+        for name in files:
+            if name.endswith(".evt"):
+                parse_document(load_fixture(name), out.library)
+            else:
+                out = translate(parse_text(load_fixture(name)), out)
+        lib = out.library
+        # Named nodes resolve through a library: a fresh one whose memo
+        # holds only what sig_of's rules computed
+        fresh = SpecLibrary()
+        for name, spec in lib.entries.items():
+            fresh.define(name, spec)
+        assert lib._sigs
+        for spec, sig in lib._sigs.items():
+            assert sig_of(spec, fresh) == sig
 
     def test_hide_gives_source(self, bridge):
         lib = SpecLibrary()
