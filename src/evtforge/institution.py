@@ -486,6 +486,28 @@ def _filter_pool(
         yield from extend(0)
 
 
+class _Pool:
+    """The states a _filter_pool search has yielded so far.  Every reader
+    of one side and conjunct set in a maximal_model call shares the prefix,
+    and grows it only as far as its own question needs."""
+
+    __slots__ = ("states", "dry", "_search")
+
+    def __init__(self, search: Iterator[State]):
+        self.states: list[State] = []
+        self.dry = False
+        self._search = search
+
+    def grow(self, n: int) -> list[State]:
+        """The states so far, after taking up to n of them; fewer than n
+        only once the search has run dry."""
+        short = n - len(self.states)
+        if short > 0 and not self.dry:
+            self.states.extend(itertools.islice(self._search, short))
+            self.dry = len(self.states) < n
+        return self.states
+
+
 def maximal_model(
     sig: EvtSignature,
     sentences: Sequence[EvtSentence],
@@ -499,7 +521,9 @@ def maximal_model(
     satisfying models is exactly the non-empty-L downward closure of this
     maximum.  Each distinct conjunct is compiled once per call, and one
     naming a variable outside the signature raises SortError before any
-    state is enumerated.
+    state is enumerated.  Each state pool is searched once per call, and an
+    event's two pools grow in step: refusing a pair ceiling c takes
+    2(⌊√c⌋ + 1) states when both pools are larger than √c, not a whole pool.
     """
     by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
     for s in sentences:
@@ -529,18 +553,30 @@ def maximal_model(
     # every conjunct is compiled, and its variables checked, before any pool
     conjuncts = {e: [(c, *compiled(c)) for body in bodies for c in _flatten_conjuncts(body)]
                  for e, bodies in by_event.items()}
+    # one pool per side and conjunct set, shared by every reader in this
+    # call; equal conjuncts share one compiled function, so the functions
+    # name the set
+    pools: dict[tuple[bool, frozenset], _Pool] = {}
+
+    def pool(conjs: Sequence[Compiled], primed: bool) -> _Pool:
+        key = primed, frozenset([fn for _, fn in conjs])
+        hit = pools.get(key)
+        if hit is None:
+            hit = pools[key] = _Pool(_filter_pool(sig, algebra, conjs, primed))
+        return hit
+
     # initialising set: only the conjuncts over after-values apply
     init_conjs = [compiled(c) for body in by_event[INIT] for c in init_conjuncts(body)]
-    closed_true = all(fn({}) for fv, fn in init_conjs if not fv)
-    primed_conjs = [(fv, fn) for fv, fn in init_conjs if fv]
-    # take only as many states as it takes to see the ceiling crossed
     ceiling = bounds.pair_ceiling
-    l_max = frozenset(itertools.islice(
-        _filter_pool(sig, algebra, primed_conjs, True), ceiling + 1) if closed_true else ())
-    if len(l_max) > ceiling:
-        raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
+    l_max: frozenset[State] = frozenset()
+    if all(fn({}) for fv, fn in init_conjs if not fv):
+        init_pool = pool([(fv, fn) for fv, fn in init_conjs if fv], True).grow(ceiling + 1)
+        if len(init_pool) > ceiling:
+            raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
+        l_max = frozenset(init_pool)
 
     position = {n: i for i, n in enumerate(sig.var_names)}
+    root = math.isqrt(ceiling) + 1
     r_max: dict[str, frozenset[tuple[State, State]]] = {}
     for e in sig.non_init_events:
         conjs = conjuncts[e]
@@ -568,26 +604,26 @@ def maximal_model(
                     read |= fv
                 else:
                     keys[key[0]] = compiled_term(key[1])
-        before_pool = list(itertools.islice(
-            _filter_pool(sig, algebra, before_only, False), ceiling + 1))
-        if not before_pool:
+        # the pools grow in step, each to √ceiling first; then a pool that
+        # ran dry says how far the other must grow to decide |B|·|A| > ceiling
+        before, after = pool(before_only, False), pool(after_only, True)
+        if not before.grow(1) or not after.grow(root):
             r_max[e] = frozenset()
             continue
-        after_pool = list(itertools.islice(
-            _filter_pool(sig, algebra, after_only, True),
-            ceiling // len(before_pool) + 1))
-        if len(before_pool) * len(after_pool) > ceiling:
+        before.grow(root)
+        if after.dry:
+            before.grow(ceiling // len(after.states) + 1)
+        elif before.dry:
+            after.grow(ceiling // len(before.states) + 1)
+        if len(before.states) * len(after.states) > ceiling:
             raise EnumerationLimit(
                 f"event {e}: state pairs exceed the ceiling {ceiling}")
-        if not after_pool:
-            r_max[e] = frozenset()
-            continue
         index: dict[tuple, list[tuple[State, dict]]] = {}
-        for t in after_pool:
+        for t in after.states:
             index.setdefault(tuple([t[i][1] for i in keys]), []).append(
                 (t, {(n, True): v for n, v in t if (n, True) in read}))
         pairs = []
-        for s in before_pool:
+        for s in before.states:
             val = state_valuation(s, False)
             # an undefined key term matches no bucket, as x′ = t is then false
             for t, tval in index.get(tuple([fn(val) for fn in keys.values()]), ()):

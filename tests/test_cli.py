@@ -188,6 +188,16 @@ end""", encoding="utf-8")
             "models", "m0", *fx("ebm0.eb"), "--ceiling", "3"])
         assert res.exit_code == 2
 
+    def test_pair_refusal_of_a_wide_machine(self, runner):
+        # 7^6 states per side at bound 3; step's before-pool alone fits
+        res = runner.invoke(main, [
+            "models", "wide", *fx("wide_refuse.eb"), "--bound", "3",
+            "--ceiling", "1000000"])
+        assert res.exit_code == 2
+        assert res.stdout_bytes == b""
+        assert res.stderr_bytes == (
+            "error: event step: state pairs exceed the ceiling 1000000\n".encode())
+
 
 class TestRefine:
     def test_chain_holds(self, runner):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -254,6 +255,40 @@ class TestMaximalModel:
                 tracemalloc.stop()
             assert peak < 1 << 20
 
+    def test_pair_refusal_takes_about_two_root_ceiling_states(self, monkeypatch):
+        # 7^6 ℤ states over six variables at bound 3: the before-pool of e,
+        # 7^6 − 7^5 = 100 842 states, fits under the ceiling on its own
+        ceiling = 1_000_000
+        names = [f"x{i}" for i in range(6)]
+        sig = EvtSignature(events=(("e", Status.ordinary),),
+                           vars=tuple((n, INT) for n in names))
+        ctx = ElabContext(FopeqSignature(), vars=sig.vars)
+        typed = parse_formula_text(" ∧ ".join(f"{n} ∈ ℤ ∧ {n}′ ∈ ℤ" for n in names), ctx)
+        init = parse_formula_text(" ∧ ".join(f"{n}′ = 0" for n in names), ctx)
+        body = parse_formula_text("x0 ≠ 1 ∧ x2′ = x2 + 1", ctx)
+        sentences = [EvtSentence(INIT, init), EvtSentence("e", typed), EvtSentence("e", body)]
+        yielded = 0
+        search = institution._filter_pool
+
+        def counted(*args):
+            nonlocal yielded
+            for state in search(*args):
+                yielded += 1
+                yield state
+
+        monkeypatch.setattr(institution, "_filter_pool", counted)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimit,
+                               match="^event e: state pairs exceed the ceiling 1000000$"):
+                maximal_model(sig, sentences, make_algebra(FopeqSignature(), 3, {}, {}),
+                              Bounds(int_bound=3, pair_ceiling=ceiling))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert yielded <= 2 * (math.isqrt(ceiling) + 1) + 2
+        assert peak < 4 << 20
+
 
 # -- scheduled state pools against the product-filter oracle ----------------
 
@@ -464,7 +499,41 @@ def _join_problems(draw):
     return sig, alg, sentences, bound
 
 
+def _event_pool_sizes(sig, sentences, algebra):
+    """(|B|, |A|) of every event whose closed conjuncts hold, from its whole
+    before- and after-pools."""
+    sizes = []
+    for e in sig.non_init_events:
+        conjs = [(free_vars(c), compile_formula(c, algebra)) for s in sentences
+                 if s.event == e for c in institution._flatten_conjuncts(s.body)]
+        if all(fn({}) for fv, fn in conjs if not fv):
+            sizes.append(tuple(
+                sum(1 for _ in institution._filter_pool(sig, algebra, [
+                    (fv, fn) for fv, fn in conjs if fv and {p for _, p in fv} == {primed}],
+                    primed))
+                for primed in (False, True)))
+    return sizes
+
+
+def _shared_pool_problem():
+    """Three events read one before-pool, and e2 reads Init's pool as its
+    after-pool.  e0's after-pool is empty, so e0 takes one before-state and
+    stops; e1 (|B|·|A| = 20·5) and e2 (20·15) grow the shared prefix on, and
+    fit under different ceilings."""
+    sig = EvtSignature(events=tuple((f"e{i}", Status.ordinary) for i in range(3)),
+                       vars=(("v0", INT), ("v1", INT)))
+    ctx = ElabContext(FopeqSignature(), vars=sig.vars)
+    sentences = [EvtSentence(e, parse_formula_text(text, ctx)) for e, text in (
+        (INIT, "v1′ ≥ 0"),
+        ("e0", "v0 ≠ 1 ∧ ¬(v1′ = v1′) ∧ v0′ = v0"),
+        ("e1", "v0 ≠ 1 ∧ v1′ = 0 ∧ v0′ = v0 + 1"),
+        ("e2", "v0 ≠ 1 ∧ v1′ ≥ 0 ∧ v1′ = v1 - 1"),
+    )]
+    return sig, make_algebra(FopeqSignature(), 2, {}, {}), sentences, 2
+
+
 @given(_join_problems())
+@example(_shared_pool_problem())
 @settings(max_examples=200, deadline=None)
 def test_joined_pairs_match_product_loop(problem):
     sig, alg, sentences, bound = problem
@@ -477,9 +546,14 @@ def test_joined_pairs_match_product_loop(problem):
 
     l_max, r_max, need = _product_maximal_model(sig, sentences, alg, Bounds(int_bound=bound))
     assert maximal_model(sig, sentences, alg, Bounds(int_bound=bound)) == (l_max, r_max)
-    # refusals at the ceilings around the smallest admitting one
-    for k in {1, need // 2, need - 1, need} - {0}:
-        assert outcome(maximal_model, k) == outcome(_product_maximal_model, k)
+    # refusals at the ceilings around the smallest admitting one, and at each
+    # event's own |B|·|A|, |B|·|A| − 1 and |B|
+    ceilings = {1, need // 2, need - 1, need}
+    for b, a in _event_pool_sizes(sig, sentences, alg):
+        ceilings |= {b * a, b * a - 1, b}
+    for k in ceilings:
+        if k > 0:
+            assert outcome(maximal_model, k) == outcome(_product_maximal_model, k)
 
 
 def test_action_keys_in_both_orientations():
