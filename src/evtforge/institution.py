@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
 from .fopeq import (
-    And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
+    UNDEF, And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
     algebra_reduct, compile_formula, conjoin, fopeq_compose,
     fopeq_morphism, fopeq_pushout, free_vars, pushout_names, substitute, value_key,
 )
@@ -420,70 +420,118 @@ def _flatten_conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
-def _action_key(
-    c: Formula, position: Mapping[str, int],
-) -> Optional[tuple[int, fopeq.Term]]:
-    """(position of x, t) when c is x′ = t or t = x′ for a state variable x
-    and a term t over unprimed state variables: c fixes x′ from the
-    before-state.  position maps the state variables to their places."""
+def _definition(
+    c: Formula,
+    targets: frozenset[tuple[str, bool]],
+    sources: frozenset[tuple[str, bool]],
+) -> Optional[tuple[tuple[str, bool], fopeq.Term]]:
+    """(x, t) when c is x = t or t = x, tried in that order, for a variable
+    x in targets and a term t over variables in sources that does not
+    mention x: c fixes x once t's variables are bound."""
     if isinstance(c, fopeq.Equal):
         for lhs, t in ((c.left, c.right), (c.right, c.left)):
-            if (isinstance(lhs, fopeq.Var) and lhs.primed and lhs.name in position
-                    and all(not p and n in position for n, p in fopeq.term_vars(t))):
-                return position[lhs.name], t
+            if isinstance(lhs, fopeq.Var) and lhs.key in targets:
+                tv = fopeq.term_vars(t)
+                if lhs.key not in tv and tv <= sources:
+                    return lhs.key, t
     return None
 
 
 Compiled = tuple[frozenset[tuple[str, bool]], Callable[[Mapping], bool]]
+Conjunct = tuple[Formula, frozenset[tuple[str, bool]], Callable[[Mapping], bool]]
 
 
 def _filter_pool(
     sig: EvtSignature,
     algebra: FiniteAlgebra,
-    conjuncts: Sequence[Compiled],
+    conjuncts: Sequence[Conjunct],
     primed: bool,
+    compile_term: Optional[Callable[[fopeq.Term], Callable[[Mapping], Value]]] = None,
 ) -> Iterator[State]:
-    """States satisfying compiled conjuncts, given with their free variables,
-    whose variables are all on one side; generated lazily so that callers
-    can stop at a ceiling.
+    """States satisfying conjuncts, given with their free variables and
+    compiled functions, whose variables are all on one side; generated
+    lazily so that callers can stop at a ceiling.
 
     Unary conjuncts prune candidate values.  A backtracking search then binds
-    the variables fail-first (fewest candidates, then most conjuncts) in one
-    valuation, and checks each other conjunct as soon as all its variables
+    the variables in one valuation.  The first conjunct that defines a
+    variable (_definition, with the pool's variables as targets and sources)
+    binds it as soon as its term's variables are bound: the term is
+    evaluated once, and its value must be a candidate.  Otherwise the
+    variables without a definition go fail-first (fewest candidates, then
+    most conjuncts, then name); a cycle of definitions is broken fail-first
+    among all.  Every other conjunct is checked as soon as all its variables
     are bound.  A conjunct naming a variable outside the pool is checked
-    last, where evaluating it raises SortError.
+    last, where evaluating it raises SortError.  compile_term compiles the
+    definition terms.
     """
+    if compile_term is None:
+        def compile_term(t):
+            return fopeq.compile_term(t, algebra)
     names = sig.var_names
     candidates = {(n, primed): list(algebra.carrier(s)) for n, s in sig.vars}
+    own = frozenset(candidates)
     rest = []
-    for fv, fn in conjuncts:
+    defs: dict[tuple[str, bool], tuple[fopeq.Term, frozenset, int]] = {}
+    for c, fv, fn in conjuncts:
         key = next(iter(fv)) if len(fv) == 1 else None
         if key in candidates:
             candidates[key] = [v for v in candidates[key] if fn({key: v})]
-        else:
-            rest.append((fv, fn))
+            continue
+        d = _definition(c, own, own)
+        if d is not None and d[0] not in defs:
+            defs[d[0]] = d[1], fv - {d[0]}, len(rest)
+        rest.append((fv, fn))
     mentions = Counter(k for fv, _ in rest for k in fv)
-    order = sorted(candidates, key=lambda k: (len(candidates[k]), -mentions[k]))
-    depth = {k: d for d, k in enumerate(order, 1)}
+
+    def rank(k):
+        return len(candidates[k]), -mentions[k], k
+
+    # a defined variable goes as soon as its term's variables are bound
+    depth: dict[tuple[str, bool], int] = {}
+    defined = set()
+    while len(depth) < len(candidates):
+        left = [k for k in candidates if k not in depth]
+        ready = [k for k in left if k in defs and defs[k][1].issubset(depth)]
+        k = min(ready or [k for k in left if k not in defs] or left, key=rank)
+        if ready:
+            defined.add(k)
+        depth[k] = len(depth) + 1
+    order = list(depth)
     checks: list[list[Callable]] = [[] for _ in range(len(order) + 1)]
-    for fv, fn in rest:
-        at = max(map(depth.get, fv), default=0) if fv.issubset(depth) else len(order)
-        checks[at].append(fn)
-    layers = [(k, candidates[k], checks[d]) for d, k in enumerate(order, 1)]
+    # a definition that binds its variable is not checked again
+    skip = {defs[k][2] for k in defined}
+    for i, (fv, fn) in enumerate(rest):
+        if i not in skip:
+            at = max(map(depth.get, fv), default=0) if fv.issubset(depth) else len(order)
+            checks[at].append(fn)
+    layers = [(k, {v: v for v in candidates[k]}, compile_term(defs[k][0]), checks[d])
+              if k in defined else (k, candidates[k], None, checks[d])
+              for d, k in enumerate(order, 1)]
     val: dict[tuple[str, bool], Value] = {}
 
     def extend(d: int) -> Iterator[State]:
         if d == len(layers):
             yield tuple([(n, val[n, primed]) for n in names])
             return
-        key, values, tests = layers[d]
+        key, values, term, tests = layers[d]
+        if term is not None:
+            # x = t holds for the one candidate equal to t, and for none when
+            # t is undefined
+            values = (values.get(term(val), UNDEF),)
+            if values[0] is UNDEF:
+                return
         for v in values:
             val[key] = v
-            if all(fn(val) for fn in tests):
+            for fn in tests:
+                if not fn(val):
+                    break
+            else:
                 yield from extend(d + 1)
 
-    if all(fn(val) for fn in checks[0]):
-        yield from extend(0)
+    for fn in checks[0]:
+        if not fn(val):
+            return
+    yield from extend(0)
 
 
 class _Pool:
@@ -558,24 +606,26 @@ def maximal_model(
     # name the set
     pools: dict[tuple[bool, frozenset], _Pool] = {}
 
-    def pool(conjs: Sequence[Compiled], primed: bool) -> _Pool:
-        key = primed, frozenset([fn for _, fn in conjs])
+    def pool(conjs: Sequence[Conjunct], primed: bool) -> _Pool:
+        key = primed, frozenset([fn for _, _, fn in conjs])
         hit = pools.get(key)
         if hit is None:
-            hit = pools[key] = _Pool(_filter_pool(sig, algebra, conjs, primed))
+            hit = pools[key] = _Pool(_filter_pool(sig, algebra, conjs, primed, compiled_term))
         return hit
 
     # initialising set: only the conjuncts over after-values apply
-    init_conjs = [compiled(c) for body in by_event[INIT] for c in init_conjuncts(body)]
+    init_conjs = [(c, *compiled(c)) for body in by_event[INIT] for c in init_conjuncts(body)]
     ceiling = bounds.pair_ceiling
     l_max: frozenset[State] = frozenset()
-    if all(fn({}) for fv, fn in init_conjs if not fv):
-        init_pool = pool([(fv, fn) for fv, fn in init_conjs if fv], True).grow(ceiling + 1)
+    if all(fn({}) for _, fv, fn in init_conjs if not fv):
+        init_pool = pool([cj for cj in init_conjs if cj[1]], True).grow(ceiling + 1)
         if len(init_pool) > ceiling:
             raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
         l_max = frozenset(init_pool)
 
     position = {n: i for i, n in enumerate(sig.var_names)}
+    before_vars = frozenset((n, False) for n in sig.var_names)
+    after_vars = frozenset((n, True) for n in sig.var_names)
     root = math.isqrt(ceiling) + 1
     r_max: dict[str, frozenset[tuple[State, State]]] = {}
     for e in sig.non_init_events:
@@ -584,8 +634,9 @@ def maximal_model(
             r_max[e] = frozenset()
             continue
         # the pools are joined on the after-values that actions fix: the
-        # first x′ = t per variable is a key, every other mixed conjunct a
-        # check, and a pair's valuation holds only the after-values checks read
+        # first definition x′ = t per variable, with t over before-values, is
+        # a key, every other mixed conjunct a check, and a pair's valuation
+        # holds only the after-values checks read
         before_only, after_only, checks = [], [], []
         keys: dict[int, Callable[[Mapping], Value]] = {}
         read: set[tuple[str, bool]] = set()
@@ -594,16 +645,16 @@ def maximal_model(
                 continue
             sides = {primed for _, primed in fv}
             if sides == {False}:
-                before_only.append((fv, fn))
+                before_only.append((c, fv, fn))
             elif sides == {True}:
-                after_only.append((fv, fn))
+                after_only.append((c, fv, fn))
             else:
-                key = _action_key(c, position)
-                if key is None or key[0] in keys:
+                d = _definition(c, after_vars, before_vars)
+                if d is None or position[d[0][0]] in keys:
                     checks.append(fn)
                     read |= fv
                 else:
-                    keys[key[0]] = compiled_term(key[1])
+                    keys[position[d[0][0]]] = compiled_term(d[1])
         # the pools grow in step, each to √ceiling first; then a pool that
         # ran dry says how far the other must grow to decide |B|·|A| > ceiling
         before, after = pool(before_only, False), pool(after_only, True)

@@ -13,7 +13,7 @@ from evtforge.fopeq import (
     BOOL, INT, And, Bounds, Equal, Exists, Forall, FopeqMorphism,
     BoolLit, FopeqSignature, Implies, IntLit, Not, Op, OpApp, Or, Pred, PredApp,
     TRUE, FALSE, Var, compile_formula, conjoin, enumerate_algebras, fopeq_identity,
-    free_vars, make_algebra,
+    free_vars, make_algebra, substitute,
 )
 from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
@@ -379,11 +379,51 @@ def _pool_problems(draw):
     return sig, alg, conjuncts, primed
 
 
+def _definition_problem(sorts, bound, primed, *texts):
+    """A pool problem over v0, v1, … of the given sorts whose conjuncts are
+    written as text over unprimed variables, then moved to the pool's side."""
+    sig = EvtSignature(_POOL_FSIG, (), tuple((f"v{i}", s) for i, s in enumerate(sorts)))
+    ctx = ElabContext(_POOL_FSIG, vars=sig.vars)
+    side = {(n, False): Var(n, primed) for n in sig.var_names}
+    conjuncts = [substitute(parse_formula_text(t, ctx), side) for t in texts]
+    alg = make_algebra(_POOL_FSIG, bound, {"E": ["c0", "c1", "c2"]}, {},
+                       {"p": {("c0",), ("c2",)}})
+    return sig, alg, conjuncts, primed
+
+
+# definitions x = t: a chain, a cycle, a value past the bound, two definitions
+# of one variable, candidates pruned by a unary conjunct, the reversed
+# orientation, and Bool and E definitions, on both sides
+_DEFINITION_PROBLEMS = [
+    ([INT, INT, INT], 2, ("v0 = v1 + 1", "v1 = v2 - 1")),
+    ([INT, INT], 2, ("v0 = v1", "v1 = v0")),
+    ([INT, INT, INT], 2, ("v0 = v1 + v2", "v1 = v0 - v2", "v2 = v0 - v1")),
+    ([INT, INT], 1, ("v0 = v1 * 3",)),
+    ([INT, INT], 1, ("v0 = v1 + v1",)),
+    ([INT, INT, INT], 2, ("v0 = v1 + 1", "v0 = v2 - 1")),
+    ([INT, INT, INT], 2, ("v0 = v1 * v1", "v2 = v1 + v1", "v0 = v2")),
+    ([INT, INT], 2, ("v0 ≥ 0", "v0 = v1 - 1", "v1 ≤ 1")),
+    ([INT, INT], 2, ("v1 + 1 = v0", "v0 ≠ 2")),
+    ([BOOL, BOOL, BOOL], 1, ("v0 = v1", "v1 = v2", "v2 = TRUE")),
+    ([BOOL, BOOL, INT], 1, ("v0 = v1", "v1 = v0", "v2 > 0")),
+    (["E", "E", BOOL], 1, ("v0 = v1", "p(v1)", "v2 = TRUE")),
+    (["E", "E", "E"], 1, ("v2 = v0", "v0 = v1", "¬p(v0)")),
+]
+
+
+def _with_definition_examples(test):
+    for sorts, bound, texts in _DEFINITION_PROBLEMS:
+        for primed in (False, True):
+            test = example(_definition_problem(sorts, bound, primed, *texts))(test)
+    return test
+
+
 @given(_pool_problems())
+@_with_definition_examples
 @settings(max_examples=300, deadline=None)
 def test_scheduled_pool_matches_product_filter(problem):
     sig, alg, conjuncts, primed = problem
-    compiled = [(free_vars(c), compile_formula(c, alg)) for c in conjuncts]
+    compiled = [(c, free_vars(c), compile_formula(c, alg)) for c in conjuncts]
 
     def scheduled():
         return institution._filter_pool(sig, alg, compiled, primed)
@@ -406,7 +446,7 @@ def test_pool_conjunct_outside_the_signature_raises():
     alg = make_algebra(FopeqSignature(), 1, {}, {})
     x, y, z = Var("x", True), Var("y", True), Var("z", True)
     for stray in (Equal(z, IntLit(0)), Equal(x, Var("x")), Equal(x, OpApp("+", (y, z)))):
-        compiled = [(free_vars(c), compile_formula(c, alg))
+        compiled = [(c, free_vars(c), compile_formula(c, alg))
                     for c in (stray, PredApp("<", (x, y)))]
         with pytest.raises(SortError, match="unbound variable"):
             list(institution._filter_pool(sig, alg, compiled, True))
@@ -422,16 +462,16 @@ def _product_maximal_model(sig, sentences, algebra, bounds):
     ceiling = bounds.pair_ceiling
 
     def compiled(event, flatten):
-        return [(free_vars(c), compile_formula(c, algebra))
+        return [(c, free_vars(c), compile_formula(c, algebra))
                 for s in sentences if s.event == event for c in flatten(s.body)]
 
     def side(conjs, primed):
-        return [(fv, fn) for fv, fn in conjs if fv and {p for _, p in fv} == {primed}]
+        return [(c, fv, fn) for c, fv, fn in conjs if fv and {p for _, p in fv} == {primed}]
 
     init = compiled(INIT, init_conjuncts)
     l_max = frozenset(itertools.islice(
         institution._filter_pool(sig, algebra, side(init, True), True), ceiling + 1)
-        if all(fn({}) for fv, fn in init if not fv) else ())
+        if all(fn({}) for _, fv, fn in init if not fv) else ())
     if len(l_max) > ceiling:
         raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
     need, r_max = max(len(l_max), 1), {}
@@ -439,7 +479,7 @@ def _product_maximal_model(sig, sentences, algebra, bounds):
         conjs = compiled(e, institution._flatten_conjuncts)
         before = list(itertools.islice(
             institution._filter_pool(sig, algebra, side(conjs, False), False), ceiling + 1)
-            if all(fn({}) for fv, fn in conjs if not fv) else ())
+            if all(fn({}) for _, fv, fn in conjs if not fv) else ())
         if not before:
             r_max[e] = frozenset()
             continue
@@ -449,7 +489,7 @@ def _product_maximal_model(sig, sentences, algebra, bounds):
         if len(before) * len(after) > ceiling:
             raise EnumerationLimit(f"event {e}: state pairs exceed the ceiling {ceiling}")
         need = max(need, len(before) * len(after))
-        mixed = [fn for fv, fn in conjs if len({p for _, p in fv}) == 2]
+        mixed = [fn for _, fv, fn in conjs if len({p for _, p in fv}) == 2]
         r_max[e] = frozenset((s, t) for s in before for t in after
                              if all(fn(institution.pair_valuation(s, t)) for fn in mixed))
     return l_max, r_max, need
@@ -504,12 +544,12 @@ def _event_pool_sizes(sig, sentences, algebra):
     before- and after-pools."""
     sizes = []
     for e in sig.non_init_events:
-        conjs = [(free_vars(c), compile_formula(c, algebra)) for s in sentences
+        conjs = [(c, free_vars(c), compile_formula(c, algebra)) for s in sentences
                  if s.event == e for c in institution._flatten_conjuncts(s.body)]
-        if all(fn({}) for fv, fn in conjs if not fv):
+        if all(fn({}) for _, fv, fn in conjs if not fv):
             sizes.append(tuple(
                 sum(1 for _ in institution._filter_pool(sig, algebra, [
-                    (fv, fn) for fv, fn in conjs if fv and {p for _, p in fv} == {primed}],
+                    (c, fv, fn) for c, fv, fn in conjs if fv and {p for _, p in fv} == {primed}],
                     primed))
                 for primed in (False, True)))
     return sizes
@@ -532,8 +572,26 @@ def _shared_pool_problem():
     return sig, make_algebra(FopeqSignature(), 2, {}, {}), sentences, 2
 
 
+def _gluing_problem():
+    """The bridge's gluing invariant n = a + b + c on both sides, with
+    actions x′ = t in both orientations, some of them on n′; each pool binds
+    n (v3) from its definition."""
+    sig = EvtSignature(events=tuple((f"e{i}", Status.ordinary) for i in range(3)),
+                       vars=tuple((n, INT) for n in ("v0", "v1", "v2", "v3")))
+    ctx = ElabContext(FopeqSignature(), vars=sig.vars)
+    glue = "v3 = v0 + v1 + v2 ∧ v3′ = v0′ + v1′ + v2′"
+    sentences = [EvtSentence(e, parse_formula_text(text, ctx)) for e, text in (
+        (INIT, "v3′ = v0′ + v1′ + v2′ ∧ v0′ = 0 ∧ v1′ = 0 ∧ v2′ = 0"),
+        ("e0", f"{glue} ∧ v2 = 0 ∧ v0′ = v0 + 1 ∧ v1′ = v1 ∧ v2′ = v2 ∧ v3 + 1 = v3′"),
+        ("e1", f"{glue} ∧ 0 < v0 ∧ v0 - 1 = v0′ ∧ v1′ = v1 + 1 ∧ v0 + v1 + v2 = v3′"),
+        ("e2", f"{glue} ∧ v0 = 0 ∧ v1′ = v1 - 1 ∧ v2′ = v2 + 1 ∧ v3′ = v3"),
+    )]
+    return sig, make_algebra(FopeqSignature(), 2, {}, {}), sentences, 2
+
+
 @given(_join_problems())
 @example(_shared_pool_problem())
+@example(_gluing_problem())
 @settings(max_examples=200, deadline=None)
 def test_joined_pairs_match_product_loop(problem):
     sig, alg, sentences, bound = problem
@@ -557,13 +615,54 @@ def test_joined_pairs_match_product_loop(problem):
 
 
 def test_action_keys_in_both_orientations():
-    position = {"x": 0, "y": 1}
+    after = frozenset({("x", True), ("y", True)})
+    before = frozenset({("x", False), ("y", False)})
     x, xp, yp = Var("x"), Var("x", True), Var("y", True)
     t = OpApp("+", (x, Var("y")))
-    assert institution._action_key(Equal(xp, t), position) == (0, t)
-    assert institution._action_key(Equal(t, xp), position) == (0, t)
-    assert institution._action_key(Equal(yp, xp), position) is None
-    assert institution._action_key(Equal(xp, OpApp("+", (x, yp))), position) is None
+    assert institution._definition(Equal(xp, t), after, before) == (("x", True), t)
+    assert institution._definition(Equal(t, xp), after, before) == (("x", True), t)
+    assert institution._definition(Equal(yp, xp), after, before) is None
+    assert institution._definition(Equal(xp, OpApp("+", (x, yp))), after, before) is None
+
+
+def test_definitions_within_one_pool():
+    own = frozenset({("x", False), ("y", False)})
+    x, y, z = Var("x"), Var("y"), Var("z")
+    assert institution._definition(Equal(x, y), own, own) == (("x", False), y)
+    assert institution._definition(Equal(OpApp("+", (y, y)), x), own, own) == (
+        ("x", False), OpApp("+", (y, y)))
+    # x = x + y mentions x; x = y + z reads z outside the pool; x = y + 1
+    # defines nothing over before-values
+    assert institution._definition(Equal(x, OpApp("+", (x, y))), own, own) is None
+    assert institution._definition(Equal(x, OpApp("+", (y, z))), own, own) is None
+    assert institution._definition(Equal(Var("x", True), y), own, own) is None
+
+
+def test_definition_binds_instead_of_searching():
+    # x ranges over 101 values at bound 50, but x = y + z fixes it from the
+    # 2 × 2 values of y and z: the equation is evaluated at most once per
+    # (y, z), in either orientation
+    sig = EvtSignature(vars=(("x", INT), ("y", INT), ("z", INT)))
+    alg = make_algebra(FopeqSignature(), 50, {}, {})
+    x, y, z = Var("x"), Var("y"), Var("z")
+    unary = [PredApp("<=", (IntLit(0), y)), PredApp("<=", (y, IntLit(1))),
+             PredApp("<=", (IntLit(0), z)), PredApp("<=", (z, IntLit(1)))]
+    total = OpApp("+", (y, z))
+    for eq in (Equal(x, total), Equal(total, x)):
+        calls = 0
+        fn = compile_formula(eq, alg)
+
+        def counted(val):
+            nonlocal calls
+            calls += 1
+            return fn(val)
+
+        conjuncts = [(c, free_vars(c), compile_formula(c, alg)) for c in unary]
+        conjuncts.append((eq, free_vars(eq), counted))
+        got = list(institution._filter_pool(sig, alg, conjuncts, False))
+        assert set(got) == set(_product_filter_pool(sig, alg, [*unary, eq], False))
+        assert len(got) == 4
+        assert calls <= 4
 
 
 def test_key_like_equation_outside_the_signature_stays_a_check():
