@@ -535,9 +535,9 @@ def _filter_pool(
 
 
 class _Pool:
-    """The states a _filter_pool search has yielded so far.  Every reader
-    of one side and conjunct set in a maximal_model call shares the prefix,
-    and grows it only as far as its own question needs."""
+    """The states a search has yielded so far.  Every reader of one
+    side-free conjunct set in a maximal_model call shares the prefix, and
+    grows it only as far as its own question needs."""
 
     __slots__ = ("states", "dry", "_search")
 
@@ -556,6 +556,85 @@ class _Pool:
         return self.states
 
 
+Reader = tuple[Sequence[Conjunct], bool]
+
+
+def _shared_pools(
+    sig: EvtSignature,
+    algebra: FiniteAlgebra,
+    readers: Sequence[Reader],
+    memo: Mapping[Formula, Compiled],
+    compile_term: Callable[[fopeq.Term], Callable[[Mapping], Value]],
+    root: int,
+) -> Callable[[Sequence[Conjunct], bool], _Pool]:
+    """The pool source of one maximal_model call: each reader, a list of
+    conjuncts all on one side, gets the pool of the states satisfying them.
+
+    States are side-free tuples, so pools are keyed by side-free conjunct
+    sets: an after-side conjunct stands for its unprimed form when memo has
+    compiled that form.  The core, the conjuncts that every one of the
+    (at least one) readers holds, is searched first, up to root states, on
+    the side of a before-side reader if there is one.  If it runs dry, every
+    other pool is the core's states filtered by its reader's extra
+    conjuncts: a unary one becomes the values allowed at a state position,
+    and the others are checked on one valuation per core state and side.
+    Otherwise every other pool is searched on its own, and the core adds at
+    most root states to the work.
+    """
+    unprime = {(n, True): fopeq.Var(n) for n in sig.var_names}
+    side_free: dict[Callable, Callable] = {}
+
+    def ident(c: Formula, fn: Callable, primed: bool) -> Callable:
+        k = side_free.get(fn)
+        if k is None:
+            hit = memo.get(substitute(c, unprime)) if primed else None
+            k = side_free[fn] = fn if hit is None else hit[1]
+        return k
+
+    def key(conjs: Sequence[Conjunct], primed: bool) -> frozenset:
+        return frozenset([ident(c, fn, primed) for c, _, fn in conjs])
+
+    pools: dict[frozenset, _Pool] = {}
+    shared = frozenset.intersection(*(key(*r) for r in readers))
+    conjs, primed = min(readers, key=lambda r: r[1])
+    core = pools[shared] = _Pool(_filter_pool(
+        sig, algebra, [cj for cj in conjs if ident(cj[0], cj[2], primed) in shared],
+        primed, compile_term))
+    core.grow(root)
+    position = {n: i for i, n in enumerate(sig.var_names)}
+    valuations: dict[bool, list[dict]] = {}
+
+    def sieve(extras: Sequence[Conjunct], primed: bool) -> Iterator[State]:
+        allowed, tests = [], []
+        for _, fv, fn in extras:
+            if len(fv) == 1:
+                (k,) = fv
+                allowed.append((position[k[0]], {
+                    v for v in algebra.carrier(sig.var_map[k[0]]) if fn({k: v})}))
+            else:
+                tests.append(fn)
+        if tests and primed not in valuations:
+            valuations[primed] = [state_valuation(s, primed) for s in core.states]
+        vals = valuations.get(primed)
+        for j, s in enumerate(core.states):
+            if all(s[i][1] in ok for i, ok in allowed) and all(fn(vals[j]) for fn in tests):
+                yield s
+
+    def pool(conjs: Sequence[Conjunct], primed: bool) -> _Pool:
+        k = key(conjs, primed)
+        hit = pools.get(k)
+        if hit is None:
+            if core.dry:
+                search = sieve([cj for cj in conjs
+                                if ident(cj[0], cj[2], primed) not in shared], primed)
+            else:
+                search = _filter_pool(sig, algebra, conjs, primed, compile_term)
+            hit = pools[k] = _Pool(search)
+        return hit
+
+    return pool
+
+
 def maximal_model(
     sig: EvtSignature,
     sentences: Sequence[EvtSentence],
@@ -569,9 +648,10 @@ def maximal_model(
     satisfying models is exactly the non-empty-L downward closure of this
     maximum.  Each distinct conjunct is compiled once per call, and one
     naming a variable outside the signature raises SortError before any
-    state is enumerated.  Each state pool is searched once per call, and an
-    event's two pools grow in step: refusing a pair ceiling c takes
-    2(⌊√c⌋ + 1) states when both pools are larger than √c, not a whole pool.
+    state is enumerated.  The state pools come from _shared_pools, which
+    searches the conjuncts they all hold once per call, and an event's two
+    pools grow in step: refusing a pair ceiling c takes 2(⌊√c⌋ + 1) states
+    when both pools are larger than √c, not a whole pool.
     """
     by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
     for s in sentences:
@@ -601,42 +681,27 @@ def maximal_model(
     # every conjunct is compiled, and its variables checked, before any pool
     conjuncts = {e: [(c, *compiled(c)) for body in bodies for c in _flatten_conjuncts(body)]
                  for e, bodies in by_event.items()}
-    # one pool per side and conjunct set, shared by every reader in this
-    # call; equal conjuncts share one compiled function, so the functions
-    # name the set
-    pools: dict[tuple[bool, frozenset], _Pool] = {}
-
-    def pool(conjs: Sequence[Conjunct], primed: bool) -> _Pool:
-        key = primed, frozenset([fn for _, _, fn in conjs])
-        hit = pools.get(key)
-        if hit is None:
-            hit = pools[key] = _Pool(_filter_pool(sig, algebra, conjs, primed, compiled_term))
-        return hit
-
     # initialising set: only the conjuncts over after-values apply
     init_conjs = [(c, *compiled(c)) for body in by_event[INIT] for c in init_conjuncts(body)]
-    ceiling = bounds.pair_ceiling
-    l_max: frozenset[State] = frozenset()
-    if all(fn({}) for _, fv, fn in init_conjs if not fv):
-        init_pool = pool([cj for cj in init_conjs if cj[1]], True).grow(ceiling + 1)
-        if len(init_pool) > ceiling:
-            raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
-        l_max = frozenset(init_pool)
 
+    # the pool readers are Init's after-side conjuncts and each event's
+    # before-only and after-only ones; a sentence whose closed conjuncts fail
+    # reads no pool
+    init_reader = [cj for cj in init_conjs if cj[1]]
+    init_reads = all(fn({}) for _, fv, fn in init_conjs if not fv)
+    readers: list[Reader] = [(init_reader, True)] if init_reads else []
+    # each event's pools are joined on the after-values that actions fix:
+    # the first definition x′ = t per variable, with t over before-values, is
+    # a key, every other mixed conjunct a check, and a pair's valuation holds
+    # only the after-values checks read
     position = {n: i for i, n in enumerate(sig.var_names)}
     before_vars = frozenset((n, False) for n in sig.var_names)
     after_vars = frozenset((n, True) for n in sig.var_names)
-    root = math.isqrt(ceiling) + 1
-    r_max: dict[str, frozenset[tuple[State, State]]] = {}
+    plans = {}
     for e in sig.non_init_events:
         conjs = conjuncts[e]
         if not all(fn({}) for _, fv, fn in conjs if not fv):
-            r_max[e] = frozenset()
             continue
-        # the pools are joined on the after-values that actions fix: the
-        # first definition x′ = t per variable, with t over before-values, is
-        # a key, every other mixed conjunct a check, and a pair's valuation
-        # holds only the after-values checks read
         before_only, after_only, checks = [], [], []
         keys: dict[int, Callable[[Mapping], Value]] = {}
         read: set[tuple[str, bool]] = set()
@@ -655,11 +720,27 @@ def maximal_model(
                     read |= fv
                 else:
                     keys[position[d[0][0]]] = compiled_term(d[1])
+        plans[e] = before_only, after_only, keys, checks, read
+        readers += [(before_only, False), (after_only, True)]
+
+    ceiling = bounds.pair_ceiling
+    root = math.isqrt(ceiling) + 1
+    l_max: frozenset[State] = frozenset()
+    r_max = {e: frozenset() for e in sig.non_init_events}
+    if not readers:
+        return l_max, r_max
+    pool = _shared_pools(sig, algebra, readers, memo, compiled_term, root)
+    if init_reads:
+        init_pool = pool(init_reader, True).grow(ceiling + 1)
+        if len(init_pool) > ceiling:
+            raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
+        l_max = frozenset(init_pool)
+
+    for e, (before_only, after_only, keys, checks, read) in plans.items():
         # the pools grow in step, each to √ceiling first; then a pool that
         # ran dry says how far the other must grow to decide |B|·|A| > ceiling
         before, after = pool(before_only, False), pool(after_only, True)
         if not before.grow(1) or not after.grow(root):
-            r_max[e] = frozenset()
             continue
         before.grow(root)
         if after.dry:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq as F
@@ -78,34 +78,53 @@ class EventClauses:
 # `where` prefixes every error message
 
 
+def elab_at(where: str, elab: Callable, node, ctx: ElabContext):
+    """elab(node, ctx), where elab is elab_formula or elab_term, with where
+    prefixed to the message of a SortError it raises."""
+    try:
+        return elab(node, ctx)
+    except SortError as e:
+        raise SortError(f"{where}: {e}") from e
+
+
+def _labelled(where: str, label: Optional[str]) -> str:
+    """The location of a clause: where, then its label if it has one."""
+    return f"{where}.{label}" if label else where
+
+
 def elaborate_event(where: str, sig: EvtSignature, name: str, status: Status,
                     params: Sequence[tuple[str, str, Optional[TypeExpr]]],
-                    guards: Sequence, witnesses: Sequence,
-                    actions: Sequence[tuple[str, str, object]]) -> EventClauses:
+                    guards: Sequence[tuple[Optional[str], object]],
+                    witnesses: Sequence[tuple[Optional[str], object]],
+                    actions: Sequence[tuple[Optional[str], str, str, object]],
+                    ) -> EventClauses:
     """An event's clauses over sig: params are (name, sort, declared type or
-    None), actions (variable, ":=" or ":|", right-hand side).  A declared
-    type adds its membership constraint to the guards."""
+    None), guards and witnesses (label or None, predicate), actions (label
+    or None, variable, ":=" or ":|", right-hand side).  A declared type adds
+    its membership constraint to the guards."""
     sorts = tuple((n, s) for n, s, _ in params)
     g_ctx = ElabContext(sig.fopeq, vars=sig.vars + sorts, allow_primes=False)
     p_ctx = ElabContext(sig.fopeq, vars=sig.vars + sorts, allow_primes=True)
-    elab_guards = [elab_formula(g, g_ctx) for g in guards]
+    elab_guards = [elab_at(_labelled(where, lb), elab_formula, g, g_ctx) for lb, g in guards]
     for n, _, te in params:
         g = None if te is None else type_constraint(te, Var(n))
         if g is not None:
             elab_guards.append(g)
-    elab_witnesses = tuple(elab_formula(w, p_ctx) for w in witnesses)
+    elab_witnesses = tuple(elab_at(_labelled(where, lb), elab_formula, w, p_ctx)
+                           for lb, w in witnesses)
     clauses = []
     var_sorts = sig.var_map
-    for var, kind, rhs in actions:
+    for label, var, kind, rhs in actions:
         if var not in var_sorts:
             raise SpecError(f"{where}: assignment to unknown variable {var}")
+        at = _labelled(where, label)
         if kind == ":=":
-            t, s = elab_term(rhs, g_ctx)
+            t, s = elab_at(at, elab_term, rhs, g_ctx)
             if s != var_sorts[var]:
                 raise SortError(f"{where}: {var} := expression of sort {s}")
             clauses.append(ActionClause(var, ":=", term=t))
         else:
-            clauses.append(ActionClause(var, ":|", pred=elab_formula(rhs, p_ctx)))
+            clauses.append(ActionClause(var, ":|", pred=elab_at(at, elab_formula, rhs, p_ctx)))
     ev = EventClauses(name, status, sorts, tuple(elab_guards), elab_witnesses,
                       tuple(clauses))
     # Init binds only after-values: a clause reading a before-value is never
@@ -116,7 +135,8 @@ def elaborate_event(where: str, sig: EvtSignature, name: str, status: Status,
 
 
 def elaborate_variant(where: str, sig: EvtSignature, node) -> Term:
-    t, s = elab_term(node, ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False))
+    t, s = elab_at(where, elab_term, node,
+                   ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False))
     if s != F.INT:
         raise SpecError(f"{where}: variant must be numeric")
     return t

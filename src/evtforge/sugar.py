@@ -28,7 +28,7 @@ from .mathlang import (
 )
 from .specs import (
     Embed, Enrich, EventClauses, Flat, Hide, Named, Presentation, Spec,
-    SpecLibrary, Sum, Translate, elaborate_event,
+    SpecLibrary, Sum, Translate, elab_at, elaborate_event,
     elaborate_variant, extend_fopeq_signature, extend_signature, is_fopeq_spec,
     sig_of, sum_all,
 )
@@ -511,14 +511,15 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
 
     where = f"spec {name}"
     inv_ctx = ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False)
-    invariants = tuple(elab_formula(f, inv_ctx) for f in raw.formulas)
+    invariants = tuple(elab_at(where, elab_formula, f, inv_ctx) for f in raw.formulas)
     variant = None
     if raw.variant is not None:
         variant = elaborate_variant(where, sig, raw.variant)
     events = tuple(
         elaborate_event(where, sig, ev.name, ev.status,
                         [(n, type_sort(te, sig.fopeq), te) for n, te in ev.params],
-                        ev.guards, ev.witnesses, ev.actions)
+                        [(None, g) for g in ev.guards], [(None, w) for w in ev.witnesses],
+                        [(None, *a) for a in ev.actions])
         for ev in raw.events)
 
     flat = Flat(sorts=tuple(raw.sorts), variables=tuple(raw.decls),
@@ -541,7 +542,8 @@ def _materialise_fopeq(name: str, imports: list[Spec], raw: Optional[_RawBlock],
         return sum_all(imports)
     pre = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls))
     fsig = extend_fopeq_signature(base, pre)
-    axioms = tuple(elab_formula(f, ElabContext(fsig)) for f in raw.formulas)
+    axioms = tuple(elab_at(f"spec {name}", elab_formula, f, ElabContext(fsig))
+                   for f in raw.formulas)
     flat = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls), axioms=axioms)
     if imports:
         spec = Enrich(sum_all(imports), flat)

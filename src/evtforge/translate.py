@@ -27,7 +27,7 @@ from .eventb import (
 from .mathlang import ElabContext, elab_formula, type_sort
 from .specs import (
     Embed, Enrich, EventClauses, Flat, Hide, Named, Presentation, Spec,
-    SpecLibrary, Translate, elaborate_event,
+    SpecLibrary, Translate, elab_at, elaborate_event,
     elaborate_variant, sig_of, sum_all,
 )
 
@@ -60,9 +60,10 @@ def translate(spec: EbSpecification,
 
 def _translate_context(c: ContextDef, out: TranslationOutput) -> None:
     fsig = out.env.fopeq(c.name)
-    kept = [ax.pred for ax in c.axioms
+    kept = [ax for ax in c.axioms
             if typing_of_axiom(ax, c.constants, fsig.all_sorts())[1]]
-    axioms = tuple(elab_formula(f, ElabContext(fsig)) for f in kept)
+    axioms = tuple(elab_at(f"{c.name}.{ax.label}", elab_formula, ax.pred, ElabContext(fsig))
+                   for ax in kept)
     if c.theorems:
         out.diagnostics.append(
             f"context {c.name}: {len(c.theorems)} theorem(s) parsed and ignored")
@@ -120,7 +121,8 @@ def _machine_body_flat(m: MachineDef, sig: EvtSignature,
 
     base = ElabContext(sig.fopeq, vars=sig.vars, allow_primes=False)
     known_sorts = sig.fopeq.all_sorts()
-    invariants = tuple(elab_formula(inv.pred, base) for inv in m.invariants
+    invariants = tuple(elab_at(f"{m.name}.{inv.label}", elab_formula, inv.pred, base)
+                       for inv in m.invariants
                        if not typing_of(inv.pred, m.variables, known_sorts))
     variant = None
     if m.variant is not None:
@@ -150,8 +152,8 @@ def _event_clauses(m: MachineDef, e: EventDef, sig: EvtSignature) -> EventClause
     name = INIT if e.is_init else e.name
     return elaborate_event(
         where, sig, name, sig.status(name), params,
-        [g.pred for g in e.guards], [w.pred for w in e.witnesses],
-        [(a.var, a.kind, a.rhs) for a in e.actions])
+        [(g.label, g.pred) for g in e.guards], [(w.label, w.pred) for w in e.witnesses],
+        [(a.label, a.var, a.kind, a.rhs) for a in e.actions])
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,30 @@ def test_unreadable_input_is_a_located_error(runner, tmp_path, command, name,
     assert res.stderr == f"error: {path}: {reason}\n"
 
 
+# an unknown identifier y in one clause of each kind; the message names the
+# component and the clause label
+_UNLOCATED = "context k constants c axioms t: c ∈ ℤ {axm}end\n" \
+    "machine m sees k variables x invariants inv1: x ∈ ℤ {inv}\n" \
+    "events event Initialisation thenAct act1: x := 0 end\n" \
+    "event e any p when grd0: p ∈ ℤ {grd}with wit1: {wit} thenAct act1: x := {act} end end\n"
+_CLEAN = {"axm": "", "inv": "", "grd": "", "wit": "p = x", "act": "x + p"}
+
+
+@pytest.mark.parametrize("broken,where", [
+    ({"inv": "inv2: x < y "}, "m.inv2"),
+    ({"grd": "grd1: x < y "}, "m.e.grd1"),
+    ({"act": "x + y"}, "m.e.act1"),
+    ({"axm": "axm1: c < y "}, "k.axm1"),
+    ({"wit": "p = y"}, "m.e.wit1"),
+], ids=["invariant", "guard", "action", "axiom", "witness"])
+def test_elaboration_error_names_its_clause(runner, tmp_path, broken, where):
+    src = tmp_path / "bad.eb"
+    src.write_text(_UNLOCATED.format(**{**_CLEAN, **broken}), encoding="utf-8")
+    res = runner.invoke(main, ["translate", str(src)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {where}: unknown identifier y\n"
+
+
 def _oracle_models_payload(name, bound, slices, list_pairs):
     """The ``models --json`` payload as the command built it for
     ``json.dumps``: every state copied into a dict."""

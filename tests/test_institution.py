@@ -23,6 +23,7 @@ from evtforge.institution import (
     status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
+from evtforge.specs import Evaluator, sig_of
 from tests.reference_eval import enumerate_states, eval_formula
 
 B1 = Bounds(int_bound=1)
@@ -288,6 +289,62 @@ class TestMaximalModel:
             tracemalloc.stop()
         assert yielded <= 2 * (math.isqrt(ceiling) + 1) + 2
         assert peak < 4 << 20
+
+
+def _counting_searches(monkeypatch):
+    """Patch _filter_pool to count its searches and the states they yield."""
+    counts = {"searches": 0, "yielded": 0}
+    search = institution._filter_pool
+
+    def counted(*args):
+        counts["searches"] += 1
+        for state in search(*args):
+            counts["yielded"] += 1
+            yield state
+
+    monkeypatch.setattr(institution, "_filter_pool", counted)
+    return counts
+
+
+def test_m2_makes_one_pool_search_per_call(bridge, monkeypatch):
+    # every m2 sentence carries the invariants on both sides; at --bound 6
+    # --pin d=4 they hold in fewer than ⌊√c⌋ + 1 states, so the core runs
+    # dry and every other pool is filtered from it
+    bounds = Bounds(int_bound=6, pins=(("d", 4),))
+    ev = Evaluator(bridge.library, bounds)
+    spec = bridge.library.lookup("m2")
+    sig = sig_of(spec, bridge.library)
+    sentences = ev.sentences_of(spec)
+    algebras = enumerate_algebras(sig.fopeq, bounds, axioms=ev.flatten(spec).axioms)
+    counts = _counting_searches(monkeypatch)
+    assert algebras
+    for alg in algebras:
+        before = counts["searches"]
+        l_max, r_max = maximal_model(sig, sentences, alg, bounds)
+        assert counts["searches"] - before == 1
+        assert l_max and any(r_max.values())
+
+
+def test_core_that_does_not_run_dry_adds_at_most_root_ceiling_states(monkeypatch):
+    # at bound 3 the invariant x0 ≠ 1 holds in 6·7³ = 2 058 states, more than
+    # the ⌊√c⌋ + 1 = 142 the core grows to, so every reader searches on its
+    # own: Init takes its 1 state, e its 6·6·7² = 1 764 before-states and
+    # 6 after-states, and |B|·|A| = 10 584 fits under c = 20 000
+    ceiling = 20_000
+    names = [f"x{i}" for i in range(4)]
+    sig = EvtSignature(events=(("e", Status.ordinary),),
+                       vars=tuple((n, INT) for n in names))
+    ctx = ElabContext(FopeqSignature(), vars=sig.vars)
+    sentences = [EvtSentence(e, parse_formula_text(text, ctx)) for e, text in (
+        (INIT, "x0′ ≠ 1 ∧ x0′ = 0 ∧ x1′ = 0 ∧ x2′ = 0 ∧ x3′ = 0"),
+        ("e", "x0 ≠ 1 ∧ x0′ ≠ 1 ∧ x1 ≠ 2 ∧ x1′ = 0 ∧ x2′ = 0 ∧ x3′ = 0 ∧ x0′ = x0"),
+    )]
+    counts = _counting_searches(monkeypatch)
+    l_max, r_max = maximal_model(sig, sentences, make_algebra(FopeqSignature(), 3, {}, {}),
+                                 Bounds(int_bound=3, pair_ceiling=ceiling))
+    assert (len(l_max), len(r_max["e"])) == (1, 1764)
+    assert counts["searches"] == 4
+    assert counts["yielded"] <= 1 + 1764 + 6 + math.isqrt(ceiling) + 1
 
 
 # -- scheduled state pools against the product-filter oracle ----------------
@@ -589,9 +646,88 @@ def _gluing_problem():
     return sig, make_algebra(FopeqSignature(), 2, {}, {}), sentences, 2
 
 
+def _core_problem(nvars, texts, bound=2):
+    """Events e0, e1, … over ℤ variables v0, v1, …, and Init, with their
+    sentences given as text."""
+    sig = EvtSignature(events=tuple((f"e{i}", Status.ordinary) for i in range(len(texts) - 1)),
+                       vars=tuple((f"v{i}", INT) for i in range(nvars)))
+    ctx = ElabContext(FopeqSignature(), vars=sig.vars)
+    sentences = [EvtSentence(e, parse_formula_text(text, ctx))
+                 for e, text in zip((INIT, *sig.non_init_events), texts)]
+    return sig, make_algebra(FopeqSignature(), bound, {}, {}), sentences, bound
+
+
+def _empty_core_problem():
+    """Init and the two sides of e0 and e1 share no conjunct."""
+    return _core_problem(2, ["v0′ = 0", "v0 ≥ 0 ∧ v1′ = 1 ∧ v0′ = v0",
+                             "v1 < v0 ∧ v0′ ≠ v1′ ∧ v1′ = v1 + 1"])
+
+
+def _large_core_problem():
+    """The invariant v0 ≤ v1 on both sides, and on Init, holds in 1 875 of
+    the 3 125 states, more than the ⌊√(2²⁰)⌋ + 1 = 1 025 the core grows to;
+    every reader adds a conjunct and searches on its own.  The actions fix
+    every after-value, so the product-loop oracle stays small."""
+    inv = "v0 ≤ v1 ∧ v0′ ≤ v1′"
+    return _core_problem(5, [
+        "v0′ ≤ v1′ ∧ v0′ = 0 ∧ v1′ = 0 ∧ v2′ = 0 ∧ v3′ = 0 ∧ v4′ = 0",
+        f"{inv} ∧ v2 ≠ 2 ∧ v0′ = 0 ∧ v1′ = 0 ∧ v2′ = 0 ∧ v3′ = 0 ∧ v4′ = 0",
+        f"{inv} ∧ v3 ≠ 0 ∧ v0′ = 1 ∧ v1′ = 1 ∧ v2′ = 1 ∧ v3′ = 1 ∧ v4′ = 1"])
+
+
+def _no_reader_is_the_core_problem():
+    """Every event has a guard and an after-only unary action, and Init an
+    action, on top of the shared invariant: every pool is filtered from the
+    core, none is the core itself."""
+    inv = "v0 + v1 ≤ 2 ∧ v0′ + v1′ ≤ 2"
+    return _core_problem(2, [
+        "v0′ + v1′ ≤ 2 ∧ v0′ = 0",
+        f"{inv} ∧ v0 < 1 ∧ v0′ = 1 ∧ v1′ = v1",
+        f"{inv} ∧ v1 ≠ 0 ∧ v1′ = -1 ∧ v0′ = v0 + 1",
+        f"{inv} ∧ v0 = v1 ∧ v1′ = 2 ∧ v0′ ≥ v0"])
+
+
+def _bound_name_problem():
+    """The invariant ∃v1·(v1 + 1 = v0 ∧ v1 ≥ −1) binds a variable named like
+    the state variable v1, and its primed form matches it through its
+    unprimed form.  e0's after-only ∃v1·(v1 + 1 = v0′ ∧ v1′ ≥ −1) reads the
+    free v1′ under that binder: unprimed without renaming the bound v1 apart,
+    it would be the invariant, and e0's after-pool would keep v1′ = −2."""
+    sig = EvtSignature(events=(("e0", Status.ordinary), ("e1", Status.ordinary)),
+                       vars=(("v0", INT), ("v1", INT)))
+    v0, v1, v0p, v1p = Var("v0"), Var("v1"), Var("v0", True), Var("v1", True)
+
+    def inv(x, y):
+        return Exists((("v1", INT),), And((
+            Equal(OpApp("+", (v1, IntLit(1))), x), PredApp(">=", (y, IntLit(-1))))))
+
+    return sig, make_algebra(FopeqSignature(), 2, {}, {}), [
+        EvtSentence(INIT, And((inv(v0p, v1), Equal(v1p, IntLit(0))))),
+        EvtSentence("e0", And((inv(v0, v1), inv(v0p, v1), inv(v0p, v1p), Equal(v0p, v0)))),
+        EvtSentence("e1", And((inv(v0, v1), inv(v0p, v1),
+                               Equal(v1p, OpApp("+", (v1, IntLit(1))))))),
+    ], 2
+
+
+def _false_closed_conjunct_problem():
+    """e1's closed conjunct 1 = 2 is false, so e1 reads no pool and its
+    relation is empty.  It lacks the invariant the others hold, which, read
+    as a pool, would leave the core empty."""
+    inv = "v0 ≥ 0 ∧ v0′ ≥ 0"
+    return _core_problem(2, ["v0′ ≥ 0 ∧ v1′ = 0",
+                             f"{inv} ∧ v1′ = v0 ∧ v0′ = v0",
+                             "1 = 2 ∧ v0 = v1 ∧ v1′ = 1",
+                             f"{inv} ∧ v1 = 1 ∧ v0′ = v0 - 1"])
+
+
 @given(_join_problems())
 @example(_shared_pool_problem())
 @example(_gluing_problem())
+@example(_empty_core_problem())
+@example(_large_core_problem())
+@example(_no_reader_is_the_core_problem())
+@example(_bound_name_problem())
+@example(_false_closed_conjunct_problem())
 @settings(max_examples=200, deadline=None)
 def test_joined_pairs_match_product_loop(problem):
     sig, alg, sentences, bound = problem

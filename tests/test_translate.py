@@ -200,9 +200,10 @@ def test_shared_elaboration_errors(reader, machine, context, prefix, case):
                                 SortError, where + "n := expression of sort Bool")
     else:
         # neither reader can express a non-closed axiom: a free name is
-        # refused while elaborating
+        # refused while elaborating, behind the axiom's label where it has one
+        where = "c.a: " if reader is _read_eb else "spec c: "
         text, error, message = (context.format(axiom="k < x"),
-                                SortError, "unknown identifier x")
+                                SortError, where + "unknown identifier x")
     with pytest.raises(error) as info:
         reader(text)
     assert str(info.value) == message
