@@ -112,8 +112,14 @@ def _parse_kv(pairs: Sequence[str], value_parser) -> tuple:
     return tuple(out)
 
 
+def _echo(text: str, err: bool = False, nl: bool = True) -> None:
+    """click.echo with the stream passed: without file=, click caches each
+    sys.stdout it meets, so output a test runner captured is never freed."""
+    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"), nl=nl)
+
+
 def _fail(e: Exception) -> None:
-    click.echo(f"error: {e}", err=True)
+    _echo(f"error: {e}", err=True)
     if isinstance(e, ParseError):
         sys.exit(1)
     sys.exit(2)
@@ -173,11 +179,11 @@ def cmd_translate(files, input_format, no_elide, out_path):
         _fail(e)
         return
     for d in ws.output.diagnostics:
-        click.echo(f"note: {d}", err=True)
+        _echo(f"note: {d}", err=True)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 def _format_value(v) -> str:
@@ -339,7 +345,7 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
         return
 
     if as_json:
-        click.echo(dump_json(models_payload(name, bound, rep.slices, list_pairs)))
+        _echo(dump_json(models_payload(name, bound, rep.slices, list_pairs)))
         return
 
     fmt = cache(_format_state)  # each distinct state formatted once
@@ -360,7 +366,7 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
             lines.append(f"  {e}: {len(pairs)} pair(s)")
             if list_pairs:
                 lines.extend(f"    {fmt(s)} -> {fmt(t)}" for s, t in _sorted_pairs(pairs))
-    click.echo("\n".join(lines))
+    _echo("\n".join(lines))
 
 
 @main.command("refine")
@@ -389,28 +395,28 @@ def cmd_refine(files, bound, carriers, pins, ceiling, input_format,
         return
 
     for w in warnings:
-        click.echo(f"warning: {w}", err=True)
+        _echo(f"warning: {w}", err=True)
     if as_json:
-        click.echo(dump_json([v.as_dict() for v in verdicts]))
+        _echo(dump_json([v.as_dict() for v in verdicts]))
     else:
         for v in verdicts:
             if v.holds:
-                click.echo(f"{v.name}: holds "
-                           f"({v.stats['algebras']} algebra(s), "
-                           f"{v.stats['pairs']} pair(s) checked)")
+                _echo(f"{v.name}: holds "
+                      f"({v.stats['algebras']} algebra(s), "
+                      f"{v.stats['pairs']} pair(s) checked)")
             else:
                 c = v.counterexample
                 if c.event is None:
-                    click.echo(f"{v.name}: FAILS — algebra {c.algebra} is not "
-                               "admissible on the abstract side")
+                    _echo(f"{v.name}: FAILS — algebra {c.algebra} is not "
+                          "admissible on the abstract side")
                 elif c.event == INIT:
-                    click.echo(f"{v.name}: FAILS — algebra {c.algebra}, initial "
-                               f"state {_format_state(c.after)} not abstract-initial")
+                    _echo(f"{v.name}: FAILS — algebra {c.algebra}, initial "
+                          f"state {_format_state(c.after)} not abstract-initial")
                 else:
-                    click.echo(f"{v.name}: FAILS — algebra {c.algebra}, event "
-                               f"{c.event}: {_format_state(c.before)} -> "
-                               f"{_format_state(c.after)} is outside the "
-                               "abstract relation")
+                    _echo(f"{v.name}: FAILS — algebra {c.algebra}, event "
+                          f"{c.event}: {_format_state(c.before)} -> "
+                          f"{_format_state(c.after)} is outside the "
+                          "abstract relation")
     sys.exit(0 if all(v.holds for v in verdicts) else 3)
 
 
@@ -433,15 +439,15 @@ def cmd_pushout(file1, file2):
         _fail(e)
         return
 
-    click.echo("pushout signature:")
-    click.echo(print_signature(merged))
+    _echo("pushout signature:")
+    _echo(print_signature(merged))
 
     def show(name, inj):
         bits = [f"{a} ↦ {b}" for a, b in inj.event_map if a != INIT]
         bits += [f"{a} ↦ {b}" for a, b in inj.var_map]
         bits += [f"{a} ↦ {b}" for a, b in inj.fopeq.sort_map]
         bits += [f"{a} ↦ {b}" for a, b in inj.fopeq.op_map]
-        click.echo(f"injection {name}: {{{', '.join(bits)}}}")
+        _echo(f"injection {name}: {{{', '.join(bits)}}}")
 
     show(n1, inj1)
     show(n2, inj2)

@@ -44,6 +44,24 @@ class _Undefined:
 UNDEF = _Undefined()
 
 
+def frozen(cls):
+    """A frozen dataclass that keeps its field hash after the first hash(), so
+    hashing a tree again, as a memo lookup does, visits its root alone."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
 def value_key(v: Value):
     """Total order over mixed carrier values, for canonical listings."""
     if isinstance(v, bool):
@@ -70,7 +88,7 @@ class Pred:
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class FopeqSignature:
     """User-declared sorts, operations and predicates.
 
@@ -101,10 +119,6 @@ class FopeqSignature:
             for s in p.args:
                 if s not in known:
                     raise SortError(f"predicate {p.name} uses undeclared sort {s}")
-        object.__setattr__(self, "_hash", hash((self.sorts, self.ops, self.preds)))
-
-    def __hash__(self):
-        return self._hash
 
     @cached_property
     def op_map(self) -> dict[str, Op]:
@@ -177,7 +191,7 @@ EMPTY_SIGNATURE = FopeqSignature()
 # terms and formulas
 
 
-@dataclass(frozen=True)
+@frozen
 class Var:
     name: str
     primed: bool = False
@@ -187,17 +201,17 @@ class Var:
         return (self.name, self.primed)
 
 
-@dataclass(frozen=True)
+@frozen
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class OpApp:
     op: str
     args: tuple["Term", ...] = ()
@@ -206,12 +220,12 @@ class OpApp:
 Term = Union[Var, IntLit, BoolLit, OpApp]
 
 
-@dataclass(frozen=True)
+@frozen
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class FalseF:
     pass
 
@@ -220,19 +234,19 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
+@frozen
 class Equal:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class PredApp:
     pred: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class InSet:
     """Membership in an explicit finite set of terms."""
 
@@ -240,7 +254,7 @@ class InSet:
     elems: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class CarrierEq:
     """The named sort's carrier is exactly the listed values (enumeration
     exhaustiveness)."""
@@ -249,40 +263,40 @@ class CarrierEq:
     elems: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen
 class And:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Or:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen
 class Forall:
     vars: tuple[tuple[str, str], ...]  # (name, sort)
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen
 class Exists:
     vars: tuple[tuple[str, str], ...]
     body: "Formula"
@@ -441,7 +455,7 @@ def prime_free_vars(x: Union[Term, Formula], names: Iterable[str]) -> Union[Term
 # finite algebras
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteAlgebra:
     """Carriers for every sort plus tables for the user symbols.
 
@@ -452,12 +466,6 @@ class FiniteAlgebra:
     carriers: tuple[tuple[str, tuple[Value, ...]], ...]
     ops: tuple[tuple[str, tuple[tuple[tuple[Value, ...], Value], ...]], ...] = ()
     preds: tuple[tuple[str, tuple[tuple[Value, ...], ...]], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.carriers, self.ops, self.preds)))
-
-    def __hash__(self):
-        return self._hash
 
     @cached_property
     def carrier_map(self) -> dict[str, tuple[Value, ...]]:
@@ -715,7 +723,7 @@ def compile_formula(f: Formula, a: FiniteAlgebra):
 # morphisms
 
 
-@dataclass(frozen=True)
+@frozen
 class FopeqMorphism:
     """Total, profile-preserving renaming of user symbols; builtins are fixed.
 
@@ -758,11 +766,6 @@ class FopeqMorphism:
             want = tuple(self.apply_sort(s) for s in p.args)
             if args != want:
                 raise SortError(f"predicate map does not preserve the profile of {p.name}")
-        object.__setattr__(self, "_hash", hash(
-            (self.source, self.target, self.sort_map, self.op_map, self.pred_map)))
-
-    def __hash__(self):
-        return self._hash
 
     def apply_sort(self, s: str) -> str:
         if s in BUILTIN_SORTS:

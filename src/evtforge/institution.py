@@ -20,8 +20,8 @@ from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
 from .fopeq import (
     UNDEF, And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
-    algebra_reduct, compile_formula, conjoin, fopeq_compose,
-    fopeq_morphism, fopeq_pushout, free_vars, pushout_names, substitute, value_key,
+    algebra_reduct, compile_formula, conjoin, fopeq_compose, fopeq_morphism,
+    fopeq_pushout, free_vars, frozen, pushout_names, substitute, value_key,
 )
 
 INIT = "Init"
@@ -50,7 +50,7 @@ def _is_primed_name(name: str) -> bool:
 # signatures
 
 
-@dataclass(frozen=True)
+@frozen
 class EvtSignature:
     """Five components: first-order part, status-tagged events, sorted vars.
 
@@ -85,10 +85,6 @@ class EvtSignature:
         for name, _ in self.events:
             if _is_primed_name(name):
                 raise SortError(f"event name {name} looks primed")
-        object.__setattr__(self, "_hash", hash((self.fopeq, self.events, self.vars)))
-
-    def __hash__(self):
-        return self._hash
 
     @cached_property
     def event_names(self) -> tuple[str, ...]:
@@ -138,7 +134,7 @@ def signature_union(a: EvtSignature, b: EvtSignature) -> EvtSignature:
 # morphisms
 
 
-@dataclass(frozen=True)
+@frozen
 class EvtMorphism:
     source: EvtSignature
     target: EvtSignature
@@ -181,12 +177,6 @@ class EvtMorphism:
                 raise SortError(f"variable {name} maps to unknown variable {out}")
             if tgt_vars[out] != self.fopeq.apply_sort(sort):
                 raise SortError(f"variable map does not respect the sort of {name}")
-        object.__setattr__(self, "_hash", hash(
-            (self.source, self.target, self.fopeq, self.event_map, self.var_map,
-             self.check_status)))
-
-    def __hash__(self):
-        return self._hash
 
     @cached_property
     def state_positions(self) -> tuple[tuple[str, int], ...]:
@@ -263,7 +253,7 @@ def evt_compose(m2: EvtMorphism, m1: EvtMorphism) -> EvtMorphism:
 # sentences
 
 
-@dataclass(frozen=True)
+@frozen
 class EvtSentence:
     event: str
     body: Formula

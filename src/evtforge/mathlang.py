@@ -8,13 +8,14 @@ quantifiers.  Anything else is a parse error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ParseError, SortError
 from .fopeq import (
     BOOL, INT, And, BoolLit, CarrierEq, Equal, Exists, FalseF, FopeqSignature,
     Forall, Formula, Iff, Implies, InSet, IntLit, Not, OpApp, Or, PredApp,
-    Term, TrueF, TRUE, FALSE, Var, conjoin,
+    Term, TrueF, TRUE, FALSE, Var, conjoin, frozen,
 )
 
 # ---------------------------------------------------------------------------
@@ -427,27 +428,27 @@ def parse_expression(ts: TokenStream, stop_at_newline: bool = False):
 # type expressions
 
 
-@dataclass(frozen=True)
+@frozen
 class NatType:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class IntType:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolType:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class SortType:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SubsetType:
     """A literal-set type: the carrier subset listed by the element terms."""
 
@@ -545,7 +546,7 @@ class ElabContext:
     vars: tuple[tuple[str, str], ...] = ()  # (name, sort), unprimed names
     allow_primes: bool = True
 
-    @property
+    @cached_property
     def var_map(self) -> dict[str, str]:
         return dict(self.vars)
 

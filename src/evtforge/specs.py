@@ -23,7 +23,7 @@ from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq as F
 from .fopeq import (
     Bounds, FiniteAlgebra, FopeqSignature, Formula, OpApp, PredApp, Term, Var,
-    algebra_reduct, conjoin, enumerate_algebras, prime_free_vars, substitute,
+    algebra_reduct, conjoin, enumerate_algebras, frozen, prime_free_vars, substitute,
 )
 from .institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
@@ -41,7 +41,7 @@ from .mathlang import (
 # flat presentations
 
 
-@dataclass(frozen=True)
+@frozen
 class ActionClause:
     var: str
     kind: str  # ":=" | ":|"
@@ -49,7 +49,7 @@ class ActionClause:
     pred: Optional[Formula] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class EventClauses:
     name: str
     status: Status = Status.ordinary
@@ -142,7 +142,7 @@ def elaborate_variant(where: str, sig: EvtSignature, node) -> Term:
     return t
 
 
-@dataclass(frozen=True)
+@frozen
 class Flat:
     """Printable content of a presentation or enrichment."""
 
@@ -192,42 +192,42 @@ def extend_fopeq_signature(base: FopeqSignature, flat: Flat) -> FopeqSignature:
 # spec AST
 
 
-@dataclass(frozen=True)
+@frozen
 class Presentation:
     signature: Union[EvtSignature, FopeqSignature]
     flat: Flat
 
 
-@dataclass(frozen=True)
+@frozen
 class Named:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Translate:
     child: "Spec"
     morphism: EvtMorphism  # source = sig_of(child)
 
 
-@dataclass(frozen=True)
+@frozen
 class Sum:
     left: "Spec"
     right: "Spec"
 
 
-@dataclass(frozen=True)
+@frozen
 class Enrich:
     child: "Spec"
     flat: Flat
 
 
-@dataclass(frozen=True)
+@frozen
 class Hide:
     child: "Spec"
     morphism: EvtMorphism  # target = sig_of(child)
 
 
-@dataclass(frozen=True)
+@frozen
 class Embed:
     child: "Spec"  # first-order flavoured
 
@@ -414,11 +414,9 @@ class Evaluator:
     # -- flattening ---------------------------------------------------------
 
     def flatten(self, spec: Spec) -> Flattened:
-        key = spec
-        if key in self._flats:
-            return self._flats[key]
-        fl = self._flatten(spec)
-        self._flats[key] = fl
+        fl = self._flats.get(spec)
+        if fl is None:
+            fl = self._flats[spec] = self._flatten(spec)
         return fl
 
     def _flatten(self, spec: Spec) -> Flattened:
@@ -510,11 +508,9 @@ class Evaluator:
         return expand_families(self.flatten(spec), sig)
 
     def model_class(self, spec: Spec) -> ModelClassRep:
-        key = spec
-        if key in self._classes:
-            return self._classes[key]
-        rep = self._model_class(spec)
-        self._classes[key] = rep
+        rep = self._classes.get(spec)
+        if rep is None:
+            rep = self._classes[spec] = self._model_class(spec)
         return rep
 
     def _model_class(self, spec: Spec) -> ModelClassRep:

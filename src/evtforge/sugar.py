@@ -235,6 +235,7 @@ def _clause_lines(indent: str, kw: str, items: list[str]) -> list[str]:
 @dataclass
 class _RawEvent:
     name: str
+    written: str  # the name as the source spells it (Initialisation for Init)
     status: Status
     params: list[tuple[str, TypeExpr]]
     guards: list
@@ -414,11 +415,10 @@ def _starts_event(ts: TokenStream) -> bool:
 
 
 def _parse_raw_event(ts: TokenStream) -> _RawEvent:
-    name = ts.expect_ident().text
+    written = ts.expect_ident().text
     status = Status[ts.expect_ident().text]
-    if name == INIT_PRINT_NAME:
-        name = INIT
-    ev = _RawEvent(name, status, [], [], [], [])
+    ev = _RawEvent(INIT if written == INIT_PRINT_NAME else written, written, status,
+                   [], [], [], [])
     while True:
         t = ts.peek()
         if t.kind == "IDENT" and t.text == "any":
@@ -516,7 +516,7 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
     if raw.variant is not None:
         variant = elaborate_variant(where, sig, raw.variant)
     events = tuple(
-        elaborate_event(where, sig, ev.name, ev.status,
+        elaborate_event(f"{where}.{ev.written}", sig, ev.name, ev.status,
                         [(n, type_sort(te, sig.fopeq), te) for n, te in ev.params],
                         [(None, g) for g in ev.guards], [(None, w) for w in ev.witnesses],
                         [(None, *a) for a in ev.actions])

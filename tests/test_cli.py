@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -147,10 +149,12 @@ end""", encoding="utf-8")
     @pytest.mark.parametrize("name,where,text", [
         ("r.eb", "r", "machine r variables n invariants t: n ∈ ℤ\n"
                       "events event Initialisation thenAct a1: n := n + 1 end end\n"),
-        ("r.evt", "spec r", "spec r =\n  ops n : ℤ\n  events\n    Initialisation ordinary\n"
-                            "      thenAct n := n + 1\nend\n"),
-        ("g.evt", "spec r", "spec r =\n  ops n : ℤ\n  events\n    Initialisation ordinary\n"
-                            "      when n > 0\n      thenAct n := 1\nend\n"),
+        ("r.evt", "spec r.Initialisation",
+         "spec r =\n  ops n : ℤ\n  events\n    Initialisation ordinary\n"
+         "      thenAct n := n + 1\nend\n"),
+        ("g.evt", "spec r.Initialisation",
+         "spec r =\n  ops n : ℤ\n  events\n    Initialisation ordinary\n"
+         "      when n > 0\n      thenAct n := 1\nend\n"),
     ], ids=["eventb", "evt-action", "evt-guard"])
     def test_initialisation_reading_state_exits_2(self, runner, tmp_path, name, where, text):
         src = tmp_path / name
@@ -331,6 +335,39 @@ def test_elaboration_error_names_its_clause(runner, tmp_path, broken, where):
     res = runner.invoke(main, ["translate", str(src)])
     assert res.exit_code == 2
     assert res.stderr == f"error: {where}: unknown identifier y\n"
+
+
+# .evt clauses carry no labels, so the message names the spec and the event
+@pytest.mark.parametrize("guard,action", [("x < y", "x + 1"), ("x < 2", "x + y")],
+                         ids=["guard", "action"])
+def test_evt_elaboration_error_names_its_event(runner, tmp_path, guard, action):
+    src = tmp_path / "bad.evt"
+    src.write_text("spec m =\n  ops x : ℤ\n  events\n    Initialisation ordinary\n"
+                   "      thenAct x := 0\n    inc ordinary\n"
+                   f"      when {guard}\n      thenAct x := {action}\nend\n",
+                   encoding="utf-8")
+    res = runner.invoke(main, ["translate", str(src)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: spec m.inc: unknown identifier y\n"
+
+
+def test_runs_free_their_captured_output(runner):
+    """Output a CliRunner captured is freed with its result: nothing of four
+    runs that each print ~0.6 MB stays live."""
+    args = ["models", "m2", *fx("ebm0.eb", "ebm1.eb", "ebm2.eb"),
+            "--bound", "6", "--pin", "d=4", "--json", "--list"]
+    assert len(runner.invoke(main, args).output) > 500_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            assert runner.invoke(main, args).exit_code == 0
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert live < 200_000
 
 
 def _oracle_models_payload(name, bound, slices, list_pairs):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from evtforge.institution import (
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.specs import Evaluator, sig_of
 from tests.reference_eval import enumerate_states, eval_formula
+from tests.test_fopeq import _formulas
 
 B1 = Bounds(int_bound=1)
 B3 = Bounds(int_bound=3)
@@ -1427,3 +1429,22 @@ def test_downward_closure_exhaustive_small():
             model = make_model(sig, alg, init_pick, {"e": set(rel_pick)})
             inside = (set(init_pick) <= l_max and set(rel_pick) <= r_max["e"])
             assert sat(model) == inside
+
+
+# -- hash-once values -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(2), _formulas(2))
+def test_rebuilt_values_hit_memos_keyed_by_the_originals(f, g):
+    """A value hashes as its dataclass fields would, whether or not its hash
+    was kept before, so an equal copy built afresh hits a memo keyed by the
+    original, and an unequal value misses it."""
+    memo = {f: "formula", EvtSentence("e", f): "sentence"}
+    copy = substitute(f, {})
+    assert hash(copy) == hash(f) == hash(tuple(getattr(f, x.name) for x in fields(f)))
+    assert memo.get(copy) == "formula"
+    assert memo.get(EvtSentence("e", copy)) == "sentence"
+    if g != f:
+        assert memo.get(g) is None
+        assert memo.get(EvtSentence("e", g)) is None

@@ -1,11 +1,13 @@
 import itertools
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import (
-    Bounds, FopeqSignature, INT, Op, fopeq_identity, fopeq_morphism, fopeq_pushout,
+    And, Bounds, Equal, FopeqSignature, INT, IntLit, Not, Op, OpApp, PredApp, Var,
+    fopeq_identity, fopeq_morphism, fopeq_pushout,
 )
 from evtforge.institution import (
     INIT, EvtMorphism, EvtSignature, Status, comorphism_sign, evt_identity,
@@ -694,3 +696,43 @@ class TestEnumerateModels:
         rep = Evaluator(None, B3).model_class(Presentation(sig, Flat()))
         with pytest.raises(EnumerationLimit):
             list(enumerate_models(rep, limit=10))
+
+
+# -- hash-once values -------------------------------------------------------
+
+
+def _values(x):
+    """Every dataclass value in x, x first, through its fields and tuples."""
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _values(y)
+    elif is_dataclass(x):
+        yield x
+        for f in fields(x):
+            yield from _values(getattr(x, f.name))
+
+
+def _deep_formula(depth=60):
+    f = Equal(Var("x"), IntLit(0))
+    for i in range(depth):
+        f = And((Not(f), PredApp("<", (Var("x", True), OpApp("+", (Var("y"), IntLit(i)))))))
+    return f
+
+
+@pytest.mark.parametrize("which", ["formula", "spec"])
+def test_hashing_a_tree_again_visits_its_root_alone(bridge, monkeypatch, which):
+    """Once a tree is hashed, hashing it again and finding it in a memo keyed
+    on it call __hash__ on the root only: no node below recomputes its field
+    hash, so a memo lookup costs the same on a deep tree as on a leaf."""
+    tree = _deep_formula() if which == "formula" else bridge.library.lookup("m2")
+    memo = {tree: "hit"}
+    assert len(list(_values(tree))) > 300
+    hashed = []
+    for cls in {type(v) for v in _values(tree)}:
+        def counted(self, original=cls.__hash__):
+            hashed.append(self)
+            return original(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    hash(tree)
+    assert memo[tree] == "hit"
+    assert len(hashed) == 2 and all(v is tree for v in hashed)

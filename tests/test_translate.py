@@ -195,7 +195,7 @@ def test_shared_elaboration_errors(reader, machine, context, prefix, case):
         text, error, message = (machine.format(variant="variant b", rhs="n + 1"),
                                 SpecError, prefix + "variant must be numeric")
     elif case == "assignment":
-        where = "m.inc: " if reader is _read_eb else prefix
+        where = "m.inc: " if reader is _read_eb else "spec m.inc: "
         text, error, message = (machine.format(variant="", rhs="TRUE"),
                                 SortError, where + "n := expression of sort Bool")
     else:
