@@ -8,6 +8,7 @@ file, 3 refinement fails.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -53,6 +54,15 @@ class LoadedWorkspace:
     refinements: list[RefinementText] = field(default_factory=list)
 
 
+@contextmanager
+def _located(path: str):
+    """Put the path of the input being parsed in front of a parse error."""
+    try:
+        yield
+    except ParseError as e:
+        raise ParseError(f"{path}:{e}" if e.line is not None else f"{path}: {e}") from e
+
+
 def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
     """Load the input files in order: machine/context sources translate into
     the library; sugared spec files add specs and refinement declarations."""
@@ -80,11 +90,14 @@ def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
         flush_rodin()
         text = read_source(raw)
         if fmt == "sugar":
-            specs, refs = parse_document(text, out.library)
+            with _located(raw):
+                specs, refs = parse_document(text, out.library)
             out.order.extend(("spec", n) for n, _ in specs)
             ws.refinements.extend(refs)
         else:
-            out = translate(parse_text(text), out)
+            with _located(raw):
+                spec = parse_text(text)
+            out = translate(spec, out)
             ws.output = out
     flush_rodin()
     ws.output = out
@@ -428,8 +441,12 @@ def cmd_pushout(file1, file2):
     from .institution import evt_pushout
 
     try:
-        _, ms1 = parse_signature_document(read_source(file1))
-        _, ms2 = parse_signature_document(read_source(file2))
+        text = read_source(file1)
+        with _located(file1):
+            _, ms1 = parse_signature_document(text)
+        text = read_source(file2)
+        with _located(file2):
+            _, ms2 = parse_signature_document(text)
         if not ms1 or not ms2:
             raise SpecError("each input file must define a morphism")
         n1, m1 = ms1[-1]

@@ -7,6 +7,7 @@ quantifiers.  Anything else is a parse error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -46,90 +47,53 @@ _WORD_SORTS = {"ℕ": "NAT", "ℤ": "INT", "ℙ": "POW"}
 _SINGLE = set("=<>+-*(){},:.!")
 
 
+# one alternation, tried in order at each token start after a run of blanks:
+# the Unicode maps come before identifiers because ℕ, ℤ and ℙ are letters,
+# and each multi-character symbol before its one-character prefix
+_MAPPED = {**{c: ("IDENT", w) for c, w in _WORD_SORTS.items()},
+           **{c: ("SYM", s) for c, s in (_QUANT | _UNICODE_SYM).items()}}
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:" + "|".join([
+    r"(?P<NEWLINE>\n)",
+    r"(?P<comment>//[^\n]*)",
+    f"(?P<mapped>[{''.join(_MAPPED)}])",
+    "(?P<SYM>" + "|".join(map(re.escape, ["#exists", "#forall", *_MULTI,
+                                          *sorted(_SINGLE)])) + ")",
+    # \d is str.isdecimal: the digits int() accepts
+    r"(?P<NUMBER>\d+)",
+    # \w is str.isalnum or "_"; a start that is neither a letter nor a digit
+    # (², ½) is rejected below
+    r"(?P<IDENT>[^\W\d]\w*['′]?)",
+    r"(?P<bad>.)",
+    r"(?P<end>)\Z",  # takes the blanks at the end of the text
+]) + ")", re.S)
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, ending in EOF.  Columns count code points from 1."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def push(kind, s, primed=False):
-        toks.append(Token(kind, s, line, start_col, primed))
-
-    while i < n:
-        c = text[i]
-        start_col = col
-        if c == "\n":
-            toks.append(Token("NEWLINE", "\n", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment" or kind == "end":
+            continue
+        s = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == "IDENT" and (s[0].isalpha() or s[0] == "_"):
+            if s[-1] in "'′":
+                toks.append(Token(kind, s[:-1], line, col, True))
+            else:
+                toks.append(Token(kind, s, line, col))
+        elif kind == "SYM" or kind == "NUMBER":
+            toks.append(Token(kind, s, line, col))
+        elif kind == "NEWLINE":
+            toks.append(Token(kind, s, line, col))
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if c in _WORD_SORTS:
-            push("IDENT", _WORD_SORTS[c])
-            i += 1
-            col += 1
-            continue
-        if c in _QUANT:
-            push("SYM", _QUANT[c])
-            i += 1
-            col += 1
-            continue
-        if c in _UNICODE_SYM:
-            push("SYM", _UNICODE_SYM[c])
-            i += 1
-            col += 1
-            continue
-        if text.startswith("#exists", i) or text.startswith("#forall", i):
-            push("SYM", text[i:i + 7])
-            i += 7
-            col += 7
-            continue
-        matched = False
-        for m in _MULTI:
-            if text.startswith(m, i):
-                push("SYM", m)
-                i += len(m)
-                col += len(m)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            push("NUMBER", text[i:j])
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            primed = False
-            if j < n and text[j] in ("'", "′"):
-                primed = True
-                j += 1
-            push("IDENT", word, primed)
-            col += j - i
-            i = j
-            continue
-        if c in _SINGLE:
-            push("SYM", c)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+            line_start = m.end()
+        elif kind == "mapped":
+            toks.append(Token(*_MAPPED[s], line, col))
+        else:
+            raise ParseError(f"unexpected character {s[0]!r}", line, col)
+    toks.append(Token("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -137,39 +101,44 @@ class TokenStream:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
         self.pos = 0
+        # _solid[i]: the first token at or after i that is not a NEWLINE, so
+        # a skip is one lookup; len(tokens) where there is none, and at the
+        # two positions past the end, which peek's look-ahead may reach
+        n = len(self.tokens)
+        self._solid = solid = list(range(n + 1)) + [n]
+        for i in reversed([i for i, t in enumerate(self.tokens) if t.kind == "NEWLINE"]):
+            solid[i] = solid[i + 1]
 
     def peek(self, skip_newlines: bool = True, ahead: int = 0) -> Token:
-        i = self.pos
-        seen = 0
-        while i < len(self.tokens):
-            t = self.tokens[i]
-            if skip_newlines and t.kind == "NEWLINE":
-                i += 1
-                continue
-            if seen == ahead:
-                return t
-            seen += 1
-            i += 1
-        return self.tokens[-1]
+        if skip_newlines:
+            solid = self._solid
+            i = solid[self.pos]
+            while ahead:
+                i = solid[i + 1]
+                ahead -= 1
+        else:
+            i = self.pos + ahead
+        return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
 
     def next(self, skip_newlines: bool = True) -> Token:
-        while True:
-            t = self.tokens[self.pos]
-            self.pos += 1
-            if skip_newlines and t.kind == "NEWLINE":
-                continue
-            return t
+        i = self._solid[self.pos] if skip_newlines else self.pos
+        t = self.tokens[i]
+        self.pos = i + 1
+        return t
 
     def skip_newlines(self) -> None:
-        while self.tokens[self.pos].kind == "NEWLINE":
-            self.pos += 1
+        self.pos = self._solid[self.pos]
 
+    # at_sym and at_word are peek(skip_newlines) inlined: they are the
+    # parsers' most frequent calls
     def at_sym(self, text: str, skip_newlines: bool = True) -> bool:
-        t = self.peek(skip_newlines)
+        i = self._solid[self.pos] if skip_newlines else self.pos
+        t = self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
         return t.kind == "SYM" and t.text == text
 
     def at_word(self, word: str, skip_newlines: bool = True) -> bool:
-        t = self.peek(skip_newlines)
+        i = self._solid[self.pos] if skip_newlines else self.pos
+        t = self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
         return t.kind == "IDENT" and t.text == word and not t.primed
 
     def accept_sym(self, text: str, skip_newlines: bool = True) -> bool:

@@ -500,10 +500,11 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
         return _materialise_fopeq(name, imports, raw, lib)
 
     leaves = [Embed(i) if is_fopeq_spec(i, lib) else i for i in imports]
-    base = sig_of(sum_all(leaves), lib) if leaves else EvtSignature()
+    summed = sum_all(leaves) if leaves else None
+    base = sig_of(summed, lib) if leaves else EvtSignature()
 
     if raw is None or not raw.has_content():
-        return sum_all(leaves)
+        return summed
 
     pre = Flat(sorts=tuple(raw.sorts), variables=tuple(raw.decls),
                events=tuple(EventClauses(ev.name, ev.status) for ev in raw.events))
@@ -527,7 +528,7 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
     if leaves:
         # sig_of's rule extends the sum's signature by the sorts, variables
         # and event statuses of flat, which are those of pre
-        spec = Enrich(sum_all(leaves), flat)
+        spec = Enrich(summed, flat)
         lib.remember(spec, sig)
         return spec
     return Presentation(sig, flat)
@@ -535,18 +536,19 @@ def _materialise(name: str, imports: list[Spec], raw: Optional[_RawBlock],
 
 def _materialise_fopeq(name: str, imports: list[Spec], raw: Optional[_RawBlock],
                        lib: SpecLibrary) -> Spec:
-    base = sig_of(sum_all(imports), lib) if imports else FopeqSignature()
+    summed = sum_all(imports) if imports else None
+    base = sig_of(summed, lib) if imports else FopeqSignature()
     if raw is None or not raw.has_content():
         if not imports:
             return Presentation(FopeqSignature(), Flat())
-        return sum_all(imports)
+        return summed
     pre = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls))
     fsig = extend_fopeq_signature(base, pre)
     axioms = tuple(elab_at(f"spec {name}", elab_formula, f, ElabContext(fsig))
                    for f in raw.formulas)
     flat = Flat(sorts=tuple(raw.sorts), constants=tuple(raw.decls), axioms=axioms)
     if imports:
-        spec = Enrich(sum_all(imports), flat)
+        spec = Enrich(summed, flat)
         lib.remember(spec, fsig)
         return spec
     return Presentation(fsig, flat)

@@ -9,12 +9,15 @@
   classes, against which the maxima shortcut is checked.
 - ``pretty_print_eb``: the print half of the Event-B text round trip
   (print∘parse must be the identity on parsed specifications).
+- ``reference_tokenize`` and ``LinearTokenStream``: the lexer as a loop over
+  characters, and the token cursor as a linear scan over newlines, against
+  which ``evtforge.mathlang.tokenize`` and ``TokenStream`` are checked.
 """
 
 import itertools
 from typing import Mapping, Sequence
 
-from evtforge.errors import SortError
+from evtforge.errors import ParseError, SortError
 from evtforge.eventb import ContextDef, EbSpecification, LabelledPred
 from evtforge.fopeq import (
     BUILTIN_OPS, BUILTIN_PREDS, UNDEF, And, BoolLit, CarrierEq, Equal, FalseF,
@@ -23,7 +26,8 @@ from evtforge.fopeq import (
 )
 from evtforge.institution import EvtMorphism, EvtSignature, State, model_reduct
 from evtforge.mathlang import (
-    SApp, SBin, SBool, SName, SNum, SQuant, SSet, SUn, unparse_type,
+    _MULTI, _QUANT, _SINGLE, _UNICODE_SYM, _WORD_SORTS, SApp, SBin, SBool,
+    SName, SNum, SQuant, SSet, SUn, Token, unparse_type,
 )
 from evtforge.specs import ModelClassRep, enumerate_models, rep_contains
 
@@ -265,3 +269,129 @@ def pretty_print_eb(spec: EbSpecification) -> str:
                 lines.append("    end")
         lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# lexer and token cursor
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The tokens of text, trying each token kind in turn at every start."""
+    toks: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def push(kind, s, primed=False):
+        toks.append(Token(kind, s, line, start_col, primed))
+
+    while i < n:
+        c = text[i]
+        start_col = col
+        if c == "\n":
+            toks.append(Token("NEWLINE", "\n", line, col))
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if c in _WORD_SORTS:
+            push("IDENT", _WORD_SORTS[c])
+            i += 1
+            col += 1
+            continue
+        if c in _QUANT:
+            push("SYM", _QUANT[c])
+            i += 1
+            col += 1
+            continue
+        if c in _UNICODE_SYM:
+            push("SYM", _UNICODE_SYM[c])
+            i += 1
+            col += 1
+            continue
+        if text.startswith("#exists", i) or text.startswith("#forall", i):
+            push("SYM", text[i:i + 7])
+            i += 7
+            col += 7
+            continue
+        matched = False
+        for m in _MULTI:
+            if text.startswith(m, i):
+                push("SYM", m)
+                i += len(m)
+                col += len(m)
+                matched = True
+                break
+        if matched:
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            push("NUMBER", text[i:j])
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            primed = False
+            if j < n and text[j] in ("'", "′"):
+                primed = True
+                j += 1
+            push("IDENT", word, primed)
+            col += j - i
+            i = j
+            continue
+        if c in _SINGLE:
+            push("SYM", c)
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(Token("EOF", "", line, col))
+    return toks
+
+
+class LinearTokenStream:
+    """The token cursor's moves, each a scan that steps over newlines."""
+
+    def __init__(self, tokens: Sequence[Token]):
+        self.tokens = list(tokens)
+        self.pos = 0
+
+    def peek(self, skip_newlines: bool = True, ahead: int = 0) -> Token:
+        i = self.pos
+        seen = 0
+        while i < len(self.tokens):
+            t = self.tokens[i]
+            if skip_newlines and t.kind == "NEWLINE":
+                i += 1
+                continue
+            if seen == ahead:
+                return t
+            seen += 1
+            i += 1
+        return self.tokens[-1]
+
+    def next(self, skip_newlines: bool = True) -> Token:
+        while True:
+            t = self.tokens[self.pos]
+            self.pos += 1
+            if skip_newlines and t.kind == "NEWLINE":
+                continue
+            return t
+
+    def skip_newlines(self) -> None:
+        while self.tokens[self.pos].kind == "NEWLINE":
+            self.pos += 1

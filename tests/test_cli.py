@@ -313,6 +313,27 @@ def test_unreadable_input_is_a_located_error(runner, tmp_path, command, name,
     assert res.stderr == f"error: {path}: {reason}\n"
 
 
+# a parse error names the input it was found in, then its line:col; a
+# superscript digit is no number, though str.isdigit says it is a digit
+@pytest.mark.parametrize("name,content,command,where,char", [
+    ("bad.eb", "context c\nconstants d\naxioms\n  axm1: d = @\nend\n",
+     "translate", "4:13", "@"),
+    ("bad.eb", "context c\nconstants d\naxioms\n  axm1: d = 2²\nend\n",
+     "translate", "4:14", "²"),
+    ("bad.evt", "spec m =\n  ops x : ℤ @\nend\n", "translate", "2:13", "@"),
+    ("bad.sig", "signature S0 =\n  sorts U @\nend\n", "pushout", "2:11", "@"),
+], ids=["eb", "eb-superscript", "evt", "sig"])
+def test_parse_error_names_its_file(runner, tmp_path, name, content, command,
+                                    where, char):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    args = [str(path)] * (2 if command == "pushout" else 1)
+    res = runner.invoke(main, [command, *args])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {path}:{where}: unexpected character {char!r}\n"
+
+
 # an unknown identifier y in one clause of each kind; the message names the
 # component and the clause label
 _UNLOCATED = "context k constants c axioms t: c ∈ ℤ {axm}end\n" \

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evtforge.errors import ParseError, SpecError
 from evtforge.eventb import (
@@ -6,9 +7,12 @@ from evtforge.eventb import (
 )
 from evtforge.fopeq import INT, FopeqSignature, Op
 from evtforge.institution import INIT, EvtSignature, Status
+from evtforge.mathlang import _MULTI, _SINGLE, Token, TokenStream, tokenize
 from evtforge.rodin import parse_rodin, parse_rodin_paths
-from tests.conftest import load_fixture
-from tests.reference_eval import pretty_print_eb
+from tests.conftest import FIXTURES, load_fixture
+from tests.reference_eval import (
+    LinearTokenStream, pretty_print_eb, reference_tokenize,
+)
 
 
 class TestParseText:
@@ -308,3 +312,80 @@ class TestRodin:
     def test_malformed_xml(self):
         with pytest.raises(ParseError):
             parse_rodin([("m", "<broken")])
+
+
+# ---------------------------------------------------------------------------
+# lexer and token cursor against their literal oracles
+
+_LEX_ALPHABET = [
+    " ", "\t", "\r", "\n", "//", "'", "′", "x", "y1", "_", "é", "0", "7",
+    "ℕ", "ℤ", "ℙ", "∀", "∃", "∧", "≤", "↦", "·", "−", "²", "½", "٣",
+    "#", "#exists", "#forall", "@", *_MULTI, *sorted(_SINGLE),
+]
+
+
+def _lexed(lex, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.primed) for t in lex(text)]
+    except ParseError as e:
+        return (str(e), e.line, e.col)
+
+
+def _with_fixture_texts(test):
+    for path in sorted(FIXTURES.rglob("*")):
+        if path.suffix in (".eb", ".evt", ".sig"):
+            test = example(path.read_text(encoding="utf-8"))(test)
+    return test
+
+
+@given(st.lists(st.sampled_from(_LEX_ALPHABET), max_size=30).map("".join))
+@_with_fixture_texts
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_reference_lexer(text):
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+
+@st.composite
+def _cursor_walks(draw):
+    """A token list with newline runs, ending in EOF, a start position and a
+    sequence of cursor moves."""
+    tokens = []
+    for kind in draw(st.lists(st.sampled_from(("NEWLINE", "IDENT", "SYM")), max_size=12)):
+        text = "\n" if kind == "NEWLINE" else draw(
+            st.sampled_from(("a", "b") if kind == "IDENT" else ("(", ",")))
+        tokens.append(Token(kind, text, 1, len(tokens) + 1,
+                            kind == "IDENT" and draw(st.booleans())))
+    tokens.append(Token("EOF", "", 1, len(tokens) + 1))
+    start = draw(st.integers(0, len(tokens) - 1))
+    moves = draw(st.lists(st.tuples(
+        st.sampled_from(("peek", "next", "skip_newlines", "at_sym", "at_word")),
+        st.booleans(), st.integers(0, 3), st.sampled_from(("a", "b", "(", ","))),
+        max_size=10))
+    return tokens, start, moves
+
+
+@given(_cursor_walks())
+@settings(max_examples=500, deadline=None)
+def test_token_cursor_matches_linear_scan(walk):
+    tokens, start, moves = walk
+    fast, slow = TokenStream(tokens), LinearTokenStream(tokens)
+    fast.pos = slow.pos = start
+    for move, skip, ahead, text in moves:
+        # past EOF a parser only peeks, and sees EOF
+        if slow.pos == len(tokens) and move != "peek":
+            continue
+        if move == "peek":
+            assert fast.peek(skip, ahead) is slow.peek(skip, ahead)
+        elif move == "next":
+            assert fast.next(skip) is slow.next(skip)
+        elif move == "skip_newlines":
+            fast.skip_newlines()
+            slow.skip_newlines()
+        else:
+            t = slow.peek(skip)
+            if move == "at_sym":
+                assert fast.at_sym(text, skip) == (t.kind == "SYM" and t.text == text)
+            else:
+                assert fast.at_word(text, skip) == (
+                    t.kind == "IDENT" and t.text == text and not t.primed)
+        assert fast.pos == slow.pos
