@@ -427,7 +427,6 @@ def _definition(
     return None
 
 
-Compiled = tuple[frozenset[tuple[str, bool]], Callable[[Mapping], bool]]
 Conjunct = tuple[Formula, frozenset[tuple[str, bool]], Callable[[Mapping], bool]]
 
 
@@ -435,12 +434,11 @@ def _filter_pool(
     sig: EvtSignature,
     algebra: FiniteAlgebra,
     conjuncts: Sequence[Conjunct],
-    primed: bool,
     compile_term: Optional[Callable[[fopeq.Term], Callable[[Mapping], Value]]] = None,
 ) -> Iterator[State]:
-    """States satisfying conjuncts, given with their free variables and
-    compiled functions, whose variables are all on one side; generated
-    lazily so that callers can stop at a ceiling.
+    """States satisfying conjuncts over unprimed variables, given with their
+    free variables and compiled functions; generated lazily so that callers
+    can stop at a ceiling.
 
     Unary conjuncts prune candidate values.  A backtracking search then binds
     the variables in one valuation.  The first conjunct that defines a
@@ -450,15 +448,15 @@ def _filter_pool(
     variables without a definition go fail-first (fewest candidates, then
     most conjuncts, then name); a cycle of definitions is broken fail-first
     among all.  Every other conjunct is checked as soon as all its variables
-    are bound.  A conjunct naming a variable outside the pool is checked
-    last, where evaluating it raises SortError.  compile_term compiles the
-    definition terms.
+    are bound.  A conjunct naming a variable outside the pool, a primed one
+    included, is checked last, where evaluating it raises SortError.
+    compile_term compiles the definition terms.
     """
     if compile_term is None:
         def compile_term(t):
             return fopeq.compile_term(t, algebra)
     names = sig.var_names
-    candidates = {(n, primed): list(algebra.carrier(s)) for n, s in sig.vars}
+    candidates = {(n, False): list(algebra.carrier(s)) for n, s in sig.vars}
     own = frozenset(candidates)
     rest = []
     defs: dict[tuple[str, bool], tuple[fopeq.Term, frozenset, int]] = {}
@@ -501,7 +499,7 @@ def _filter_pool(
 
     def extend(d: int) -> Iterator[State]:
         if d == len(layers):
-            yield tuple([(n, val[n, primed]) for n in names])
+            yield tuple([(n, val[n, False]) for n in names])
             return
         key, values, term, tests = layers[d]
         if term is not None:
@@ -525,9 +523,9 @@ def _filter_pool(
 
 
 class _Pool:
-    """The states a search has yielded so far.  Every reader of one
-    side-free conjunct set in a maximal_model call shares the prefix, and
-    grows it only as far as its own question needs."""
+    """The states a search has yielded so far.  Every reader of one conjunct
+    set in a maximal_model call shares the prefix, and grows it only as far
+    as its own question needs."""
 
     __slots__ = ("states", "dry", "_search")
 
@@ -546,55 +544,34 @@ class _Pool:
         return self.states
 
 
-Reader = tuple[Sequence[Conjunct], bool]
-
-
 def _shared_pools(
     sig: EvtSignature,
     algebra: FiniteAlgebra,
-    readers: Sequence[Reader],
-    memo: Mapping[Formula, Compiled],
+    readers: Sequence[Sequence[Conjunct]],
     compile_term: Callable[[fopeq.Term], Callable[[Mapping], Value]],
     root: int,
-) -> Callable[[Sequence[Conjunct], bool], _Pool]:
+) -> Callable[[Sequence[Conjunct]], _Pool]:
     """The pool source of one maximal_model call: each reader, a list of
-    conjuncts all on one side, gets the pool of the states satisfying them.
+    conjuncts over unprimed variables, gets the pool of the states
+    satisfying them, one pool per conjunct set.
 
-    States are side-free tuples, so pools are keyed by side-free conjunct
-    sets: an after-side conjunct stands for its unprimed form when memo has
-    compiled that form.  The core, the conjuncts that every one of the
-    (at least one) readers holds, is searched first, up to root states, on
-    the side of a before-side reader if there is one.  If it runs dry, every
-    other pool is the core's states filtered by its reader's extra
-    conjuncts: a unary one becomes the values allowed at a state position,
-    and the others are checked on one valuation per core state and side.
-    Otherwise every other pool is searched on its own, and the core adds at
-    most root states to the work.
+    The core, the conjuncts that every one of the (at least one) readers
+    holds, is searched first, up to root states, in the first reader's
+    order.  If it runs dry, every other pool is the core's states filtered
+    by its reader's extra conjuncts: a unary one becomes the values allowed
+    at a state position, and the others are checked on one valuation per
+    core state.  Otherwise every other pool is searched on its own, and the
+    core adds at most root states to the work.
     """
-    unprime = {(n, True): fopeq.Var(n) for n in sig.var_names}
-    side_free: dict[Callable, Callable] = {}
-
-    def ident(c: Formula, fn: Callable, primed: bool) -> Callable:
-        k = side_free.get(fn)
-        if k is None:
-            hit = memo.get(substitute(c, unprime)) if primed else None
-            k = side_free[fn] = fn if hit is None else hit[1]
-        return k
-
-    def key(conjs: Sequence[Conjunct], primed: bool) -> frozenset:
-        return frozenset([ident(c, fn, primed) for c, _, fn in conjs])
-
-    pools: dict[frozenset, _Pool] = {}
-    shared = frozenset.intersection(*(key(*r) for r in readers))
-    conjs, primed = min(readers, key=lambda r: r[1])
+    pools: dict[frozenset[Formula], _Pool] = {}
+    shared = frozenset.intersection(*(frozenset([c for c, _, _ in r]) for r in readers))
     core = pools[shared] = _Pool(_filter_pool(
-        sig, algebra, [cj for cj in conjs if ident(cj[0], cj[2], primed) in shared],
-        primed, compile_term))
+        sig, algebra, [cj for cj in readers[0] if cj[0] in shared], compile_term))
     core.grow(root)
     position = {n: i for i, n in enumerate(sig.var_names)}
-    valuations: dict[bool, list[dict]] = {}
+    valuations: list[dict] = []
 
-    def sieve(extras: Sequence[Conjunct], primed: bool) -> Iterator[State]:
+    def sieve(extras: Sequence[Conjunct]) -> Iterator[State]:
         allowed, tests = [], []
         for _, fv, fn in extras:
             if len(fv) == 1:
@@ -603,22 +580,21 @@ def _shared_pools(
                     v for v in algebra.carrier(sig.var_map[k[0]]) if fn({k: v})}))
             else:
                 tests.append(fn)
-        if tests and primed not in valuations:
-            valuations[primed] = [state_valuation(s, primed) for s in core.states]
-        vals = valuations.get(primed)
+        if tests and not valuations:
+            valuations.extend(state_valuation(s, False) for s in core.states)
         for j, s in enumerate(core.states):
-            if all(s[i][1] in ok for i, ok in allowed) and all(fn(vals[j]) for fn in tests):
+            if all(s[i][1] in ok for i, ok in allowed) and all(
+                    fn(valuations[j]) for fn in tests):
                 yield s
 
-    def pool(conjs: Sequence[Conjunct], primed: bool) -> _Pool:
-        k = key(conjs, primed)
+    def pool(conjs: Sequence[Conjunct]) -> _Pool:
+        k = frozenset([c for c, _, _ in conjs])
         hit = pools.get(k)
         if hit is None:
             if core.dry:
-                search = sieve([cj for cj in conjs
-                                if ident(cj[0], cj[2], primed) not in shared], primed)
+                search = sieve([cj for cj in conjs if cj[0] not in shared])
             else:
-                search = _filter_pool(sig, algebra, conjs, primed, compile_term)
+                search = _filter_pool(sig, algebra, conjs, compile_term)
             hit = pools[k] = _Pool(search)
         return hit
 
@@ -638,10 +614,13 @@ def maximal_model(
     satisfying models is exactly the non-empty-L downward closure of this
     maximum.  Each distinct conjunct is compiled once per call, and one
     naming a variable outside the signature raises SortError before any
-    state is enumerated.  The state pools come from _shared_pools, which
-    searches the conjuncts they all hold once per call, and an event's two
-    pools grow in step: refusing a pair ceiling c takes 2(⌊√c⌋ + 1) states
-    when both pools are larger than √c, not a whole pool.
+    state is enumerated.  A state is a valuation without a side, so every
+    pool reader holds unprimed conjuncts: Init's and each event's after-only
+    conjuncts are read through their unprimed forms, and only the join reads
+    x′.  The state pools come from _shared_pools, which searches the
+    conjuncts they all hold once per call, and an event's two pools grow in
+    step: refusing a pair ceiling c takes 2(⌊√c⌋ + 1) states when both pools
+    are larger than √c, not a whole pool.
     """
     by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
     for s in sentences:
@@ -649,17 +628,17 @@ def maximal_model(
             raise SortError(f"sentence names unknown event {s.event}")
         by_event[s.event].append(s.body)
 
-    memo: dict[Formula, Compiled] = {}
+    memo: dict[Formula, Conjunct] = {}
     term_memo: dict[fopeq.Term, Callable[[Mapping], Value]] = {}
 
-    def compiled(c: Formula) -> Compiled:
+    def compiled(c: Formula) -> Conjunct:
         hit = memo.get(c)
         if hit is None:
             fv = free_vars(c)
             for name, primed in sorted(fv):
                 if name not in sig.var_map:
                     raise SortError(f"unbound variable {name}{'′' if primed else ''}")
-            hit = memo[c] = (fv, compile_formula(c, algebra))
+            hit = memo[c] = (c, fv, compile_formula(c, algebra))
         return hit
 
     def compiled_term(t: fopeq.Term) -> Callable[[Mapping], Value]:
@@ -668,18 +647,29 @@ def maximal_model(
             hit = term_memo[t] = fopeq.compile_term(t, algebra)
         return hit
 
+    # memoised per conjunct: an invariant recurs in every event, and each
+    # substitution builds a new tree that the compile memo must hash afresh
+    unprime = {(n, True): fopeq.Var(n) for n in sig.var_names}
+    unprimed_memo: dict[Formula, Conjunct] = {}
+
+    def unprimed(c: Formula) -> Conjunct:
+        hit = unprimed_memo.get(c)
+        if hit is None:
+            hit = unprimed_memo[c] = compiled(substitute(c, unprime))
+        return hit
+
     # every conjunct is compiled, and its variables checked, before any pool
-    conjuncts = {e: [(c, *compiled(c)) for body in bodies for c in _flatten_conjuncts(body)]
+    conjuncts = {e: [compiled(c) for body in bodies for c in _flatten_conjuncts(body)]
                  for e, bodies in by_event.items()}
     # initialising set: only the conjuncts over after-values apply
-    init_conjs = [(c, *compiled(c)) for body in by_event[INIT] for c in init_conjuncts(body)]
+    init_conjs = [compiled(c) for body in by_event[INIT] for c in init_conjuncts(body)]
 
     # the pool readers are Init's after-side conjuncts and each event's
-    # before-only and after-only ones; a sentence whose closed conjuncts fail
-    # reads no pool
-    init_reader = [cj for cj in init_conjs if cj[1]]
+    # before-only and after-only ones, all unprimed; a sentence whose closed
+    # conjuncts fail reads no pool
+    init_reader = [unprimed(c) for c, fv, _ in init_conjs if fv]
     init_reads = all(fn({}) for _, fv, fn in init_conjs if not fv)
-    readers: list[Reader] = [(init_reader, True)] if init_reads else []
+    readers = [init_reader] if init_reads else []
     # each event's pools are joined on the after-values that actions fix:
     # the first definition x′ = t per variable, with t over before-values, is
     # a key, every other mixed conjunct a check, and a pair's valuation holds
@@ -695,14 +685,15 @@ def maximal_model(
         before_only, after_only, checks = [], [], []
         keys: dict[int, Callable[[Mapping], Value]] = {}
         read: set[tuple[str, bool]] = set()
-        for c, fv, fn in conjs:
+        for cj in conjs:
+            c, fv, fn = cj
             if not fv:
                 continue
             sides = {primed for _, primed in fv}
             if sides == {False}:
-                before_only.append((c, fv, fn))
+                before_only.append(cj)
             elif sides == {True}:
-                after_only.append((c, fv, fn))
+                after_only.append(unprimed(c))
             else:
                 d = _definition(c, after_vars, before_vars)
                 if d is None or position[d[0][0]] in keys:
@@ -711,7 +702,7 @@ def maximal_model(
                 else:
                     keys[position[d[0][0]]] = compiled_term(d[1])
         plans[e] = before_only, after_only, keys, checks, read
-        readers += [(before_only, False), (after_only, True)]
+        readers += [before_only, after_only]
 
     ceiling = bounds.pair_ceiling
     root = math.isqrt(ceiling) + 1
@@ -719,9 +710,9 @@ def maximal_model(
     r_max = {e: frozenset() for e in sig.non_init_events}
     if not readers:
         return l_max, r_max
-    pool = _shared_pools(sig, algebra, readers, memo, compiled_term, root)
+    pool = _shared_pools(sig, algebra, readers, compiled_term, root)
     if init_reads:
-        init_pool = pool(init_reader, True).grow(ceiling + 1)
+        init_pool = pool(init_reader).grow(ceiling + 1)
         if len(init_pool) > ceiling:
             raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
         l_max = frozenset(init_pool)
@@ -729,7 +720,7 @@ def maximal_model(
     for e, (before_only, after_only, keys, checks, read) in plans.items():
         # the pools grow in step, each to √ceiling first; then a pool that
         # ran dry says how far the other must grow to decide |B|·|A| > ceiling
-        before, after = pool(before_only, False), pool(after_only, True)
+        before, after = pool(before_only), pool(after_only)
         if not before.grow(1) or not after.grow(root):
             continue
         before.grow(root)

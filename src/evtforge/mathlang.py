@@ -229,6 +229,7 @@ class SQuant:
 
 _RELOPS = {"=", "/=", "<", "<=", ">", ">=", "in"}
 _BOOL_WORDS = {"true": True, "false": False, "TRUE": True, "FALSE": False}
+_QUANTIFIERS = {"#forall": "forall", "#exists": "exists"}
 
 
 class ExprParser:
@@ -278,19 +279,20 @@ class ExprParser:
         return left
 
     def _unary(self):
-        if self.ts.at_sym("!", self._skip_nl()):
+        t = self.ts.peek(self._skip_nl())
+        if t.kind == "SYM" and t.text == "!":
             self.ts.next(self._skip_nl())
             return SUn("!", self._unary())
-        for sym, kind in (("#forall", "forall"), ("#exists", "exists")):
-            if self.ts.at_sym(sym, self._skip_nl()):
-                self.ts.next(self._skip_nl())
-                bindings = [self._binding()]
-                while self.ts.accept_sym(",", self._skip_nl()):
-                    bindings.append(self._binding())
-                self.ts.expect_sym(".", self._skip_nl())
-                body = self.parse_formula_expr()
-                return SQuant(kind, tuple(bindings), body)
-        return self._comparison()
+        kind = _QUANTIFIERS.get(t.text) if t.kind == "SYM" else None
+        if kind is None:
+            return self._comparison()
+        self.ts.next(self._skip_nl())
+        bindings = [self._binding()]
+        while self.ts.accept_sym(",", self._skip_nl()):
+            bindings.append(self._binding())
+        self.ts.expect_sym(".", self._skip_nl())
+        body = self.parse_formula_expr()
+        return SQuant(kind, tuple(bindings), body)
 
     def _binding(self):
         name = self.ts.expect_ident()
@@ -310,9 +312,6 @@ class ExprParser:
         if t.kind == "IDENT" and t.text == "in" and not t.primed:
             self.ts.next(self._skip_nl())
             return SBin("in", left, self._set_or_arith())
-        if t.kind == "SYM" and t.text == "=" or (
-                t.kind == "SYM" and t.text in _RELOPS):
-            pass
         # equality against a set literal comes through _arith -> SSet
         return left
 

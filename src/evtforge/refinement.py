@@ -127,14 +127,19 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
         label = sl.algebra.describe()
         if asl is None:
             return verdict(Counterexample(label, None))
-        for s in sorted(sl.init):
-            if red(s) not in asl.init:
-                return verdict(Counterexample(label, INIT, after=red(s)))
+        # the counterexample is the least failing item, as a sorted walk
+        # would meet it first; pairs counts the walk up to it
+        failing = [s for s in sl.init if red(s) not in asl.init]
+        if failing:
+            return verdict(Counterexample(label, INIT, after=red(min(failing))))
         for e in m.source.non_init_events:
-            for s, t in sorted(sl.rel_map[m.apply_event(e)]):
-                pairs_checked += 1
-                if (red(s), red(t)) not in asl.rel_map[e]:
-                    return verdict(Counterexample(label, e, before=red(s), after=red(t)))
+            rel, allowed = sl.rel_map[m.apply_event(e)], asl.rel_map[e]
+            failing = [(s, t) for s, t in rel if (red(s), red(t)) not in allowed]
+            if failing:
+                s, t = min(failing)
+                pairs_checked += sum(1 for pair in rel if pair <= (s, t))
+                return verdict(Counterexample(label, e, before=red(s), after=red(t)))
+            pairs_checked += len(rel)
     return verdict()
 
 

@@ -481,11 +481,14 @@ def _with_definition_examples(test):
 @_with_definition_examples
 @settings(max_examples=300, deadline=None)
 def test_scheduled_pool_matches_product_filter(problem):
+    # the search reads the unprimed forms; the oracle reads the original side
     sig, alg, conjuncts, primed = problem
-    compiled = [(c, free_vars(c), compile_formula(c, alg)) for c in conjuncts]
+    unprime = {(n, True): Var(n) for n in sig.var_names}
+    compiled = [(u, free_vars(u), compile_formula(u, alg))
+                for u in (substitute(c, unprime) for c in conjuncts)]
 
     def scheduled():
-        return institution._filter_pool(sig, alg, compiled, primed)
+        return institution._filter_pool(sig, alg, compiled)
 
     def oracle():
         return _product_filter_pool(sig, alg, conjuncts, primed)
@@ -501,14 +504,15 @@ def test_scheduled_pool_matches_product_filter(problem):
 
 
 def test_pool_conjunct_outside_the_signature_raises():
+    # a pool binds unprimed variables only, so x′ is outside it as z is
     sig = EvtSignature(vars=(("x", INT), ("y", INT)))
     alg = make_algebra(FopeqSignature(), 1, {}, {})
-    x, y, z = Var("x", True), Var("y", True), Var("z", True)
-    for stray in (Equal(z, IntLit(0)), Equal(x, Var("x")), Equal(x, OpApp("+", (y, z)))):
+    x, y, z = Var("x"), Var("y"), Var("z")
+    for stray in (Equal(z, IntLit(0)), Equal(x, Var("x", True)), Equal(x, OpApp("+", (y, z)))):
         compiled = [(c, free_vars(c), compile_formula(c, alg))
                     for c in (stray, PredApp("<", (x, y)))]
         with pytest.raises(SortError, match="unbound variable"):
-            list(institution._filter_pool(sig, alg, compiled, True))
+            list(institution._filter_pool(sig, alg, compiled))
 
 
 # -- joined event pairs against the product-loop oracle ---------------------
@@ -524,27 +528,24 @@ def _product_maximal_model(sig, sentences, algebra, bounds):
         return [(c, free_vars(c), compile_formula(c, algebra))
                 for s in sentences if s.event == event for c in flatten(s.body)]
 
-    def side(conjs, primed):
-        return [(c, fv, fn) for c, fv, fn in conjs if fv and {p for _, p in fv} == {primed}]
+    def pool(conjs, primed):
+        return _product_filter_pool(sig, algebra, [
+            c for c, fv, _ in conjs if fv and {p for _, p in fv} == {primed}], primed)
 
     init = compiled(INIT, init_conjuncts)
-    l_max = frozenset(itertools.islice(
-        institution._filter_pool(sig, algebra, side(init, True), True), ceiling + 1)
-        if all(fn({}) for _, fv, fn in init if not fv) else ())
+    l_max = frozenset(itertools.islice(pool(init, True), ceiling + 1)
+                      if all(fn({}) for _, fv, fn in init if not fv) else ())
     if len(l_max) > ceiling:
         raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
     need, r_max = max(len(l_max), 1), {}
     for e in sig.non_init_events:
         conjs = compiled(e, institution._flatten_conjuncts)
-        before = list(itertools.islice(
-            institution._filter_pool(sig, algebra, side(conjs, False), False), ceiling + 1)
-            if all(fn({}) for _, fv, fn in conjs if not fv) else ())
+        before = list(itertools.islice(pool(conjs, False), ceiling + 1)
+                      if all(fn({}) for _, fv, fn in conjs if not fv) else ())
         if not before:
             r_max[e] = frozenset()
             continue
-        after = list(itertools.islice(
-            institution._filter_pool(sig, algebra, side(conjs, True), True),
-            ceiling // len(before) + 1))
+        after = list(itertools.islice(pool(conjs, True), ceiling // len(before) + 1))
         if len(before) * len(after) > ceiling:
             raise EnumerationLimit(f"event {e}: state pairs exceed the ceiling {ceiling}")
         need = max(need, len(before) * len(after))
@@ -607,8 +608,8 @@ def _event_pool_sizes(sig, sentences, algebra):
                  if s.event == e for c in institution._flatten_conjuncts(s.body)]
         if all(fn({}) for _, fv, fn in conjs if not fv):
             sizes.append(tuple(
-                sum(1 for _ in institution._filter_pool(sig, algebra, [
-                    (c, fv, fn) for c, fv, fn in conjs if fv and {p for _, p in fv} == {primed}],
+                sum(1 for _ in _product_filter_pool(sig, algebra, [
+                    c for c, fv, _ in conjs if fv and {p for _, p in fv} == {primed}],
                     primed))
                 for primed in (False, True)))
     return sizes
@@ -691,10 +692,11 @@ def _no_reader_is_the_core_problem():
 
 def _bound_name_problem():
     """The invariant ∃v1·(v1 + 1 = v0 ∧ v1 ≥ −1) binds a variable named like
-    the state variable v1, and its primed form matches it through its
-    unprimed form.  e0's after-only ∃v1·(v1 + 1 = v0′ ∧ v1′ ≥ −1) reads the
-    free v1′ under that binder: unprimed without renaming the bound v1 apart,
-    it would be the invariant, and e0's after-pool would keep v1′ = −2."""
+    the state variable v1, and its primed form is evaluated as its unprimed
+    form, which is the invariant itself.  e0's after-only
+    ∃v1·(v1 + 1 = v0′ ∧ v1′ ≥ −1) reads the free v1′ under that binder:
+    unprimed without renaming the bound v1 apart, it would be the invariant,
+    and e0's after-pool would keep v1′ = −2."""
     sig = EvtSignature(events=(("e0", Status.ordinary), ("e1", Status.ordinary)),
                        vars=(("v0", INT), ("v1", INT)))
     v0, v1, v0p, v1p = Var("v0"), Var("v1"), Var("v0", True), Var("v1", True)
@@ -797,7 +799,7 @@ def test_definition_binds_instead_of_searching():
 
         conjuncts = [(c, free_vars(c), compile_formula(c, alg)) for c in unary]
         conjuncts.append((eq, free_vars(eq), counted))
-        got = list(institution._filter_pool(sig, alg, conjuncts, False))
+        got = list(institution._filter_pool(sig, alg, conjuncts))
         assert set(got) == set(_product_filter_pool(sig, alg, [*unary, eq], False))
         assert len(got) == 4
         assert calls <= 4

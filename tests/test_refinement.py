@@ -7,6 +7,7 @@ from evtforge.errors import SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import (
     BOOL, Bounds, FopeqSignature, INT, Op, algebra_reduct, enumerate_algebras,
+    make_algebra,
 )
 from evtforge.institution import (
     INIT, EvtModel, EvtSentence, EvtSignature, Status, evt_identity,
@@ -249,6 +250,52 @@ class TestMaximaShortcutSoundness:
         assert checked == 36
 
 
+def _sorted_walk(rep_c, rep_a, m):
+    """The inclusion check as a literal walk over every slice's sorted
+    initial states and sorted pairs, event by event: the first item whose
+    reduct the abstract maximum lacks, as (event, before, after), or None,
+    and the pairs walked."""
+    red, pairs = state_reducer(m), 0
+    for sl in rep_c.slices:
+        asl = rep_a.by_algebra.get(algebra_reduct(sl.algebra, m.fopeq))
+        if asl is None:
+            return (None, None, None), pairs
+        for s in sorted(sl.init):
+            if red(s) not in asl.init:
+                return (INIT, None, red(s)), pairs
+        for e in m.source.non_init_events:
+            for s, t in sorted(sl.rel_map[m.apply_event(e)]):
+                pairs += 1
+                if (red(s), red(t)) not in asl.rel_map[e]:
+                    return (e, red(s), red(t)), pairs
+    return None, pairs
+
+
+def _walked(verdict):
+    cx = verdict.counterexample
+    return (None if cx is None else (cx.event, cx.before, cx.after)), verdict.stats["pairs"]
+
+
+def test_counterexample_is_the_first_failing_pair_of_a_sorted_walk():
+    # a1 holds; a2 fails on its last four pairs in sorted order, from (0, 1)
+    sig = EvtSignature(events=(("a1", Status.ordinary), ("a2", Status.ordinary)),
+                       vars=(("n", INT),))
+    alg = make_algebra(FopeqSignature(), 1, {}, {})
+    state = {v: make_state({"n": v}) for v in (-1, 0, 1)}
+    every = {(state[a], state[b]) for a in state for b in state}
+    allowed = {(s, t) for s, t in every if s == state[-1]} | {
+        (state[0], state[-1]), (state[0], state[0])}
+    abstract = make_model(sig, alg, [state[0]], {"a1": every, "a2": allowed})
+    concrete = make_model(sig, alg, [state[0]], {
+        "a1": {(state[-1], state[0]), (state[0], state[0]), (state[1], state[1])},
+        "a2": every})
+    rep_c, rep_a = make_rep(sig, [concrete]), make_rep(sig, [abstract])
+    verdict = _check_inclusion("P", rep_c, rep_a, evt_identity(sig))
+    assert not verdict.holds
+    assert _walked(verdict) == _sorted_walk(rep_c, rep_a, evt_identity(sig)) == (
+        ("a2", state[0], state[1]), 3 + 6)
+
+
 # -- the maxima shortcut against literal inclusion, along morphisms ----------
 
 _U_SIG = FopeqSignature(sorts=("U",), ops=(Op("k", (), "U"),))
@@ -320,6 +367,7 @@ def test_maxima_shortcut_matches_literal_inclusion(problem):
     rep_c, rep_a, m = problem
     verdict = _check_inclusion("P", rep_c, rep_a, m)
     assert verdict.holds == literal_inclusion(rep_c, rep_a, m)
+    assert _walked(verdict) == _sorted_walk(rep_c, rep_a, m)
     if verdict.holds:
         return
     cx, red = verdict.counterexample, state_reducer(m)
