@@ -10,7 +10,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Sequence
@@ -209,24 +208,31 @@ def _format_state(s) -> str:
     return "(" + ", ".join(f"{k}={_format_value(v)}" for k, v in s) + ")"
 
 
-def _sorted_pairs(pairs) -> list:
-    """`pairs` in the order of ``sorted(pairs)``, with each comparison made
-    between two ints instead of two nested state tuples: every distinct
-    before-state and after-state is ranked once."""
-    before = {s: i for i, s in enumerate(sorted({s for s, _ in pairs}))}
-    after = {t: i for i, t in enumerate(sorted({t for _, t in pairs}))}
-    n = len(after)
-    return sorted(pairs, key=lambda st: before[st[0]] * n + after[st[1]])
+class _Texts(dict):
+    """Each state code's text under one coding, rendered on first lookup."""
+
+    def __init__(self, coding, render):
+        super().__init__()
+        self.decode, self.render = coding.decode, render
+
+    def __missing__(self, code) -> str:
+        text = self[code] = self.render(self.decode(code))
+        return text
 
 
 class States(list):
-    """A JSON array of states: each ``(name, value)`` tuple prints as an
-    object."""
+    """A JSON array of the states with these codes under `coding`, in
+    order: each prints as an object."""
+
+    def __init__(self, codes, coding):
+        super().__init__(codes)
+        self.coding = coding
 
 
-class StatePairs(list):
-    """A JSON array of ``(before, after)`` state pairs: each prints as a
-    two-item array of objects."""
+class StatePairs(States):
+    """A JSON array of the ``(before, after)`` state pairs with these pair
+    codes under `coding`, in order: each prints as a two-item array of
+    objects."""
 
 
 def dump_json(payload) -> str:
@@ -237,26 +243,10 @@ def dump_json(payload) -> str:
 
     A state in a `States` or `StatePairs` array is rendered once per depth
     and reused wherever an equal state recurs; the memo lives for this call
-    only.  As ``True == 1``, a variable must take values of one type across
-    the payload's states, as it does in the states over one signature."""
+    only."""
     out: list[str] = []
     _put(payload, 0, out, {})
     return "".join(out)
-
-
-class _StateTexts(dict):
-    """Each state's object text at one depth, rendered on first lookup."""
-
-    def __init__(self, level: int):
-        super().__init__()
-        self.level = level
-
-    def __missing__(self, state) -> str:
-        out: list[str] = []
-        # a state's values hold no state arrays, so they need no memo
-        _put_members(state, self.level, out, {})
-        text = self[state] = "".join(out)
-        return text
 
 
 def _put_members(items, level: int, out: list[str], memos: dict) -> None:
@@ -273,9 +263,23 @@ def _put_members(items, level: int, out: list[str], memos: dict) -> None:
     out.append("\n" + "  " * level + "}")
 
 
+def _texts(memos: dict, level: int, coding) -> _Texts:
+    """The object texts of the states under coding at depth level."""
+    text = memos.get((level, coding))
+    if text is None:
+        def render(state) -> str:
+            out: list[str] = []
+            # a state's values hold no state arrays, so they need no memo
+            _put_members(state, level, out, {})
+            return "".join(out)
+
+        text = memos[level, coding] = _Texts(coding, render)
+    return text
+
+
 def _put(o, level: int, out: list[str], memos: dict) -> None:
     """Append the pieces of `o`'s text at indent `level` to `out`; `memos`
-    maps a depth to its state texts."""
+    maps a depth and a coding to their state texts."""
     if isinstance(o, str):
         out.append(_quote(o))
     elif o is None:
@@ -291,18 +295,19 @@ def _put(o, level: int, out: list[str], memos: dict) -> None:
             out.append("[]")
             return
         inner = "\n" + "  " * (level + 1)
-        if isinstance(o, States):
-            text = memos.setdefault(level + 1, _StateTexts(level + 1))
-            out += ("[", inner, ("," + inner).join([text[s] for s in o]))
-        elif isinstance(o, StatePairs):
-            text = memos.setdefault(level + 2, _StateTexts(level + 2))
+        if isinstance(o, StatePairs):
+            text = _texts(memos, level + 2, o.coding)
             inner2 = "\n" + "  " * (level + 2)
             lead, comma = inner + "[" + inner2, "," + inner + "[" + inner2
             mid, tail = "," + inner2, inner + "]"
+            n = o.coding.size
             out.append("[")
-            for s, t in o:
-                out += (lead, text[s], mid, text[t], tail)
+            for p in o:
+                out += (lead, text[p // n], mid, text[p % n], tail)
                 lead = comma
+        elif isinstance(o, States):
+            text = _texts(memos, level + 1, o.coding)
+            out += ("[", inner, ("," + inner).join([text[s] for s in o]))
         else:
             sep, comma = "[" + inner, "," + inner
             for x in o:
@@ -322,12 +327,13 @@ def models_payload(name: str, bound: int, slices, list_pairs: bool) -> dict:
     for sl in slices:
         entry = {
             "algebra": sl.algebra.describe(),
-            "initial_states": len(sl.init),
-            "events": {e: len(p) for e, p in sl.rel},
+            "initial_states": len(sl.init_codes),
+            "events": {e: len(p) for e, p in sl.rel_codes},
         }
         if list_pairs:
-            entry["init"] = States(sorted(sl.init))
-            entry["relations"] = {e: StatePairs(_sorted_pairs(p)) for e, p in sl.rel}
+            entry["init"] = States(sorted(sl.init_codes), sl.coding)
+            entry["relations"] = {e: StatePairs(sorted(p), sl.coding)
+                                  for e, p in sl.rel_codes}
         payload["algebras"].append(entry)
     return payload
 
@@ -361,7 +367,7 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
         _echo(dump_json(models_payload(name, bound, rep.slices, list_pairs)))
         return
 
-    fmt = cache(_format_state)  # each distinct state formatted once
+    texts: dict = {}  # each distinct state formatted once per coding
     lines = [f"spec {name}  [bound {bound}"
              + (f", pins {', '.join(f'{k}={v}' for k, v in cfg.pins)}" if cfg.pins else "")
              + "]"]
@@ -369,16 +375,20 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
         lines.append("  no admissible algebras (empty model class)")
     for sl in rep.slices:
         lines.append(f"algebra {sl.algebra.describe()}")
+        text = texts.get(sl.coding)
+        if text is None:
+            text = texts[sl.coding] = _Texts(sl.coding, _format_state)
+        n = sl.coding.size
         if event_name is None or event_name == INIT:
-            lines.append(f"  Init: {len(sl.init)} initial state(s)")
+            lines.append(f"  Init: {len(sl.init_codes)} initial state(s)")
             if list_pairs:
-                lines.extend(f"    {fmt(s)}" for s in sorted(sl.init))
-        for e, pairs in sl.rel:
+                lines.extend(f"    {text[s]}" for s in sorted(sl.init_codes))
+        for e, pairs in sl.rel_codes:
             if event_name is not None and e != event_name:
                 continue
             lines.append(f"  {e}: {len(pairs)} pair(s)")
             if list_pairs:
-                lines.extend(f"    {fmt(s)} -> {fmt(t)}" for s, t in _sorted_pairs(pairs))
+                lines.extend(f"    {text[p // n]} -> {text[p % n]}" for p in sorted(pairs))
     _echo("\n".join(lines))
 
 

@@ -9,6 +9,7 @@ a before/after relation on states, plus an initialising state set.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections import Counter
@@ -290,26 +291,140 @@ def reduce_state(s: State, m: EvtMorphism) -> State:
     return tuple([(v, s[i][1]) for v, i in m.state_positions])
 
 
+class StateCoding:
+    """The states over some variables, each a value of its carrier, coded
+    as one int in mixed radix.
+
+    A variable's digit is the rank of its value in its sorted carrier
+    (value_key order), and the first variable is the most significant, so
+    ascending codes are the sorted order of the states as tuples.  A pair of
+    states (i, j) is coded as i·size + j, which keeps that order too.
+    """
+
+    __slots__ = ("names", "values", "ranks", "weights", "size", "_places")
+
+    def __init__(self, names: Sequence[str], carriers: Sequence[Iterable[Value]]):
+        self.names = tuple(names)
+        self.values = tuple(tuple(sorted(set(c), key=value_key)) for c in carriers)
+        self.ranks = tuple({v: r for r, v in enumerate(vs)} for vs in self.values)
+        weights, size = [], 1
+        for vs in reversed(self.values):
+            weights.append(size)
+            size *= len(vs)
+        self.weights = tuple(reversed(weights))
+        self.size = size
+        self._places = tuple(zip(self.names, self.values, self.weights))
+
+    def encode(self, s: State) -> int:
+        """The code of s; SortError when s is not over these variables or a
+        value lies outside its carrier."""
+        if len(s) != len(self.names):
+            raise SortError(f"state {s} is not over the variables {self.names}")
+        code = 0
+        for (n, v), want, rank, w in zip(s, self.names, self.ranks, self.weights):
+            r = rank.get(v) if n == want else None
+            if r is None:
+                if n != want:
+                    raise SortError(f"state {s} is not over the variables {self.names}")
+                raise SortError(f"state {s}: value {v!r} of {n} lies outside its carrier")
+            code += r * w
+        return code
+
+    def encode_pair(self, s: State, t: State) -> int:
+        return self.encode(s) * self.size + self.encode(t)
+
+    def decode(self, code: int) -> State:
+        return tuple([(n, vs[code // w % len(vs)]) for n, vs, w in self._places])
+
+    def decode_pair(self, code: int) -> tuple[State, State]:
+        i, j = divmod(code, self.size)
+        return self.decode(i), self.decode(j)
+
+
+@functools.lru_cache(maxsize=128)
+def _coding(names: tuple[str, ...], carriers: tuple[tuple[Value, ...], ...]) -> StateCoding:
+    return StateCoding(names, carriers)
+
+
+def state_coding(sig: EvtSignature, algebra: FiniteAlgebra) -> StateCoding:
+    """The coding of the states over sig's variables in algebra."""
+    return _coding(sig.var_names, tuple([algebra.carrier(s) for _, s in sig.vars]))
+
+
+class Projection:
+    """reduce_state along a morphism, on the codes of its target's states in
+    one algebra: a source variable's digit is the digit at its image's place
+    (state_positions), and the source coding keeps the same sorted carriers,
+    which the reduct algebra has.  A state's reduct is computed once per
+    distinct code; a pair's is the pair of its states' reducts."""
+
+    __slots__ = ("source", "state", "pair")
+
+    def __init__(self, m: EvtMorphism, coding: StateCoding):
+        places = [i for _, i in m.state_positions]
+        self.source = source = _coding(m.source.var_names,
+                                       tuple([coding.values[i] for i in places]))
+        digits = [(coding.weights[i], len(coding.values[i]), w)
+                  for i, w in zip(places, source.weights)]
+        memo: dict[int, int] = {}
+        n, ns = coding.size, source.size
+
+        def state(code: int) -> int:
+            r = memo.get(code)
+            if r is None:
+                r = memo[code] = sum([code // w % k * sw for w, k, sw in digits])
+            return r
+
+        def pair(code: int) -> int:
+            i, j = divmod(code, n)
+            return state(i) * ns + state(j)
+
+        self.state, self.pair = state, pair
+
+
 @dataclass(frozen=True)
 class EvtModel:
     """A first-order algebra, a non-empty initialising state set, and a
-    before/after relation for every non-initial event."""
+    before/after relation for every non-initial event.
+
+    States are held as codes of state_coding(signature, algebra) and pairs
+    as pair codes; init, rel and rel_map are their views as tuple states,
+    decoded on first use."""
 
     signature: EvtSignature
     algebra: FiniteAlgebra
-    init: frozenset[State]
-    rel: tuple[tuple[str, frozenset[tuple[State, State]]], ...]
+    init_codes: frozenset[int]
+    rel_codes: tuple[tuple[str, frozenset[int]], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "init", frozenset(self.init))
-        object.__setattr__(self, "rel", tuple(sorted(
-            (e, frozenset(pairs)) for e, pairs in self.rel)))
-        if not self.init:
+        object.__setattr__(self, "init_codes", frozenset(self.init_codes))
+        object.__setattr__(self, "rel_codes", tuple(sorted(
+            (e, frozenset(pairs)) for e, pairs in self.rel_codes)))
+        if not self.init_codes:
             raise SortError("the initialising set must be non-empty")
-        if set(dict(self.rel)) != set(self.signature.non_init_events):
+        if set(dict(self.rel_codes)) != set(self.signature.non_init_events):
             raise SortError("relation domain must be the non-initial events")
-        if not self.signature.vars and self.init != frozenset({()}):
+        if not self.signature.vars and self.init_codes != frozenset({0}):
             raise SortError("with no variables the initialising set is the empty map")
+
+    @cached_property
+    def coding(self) -> StateCoding:
+        return state_coding(self.signature, self.algebra)
+
+    @cached_property
+    def code_map(self) -> dict[str, frozenset[int]]:
+        return dict(self.rel_codes)
+
+    @cached_property
+    def init(self) -> frozenset[State]:
+        return frozenset(map(self.coding.decode, self.init_codes))
+
+    @cached_property
+    def rel(self) -> tuple[tuple[str, frozenset[tuple[State, State]]], ...]:
+        # each distinct state decoded once
+        decode, n = functools.cache(self.coding.decode), self.coding.size
+        return tuple((e, frozenset([(decode(p // n), decode(p % n)) for p in pairs]))
+                     for e, pairs in self.rel_codes)
 
     @cached_property
     def rel_map(self) -> dict[str, frozenset[tuple[State, State]]]:
@@ -322,8 +437,12 @@ def make_model(
     init: Iterable[State],
     rel: Mapping[str, Iterable[tuple[State, State]]],
 ) -> EvtModel:
-    full = {e: frozenset(rel.get(e, ())) for e in sig.non_init_events}
-    return EvtModel(sig, algebra, frozenset(init), tuple(full.items()))
+    """The model with these tuple states; SortError when a state is not over
+    sig's variables or holds a value outside its carrier."""
+    coding = state_coding(sig, algebra)
+    full = {e: frozenset([coding.encode_pair(s, t) for s, t in rel.get(e, ())])
+            for e in sig.non_init_events}
+    return EvtModel(sig, algebra, frozenset(map(coding.encode, init)), tuple(full.items()))
 
 
 def init_conjuncts(body: Formula) -> list[Formula]:
@@ -350,38 +469,34 @@ def satisfies(m: EvtModel, s: EvtSentence) -> bool:
                for before, after in m.rel_map[s.event])
 
 
-def state_reducer(m: EvtMorphism) -> Callable[[State], State]:
-    """reduce_state along m, computed once per distinct state."""
-    memo: dict[State, State] = {}
-
-    def reduce(s: State) -> State:
-        r = memo.get(s)
-        if r is None:
-            r = memo[s] = reduce_state(s, m)
-        return r
-
-    return reduce
-
-
 def restrict_along(
-    init: Iterable[State],
-    rel_map: Mapping[str, Iterable[tuple[State, State]]],
+    coding: StateCoding,
+    init: Iterable[int],
+    rel_map: Mapping[str, Iterable[int]],
     bounds: Sequence[tuple[EvtMorphism, EvtModel]],
-) -> tuple[frozenset[State], dict[str, frozenset[tuple[State, State]]]]:
-    """The states and pairs whose reducts along every listed morphism lie in
-    its bound, a model over the morphism's source.
+) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
+    """The state codes and pair codes, under coding, whose reducts along
+    every listed morphism lie in its bound, a model over the morphism's
+    source.
 
-    A pair of event e is bounded by the relations of e's preimages; every
-    bound is tested in one pass, so no intermediate set is built.
+    A pair of event e is bounded by the relations of e's preimages; each
+    bound filters what the ones before it kept.
     """
-    views = [(state_reducer(m), b.init, b.rel_map, m.preimages) for m, b in bounds]
-    out_init = frozenset(
-        s for s in init if all(red(s) in b_init for red, b_init, _, _ in views))
+    views = [(Projection(m, coding), b, m.preimages) for m, b in bounds]
+    kept = list(init)
+    for red, b, _ in views:
+        state, allowed = red.state, b.init_codes
+        kept = [c for c in kept if state(c) in allowed]
+    out_init = frozenset(kept)
     out_rel = {}
     for e, pairs in rel_map.items():
-        tests = [(red, b_rel[e0]) for red, _, b_rel, pre in views for e0 in pre[e]]
-        out_rel[e] = frozenset(pairs) if not tests else frozenset(
-            (s, t) for s, t in pairs if all((red(s), red(t)) in r for red, r in tests))
+        kept = pairs
+        for red, b, pre in views:
+            pair = red.pair
+            for e0 in pre[e]:
+                allowed = b.code_map[e0]
+                kept = [p for p in kept if pair(p) in allowed]
+        out_rel[e] = frozenset(kept)
     return out_init, out_rel
 
 
@@ -390,11 +505,11 @@ def model_reduct(m: EvtMorphism, model: EvtModel) -> EvtModel:
     source event gets the reduct of its image's relation."""
     if model.signature != m.target:
         raise SortError("model is not over the morphism's target")
-    red = state_reducer(m)
-    rel = {e: frozenset((red(s), red(t)) for s, t in model.rel_map[m.apply_event(e)])
+    red = Projection(m, model.coding)
+    rel = {e: frozenset(map(red.pair, model.code_map[m.apply_event(e)]))
            for e in m.source.non_init_events}
-    return make_model(m.source, algebra_reduct(model.algebra, m.fopeq),
-                      frozenset(map(red, model.init)), rel)
+    return EvtModel(m.source, algebra_reduct(model.algebra, m.fopeq),
+                    frozenset(map(red.state, model.init_codes)), tuple(rel.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +550,7 @@ def _filter_pool(
     algebra: FiniteAlgebra,
     conjuncts: Sequence[Conjunct],
     compile_term: Optional[Callable[[fopeq.Term], Callable[[Mapping], Value]]] = None,
+    budget: Optional[list[float]] = None,
 ) -> Iterator[State]:
     """States satisfying conjuncts over unprimed variables, given with their
     free variables and compiled functions; generated lazily so that callers
@@ -450,7 +566,9 @@ def _filter_pool(
     among all.  Every other conjunct is checked as soon as all its variables
     are bound.  A conjunct naming a variable outside the pool, a primed one
     included, is checked last, where evaluating it raises SortError.
-    compile_term compiles the definition terms.
+    compile_term compiles the definition terms.  With a budget, the values
+    tried are taken from budget[0], and the search raises _BudgetSpent once
+    it goes below zero.
     """
     if compile_term is None:
         def compile_term(t):
@@ -508,6 +626,10 @@ def _filter_pool(
             values = (values.get(term(val), UNDEF),)
             if values[0] is UNDEF:
                 return
+        if budget is not None:
+            budget[0] -= len(values)
+            if budget[0] < 0:
+                raise _BudgetSpent
         for v in values:
             val[key] = v
             for fn in tests:
@@ -522,15 +644,24 @@ def _filter_pool(
     yield from extend(0)
 
 
-class _Pool:
-    """The states a search has yielded so far.  Every reader of one conjunct
-    set in a maximal_model call shares the prefix, and grows it only as far
-    as its own question needs."""
+class _BudgetSpent(Exception):
+    """A pool search visited more values than its budget allowed."""
 
-    __slots__ = ("states", "dry", "_search")
+
+# the core search may try this many values per state it may yield
+_CORE_BUDGET = 16
+
+
+class _Pool:
+    """The states a search has yielded so far, and their codes once asked
+    for.  Every reader of one conjunct set in a maximal_model call shares
+    the prefix, and grows it only as far as its own question needs."""
+
+    __slots__ = ("states", "codes", "dry", "_search")
 
     def __init__(self, search: Iterator[State]):
         self.states: list[State] = []
+        self.codes: list[int] = []
         self.dry = False
         self._search = search
 
@@ -542,6 +673,12 @@ class _Pool:
             self.states.extend(itertools.islice(self._search, short))
             self.dry = len(self.states) < n
         return self.states
+
+    def coded(self, coding: StateCoding) -> list[int]:
+        """The codes of the states so far, each state encoded once."""
+        if len(self.codes) < len(self.states):
+            self.codes.extend(map(coding.encode, self.states[len(self.codes):]))
+        return self.codes
 
 
 def _shared_pools(
@@ -557,17 +694,27 @@ def _shared_pools(
 
     The core, the conjuncts that every one of the (at least one) readers
     holds, is searched first, up to root states, in the first reader's
-    order.  If it runs dry, every other pool is the core's states filtered
-    by its reader's extra conjuncts: a unary one becomes the values allowed
-    at a state position, and the others are checked on one valuation per
-    core state.  Otherwise every other pool is searched on its own, and the
-    core adds at most root states to the work.
+    order, trying at most _CORE_BUDGET·root values.  If it runs dry, every
+    other pool is the core's states filtered by its reader's extra
+    conjuncts: a unary one becomes the values allowed at a state position,
+    and the others are checked on one valuation per core state.  Otherwise
+    every other pool is searched on its own, and the core adds at most root
+    states and its budget to the work; a core that spends its budget is
+    dropped, so a sparse core that no definition binds is not searched
+    through the whole product.
     """
     pools: dict[frozenset[Formula], _Pool] = {}
     shared = frozenset.intersection(*(frozenset([c for c, _, _ in r]) for r in readers))
-    core = pools[shared] = _Pool(_filter_pool(
-        sig, algebra, [cj for cj in readers[0] if cj[0] in shared], compile_term))
-    core.grow(root)
+    budget = [_CORE_BUDGET * root]
+    core = _Pool(_filter_pool(
+        sig, algebra, [cj for cj in readers[0] if cj[0] in shared], compile_term, budget))
+    try:
+        core.grow(root)
+    except _BudgetSpent:
+        pass  # the core is not dry, so every reader searches on its own
+    else:
+        budget[0] = math.inf
+        pools[shared] = core
     position = {n: i for i, n in enumerate(sig.var_names)}
     valuations: list[dict] = []
 
@@ -606,9 +753,10 @@ def maximal_model(
     sentences: Sequence[EvtSentence],
     algebra: FiniteAlgebra,
     bounds: Bounds,
-) -> tuple[frozenset[State], dict[str, frozenset[tuple[State, State]]]]:
+) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
     """The largest initialising set and per-event relation satisfying every
-    sentence over the given algebra.
+    sentence over the given algebra, as state codes and pair codes of
+    state_coding(sig, algebra).
 
     Satisfaction quantifies universally over each relation, so the class of
     satisfying models is exactly the non-empty-L downward closure of this
@@ -706,16 +854,18 @@ def maximal_model(
 
     ceiling = bounds.pair_ceiling
     root = math.isqrt(ceiling) + 1
-    l_max: frozenset[State] = frozenset()
+    l_max: frozenset[int] = frozenset()
     r_max = {e: frozenset() for e in sig.non_init_events}
     if not readers:
         return l_max, r_max
+    coding = state_coding(sig, algebra)
+    size = coding.size
     pool = _shared_pools(sig, algebra, readers, compiled_term, root)
     if init_reads:
-        init_pool = pool(init_reader).grow(ceiling + 1)
-        if len(init_pool) > ceiling:
+        init_pool = pool(init_reader)
+        if len(init_pool.grow(ceiling + 1)) > ceiling:
             raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
-        l_max = frozenset(init_pool)
+        l_max = frozenset(init_pool.coded(coding))
 
     for e, (before_only, after_only, keys, checks, read) in plans.items():
         # the pools grow in step, each to √ceiling first; then a pool that
@@ -731,21 +881,27 @@ def maximal_model(
         if len(before.states) * len(after.states) > ceiling:
             raise EnumerationLimit(
                 f"event {e}: state pairs exceed the ceiling {ceiling}")
-        index: dict[tuple, list[tuple[State, dict]]] = {}
-        for t in after.states:
+        # each bucket holds after-codes, with the after-values checks read
+        index: dict[tuple, list] = {}
+        for t, j in zip(after.states, after.coded(coding)):
             index.setdefault(tuple([t[i][1] for i in keys]), []).append(
-                (t, {(n, True): v for n, v in t if (n, True) in read}))
-        pairs = []
-        for s in before.states:
-            val = state_valuation(s, False)
+                (j, {(n, True): v for n, v in t if (n, True) in read}) if checks else j)
+        pairs: list[int] = []
+        for s, i in zip(before.states, before.coded(coding)):
+            val = state_valuation(s, False) if keys or checks else None
             # an undefined key term matches no bucket, as x′ = t is then false
-            for t, tval in index.get(tuple([fn(val) for fn in keys.values()]), ()):
+            bucket = index.get(tuple([fn(val) for fn in keys.values()]), ())
+            base = i * size
+            if not checks:
+                pairs.extend([base + j for j in bucket])
+                continue
+            for j, tval in bucket:
                 val.update(tval)
                 for fn in checks:
                     if not fn(val):
                         break
                 else:
-                    pairs.append((s, t))
+                    pairs.append(base + j)
         r_max[e] = frozenset(pairs)
     return l_max, r_max
 
@@ -804,71 +960,79 @@ def _amalgamate_algebra(
     return fopeq.make_algebra(merged.fopeq, a1.int_bound, *parts)
 
 
-Row = tuple[Value, ...]
+Row = tuple[int, ...]
 
 
 def _side_rows(
-    j: EvtMorphism, members: Sequence[frozenset[Value]],
-) -> tuple[list[int], Callable[[State], Optional[Row]]]:
+    j: EvtMorphism, side: StateCoding, merged: StateCoding,
+) -> tuple[list[int], Callable[[int], Optional[Row]]]:
     """The merged places j's variables fill, in increasing order, and a view
-    of a state over j's source as its values at those places.  A state joins
-    nothing (its view is None) when it is not over j's source variables, when
-    two variables with one image disagree, or when a value lies outside the
+    of a state code over j's source (under side) as the merged digits at
+    those places.  A state joins nothing (its view is None) when two
+    variables with one image disagree, or when a value lies outside the
     carrier of its place: no merged state reduces to it."""
-    names = j.source.var_names
     places = [i for _, i in j.state_positions]
     own = sorted(set(places))
-    memo: dict[State, Optional[Row]] = {}
+    # each variable's digit as the merged digit of its value at its place
+    digits = [(w, len(vs), [merged.ranks[p].get(v) for v in vs], p)
+              for vs, w, p in zip(side.values, side.weights, places)]
+    memo: dict[int, Optional[Row]] = {}
 
-    def view(s: State) -> Optional[Row]:
-        if s not in memo:
-            row: dict[int, Value] = {}
-            ok = len(s) == len(names) and all(
-                n == want and v in members[p] and row.setdefault(p, v) == v
-                for (n, v), want, p in zip(s, names, places))
-            memo[s] = tuple([row[p] for p in own]) if ok else None
-        return memo[s]
+    def view(code: int) -> Optional[Row]:
+        if code not in memo:
+            row: dict[int, int] = {}
+            ok = all(d is not None and row.setdefault(p, d) == d
+                     for d, p in ((to[code // w % k], p) for w, k, to, p in digits))
+            memo[code] = tuple([row[p] for p in own]) if ok else None
+        return memo[code]
 
     return own, view
 
 
 def _join(
     sides: Sequence[tuple[Sequence[int], Sequence[Row]]],
-    carriers: Sequence[Sequence[Value]],
-) -> tuple[int, Callable[[], Iterator[Row]]]:
-    """The rows over len(carriers) places whose restriction to each of at
-    most two sides' places is one of that side's rows; a side is its places,
-    in increasing order, and its rows.
+    radices: Sequence[int],
+    weights: Sequence[int],
+) -> tuple[int, Callable[[], Iterator[int]]]:
+    """The codes of the rows of digits over len(radices) places whose
+    restriction to each of at most two sides' places is one of that side's
+    rows; a side is its places, in increasing order, and its rows, and a
+    row's code is the sum of its digits times the places' weights.
 
-    The second side's rows are bucketed by their values on the places both
+    The second side's rows are bucketed by their digits on the places both
     sides fix and the first side's rows probe the buckets; places no side
-    fixes range over their carriers.  Returns the number of rows, counted
-    from the bucket sizes, and a generator of the rows, so that a caller can
-    refuse before any row is built.
+    fixes range over their radices.  Returns the number of rows, counted
+    from the bucket sizes, and a generator of their codes, so that a caller
+    can refuse before any code is built.
     """
     (own1, rows1), (own2, rows2) = [*sides, ((), [()]), ((), [()])][:2]
     fixed = set(own1)
     probe = [own1.index(p) for p in own2 if p in fixed]
     shared = [i for i, p in enumerate(own2) if p in fixed]
-    new = [i for i, p in enumerate(own2) if p not in fixed]
-    free = [p for p in range(len(carriers)) if p not in fixed and p not in own2]
-    index: dict[Row, list[Row]] = {}
+    new = [(i, weights[p]) for i, p in enumerate(own2) if p not in fixed]
+    free = [p for p in range(len(radices)) if p not in fixed and p not in own2]
+    index: dict[Row, list[int]] = {}
     for r in rows2:
-        index.setdefault(tuple([r[i] for i in shared]), []).append(tuple([r[i] for i in new]))
-    matches = [(r, index.get(tuple([r[i] for i in probe]), ())) for r in rows1]
-    size = sum(len(b) for _, b in matches) * math.prod(len(carriers[p]) for p in free)
-    order = [*own1, *(own2[i] for i in new), *free]
-    layout = sorted(range(len(order)), key=order.__getitem__)
+        index.setdefault(tuple([r[i] for i in shared]), []).append(
+            sum([r[i] * w for i, w in new]))
+    weights1 = [weights[p] for p in own1]
+    matches = [(sum([d * w for d, w in zip(r, weights1)]),
+                index.get(tuple([r[i] for i in probe]), ())) for r in rows1]
+    size = sum(len(b) for _, b in matches) * math.prod(radices[p] for p in free)
 
-    def rows() -> Iterator[Row]:
-        extra = [carriers[p] for p in free]
-        for r1, bucket in matches:
-            for r2 in bucket:
-                for f in itertools.product(*extra):
-                    row = r1 + r2 + f
-                    yield tuple([row[i] for i in layout])
+    def codes() -> Iterator[int]:
+        if not size:
+            return
+        extra = [0]
+        for p in free:
+            extra = [c + d * weights[p] for c in extra for d in range(radices[p])]
+        for c1, bucket in matches:
+            for c2 in bucket:
+                base = c1 + c2
+                for c in extra:
+                    yield base + c
 
-    return size, rows
+    return size, codes
 
 
 def amalgamate(
@@ -891,7 +1055,8 @@ def amalgamate(
     variables: the initialising sets join, and each merged event joins the
     intersected relations of its preimages on each side that has any; the
     variables no such side covers range over their carriers, before- and
-    after-values independently.
+    after-values independently.  The join yields the amalgam's state and
+    pair codes directly.
     """
     if pushout is None:
         pushout = evt_pushout(span1, span2)
@@ -904,53 +1069,52 @@ def amalgamate(
         raise SpecError(f"reducts along the span differ: {diff}")
 
     algebra = _amalgamate_algebra(merged, inj1, inj2, m1.algebra, m2.algebra)
-    n = len(merged.var_names)
-    carriers = [algebra.carrier(sort) for _, sort in merged.vars]
-    members = [frozenset(c) for c in carriers]
-    sides = [(m, j, *_side_rows(j, members)) for m, j in ((m1, inj1), (m2, inj2))]
+    coding = state_coding(merged, algebra)
+    n, size = len(merged.var_names), coding.size
+    radices = [len(vs) for vs in coding.values]
+    sides = [(m, j, *_side_rows(j, m.coding, coding)) for m, j in ((m1, inj1), (m2, inj2))]
 
-    init_size, init_rows = _join([
-        (own, [r for r in map(view, m.init) if r is not None])
-        for m, _, own, view in sides], carriers)
+    init_size, init_codes = _join([
+        (own, [r for r in map(view, m.init_codes) if r is not None])
+        for m, _, own, view in sides], radices, coding.weights)
     if not init_size:
         raise SpecError("no amalgam exists: the joined initialising set is empty")
-    joins = {INIT: (init_size, init_rows)}
+    joins = {INIT: (init_size, init_codes)}
+    pair_weights = [w * size for w in coding.weights] + list(coding.weights)
     for e in merged.non_init_events:
         parts = []
         for m, j, own, view in sides:
             if j.preimages[e]:
-                pairs = frozenset.intersection(*(m.rel_map[e0] for e0 in j.preimages[e]))
-                views = [(view(s), view(t)) for s, t in pairs]
+                pairs = frozenset.intersection(*(m.code_map[e0] for e0 in j.preimages[e]))
+                side_size = m.coding.size
+                views = [(view(p // side_size), view(p % side_size)) for p in pairs]
                 parts.append(([*own, *(n + p for p in own)],
                               [a + b for a, b in views if a is not None and b is not None]))
-        joins[e] = _join(parts, carriers + carriers)
+        joins[e] = _join(parts, radices + radices, pair_weights)
     ceiling = bounds.pair_ceiling
-    for e, (size, _) in joins.items():
-        if size > ceiling:
+    for e, (count, _) in joins.items():
+        if count > ceiling:
             what = "initial states" if e == INIT else "state pairs"
             raise EnumerationLimit(f"event {e}: amalgam {what} exceed the ceiling {ceiling}")
 
-    names = merged.var_names
-    init = frozenset(tuple(zip(names, r)) for r in init_rows())
-    rel = {e: frozenset((tuple(zip(names, r[:n])), tuple(zip(names, r[n:]))) for r in rows())
-           for e, (_, rows) in joins.items() if e != INIT}
-    candidate = make_model(merged, algebra, init, rel)
+    candidate = EvtModel(merged, algebra, frozenset(init_codes()), tuple(
+        (e, frozenset(codes())) for e, (_, codes) in joins.items() if e != INIT))
     if model_reduct(inj1, candidate) != m1 or model_reduct(inj2, candidate) != m2:
         raise SpecError("no amalgam exists: the maximal join does not reduce back")
     return candidate, not _has_redundant_item(candidate, (inj1, inj2))
 
 
 def _first_model_difference(r1: EvtModel, r2: EvtModel) -> str:
-    def key(s: State):
-        return [(n, value_key(v)) for n, v in s]
-
     if r1.algebra != r2.algebra:
         return "algebras differ"
-    for s in sorted(r1.init ^ r2.init, key=key):
-        return f"initial state {s} on one side only"
+    coding = r1.coding
+    diff = r1.init_codes ^ r2.init_codes
+    if diff:
+        return f"initial state {coding.decode(min(diff))} on one side only"
     for e in r1.signature.non_init_events:
-        for p in sorted(r1.rel_map[e] ^ r2.rel_map[e], key=lambda p: [*map(key, p)]):
-            return f"event {e} pair {p} on one side only"
+        diff = r1.code_map[e] ^ r2.code_map[e]
+        if diff:
+            return f"event {e} pair {coding.decode_pair(min(diff))} on one side only"
     return "models differ"
 
 
@@ -958,18 +1122,17 @@ def _has_redundant_item(m: EvtModel, injections: Sequence[EvtMorphism]) -> bool:
     """Whether dropping one initialising state or one pair leaves the reduct
     along every injection unchanged: the item's image along each injection
     that sees it is shared with another item."""
-    reducers = [state_reducer(j) for j in injections]
+    reducts = [Projection(j, m.coding) for j in injections]
 
     def redundant(items, keys) -> bool:
         counts = [Counter(map(key, items)) for key in keys]
         return any(all(c[key(x)] > 1 for c, key in zip(counts, keys)) for x in items)
 
-    if redundant(m.init, reducers):
+    if redundant(m.init_codes, [red.state for red in reducts]):
         return True
-    for e, pairs in m.rel:
-        keys = [lambda p, red=red: (red(p[0]), red(p[1]))
-                for red, j in zip(reducers, injections) if j.preimages[e]]
-        if redundant(pairs, keys):
+    for e, pairs in m.rel_codes:
+        if redundant(pairs, [red.pair for red, j in zip(reducts, injections)
+                             if j.preimages[e]]):
             return True
     return False
 
@@ -996,6 +1159,6 @@ def comorphism_mod(m: EvtModel) -> FiniteAlgebra:
     """Project an embedded model back to its algebra."""
     if m.signature.vars or m.signature.non_init_events:
         raise SortError("model does not come from an embedded specification")
-    if any(pairs for _, pairs in m.rel):
+    if any(pairs for _, pairs in m.rel_codes):
         raise SortError("embedded models have empty event relations")
     return m.algebra

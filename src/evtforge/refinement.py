@@ -15,8 +15,8 @@ from typing import Optional
 from .errors import SortError, SpecError
 from .fopeq import algebra_reduct
 from .institution import (
-    INIT, EvtMorphism, EvtSignature, State, evt_compose, evt_identity,
-    state_reducer,
+    INIT, EvtMorphism, EvtSignature, Projection, State, StateCoding, evt_compose,
+    evt_identity,
 )
 from .specs import Evaluator, ModelClassRep, Spec, SpecLibrary, sig_of
 from .sugar import RefinementText, build_morphism
@@ -115,7 +115,8 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
                      m: EvtMorphism) -> RefinementVerdict:
     algebras = 0
     pairs_checked = 0
-    red = state_reducer(m)
+    # slices over one carrier per variable share a coding, and its reducts
+    reducts: dict[StateCoding, Projection] = {}
 
     def verdict(cx: Optional[Counterexample] = None) -> RefinementVerdict:
         return RefinementVerdict(name, cx is None, cx,
@@ -127,18 +128,25 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
         label = sl.algebra.describe()
         if asl is None:
             return verdict(Counterexample(label, None))
-        # the counterexample is the least failing item, as a sorted walk
-        # would meet it first; pairs counts the walk up to it
-        failing = [s for s in sl.init if red(s) not in asl.init]
+        red = reducts.get(sl.coding)
+        if red is None:
+            red = reducts[sl.coding] = Projection(m, sl.coding)
+        decode = red.source.decode
+        # the counterexample is the least failing code, as a walk over the
+        # codes in ascending (that is, sorted) order would meet it first;
+        # pairs counts the walk up to it
+        state, allowed = red.state, asl.init_codes
+        failing = [c for c in sl.init_codes if state(c) not in allowed]
         if failing:
-            return verdict(Counterexample(label, INIT, after=red(min(failing))))
+            return verdict(Counterexample(label, INIT, after=decode(state(min(failing)))))
         for e in m.source.non_init_events:
-            rel, allowed = sl.rel_map[m.apply_event(e)], asl.rel_map[e]
-            failing = [(s, t) for s, t in rel if (red(s), red(t)) not in allowed]
+            rel, pair, allowed = sl.code_map[m.apply_event(e)], red.pair, asl.code_map[e]
+            failing = [p for p in rel if pair(p) not in allowed]
             if failing:
-                s, t = min(failing)
-                pairs_checked += sum(1 for pair in rel if pair <= (s, t))
-                return verdict(Counterexample(label, e, before=red(s), after=red(t)))
+                first = min(failing)
+                pairs_checked += sum(1 for p in rel if p <= first)
+                before, after = red.source.decode_pair(pair(first))
+                return verdict(Counterexample(label, e, before=before, after=after))
             pairs_checked += len(rel)
     return verdict()
 

@@ -28,7 +28,7 @@ from .fopeq import (
 from .institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
-    merged_signature, model_reduct, restrict_along, signature_union,
+    merged_signature, model_reduct, restrict_along, signature_union, state_coding,
     translate_sentence,
 )
 from .mathlang import (
@@ -361,10 +361,11 @@ def rep_contains(rep: ModelClassRep, model) -> bool:
     sl = rep.by_algebra.get(model.algebra)
     if sl is None:
         return False
-    if not model.init or not model.init <= sl.init:
+    # over one algebra, the same variables and sorts give the same coding
+    if model.signature.vars != rep.signature.vars or not model.init_codes <= sl.init_codes:
         return False
-    rm = sl.rel_map
-    return all(pairs <= rm[e] for e, pairs in model.rel)
+    rm = sl.code_map
+    return all(pairs <= rm[e] for e, pairs in model.rel_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +531,8 @@ class Evaluator:
             else:
                 l_max, r_max = maximal_model(sig, sentences, a, self.bounds)
                 if bounds:
-                    l_max, r_max = restrict_along(l_max, r_max, bounds)
+                    l_max, r_max = restrict_along(
+                        state_coding(sig, a), l_max, r_max, bounds)
                 if l_max:
                     slices.append(EvtModel(sig, a, l_max, tuple(r_max.items())))
         return make_rep(sig, slices)
@@ -587,24 +589,22 @@ def _dedupe(items: list) -> list:
 def enumerate_models(rep: ModelClassRep, limit: int = 1 << 16):
     """Every concrete model in the represented class; guarded by a count
     limit since the downward closure is exponential."""
-    from .institution import make_model
-
     total = 0
     for sl in rep.slices:
-        count = (2 ** len(sl.init) - 1)
-        for _, pairs in sl.rel:
+        count = (2 ** len(sl.init_codes) - 1)
+        for _, pairs in sl.rel_codes:
             count *= 2 ** len(pairs)
         total += count
         if total > limit:
             raise EnumerationLimit(f"class has more than {limit} models")
     for sl in rep.slices:
-        l_subsets = _subsets(sorted(sl.init), nonempty=True)
-        event_names = [e for e, _ in sl.rel]
-        pair_choices = [_subsets(sorted(pairs)) for _, pairs in sl.rel]
+        l_subsets = _subsets(sorted(sl.init_codes), nonempty=True)
+        event_names = [e for e, _ in sl.rel_codes]
+        pair_choices = [_subsets(sorted(pairs)) for _, pairs in sl.rel_codes]
         for init in l_subsets:
             for chosen in itertools.product(*pair_choices):
-                yield make_model(rep.signature, sl.algebra, frozenset(init),
-                                 dict(zip(event_names, map(frozenset, chosen))))
+                yield EvtModel(rep.signature, sl.algebra, init,
+                               tuple(zip(event_names, chosen)))
 
 
 def _subsets(items: list, nonempty: bool = False):

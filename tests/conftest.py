@@ -4,7 +4,8 @@ import pytest
 
 from evtforge.errors import ParseError
 from evtforge.eventb import parse_text
-from evtforge.fopeq import Term
+from evtforge.fopeq import FiniteAlgebra, Term
+from evtforge.institution import EvtSignature, state_coding
 from evtforge.mathlang import (
     ElabContext, TokenStream, elab_term, parse_expression, tokenize,
 )
@@ -15,6 +16,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def load_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def decoded(sig: EvtSignature, algebra: FiniteAlgebra, maximum):
+    """maximal_model's state and pair codes as tuple states: the initialising
+    set and each event's relation."""
+    coding = state_coding(sig, algebra)
+    l_max, r_max = maximum
+    return ({coding.decode(c) for c in l_max},
+            {e: {coding.decode_pair(p) for p in pairs} for e, pairs in r_max.items()})
 
 
 def parse_term_text(text: str, ctx: ElabContext) -> Term:

@@ -7,6 +7,9 @@
 - ``enumerate_states`` and ``literal_inclusion``: every state of a signature
   over an algebra, and refinement as literal inclusion of enumerated model
   classes, against which the maxima shortcut is checked.
+- ``restrict_along``: the restriction of states and pairs to the reducts in
+  bounds, on tuple states, against which the library's restriction of state
+  codes is checked.
 - ``pretty_print_eb``: the print half of the Event-B text round trip
   (print∘parse must be the identity on parsed specifications).
 - ``reference_tokenize`` and ``LinearTokenStream``: the lexer as a loop over
@@ -15,7 +18,7 @@
 """
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from evtforge.errors import ParseError, SortError
 from evtforge.eventb import ContextDef, EbSpecification, LabelledPred
@@ -24,7 +27,9 @@ from evtforge.fopeq import (
     FiniteAlgebra, Forall, Exists, Formula, Iff, Implies, InSet, IntLit, Not,
     OpApp, Or, PredApp, Term, TrueF, Value, Var,
 )
-from evtforge.institution import EvtMorphism, EvtSignature, State, model_reduct
+from evtforge.institution import (
+    EvtModel, EvtMorphism, EvtSignature, State, model_reduct, reduce_state,
+)
 from evtforge.mathlang import (
     _MULTI, _QUANT, _SINGLE, _UNICODE_SYM, _WORD_SORTS, SApp, SBin, SBool,
     SName, SNum, SQuant, SSet, SUn, Token, unparse_type,
@@ -145,6 +150,25 @@ def literal_inclusion(rep_c: ModelClassRep, rep_a: ModelClassRep,
         if not rep_contains(rep_a, model_reduct(m, model)):
             return False
     return True
+
+
+def restrict_along(
+    init: Iterable[State],
+    rel_map: Mapping[str, Iterable[tuple[State, State]]],
+    bounds: Sequence[tuple[EvtMorphism, EvtModel]],
+) -> tuple[frozenset[State], dict[str, frozenset[tuple[State, State]]]]:
+    """The tuple states and pairs whose reducts along every listed morphism
+    lie in its bound, a model over the morphism's source; a pair of event e
+    is bounded by the relations of e's preimages."""
+    out_init = frozenset(s for s in init if all(
+        reduce_state(s, m) in b.init for m, b in bounds))
+    out_rel = {}
+    for e, pairs in rel_map.items():
+        tests = [(m, b.rel_map[e0]) for m, b in bounds for e0 in m.preimages[e]]
+        out_rel[e] = frozenset(
+            (s, t) for s, t in pairs
+            if all((reduce_state(s, m), reduce_state(t, m)) in r for m, r in tests))
+    return out_init, out_rel
 
 
 # ---------------------------------------------------------------------------

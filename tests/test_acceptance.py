@@ -34,7 +34,7 @@ from evtforge.specs import (
 )
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
-from tests.conftest import FIXTURES, load_fixture, parse_term_text
+from tests.conftest import FIXTURES, decoded, load_fixture, parse_term_text
 from tests.reference_eval import enumerate_states, eval_formula, literal_inclusion
 
 B3 = Bounds(int_bound=3)
@@ -135,7 +135,7 @@ def test_criterion_04_single_event_relation():
         EvtSentence("e", parse_formula_text("x < 2 ∧ x′ = x + 1 ∧ y′ = FALSE", ctx)),
     ]
     alg = make_algebra(FopeqSignature(), 3, {}, {})
-    _, r_max = maximal_model(sig, sentences, alg, B3)
+    _, r_max = decoded(sig, alg, maximal_model(sig, sentences, alg, B3))
     expected = frozenset({
         (make_state({"x": 0, "y": False}), make_state({"x": 1, "y": False})),
         (make_state({"x": 0, "y": True}), make_state({"x": 1, "y": False})),

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from evtforge.cli import dump_json, main, models_payload
+from evtforge.institution import StateCoding
 from evtforge.refinement import Counterexample, RefinementVerdict
 from tests.conftest import FIXTURES
 
@@ -443,8 +444,24 @@ def _models_case(draw):
             rel=tuple(sorted(
                 (e, draw(st.frozensets(st.tuples(states, states), max_size=6)))
                 for e in events))))
+    _coded(slices)
     args = (draw(_names), draw(st.integers(-3, 9)), slices, draw(st.booleans()))
     return models_payload(*args), _oracle_models_payload(*args)
+
+
+def _coded(slices):
+    """Give each slice the codes and the coding that ``models`` reads: the
+    coding ranks the values each variable takes in the slices."""
+    states = [x for sl in slices
+              for x in (*sl.init, *(x for _, p in sl.rel for pair in p for x in pair))]
+    names = [n for n, _ in states[0]] if states else []
+    coding = StateCoding(names, [{s[k][1] for s in states} for k in range(len(names))])
+    for sl in slices:
+        sl.coding = coding
+        sl.init_codes = frozenset(map(coding.encode, sl.init))
+        sl.rel_codes = tuple(
+            (e, frozenset(coding.encode_pair(s, t) for s, t in p))
+            for e, p in sl.rel)
 
 
 @st.composite

@@ -13,19 +13,20 @@ from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.fopeq import (
     BOOL, INT, And, Bounds, Equal, Exists, Forall, FopeqMorphism,
     BoolLit, FopeqSignature, Implies, IntLit, Not, Op, OpApp, Or, Pred, PredApp,
-    TRUE, FALSE, Var, compile_formula, conjoin, enumerate_algebras, fopeq_identity,
-    free_vars, make_algebra, substitute,
+    TRUE, FALSE, Var, algebra_reduct, compile_formula, conjoin, enumerate_algebras,
+    fopeq_identity, free_vars, make_algebra, substitute,
 )
 from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
     amalgamate, comorphism_mod, comorphism_sen, comorphism_sign, evt_compose,
     evt_identity, evt_morphism, evt_pushout, init_conjuncts, make_model,
     make_state, maximal_model, model_reduct, reduce_state, satisfies,
-    status_sup, translate_sentence,
+    state_coding, status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.specs import Evaluator, sig_of
-from tests.reference_eval import enumerate_states, eval_formula
+from tests.conftest import decoded
+from tests.reference_eval import enumerate_states, eval_formula, restrict_along
 from tests.test_fopeq import _formulas
 
 B1 = Bounds(int_bound=1)
@@ -191,9 +192,9 @@ class TestMaximalModel:
         sig, typed, body, alg = _rex_setup()
         init_body = parse_formula_text(
             "x′ = 0 ∧ x′ ∈ {0, 1, 2}", ElabContext(FopeqSignature(), vars=sig.vars))
-        l_max, r_max = maximal_model(
+        l_max, r_max = decoded(sig, alg, maximal_model(
             sig, [EvtSentence("e", typed), EvtSentence("e", body),
-                  EvtSentence(INIT, init_body)], alg, B3)
+                  EvtSentence(INIT, init_body)], alg, B3))
         expected = {
             (make_state({"x": x, "y": y}), make_state({"x": x + 1, "y": False}))
             for x in (0, 1) for y in (False, True)
@@ -216,8 +217,8 @@ class TestMaximalModel:
         fam = parse_formula_text("n ≤ d ∧ n′ ≤ d ∧ n ≥ 0 ∧ n′ ≥ 0", ctx)
         body = parse_formula_text("n < d ∧ n′ = n + 1", ctx)
         alg = make_algebra(fsig, 3, {}, {"d": {(): 2}})
-        _, r_max = maximal_model(
-            sig, [EvtSentence("ML_out", fam), EvtSentence("ML_out", body)], alg, B3)
+        _, r_max = decoded(sig, alg, maximal_model(
+            sig, [EvtSentence("ML_out", fam), EvtSentence("ML_out", body)], alg, B3))
         brute = {
             (make_state({"n": n}), make_state({"n": np}))
             for n in range(-3, 4) for np in range(-3, 4)
@@ -347,6 +348,47 @@ def test_core_that_does_not_run_dry_adds_at_most_root_ceiling_states(monkeypatch
     assert (len(l_max), len(r_max["e"])) == (1, 1764)
     assert counts["searches"] == 4
     assert counts["yielded"] <= 1 + 1764 + 6 + math.isqrt(ceiling) + 1
+
+
+def test_sparse_core_stops_at_its_budget(monkeypatch):
+    # seven ℤ variables under v0 + … + v6 = 14, which no definition binds: a
+    # core searched on that invariant alone would try the whole 5⁷ or 7⁷
+    # product, while every reader prunes on its own pins, e's before-pool
+    # to the 5⁵ or 7⁵ states with v0 = v1 = 2 and every other pool to one;
+    # partial sums leave the bound, so both maxima are empty
+    names = [f"v{i}" for i in range(7)]
+    sig = EvtSignature(events=(("e", Status.ordinary),),
+                       vars=tuple((n, INT) for n in names))
+    ctx = ElabContext(FopeqSignature(), vars=sig.vars)
+    inv = " + ".join(names) + " = 14"
+    inv_after = " + ".join(f"{n}′" for n in names) + " = 14"
+    sentences = [EvtSentence(e, parse_formula_text(text, ctx)) for e, text in (
+        (INIT, " ∧ ".join([inv_after, *(f"{n}′ = 0" for n in names)])),
+        ("e", " ∧ ".join([inv, inv_after, "v0 = 2", "v1 = 2",
+                          *(f"{n}′ = 2" for n in names)])),
+    )]
+    evaluations = 0
+    compile_formula = institution.compile_formula
+
+    def counted(c, algebra):
+        fn = compile_formula(c, algebra)
+
+        def evaluate(val):
+            nonlocal evaluations
+            evaluations += 1
+            return fn(val)
+
+        return evaluate
+
+    monkeypatch.setattr(institution, "compile_formula", counted)
+    root = math.isqrt(Bounds().pair_ceiling) + 1
+    for bound in (2, 3):
+        evaluations = 0
+        l_max, r_max = maximal_model(sig, sentences, make_algebra(FopeqSignature(), bound, {}, {}),
+                                     Bounds(int_bound=bound))
+        assert not l_max and not r_max["e"]
+        # at most the core's budget, plus twice the candidates of e's before-pool
+        assert evaluations <= 16 * root + 2 * (2 * bound + 1) ** 5, bound
 
 
 # -- scheduled state pools against the product-filter oracle ----------------
@@ -736,6 +778,9 @@ def _false_closed_conjunct_problem():
 def test_joined_pairs_match_product_loop(problem):
     sig, alg, sentences, bound = problem
 
+    def decoded_maximal_model(*args):
+        return decoded(sig, alg, maximal_model(*args))
+
     def outcome(run, ceiling):
         try:
             return run(sig, sentences, alg, Bounds(int_bound=bound, pair_ceiling=ceiling))[:2]
@@ -743,7 +788,7 @@ def test_joined_pairs_match_product_loop(problem):
             return str(exc)
 
     l_max, r_max, need = _product_maximal_model(sig, sentences, alg, Bounds(int_bound=bound))
-    assert maximal_model(sig, sentences, alg, Bounds(int_bound=bound)) == (l_max, r_max)
+    assert decoded_maximal_model(sig, sentences, alg, Bounds(int_bound=bound)) == (l_max, r_max)
     # refusals at the ceilings around the smallest admitting one, and at each
     # event's own |B|·|A|, |B|·|A| − 1 and |B|
     ceilings = {1, need // 2, need - 1, need}
@@ -751,7 +796,7 @@ def test_joined_pairs_match_product_loop(problem):
         ceilings |= {b * a, b * a - 1, b}
     for k in ceilings:
         if k > 0:
-            assert outcome(maximal_model, k) == outcome(_product_maximal_model, k)
+            assert outcome(decoded_maximal_model, k) == outcome(_product_maximal_model, k)
 
 
 def test_action_keys_in_both_orientations():
@@ -825,6 +870,30 @@ def test_variable_outside_the_signature_is_refused_before_the_pools():
         maximal_model(sig, [EvtSentence("e", body)], alg, B1)
     with pytest.raises(SortError, match="unbound variable z′"):
         maximal_model(sig, [EvtSentence(INIT, Equal(Var("z", True), IntLit(0)))], alg, B1)
+
+
+class TestModelConstruction:
+    def test_state_over_other_variables_is_refused(self):
+        sig, alg = usig(nvars=2), ualg()
+        good = make_state({"x": "u0", "y": "u1"})
+        for bad in ({"x": "u0"}, {"x": "u0", "z": "u1"}, {"x": "u0", "y": "u1", "z": "u0"}):
+            with pytest.raises(SortError, match="not over the variables"):
+                make_model(sig, alg, [make_state(bad)], {})
+            with pytest.raises(SortError, match="not over the variables"):
+                make_model(sig, alg, [good], {"e": {(good, make_state(bad))}})
+
+    def test_value_outside_its_carrier_is_refused(self):
+        sig, alg = usig(nvars=2), ualg()
+        good = make_state({"x": "u0", "y": "u1"})
+        bad = make_state({"x": "u0", "y": "u9"})
+        with pytest.raises(SortError, match="value 'u9' of y lies outside its carrier"):
+            make_model(sig, alg, [bad], {})
+        with pytest.raises(SortError, match="outside its carrier"):
+            make_model(sig, alg, [good], {"e": {(bad, good)}})
+        # ℤ values beyond the bound lie outside the carrier too
+        sig, typed, body, alg = _rex_setup()
+        with pytest.raises(SortError, match="value 4 of x lies outside its carrier"):
+            make_model(sig, alg, [make_state({"x": 4, "y": False})], {})
 
 
 class TestReduct:
@@ -1190,7 +1259,7 @@ def _product_join(m1, m2, span1, span2, pushout):
         raise SpecError(f"reducts along the span differ: {diff}")
     algebra = institution._amalgamate_algebra(merged, inj1, inj2, m1.algebra, m2.algebra)
     states = enumerate_states(merged, algebra)
-    init, rel = institution.restrict_along(
+    init, rel = restrict_along(
         states,
         {e: itertools.product(states, states) for e in merged.non_init_events},
         [(inj1, m1), (inj2, m2)])
@@ -1213,9 +1282,6 @@ def _product_amalgamate(m1, m2, span1, span2, pushout, bounds=Bounds()):
     if model_reduct(inj1, candidate) != m1 or model_reduct(inj2, candidate) != m2:
         raise SpecError("no amalgam exists: the maximal join does not reduce back")
     return candidate, not institution._has_redundant_item(candidate, (inj1, inj2))
-
-
-_OUTSIDE = "u9"  # lies in no carrier
 
 
 @st.composite
@@ -1266,14 +1332,12 @@ def _amalgam_problems(draw):
 
 def _changed_side(draw, m, keep, carrier):
     """m with some initial states changed, and each relation grown by one of
-    its pairs changed, off the variables in keep; the changed values may
-    include one outside the carrier.  Keeping the image of a leg keeps the
-    reduct along it."""
-    outside = draw(st.booleans())
+    its pairs changed, off the variables in keep.  Keeping the image of a
+    leg keeps the reduct along it.  (A value outside its carrier makes no
+    model: make_model refuses it.)"""
 
     def value(sort):
-        values = [*(carrier if sort == "U" else (False, True)), *([_OUTSIDE] if outside else [])]
-        return draw(st.sampled_from(values))
+        return draw(st.sampled_from(carrier if sort == "U" else (False, True)))
 
     def changed(s):
         return tuple((v, x if v in keep else value(m.signature.var_map[v])) for v, x in s)
@@ -1335,6 +1399,114 @@ def test_joined_amalgam_matches_product_oracle(problem):
         for k in {n - 1, n} - {-1, 0}:
             bounds = Bounds(pair_ceiling=k)
             assert outcome(amalgamate, bounds) == outcome(_product_amalgamate, bounds)
+
+
+# -- state codes --------------------------------------------------------------
+
+_CODED = FopeqSignature(sorts=("U", "W"))
+
+
+@st.composite
+def _coded_signatures(draw):
+    """A signature over ℤ, BOOL and two user sorts, and an algebra whose user
+    carriers have at least 11 elements, so that their string order (U10 < U2)
+    differs from their index order."""
+    alg = make_algebra(_CODED, draw(st.integers(1, 3)), {
+        s: tuple(f"{s}{i}" for i in range(draw(st.integers(11, 13)))) for s in ("U", "W")}, {})
+    names = draw(st.lists(st.sampled_from("abcdxyz"), unique=True, max_size=4))
+    sig = EvtSignature(_CODED, (("e0", Status.ordinary), ("e1", Status.ordinary)),
+                       tuple((n, draw(st.sampled_from([INT, BOOL, "U", "W"]))) for n in names))
+    return sig, alg
+
+
+def _states_of(sig, alg):
+    return st.tuples(*(st.tuples(st.just(n), st.sampled_from(alg.carrier(s)))
+                       for n, s in sig.vars))
+
+
+@st.composite
+def _morphisms_into(draw, sig):
+    """A morphism into sig whose source variables s0, s1, … each map to a
+    variable of sig with their sort, two possibly to one, and whose events
+    a0, a1, … map to sig's non-initial events."""
+    targets = draw(st.lists(st.sampled_from(sig.var_names), max_size=3)) if sig.vars else []
+    events = draw(st.lists(st.sampled_from(sig.non_init_events), max_size=2))
+    src = EvtSignature(_CODED, tuple((f"a{i}", Status.ordinary) for i in range(len(events))),
+                       tuple((f"s{i}", sig.var_map[t]) for i, t in enumerate(targets)))
+    return evt_morphism(src, sig, {f"a{i}": e for i, e in enumerate(events)},
+                        {f"s{i}": t for i, t in enumerate(targets)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_state_codes_decode_and_sort_as_tuple_states(data):
+    sig, alg = data.draw(_coded_signatures())
+    coding = state_coding(sig, alg)
+    states = data.draw(st.lists(_states_of(sig, alg), min_size=1, max_size=8))
+    codes = [coding.encode(s) for s in states]
+    assert [coding.decode(c) for c in codes] == states
+    assert all(0 <= c < coding.size for c in codes)
+    assert [coding.decode(c) for c in sorted(codes)] == sorted(states)
+    pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(states)] * 2), max_size=8))
+    pair_codes = [coding.encode_pair(s, t) for s, t in pairs]
+    assert pair_codes == [coding.encode(s) * coding.size + coding.encode(t) for s, t in pairs]
+    assert [coding.decode_pair(p) for p in sorted(pair_codes)] == sorted(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_projected_codes_match_reduce_state(data):
+    sig, alg = data.draw(_coded_signatures())
+    m = data.draw(_morphisms_into(sig))
+    coding = state_coding(sig, alg)
+    red = institution.Projection(m, coding)
+    # the source coding is the reduct algebra's
+    source = state_coding(m.source, algebra_reduct(alg, m.fopeq))
+    assert (red.source.names, red.source.values) == (source.names, source.values)
+    states = data.draw(st.lists(_states_of(sig, alg), min_size=1, max_size=6))
+    for s, t in zip(states, states[1:] + states[:1]):
+        rs, rt = reduce_state(s, m), reduce_state(t, m)
+        assert red.state(coding.encode(s)) == source.encode(rs)
+        assert red.pair(coding.encode_pair(s, t)) == source.encode_pair(rs, rt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_restricted_codes_match_tuple_restriction(data):
+    """restrict_along on codes keeps exactly what the tuple oracle keeps;
+    each bound holds the reducts of some of the restricted items, so that
+    both verdicts come up."""
+    sig, alg = data.draw(_coded_signatures())
+    states = _states_of(sig, alg)
+    init = data.draw(st.lists(states, max_size=8))
+    rel = {e: data.draw(st.lists(st.tuples(states, states), max_size=10))
+           for e in sig.non_init_events}
+
+    def some(items):
+        return data.draw(st.lists(st.sampled_from(items), max_size=3)) if items else []
+
+    bounds = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        m = data.draw(_morphisms_into(sig))
+        ra = algebra_reduct(alg, m.fopeq)
+        src = _states_of(m.source, ra)
+        b_init = [reduce_state(s, m) for s in some(init)]
+        b_init += data.draw(st.lists(src, min_size=1, max_size=2))
+        b_rel = {}
+        for e in m.source.non_init_events:
+            b_rel[e] = [(reduce_state(s, m), reduce_state(t, m))
+                        for s, t in some(rel[m.apply_event(e)])]
+            b_rel[e] += data.draw(st.lists(st.tuples(src, src), max_size=3))
+        bounds.append((m, make_model(m.source, ra, b_init, b_rel)))
+    want_init, want_rel = restrict_along(init, rel, bounds)
+    coding = state_coding(sig, alg)
+    got_init, got_rel = institution.restrict_along(
+        coding, {coding.encode(s) for s in init},
+        {e: {coding.encode_pair(s, t) for s, t in pairs}
+         for e, pairs in rel.items()}, bounds)
+    assert {coding.decode(c) for c in got_init} == want_init
+    assert {e: {coding.decode_pair(p) for p in pairs} for e, pairs in got_rel.items()} \
+        == want_rel
 
 
 # -- the context embedding ---------------------------------------------------
@@ -1417,7 +1589,7 @@ def test_downward_closure_exhaustive_small():
         EvtSentence(INIT, parse_formula_text("p(x′)", ctx)),
     ]
     alg = ualg(("u0", "u1"), ("u0",))
-    l_max, r_max = maximal_model(sig, sentences, alg, B1)
+    l_max, r_max = decoded(sig, alg, maximal_model(sig, sentences, alg, B1))
     states = enumerate_states(sig, alg)
     all_pairs = list(itertools.product(states, states))
 

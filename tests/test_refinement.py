@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -10,8 +11,8 @@ from evtforge.fopeq import (
     make_algebra,
 )
 from evtforge.institution import (
-    INIT, EvtModel, EvtSentence, EvtSignature, Status, evt_identity,
-    evt_morphism, make_model, make_state, satisfies, state_reducer,
+    INIT, EvtSentence, EvtSignature, Status, evt_identity, evt_morphism,
+    make_model, make_state, reduce_state, satisfies,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.refinement import (
@@ -255,7 +256,7 @@ def _sorted_walk(rep_c, rep_a, m):
     initial states and sorted pairs, event by event: the first item whose
     reduct the abstract maximum lacks, as (event, before, after), or None,
     and the pairs walked."""
-    red, pairs = state_reducer(m), 0
+    red, pairs = functools.partial(reduce_state, m=m), 0
     for sl in rep_c.slices:
         asl = rep_a.by_algebra.get(algebra_reduct(sl.algebra, m.fopeq))
         if asl is None:
@@ -322,7 +323,7 @@ def _inclusion_problems(draw):
     abstract = EvtSignature(_U_SIG, (("a1", Status.ordinary), ("a2", Status.ordinary)), a_vars)
     concrete = EvtSignature(_U_SIG, tuple((e, Status.ordinary) for e in c_events), c_vars)
     m = evt_morphism(abstract, concrete, ev_map, var_map)
-    red = state_reducer(m)
+    red = functools.partial(reduce_state, m=m)
     stray = draw(st.integers(0, 1))
 
     def some(items, lo, hi):
@@ -339,8 +340,8 @@ def _inclusion_problems(draw):
     for alg in algebras():
         states = enumerate_states(abstract, alg)
         pairs = list(itertools.product(states, states))
-        a_models[alg] = EvtModel(abstract, alg, some(states, 1, 3),
-                                 tuple((e, some(pairs, 0, 3)) for e in ("a1", "a2")))
+        a_models[alg] = make_model(abstract, alg, some(states, 1, 3),
+                                   {e: some(pairs, 0, 3) for e in ("a1", "a2")})
     c_models = []
     for alg in algebras():
         am = a_models.get(algebra_reduct(alg, m.fopeq))
@@ -353,7 +354,7 @@ def _inclusion_problems(draw):
             inside = [(s, t) for s, t in pairs if am is None or all(
                 (red(s), red(t)) in am.rel_map[e] for e in m.preimages[c])]
             rel.append((c, some(inside, 0, 2) | some(pairs, 0, stray)))
-        c_models.append(EvtModel(concrete, alg, init, tuple(rel)))
+        c_models.append(make_model(concrete, alg, init, dict(rel)))
     return make_rep(concrete, c_models), make_rep(abstract, a_models.values()), m
 
 
@@ -370,7 +371,7 @@ def test_maxima_shortcut_matches_literal_inclusion(problem):
     assert _walked(verdict) == _sorted_walk(rep_c, rep_a, m)
     if verdict.holds:
         return
-    cx, red = verdict.counterexample, state_reducer(m)
+    cx, red = verdict.counterexample, functools.partial(reduce_state, m=m)
     (sl,) = [s for s in rep_c.slices if s.algebra.describe() == cx.algebra]
     asl = rep_a.by_algebra.get(algebra_reduct(sl.algebra, m.fopeq))
     if cx.event is None:
