@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
@@ -318,17 +318,13 @@ class StateCoding:
     def encode(self, s: State) -> int:
         """The code of s; SortError when s is not over these variables or a
         value lies outside its carrier."""
-        if len(s) != len(self.names):
+        if tuple([n for n, _ in s]) != self.names:
             raise SortError(f"state {s} is not over the variables {self.names}")
-        code = 0
-        for (n, v), want, rank, w in zip(s, self.names, self.ranks, self.weights):
-            r = rank.get(v) if n == want else None
-            if r is None:
-                if n != want:
-                    raise SortError(f"state {s} is not over the variables {self.names}")
-                raise SortError(f"state {s}: value {v!r} of {n} lies outside its carrier")
-            code += r * w
-        return code
+        try:
+            return sum([rank[v] * w for (_, v), rank, w in zip(s, self.ranks, self.weights)])
+        except KeyError:
+            n, v = next((n, v) for (n, v), rank in zip(s, self.ranks) if v not in rank)
+            raise SortError(f"state {s}: value {v!r} of {n} lies outside its carrier") from None
 
     def encode_pair(self, s: State, t: State) -> int:
         return self.encode(s) * self.size + self.encode(t)
@@ -356,9 +352,12 @@ class Projection:
     one algebra: a source variable's digit is the digit at its image's place
     (state_positions), and the source coding keeps the same sorted carriers,
     which the reduct algebra has.  A state's reduct is computed once per
-    distinct code; a pair's is the pair of its states' reducts."""
+    distinct code; a pair's is the pair of its states' reducts.
 
-    __slots__ = ("source", "state", "pair")
+    state and pair reduce one code; states_in and pairs_in are the
+    reduce-and-test: the codes, in order, whose reducts lie in a set."""
+
+    __slots__ = ("source", "state", "pair", "states_in", "pairs_in")
 
     def __init__(self, m: EvtMorphism, coding: StateCoding):
         places = [i for _, i in m.state_positions]
@@ -375,11 +374,28 @@ class Projection:
                 r = memo[code] = sum([code // w % k * sw for w, k, sw in digits])
             return r
 
+        get = memo.get
+
         def pair(code: int) -> int:
             i, j = divmod(code, n)
-            return state(i) * ns + state(j)
+            a, b = get(i), get(j)
+            return (state(i) if a is None else a) * ns + (state(j) if b is None else b)
+
+        def states_in(codes: Iterable[int], allowed: Container[int]) -> list[int]:
+            return [c for c in codes if state(c) in allowed]
+
+        def pairs_in(codes: Iterable[int], allowed: Container[int]) -> list[int]:
+            out = []
+            for code in codes:
+                i, j = divmod(code, n)
+                a, b = get(i), get(j)
+                if (state(i) if a is None else a) * ns + (
+                        state(j) if b is None else b) in allowed:
+                    out.append(code)
+            return out
 
         self.state, self.pair = state, pair
+        self.states_in, self.pairs_in = states_in, pairs_in
 
 
 @dataclass(frozen=True)
@@ -483,19 +499,16 @@ def restrict_along(
     bound filters what the ones before it kept.
     """
     views = [(Projection(m, coding), b, m.preimages) for m, b in bounds]
-    kept = list(init)
+    kept = init
     for red, b, _ in views:
-        state, allowed = red.state, b.init_codes
-        kept = [c for c in kept if state(c) in allowed]
+        kept = red.states_in(kept, b.init_codes)
     out_init = frozenset(kept)
     out_rel = {}
     for e, pairs in rel_map.items():
         kept = pairs
         for red, b, pre in views:
-            pair = red.pair
             for e0 in pre[e]:
-                allowed = b.code_map[e0]
-                kept = [p for p in kept if pair(p) in allowed]
+                kept = red.pairs_in(kept, b.code_map[e0])
         out_rel[e] = frozenset(kept)
     return out_init, out_rel
 
