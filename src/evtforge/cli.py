@@ -7,6 +7,7 @@ file, 3 refinement fails.
 
 from __future__ import annotations
 
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -263,23 +264,27 @@ def _put_members(items, level: int, out: list[str], memos: dict) -> None:
     out.append("\n" + "  " * level + "}")
 
 
-def _texts(memos: dict, level: int, coding) -> _Texts:
-    """The object texts of the states under coding at depth level."""
-    text = memos.get((level, coding))
-    if text is None:
-        def render(state) -> str:
-            out: list[str] = []
-            # a state's values hold no state arrays, so they need no memo
-            _put_members(state, level, out, {})
-            return "".join(out)
+def _state_object(level: int, state) -> str:
+    """The JSON object text of a state at indent level."""
+    out: list[str] = []
+    # a state's values hold no state arrays, so they need no memo
+    _put_members(state, level, out, {})
+    return "".join(out)
 
-        text = memos[level, coding] = _Texts(coding, render)
+
+def _texts(memos: dict, coding, render, *args) -> _Texts:
+    """The texts render(*args, state) of the states under coding, kept in
+    memos under (render, args, coding) so that each is rendered once."""
+    key = (render, args, coding)
+    text = memos.get(key)
+    if text is None:
+        text = memos[key] = _Texts(coding, functools.partial(render, *args))
     return text
 
 
 def _put(o, level: int, out: list[str], memos: dict) -> None:
     """Append the pieces of `o`'s text at indent `level` to `out`; `memos`
-    maps a depth and a coding to their state texts."""
+    holds the state texts of each depth and coding (_texts)."""
     if isinstance(o, str):
         out.append(_quote(o))
     elif o is None:
@@ -296,7 +301,7 @@ def _put(o, level: int, out: list[str], memos: dict) -> None:
             return
         inner = "\n" + "  " * (level + 1)
         if isinstance(o, StatePairs):
-            text = _texts(memos, level + 2, o.coding)
+            text = _texts(memos, o.coding, _state_object, level + 2)
             inner2 = "\n" + "  " * (level + 2)
             lead, comma = inner + "[" + inner2, "," + inner + "[" + inner2
             mid, tail = "," + inner2, inner + "]"
@@ -306,7 +311,7 @@ def _put(o, level: int, out: list[str], memos: dict) -> None:
                 out += (lead, text[p // n], mid, text[p % n], tail)
                 lead = comma
         elif isinstance(o, States):
-            text = _texts(memos, level + 1, o.coding)
+            text = _texts(memos, o.coding, _state_object, level + 1)
             out += ("[", inner, ("," + inner).join([text[s] for s in o]))
         else:
             sep, comma = "[" + inner, "," + inner
@@ -375,9 +380,7 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
         lines.append("  no admissible algebras (empty model class)")
     for sl in rep.slices:
         lines.append(f"algebra {sl.algebra.describe()}")
-        text = texts.get(sl.coding)
-        if text is None:
-            text = texts[sl.coding] = _Texts(sl.coding, _format_state)
+        text = _texts(texts, sl.coding, _format_state)
         n = sl.coding.size
         if event_name is None or event_name == INIT:
             lines.append(f"  Init: {len(sl.init_codes)} initial state(s)")

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
@@ -347,17 +347,30 @@ def state_coding(sig: EvtSignature, algebra: FiniteAlgebra) -> StateCoding:
     return _coding(sig.var_names, tuple([algebra.carrier(s) for _, s in sig.vars]))
 
 
+class _Memo(dict):
+    """The values of a function of one argument, each computed on its first
+    lookup: memo[x] is fn(x)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class Projection:
     """reduce_state along a morphism, on the codes of its target's states in
     one algebra: a source variable's digit is the digit at its image's place
     (state_positions), and the source coding keeps the same sorted carriers,
-    which the reduct algebra has.  A state's reduct is computed once per
-    distinct code; a pair's is the pair of its states' reducts.
+    which the reduct algebra has.  state reduces a state code, computing
+    each distinct code's reduct once; pair reduces a pair code as the pair
+    of its states' reducts."""
 
-    state and pair reduce one code; states_in and pairs_in are the
-    reduce-and-test: the codes, in order, whose reducts lie in a set."""
-
-    __slots__ = ("source", "state", "pair", "states_in", "pairs_in")
+    __slots__ = ("source", "state", "pair")
 
     def __init__(self, m: EvtMorphism, coding: StateCoding):
         places = [i for _, i in m.state_positions]
@@ -365,37 +378,13 @@ class Projection:
                                        tuple([coding.values[i] for i in places]))
         digits = [(coding.weights[i], len(coding.values[i]), w)
                   for i, w in zip(places, source.weights)]
-        memo: dict[int, int] = {}
+        state = _Memo(lambda code: sum([code // w % k * sw for w, k, sw in digits])).__getitem__
         n, ns = coding.size, source.size
 
-        def state(code: int) -> int:
-            r = memo.get(code)
-            if r is None:
-                r = memo[code] = sum([code // w % k * sw for w, k, sw in digits])
-            return r
-
-        get = memo.get
-
         def pair(code: int) -> int:
-            i, j = divmod(code, n)
-            a, b = get(i), get(j)
-            return (state(i) if a is None else a) * ns + (state(j) if b is None else b)
-
-        def states_in(codes: Iterable[int], allowed: Container[int]) -> list[int]:
-            return [c for c in codes if state(c) in allowed]
-
-        def pairs_in(codes: Iterable[int], allowed: Container[int]) -> list[int]:
-            out = []
-            for code in codes:
-                i, j = divmod(code, n)
-                a, b = get(i), get(j)
-                if (state(i) if a is None else a) * ns + (
-                        state(j) if b is None else b) in allowed:
-                    out.append(code)
-            return out
+            return state(code // n) * ns + state(code % n)
 
         self.state, self.pair = state, pair
-        self.states_in, self.pairs_in = states_in, pairs_in
 
 
 @dataclass(frozen=True)
@@ -501,14 +490,16 @@ def restrict_along(
     views = [(Projection(m, coding), b, m.preimages) for m, b in bounds]
     kept = init
     for red, b, _ in views:
-        kept = red.states_in(kept, b.init_codes)
+        state, allowed = red.state, b.init_codes
+        kept = [c for c in kept if state(c) in allowed]
     out_init = frozenset(kept)
     out_rel = {}
     for e, pairs in rel_map.items():
         kept = pairs
         for red, b, pre in views:
             for e0 in pre[e]:
-                kept = red.pairs_in(kept, b.code_map[e0])
+                pair, allowed = red.pair, b.code_map[e0]
+                kept = [p for p in kept if pair(p) in allowed]
         out_rel[e] = frozenset(kept)
     return out_init, out_rel
 
@@ -981,7 +972,7 @@ def _side_rows(
 ) -> tuple[list[int], Callable[[int], Optional[Row]]]:
     """The merged places j's variables fill, in increasing order, and a view
     of a state code over j's source (under side) as the merged digits at
-    those places.  A state joins nothing (its view is None) when two
+    those places, computed once per code.  A state joins nothing (its view is None) when two
     variables with one image disagree, or when a value lies outside the
     carrier of its place: no merged state reduces to it."""
     places = [i for _, i in j.state_positions]
@@ -989,17 +980,14 @@ def _side_rows(
     # each variable's digit as the merged digit of its value at its place
     digits = [(w, len(vs), [merged.ranks[p].get(v) for v in vs], p)
               for vs, w, p in zip(side.values, side.weights, places)]
-    memo: dict[int, Optional[Row]] = {}
 
     def view(code: int) -> Optional[Row]:
-        if code not in memo:
-            row: dict[int, int] = {}
-            ok = all(d is not None and row.setdefault(p, d) == d
-                     for d, p in ((to[code // w % k], p) for w, k, to, p in digits))
-            memo[code] = tuple([row[p] for p in own]) if ok else None
-        return memo[code]
+        row: dict[int, int] = {}
+        ok = all(d is not None and row.setdefault(p, d) == d
+                 for d, p in ((to[code // w % k], p) for w, k, to, p in digits))
+        return tuple([row[p] for p in own]) if ok else None
 
-    return own, view
+    return own, _Memo(view).__getitem__
 
 
 def _join(

@@ -134,18 +134,19 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
         # the counterexample is the least failing code, as a walk over the
         # codes in ascending (that is, sorted) order would meet it first;
         # pairs counts the walk up to it
-        init = sl.init_codes
-        inside = red.states_in(init, asl.init_codes)
-        if len(inside) < len(init):
-            first = min(init.difference(inside))
-            return verdict(Counterexample(label, INIT, after=red.source.decode(red.state(first))))
+        state, allowed = red.state, asl.init_codes
+        failing = [c for c in sl.init_codes if state(c) not in allowed]
+        if failing:
+            first = min(failing)
+            return verdict(Counterexample(label, INIT, after=red.source.decode(state(first))))
+        pair = red.pair
         for e in m.source.non_init_events:
-            rel = sl.code_map[m.apply_event(e)]
-            inside = red.pairs_in(rel, asl.code_map[e])
-            if len(inside) < len(rel):
-                first = min(rel.difference(inside))
+            rel, allowed = sl.code_map[m.apply_event(e)], asl.code_map[e]
+            failing = [p for p in rel if pair(p) not in allowed]
+            if failing:
+                first = min(failing)
                 pairs_checked += sum(1 for p in rel if p <= first)
-                before, after = red.source.decode_pair(red.pair(first))
+                before, after = red.source.decode_pair(pair(first))
                 return verdict(Counterexample(label, e, before=before, after=after))
             pairs_checked += len(rel)
     return verdict()
