@@ -7,7 +7,6 @@ file, 3 refinement fails.
 
 from __future__ import annotations
 
-import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import click
 from .errors import EvtForgeError, ParseError, SpecError, read_source
 from .eventb import parse_text
 from .fopeq import Bounds
-from .institution import INIT
+from .institution import INIT, _Memo
 from .refinement import (
     RefinementVerdict, check_refinement_morphism, resolve_refinement,
 )
@@ -209,18 +208,6 @@ def _format_state(s) -> str:
     return "(" + ", ".join(f"{k}={_format_value(v)}" for k, v in s) + ")"
 
 
-class _Texts(dict):
-    """Each state code's text under one coding, rendered on first lookup."""
-
-    def __init__(self, coding, render):
-        super().__init__()
-        self.decode, self.render = coding.decode, render
-
-    def __missing__(self, code) -> str:
-        text = self[code] = self.render(self.decode(code))
-        return text
-
-
 class States(list):
     """A JSON array of the states with these codes under `coding`, in
     order: each prints as an object."""
@@ -272,13 +259,14 @@ def _state_object(level: int, state) -> str:
     return "".join(out)
 
 
-def _texts(memos: dict, coding, render, *args) -> _Texts:
-    """The texts render(*args, state) of the states under coding, kept in
-    memos under (render, args, coding) so that each is rendered once."""
+def _texts(memos: dict, coding, render, *args) -> _Memo:
+    """The texts render(*args, state) of the states under coding, by state
+    code, kept in memos under (render, args, coding) so that each is
+    rendered once."""
     key = (render, args, coding)
     text = memos.get(key)
     if text is None:
-        text = memos[key] = _Texts(coding, functools.partial(render, *args))
+        text = memos[key] = _Memo(lambda code: render(*args, coding.decode(code)))
     return text
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
 from .fopeq import (
-    UNDEF, And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
+    And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
     algebra_reduct, compile_formula, conjoin, fopeq_compose, fopeq_morphism,
     fopeq_pushout, free_vars, frozen, pushout_names, substitute, value_key,
 )
@@ -547,6 +547,8 @@ def _definition(
 
 
 Conjunct = tuple[Formula, frozenset[tuple[str, bool]], Callable[[Mapping], bool]]
+# a pool state: its code and its valuation, which maps (name, False) to a value
+PoolState = tuple[int, dict[tuple[str, bool], Value]]
 
 
 def _filter_pool(
@@ -555,10 +557,11 @@ def _filter_pool(
     conjuncts: Sequence[Conjunct],
     compile_term: Optional[Callable[[fopeq.Term], Callable[[Mapping], Value]]] = None,
     budget: Optional[list[float]] = None,
-) -> Iterator[State]:
-    """States satisfying conjuncts over unprimed variables, given with their
-    free variables and compiled functions; generated lazily so that callers
-    can stop at a ceiling.
+) -> Iterator[PoolState]:
+    """The states satisfying conjuncts over unprimed variables, given with
+    their free variables and compiled functions, each as its code under
+    state_coding(sig, algebra) and its valuation; generated lazily so that
+    callers can stop at a ceiling.
 
     Unary conjuncts prune candidate values.  A backtracking search then binds
     the variables in one valuation.  The first conjunct that defines a
@@ -572,20 +575,23 @@ def _filter_pool(
     included, is checked last, where evaluating it raises SortError.
     compile_term compiles the definition terms.  With a budget, the values
     tried are taken from budget[0], and the search raises _BudgetSpent once
-    it goes below zero.
+    it goes below zero.  Each candidate value carries its digit, its rank
+    times its variable's weight, and a state's code is the sum of its
+    values' digits.
     """
     if compile_term is None:
         def compile_term(t):
             return fopeq.compile_term(t, algebra)
-    names = sig.var_names
-    candidates = {(n, False): list(algebra.carrier(s)) for n, s in sig.vars}
+    coding = state_coding(sig, algebra)
+    candidates = {(n, False): [(v, rank[v] * w) for v in algebra.carrier(s)]
+                  for (n, s), rank, w in zip(sig.vars, coding.ranks, coding.weights)}
     own = frozenset(candidates)
     rest = []
     defs: dict[tuple[str, bool], tuple[fopeq.Term, frozenset, int]] = {}
     for c, fv, fn in conjuncts:
         key = next(iter(fv)) if len(fv) == 1 else None
         if key in candidates:
-            candidates[key] = [v for v in candidates[key] if fn({key: v})]
+            candidates[key] = [(v, d) for v, d in candidates[key] if fn({key: v})]
             continue
         d = _definition(c, own, own)
         if d is not None and d[0] not in defs:
@@ -614,38 +620,40 @@ def _filter_pool(
         if i not in skip:
             at = max(map(depth.get, fv), default=0) if fv.issubset(depth) else len(order)
             checks[at].append(fn)
-    layers = [(k, {v: v for v in candidates[k]}, compile_term(defs[k][0]), checks[d])
+    layers = [(k, {v: (v, digit) for v, digit in candidates[k]},
+               compile_term(defs[k][0]), checks[d])
               if k in defined else (k, candidates[k], None, checks[d])
               for d, k in enumerate(order, 1)]
     val: dict[tuple[str, bool], Value] = {}
 
-    def extend(d: int) -> Iterator[State]:
+    def extend(d: int, code: int) -> Iterator[PoolState]:
         if d == len(layers):
-            yield tuple([(n, val[n, False]) for n in names])
+            yield code, dict(val)
             return
         key, values, term, tests = layers[d]
         if term is not None:
             # x = t holds for the one candidate equal to t, and for none when
-            # t is undefined
-            values = (values.get(term(val), UNDEF),)
-            if values[0] is UNDEF:
+            # t is undefined or outside the candidates
+            hit = values.get(term(val))
+            if hit is None:
                 return
+            values = (hit,)
         if budget is not None:
             budget[0] -= len(values)
             if budget[0] < 0:
                 raise _BudgetSpent
-        for v in values:
+        for v, digit in values:
             val[key] = v
             for fn in tests:
                 if not fn(val):
                     break
             else:
-                yield from extend(d + 1)
+                yield from extend(d + 1, code + digit)
 
     for fn in checks[0]:
         if not fn(val):
             return
-    yield from extend(0)
+    yield from extend(0, 0)
 
 
 class _BudgetSpent(Exception):
@@ -657,19 +665,19 @@ _CORE_BUDGET = 16
 
 
 class _Pool:
-    """The states a search has yielded so far, and their codes once asked
-    for.  Every reader of one conjunct set in a maximal_model call shares
-    the prefix, and grows it only as far as its own question needs."""
+    """The states a search has yielded so far, each as its code and its
+    valuation (_filter_pool).  Every reader of one conjunct set in a
+    maximal_model call shares the prefix, and grows it only as far as its
+    own question needs; no reader changes a state's valuation."""
 
-    __slots__ = ("states", "codes", "dry", "_search")
+    __slots__ = ("states", "dry", "_search")
 
-    def __init__(self, search: Iterator[State]):
-        self.states: list[State] = []
-        self.codes: list[int] = []
+    def __init__(self, search: Iterator[PoolState]):
+        self.states: list[PoolState] = []
         self.dry = False
         self._search = search
 
-    def grow(self, n: int) -> list[State]:
+    def grow(self, n: int) -> list[PoolState]:
         """The states so far, after taking up to n of them; fewer than n
         only once the search has run dry."""
         short = n - len(self.states)
@@ -677,12 +685,6 @@ class _Pool:
             self.states.extend(itertools.islice(self._search, short))
             self.dry = len(self.states) < n
         return self.states
-
-    def coded(self, coding: StateCoding) -> list[int]:
-        """The codes of the states so far, each state encoded once."""
-        if len(self.codes) < len(self.states):
-            self.codes.extend(map(coding.encode, self.states[len(self.codes):]))
-        return self.codes
 
 
 def _shared_pools(
@@ -694,14 +696,15 @@ def _shared_pools(
 ) -> Callable[[Sequence[Conjunct]], _Pool]:
     """The pool source of one maximal_model call: each reader, a list of
     conjuncts over unprimed variables, gets the pool of the states
-    satisfying them, one pool per conjunct set.
+    satisfying them, one pool per conjunct set, with each state's code and
+    valuation as _filter_pool yields them.
 
     The core, the conjuncts that every one of the (at least one) readers
     holds, is searched first, up to root states, in the first reader's
     order, trying at most _CORE_BUDGET·root values.  If it runs dry, every
     other pool is the core's states filtered by its reader's extra
-    conjuncts: a unary one becomes the values allowed at a state position,
-    and the others are checked on one valuation per core state.  Otherwise
+    conjuncts: a unary one becomes the values allowed for its variable,
+    and the others are checked on the core state's own valuation.  Otherwise
     every other pool is searched on its own, and the core adds at most root
     states and its budget to the work; a core that spends its budget is
     dropped, so a sparse core that no definition binds is not searched
@@ -719,23 +722,19 @@ def _shared_pools(
     else:
         budget[0] = math.inf
         pools[shared] = core
-    position = {n: i for i, n in enumerate(sig.var_names)}
-    valuations: list[dict] = []
 
-    def sieve(extras: Sequence[Conjunct]) -> Iterator[State]:
+    def sieve(extras: Sequence[Conjunct]) -> Iterator[PoolState]:
         allowed, tests = [], []
         for _, fv, fn in extras:
             if len(fv) == 1:
                 (k,) = fv
-                allowed.append((position[k[0]], {
+                allowed.append((k, {
                     v for v in algebra.carrier(sig.var_map[k[0]]) if fn({k: v})}))
             else:
                 tests.append(fn)
-        if tests and not valuations:
-            valuations.extend(state_valuation(s, False) for s in core.states)
-        for j, s in enumerate(core.states):
-            if all(s[i][1] in ok for i, ok in allowed) and all(
-                    fn(valuations[j]) for fn in tests):
+        for s in core.states:
+            val = s[1]
+            if all(val[k] in ok for k, ok in allowed) and all(fn(val) for fn in tests):
                 yield s
 
     def pool(conjs: Sequence[Conjunct]) -> _Pool:
@@ -780,35 +779,20 @@ def maximal_model(
             raise SortError(f"sentence names unknown event {s.event}")
         by_event[s.event].append(s.body)
 
-    memo: dict[Formula, Conjunct] = {}
-    term_memo: dict[fopeq.Term, Callable[[Mapping], Value]] = {}
+    def compile_checked(c: Formula) -> Conjunct:
+        fv = free_vars(c)
+        for name, primed in sorted(fv):
+            if name not in sig.var_map:
+                raise SortError(f"unbound variable {name}{'′' if primed else ''}")
+        return c, fv, compile_formula(c, algebra)
 
-    def compiled(c: Formula) -> Conjunct:
-        hit = memo.get(c)
-        if hit is None:
-            fv = free_vars(c)
-            for name, primed in sorted(fv):
-                if name not in sig.var_map:
-                    raise SortError(f"unbound variable {name}{'′' if primed else ''}")
-            hit = memo[c] = (c, fv, compile_formula(c, algebra))
-        return hit
-
-    def compiled_term(t: fopeq.Term) -> Callable[[Mapping], Value]:
-        hit = term_memo.get(t)
-        if hit is None:
-            hit = term_memo[t] = fopeq.compile_term(t, algebra)
-        return hit
+    compiled = _Memo(compile_checked).__getitem__
+    compiled_term = _Memo(lambda t: fopeq.compile_term(t, algebra)).__getitem__
 
     # memoised per conjunct: an invariant recurs in every event, and each
     # substitution builds a new tree that the compile memo must hash afresh
     unprime = {(n, True): fopeq.Var(n) for n in sig.var_names}
-    unprimed_memo: dict[Formula, Conjunct] = {}
-
-    def unprimed(c: Formula) -> Conjunct:
-        hit = unprimed_memo.get(c)
-        if hit is None:
-            hit = unprimed_memo[c] = compiled(substitute(c, unprime))
-        return hit
+    unprimed = _Memo(lambda c: compiled(substitute(c, unprime))).__getitem__
 
     # every conjunct is compiled, and its variables checked, before any pool
     conjuncts = {e: [compiled(c) for body in bodies for c in _flatten_conjuncts(body)]
@@ -826,7 +810,6 @@ def maximal_model(
     # the first definition x′ = t per variable, with t over before-values, is
     # a key, every other mixed conjunct a check, and a pair's valuation holds
     # only the after-values checks read
-    position = {n: i for i, n in enumerate(sig.var_names)}
     before_vars = frozenset((n, False) for n in sig.var_names)
     after_vars = frozenset((n, True) for n in sig.var_names)
     plans = {}
@@ -835,7 +818,7 @@ def maximal_model(
         if not all(fn({}) for _, fv, fn in conjs if not fv):
             continue
         before_only, after_only, checks = [], [], []
-        keys: dict[int, Callable[[Mapping], Value]] = {}
+        keys: dict[tuple[str, bool], Callable[[Mapping], Value]] = {}
         read: set[tuple[str, bool]] = set()
         for cj in conjs:
             c, fv, fn = cj
@@ -848,11 +831,11 @@ def maximal_model(
                 after_only.append(unprimed(c))
             else:
                 d = _definition(c, after_vars, before_vars)
-                if d is None or position[d[0][0]] in keys:
+                if d is None or (d[0][0], False) in keys:
                     checks.append(fn)
                     read |= fv
                 else:
-                    keys[position[d[0][0]]] = compiled_term(d[1])
+                    keys[d[0][0], False] = compiled_term(d[1])
         plans[e] = before_only, after_only, keys, checks, read
         readers += [before_only, after_only]
 
@@ -862,14 +845,13 @@ def maximal_model(
     r_max = {e: frozenset() for e in sig.non_init_events}
     if not readers:
         return l_max, r_max
-    coding = state_coding(sig, algebra)
-    size = coding.size
+    size = state_coding(sig, algebra).size
     pool = _shared_pools(sig, algebra, readers, compiled_term, root)
     if init_reads:
         init_pool = pool(init_reader)
         if len(init_pool.grow(ceiling + 1)) > ceiling:
             raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
-        l_max = frozenset(init_pool.coded(coding))
+        l_max = frozenset([i for i, _ in init_pool.states])
 
     for e, (before_only, after_only, keys, checks, read) in plans.items():
         # the pools grow in step, each to √ceiling first; then a pool that
@@ -887,12 +869,15 @@ def maximal_model(
                 f"event {e}: state pairs exceed the ceiling {ceiling}")
         # each bucket holds after-codes, with the after-values checks read
         index: dict[tuple, list] = {}
-        for t, j in zip(after.states, after.coded(coding)):
-            index.setdefault(tuple([t[i][1] for i in keys]), []).append(
-                (j, {(n, True): v for n, v in t if (n, True) in read}) if checks else j)
+        read_after = [n for n, primed in read if primed]
+        for j, t in after.states:
+            index.setdefault(tuple([t[k] for k in keys]), []).append(
+                (j, {(n, True): t[n, False] for n in read_after}) if checks else j)
         pairs: list[int] = []
-        for s, i in zip(before.states, before.coded(coding)):
-            val = state_valuation(s, False) if keys or checks else None
+        for i, s in before.states:
+            # the checks add after-values to the valuation, and pool states
+            # are shared by every reader
+            val = dict(s) if checks else s
             # an undefined key term matches no bucket, as x′ = t is then false
             bucket = index.get(tuple([fn(val) for fn in keys.values()]), ())
             base = i * size

@@ -15,8 +15,7 @@ from typing import Optional
 from .errors import SortError, SpecError
 from .fopeq import algebra_reduct
 from .institution import (
-    INIT, EvtMorphism, EvtSignature, Projection, State, StateCoding, evt_compose,
-    evt_identity,
+    INIT, EvtMorphism, EvtSignature, Projection, State, _Memo, evt_compose, evt_identity,
 )
 from .specs import Evaluator, ModelClassRep, Spec, SpecLibrary, sig_of
 from .sugar import RefinementText, build_morphism
@@ -116,7 +115,7 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
     algebras = 0
     pairs_checked = 0
     # slices over one carrier per variable share a coding, and its reducts
-    reducts: dict[StateCoding, Projection] = {}
+    reduct = _Memo(lambda coding: Projection(m, coding)).__getitem__
 
     def verdict(cx: Optional[Counterexample] = None) -> RefinementVerdict:
         return RefinementVerdict(name, cx is None, cx,
@@ -128,9 +127,7 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
         label = sl.algebra.describe()
         if asl is None:
             return verdict(Counterexample(label, None))
-        red = reducts.get(sl.coding)
-        if red is None:
-            red = reducts[sl.coding] = Projection(m, sl.coding)
+        red = reduct(sl.coding)
         # the counterexample is the least failing code, as a walk over the
         # codes in ascending (that is, sorted) order would meet it first;
         # pairs counts the walk up to it

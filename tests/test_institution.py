@@ -6,9 +6,11 @@ import tracemalloc
 from dataclasses import fields
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from evtforge import institution
+from evtforge.cli import main
 from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.fopeq import (
     BOOL, INT, And, Bounds, Equal, Exists, Forall, FopeqMorphism,
@@ -17,7 +19,7 @@ from evtforge.fopeq import (
     fopeq_identity, free_vars, make_algebra, substitute,
 )
 from evtforge.institution import (
-    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
+    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, StateCoding, Status,
     amalgamate, comorphism_mod, comorphism_sen, comorphism_sign, evt_compose,
     evt_identity, evt_morphism, evt_pushout, init_conjuncts, make_model,
     make_state, maximal_model, model_reduct, reduce_state, satisfies,
@@ -25,7 +27,7 @@ from evtforge.institution import (
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.specs import Evaluator, sig_of
-from tests.conftest import decoded
+from tests.conftest import FIXTURES, decoded
 from tests.reference_eval import enumerate_states, eval_formula, restrict_along
 from tests.test_fopeq import _formulas
 
@@ -328,6 +330,29 @@ def test_m2_makes_one_pool_search_per_call(bridge, monkeypatch):
         assert l_max and any(r_max.values())
 
 
+def test_pool_states_are_never_encoded(monkeypatch):
+    # the pool search builds each state's code next to its valuation, so
+    # the evaluator never encodes a tuple state
+    calls = 0
+    encode = StateCoding.encode
+
+    def counted(coding, s):
+        nonlocal calls
+        calls += 1
+        return encode(coding, s)
+
+    monkeypatch.setattr(StateCoding, "encode", counted)
+    res = CliRunner().invoke(main, [
+        "refine", *(str(FIXTURES / n) for n in ("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt")),
+        "--bound", "4", "--allow-status-drop"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == (
+        "REF0: holds (4 algebra(s), 50 pair(s) checked)\n"
+        "REF1A: holds (8 algebra(s), 1044 pair(s) checked)\n"
+        "REF1B: holds (8 algebra(s), 964 pair(s) checked)\n")
+    assert calls == 0
+
+
 def test_core_that_does_not_run_dry_adds_at_most_root_ceiling_states(monkeypatch):
     # at bound 3 the invariant x0 ≠ 1 holds in 6·7³ = 2 058 states, more than
     # the ⌊√c⌋ + 1 = 142 the core grows to, so every reader searches on its
@@ -529,8 +554,13 @@ def test_scheduled_pool_matches_product_filter(problem):
     compiled = [(u, free_vars(u), compile_formula(u, alg))
                 for u in (substitute(c, unprime) for c in conjuncts)]
 
+    coding = state_coding(sig, alg)
+
     def scheduled():
-        return institution._filter_pool(sig, alg, compiled)
+        for code, val in institution._filter_pool(sig, alg, compiled):
+            state = coding.decode(code)
+            assert val == {(n, False): v for n, v in state}
+            yield state
 
     def oracle():
         return _product_filter_pool(sig, alg, conjuncts, primed)
@@ -844,7 +874,8 @@ def test_definition_binds_instead_of_searching():
 
         conjuncts = [(c, free_vars(c), compile_formula(c, alg)) for c in unary]
         conjuncts.append((eq, free_vars(eq), counted))
-        got = list(institution._filter_pool(sig, alg, conjuncts))
+        got = [state_coding(sig, alg).decode(code)
+               for code, _ in institution._filter_pool(sig, alg, conjuncts)]
         assert set(got) == set(_product_filter_pool(sig, alg, [*unary, eq], False))
         assert len(got) == 4
         assert calls <= 4
