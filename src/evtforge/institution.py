@@ -43,8 +43,8 @@ def status_sup(*statuses: Status) -> Status:
     return Status(max(int(s) for s in statuses))
 
 
-def _is_primed_name(name: str) -> bool:
-    return name.endswith("'") or name.endswith("′")
+# the endings of a primed name
+_PRIMES = ("'", "′")
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +68,25 @@ class EvtSignature:
         ev = dict(self.events)
         if len(ev) != len(self.events):
             raise SortError("duplicate event names in signature")
-        if ev.get(INIT, Status.ordinary) != Status.ordinary:
+        if ev.setdefault(INIT, Status.ordinary) != Status.ordinary:
             raise SortError("the initial event must have ordinary status")
-        ev.setdefault(INIT, Status.ordinary)
-        object.__setattr__(self, "events", tuple(sorted(ev.items())))
-        object.__setattr__(self, "event_map", dict(self.events))
         vs = dict(self.vars)
         if len(vs) != len(self.vars):
             raise SortError("duplicate variable names in signature")
-        object.__setattr__(self, "vars", tuple(sorted(vs.items())))
-        object.__setattr__(self, "var_map", dict(self.vars))
-        for name, sort in self.vars:
-            if _is_primed_name(name):
+        events, vars = tuple(sorted(ev.items())), tuple(sorted(vs.items()))
+        has_sort = self.fopeq.has_sort
+        for name, sort in vars:
+            if name.endswith(_PRIMES):
                 raise SortError(f"variable name {name} looks primed")
-            if not self.fopeq.has_sort(sort):
+            if not has_sort(sort):
                 raise SortError(f"variable {name} has undeclared sort {sort}")
-        for name, _ in self.events:
-            if _is_primed_name(name):
+        for name, _ in events:
+            if name.endswith(_PRIMES):
                 raise SortError(f"event name {name} looks primed")
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "event_map", dict(events))
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "var_map", dict(vars))
 
     @cached_property
     def event_names(self) -> tuple[str, ...]:
@@ -450,14 +451,17 @@ def make_model(
     return EvtModel(sig, algebra, frozenset(map(coding.encode, init)), tuple(full.items()))
 
 
+def _primed_or_closed(fv: frozenset[tuple[str, bool]]) -> bool:
+    return all(primed for _, primed in fv)
+
+
 def init_conjuncts(body: Formula) -> list[Formula]:
     """The conjuncts of an initial-event sentence that are evaluated.
 
     Initialising states bind only after-values, so a conjunct counts when
     all its free variables are primed; closed conjuncts count as well.
     """
-    return [c for c in _flatten_conjuncts(body)
-            if all(primed for _, primed in free_vars(c))]
+    return [c for c in _flatten_conjuncts(body) if _primed_or_closed(free_vars(c))]
 
 
 def satisfies(m: EvtModel, s: EvtSentence) -> bool:
@@ -667,7 +671,7 @@ _CORE_BUDGET = 16
 class _Pool:
     """The states a search has yielded so far, each as its code and its
     valuation (_filter_pool).  Every reader of one conjunct set in a
-    maximal_model call shares the prefix, and grows it only as far as its
+    maximal_model run shares the prefix, and grows it only as far as its
     own question needs; no reader changes a state's valuation."""
 
     __slots__ = ("states", "dry", "_search")
@@ -694,10 +698,11 @@ def _shared_pools(
     compile_term: Callable[[fopeq.Term], Callable[[Mapping], Value]],
     root: int,
 ) -> Callable[[Sequence[Conjunct]], _Pool]:
-    """The pool source of one maximal_model call: each reader, a list of
-    conjuncts over unprimed variables, gets the pool of the states
+    """The pool source of one maximal_model run, that is of one plan in one
+    algebra: each reader, a list of conjuncts over unprimed variables with
+    the functions compiled for that algebra, gets the pool of the states
     satisfying them, one pool per conjunct set, with each state's code and
-    valuation as _filter_pool yields them.
+    valuation as _filter_pool yields them.  No pool outlives its run.
 
     The core, the conjuncts that every one of the (at least one) readers
     holds, is searched first, up to root states, in the first reader's
@@ -751,93 +756,116 @@ def _shared_pools(
     return pool
 
 
+class ModelPlan:
+    """What maximal_model needs of a signature and its sentences in every
+    algebra: the distinct conjuncts, numbered with their free variables (the
+    sentences' own first, then the new unprimed forms), and, for Init (by
+    init_conjuncts' rule) and each event, the numbers of its closed
+    conjuncts and of its pool readers, which hold unprimed forms; an event
+    also has its join keys (its first definition x′ = t per variable, t over
+    before-values) and checks.  SortError for an unknown event or variable.
+    """
+
+    __slots__ = ("sig", "conjuncts", "sentence_conjuncts", "init", "events")
+
+    def __init__(self, sig: EvtSignature, sentences: Sequence[EvtSentence]):
+        by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
+        for s in sentences:
+            if s.event not in by_event:
+                raise SortError(f"sentence names unknown event {s.event}")
+            by_event[s.event].append(s.body)
+        conjuncts: list[tuple[Formula, frozenset[tuple[str, bool]]]] = []
+
+        def number(c: Formula) -> int:
+            fv = free_vars(c)
+            for name, primed in sorted(fv):
+                if name not in sig.var_map:
+                    raise SortError(f"unbound variable {name}{'′' if primed else ''}")
+            conjuncts.append((c, fv))
+            return len(conjuncts) - 1
+
+        numbers = _Memo(number)
+        # family bodies are shared by every event
+        flat = _Memo(lambda body: [numbers[c] for c in _flatten_conjuncts(body)])
+        ids = {e: [i for body in bodies for i in flat[body]] for e, bodies in by_event.items()}
+        self.sentence_conjuncts = len(conjuncts)
+        unprime = {(n, True): fopeq.Var(n) for n in sig.var_names}
+        unprimed = _Memo(lambda i: numbers[substitute(conjuncts[i][0], unprime)])
+
+        init = [i for i in ids[INIT] if _primed_or_closed(conjuncts[i][1])]
+        self.init = ([i for i in init if not conjuncts[i][1]],
+                     [unprimed[i] for i in init if conjuncts[i][1]])
+        before_vars = frozenset((n, False) for n in sig.var_names)
+        after_vars = frozenset((n, True) for n in sig.var_names)
+        self.events = []
+        for e in sig.non_init_events:
+            closed, before_only, after_only, checks = [], [], [], []
+            keys: dict[tuple[str, bool], fopeq.Term] = {}
+            read_after: set[str] = set()
+            for i in ids[e]:
+                c, fv = conjuncts[i]
+                sides = {primed for _, primed in fv}
+                if not sides:
+                    closed.append(i)
+                elif sides == {False}:
+                    before_only.append(i)
+                elif sides == {True}:
+                    after_only.append(unprimed[i])
+                else:
+                    d = _definition(c, after_vars, before_vars)
+                    if d is None or (d[0][0], False) in keys:
+                        checks.append(i)
+                        read_after.update(n for n, primed in fv if primed)
+                    else:
+                        keys[d[0][0], False] = d[1]
+            self.events.append((e, closed, before_only, after_only, keys, checks, read_after))
+        self.sig, self.conjuncts = sig, conjuncts
+
+
 def maximal_model(
-    sig: EvtSignature,
-    sentences: Sequence[EvtSentence],
+    plan: ModelPlan,
     algebra: FiniteAlgebra,
     bounds: Bounds,
 ) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
     """The largest initialising set and per-event relation satisfying every
-    sentence over the given algebra, as state codes and pair codes of
-    state_coding(sig, algebra).
+    sentence of the plan over the given algebra, as state codes and pair
+    codes of state_coding(plan.sig, algebra).
 
     Satisfaction quantifies universally over each relation, so the class of
     satisfying models is exactly the non-empty-L downward closure of this
-    maximum.  Each distinct conjunct is compiled once per call, and one
-    naming a variable outside the signature raises SortError before any
-    state is enumerated.  A state is a valuation without a side, so every
-    pool reader holds unprimed conjuncts: Init's and each event's after-only
-    conjuncts are read through their unprimed forms, and only the join reads
-    x′.  The state pools come from _shared_pools, which searches the
-    conjuncts they all hold once per call, and an event's two pools grow in
+    maximum.  A run compiles each of the plan's conjuncts and key terms once,
+    on first use, every conjunct of the sentences before any pool; it
+    evaluates the closed conjuncts in this algebra, and a sentence whose
+    closed conjuncts fail reads no pool.  A state is a valuation without a
+    side, so every pool reader holds unprimed conjuncts, and only the join
+    reads x′.  The state pools come from _shared_pools, which searches the
+    conjuncts they all hold once per run, and an event's two pools grow in
     step: refusing a pair ceiling c takes 2(⌊√c⌋ + 1) states when both pools
     are larger than √c, not a whole pool.
     """
-    by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
-    for s in sentences:
-        if s.event not in by_event:
-            raise SortError(f"sentence names unknown event {s.event}")
-        by_event[s.event].append(s.body)
-
-    def compile_checked(c: Formula) -> Conjunct:
-        fv = free_vars(c)
-        for name, primed in sorted(fv):
-            if name not in sig.var_map:
-                raise SortError(f"unbound variable {name}{'′' if primed else ''}")
-        return c, fv, compile_formula(c, algebra)
-
-    compiled = _Memo(compile_checked).__getitem__
+    sig, conjuncts = plan.sig, plan.conjuncts
+    fns = _Memo(lambda i: compile_formula(conjuncts[i][0], algebra))
     compiled_term = _Memo(lambda t: fopeq.compile_term(t, algebra)).__getitem__
+    # each conjunct of the sentences is compiled before any pool, read or not
+    for i in range(plan.sentence_conjuncts):
+        fns[i]
 
-    # memoised per conjunct: an invariant recurs in every event, and each
-    # substitution builds a new tree that the compile memo must hash afresh
-    unprime = {(n, True): fopeq.Var(n) for n in sig.var_names}
-    unprimed = _Memo(lambda c: compiled(substitute(c, unprime))).__getitem__
+    def reader(ids: Sequence[int]) -> list[Conjunct]:
+        return [(*conjuncts[i], fns[i]) for i in ids]
 
-    # every conjunct is compiled, and its variables checked, before any pool
-    conjuncts = {e: [compiled(c) for body in bodies for c in _flatten_conjuncts(body)]
-                 for e, bodies in by_event.items()}
-    # initialising set: only the conjuncts over after-values apply
-    init_conjs = [compiled(c) for body in by_event[INIT] for c in init_conjuncts(body)]
-
-    # the pool readers are Init's after-side conjuncts and each event's
-    # before-only and after-only ones, all unprimed; a sentence whose closed
-    # conjuncts fail reads no pool
-    init_reader = [unprimed(c) for c, fv, _ in init_conjs if fv]
-    init_reads = all(fn({}) for _, fv, fn in init_conjs if not fv)
+    init_closed, init_ids = plan.init
+    init_reader = reader(init_ids)
+    init_reads = all(fns[i]({}) for i in init_closed)
     readers = [init_reader] if init_reads else []
-    # each event's pools are joined on the after-values that actions fix:
-    # the first definition x′ = t per variable, with t over before-values, is
-    # a key, every other mixed conjunct a check, and a pair's valuation holds
-    # only the after-values checks read
-    before_vars = frozenset((n, False) for n in sig.var_names)
-    after_vars = frozenset((n, True) for n in sig.var_names)
-    plans = {}
-    for e in sig.non_init_events:
-        conjs = conjuncts[e]
-        if not all(fn({}) for _, fv, fn in conjs if not fv):
-            continue
-        before_only, after_only, checks = [], [], []
-        keys: dict[tuple[str, bool], Callable[[Mapping], Value]] = {}
-        read: set[tuple[str, bool]] = set()
-        for cj in conjs:
-            c, fv, fn = cj
-            if not fv:
-                continue
-            sides = {primed for _, primed in fv}
-            if sides == {False}:
-                before_only.append(cj)
-            elif sides == {True}:
-                after_only.append(unprimed(c))
-            else:
-                d = _definition(c, after_vars, before_vars)
-                if d is None or (d[0][0], False) in keys:
-                    checks.append(fn)
-                    read |= fv
-                else:
-                    keys[d[0][0], False] = compiled_term(d[1])
-        plans[e] = before_only, after_only, keys, checks, read
-        readers += [before_only, after_only]
+    # each event's pools are joined on the after-values that its keys fix,
+    # and a pair's valuation holds only the after-values checks read
+    events = []
+    for e, closed, before_only, after_only, keys, checks, read_after in plan.events:
+        if all(fns[i]({}) for i in closed):
+            sides = reader(before_only), reader(after_only)
+            events.append((e, *sides, [compiled_term(t) for t in keys.values()], list(keys),
+                           [fns[i] for i in checks], read_after))
+            readers += sides
 
     ceiling = bounds.pair_ceiling
     root = math.isqrt(ceiling) + 1
@@ -853,7 +881,7 @@ def maximal_model(
             raise EnumerationLimit(f"event {INIT}: initial states exceed the ceiling {ceiling}")
         l_max = frozenset([i for i, _ in init_pool.states])
 
-    for e, (before_only, after_only, keys, checks, read) in plans.items():
+    for e, before_only, after_only, key_fns, keys, checks, read_after in events:
         # the pools grow in step, each to √ceiling first; then a pool that
         # ran dry says how far the other must grow to decide |B|·|A| > ceiling
         before, after = pool(before_only), pool(after_only)
@@ -869,7 +897,6 @@ def maximal_model(
                 f"event {e}: state pairs exceed the ceiling {ceiling}")
         # each bucket holds after-codes, with the after-values checks read
         index: dict[tuple, list] = {}
-        read_after = [n for n, primed in read if primed]
         for j, t in after.states:
             index.setdefault(tuple([t[k] for k in keys]), []).append(
                 (j, {(n, True): t[n, False] for n in read_after}) if checks else j)
@@ -879,7 +906,7 @@ def maximal_model(
             # are shared by every reader
             val = dict(s) if checks else s
             # an undefined key term matches no bucket, as x′ = t is then false
-            bucket = index.get(tuple([fn(val) for fn in keys.values()]), ())
+            bucket = index.get(tuple([fn(val) for fn in key_fns]), ())
             base = i * size
             if not checks:
                 pairs.extend([base + j for j in bucket])
@@ -893,6 +920,7 @@ def maximal_model(
                     pairs.append(base + j)
         r_max[e] = frozenset(pairs)
     return l_max, r_max
+
 
 
 # ---------------------------------------------------------------------------

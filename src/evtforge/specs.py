@@ -26,7 +26,7 @@ from .fopeq import (
     algebra_reduct, conjoin, enumerate_algebras, frozen, prime_free_vars, substitute,
 )
 from .institution import (
-    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, Status,
+    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
     merged_signature, model_reduct, restrict_along, signature_union, state_coding,
     translate_sentence,
@@ -518,8 +518,9 @@ class Evaluator:
         spec, sig = self._embedded(spec)
         fl = self.flatten(spec)
         algebras = enumerate_algebras(sig.fopeq, self.bounds, axioms=fl.axioms)
-        sentences = expand_families(fl, sig)
 
+        # planned at the first admitted algebra, so a class with none plans nothing
+        plan = None
         slices = []
         for a in algebras:
             bounds = []
@@ -529,7 +530,9 @@ class Evaluator:
                     break  # the algebra is not admissible under this hide image
                 bounds.append((tau, sl))
             else:
-                l_max, r_max = maximal_model(sig, sentences, a, self.bounds)
+                if plan is None:
+                    plan = ModelPlan(sig, expand_families(fl, sig))
+                l_max, r_max = maximal_model(plan, a, self.bounds)
                 if bounds:
                     l_max, r_max = restrict_along(
                         state_coding(sig, a), l_max, r_max, bounds)

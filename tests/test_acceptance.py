@@ -19,7 +19,7 @@ from evtforge.fopeq import (
     make_algebra,
 )
 from evtforge.institution import (
-    INIT, EvtMorphism, EvtSentence, EvtSignature, Status, amalgamate,
+    INIT, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, Status, amalgamate,
     comorphism_sen, comorphism_sign, evt_compose, evt_identity, evt_morphism,
     evt_pushout, make_model, make_state, maximal_model, model_reduct, satisfies,
     translate_sentence,
@@ -135,7 +135,7 @@ def test_criterion_04_single_event_relation():
         EvtSentence("e", parse_formula_text("x < 2 ∧ x′ = x + 1 ∧ y′ = FALSE", ctx)),
     ]
     alg = make_algebra(FopeqSignature(), 3, {}, {})
-    _, r_max = decoded(sig, alg, maximal_model(sig, sentences, alg, B3))
+    _, r_max = decoded(sig, alg, maximal_model(ModelPlan(sig, sentences), alg, B3))
     expected = frozenset({
         (make_state({"x": 0, "y": False}), make_state({"x": 1, "y": False})),
         (make_state({"x": 0, "y": True}), make_state({"x": 1, "y": False})),

@@ -19,8 +19,8 @@ from evtforge.fopeq import (
     fopeq_identity, free_vars, make_algebra, substitute,
 )
 from evtforge.institution import (
-    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, StateCoding, Status,
-    amalgamate, comorphism_mod, comorphism_sen, comorphism_sign, evt_compose,
+    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, StateCoding,
+    Status, amalgamate, comorphism_mod, comorphism_sen, comorphism_sign, evt_compose,
     evt_identity, evt_morphism, evt_pushout, init_conjuncts, make_model,
     make_state, maximal_model, model_reduct, reduce_state, satisfies,
     state_coding, status_sup, translate_sentence,
@@ -61,6 +61,26 @@ class TestSignature:
     def test_no_primed_variable_names(self):
         with pytest.raises(SortError):
             EvtSignature(vars=(("x'", INT),))
+
+    @pytest.mark.parametrize("events, vars, message", [
+        ((("e", Status.ordinary), ("e", Status.convergent)), (), "duplicate event names in signature"),
+        (((INIT, Status.anticipated),), (), "the initial event must have ordinary status"),
+        ((), (("x", INT), ("x", BOOL)), "duplicate variable names in signature"),
+        ((), (("x'", INT),), "variable name x' looks primed"),
+        ((), (("x′", INT),), "variable name x′ looks primed"),
+        ((), (("x", "S"),), "variable x has undeclared sort S"),
+        ((("e'", Status.ordinary),), (), "event name e' looks primed"),
+        ((("e′", Status.ordinary),), (), "event name e′ looks primed"),
+        # variables are checked before events, each in name order
+        ((("e′", Status.ordinary),), (("x′", INT),), "variable name x′ looks primed"),
+        ((), (("b′", INT), ("a", "S")), "variable a has undeclared sort S"),
+        ((), (("b", "S"), ("a′", INT)), "variable name a′ looks primed"),
+        ((("f′", Status.ordinary), ("e'", Status.ordinary)), (), "event name e' looks primed"),
+    ])
+    def test_refusal_messages(self, events, vars, message):
+        with pytest.raises(SortError) as exc:
+            EvtSignature(events=events, vars=vars)
+        assert str(exc.value) == message
 
     def test_status_order(self):
         assert Status.ordinary < Status.anticipated < Status.convergent
@@ -194,9 +214,9 @@ class TestMaximalModel:
         sig, typed, body, alg = _rex_setup()
         init_body = parse_formula_text(
             "x′ = 0 ∧ x′ ∈ {0, 1, 2}", ElabContext(FopeqSignature(), vars=sig.vars))
-        l_max, r_max = decoded(sig, alg, maximal_model(
+        l_max, r_max = decoded(sig, alg, maximal_model(ModelPlan(
             sig, [EvtSentence("e", typed), EvtSentence("e", body),
-                  EvtSentence(INIT, init_body)], alg, B3))
+                  EvtSentence(INIT, init_body)]), alg, B3))
         expected = {
             (make_state({"x": x, "y": y}), make_state({"x": x + 1, "y": False}))
             for x in (0, 1) for y in (False, True)
@@ -207,7 +227,7 @@ class TestMaximalModel:
 
     def test_false_sentence_empties_the_relation(self):
         sig, typed, body, alg = _rex_setup()
-        l_max, r_max = maximal_model(sig, [EvtSentence("e", FALSE)], alg, B3)
+        l_max, r_max = maximal_model(ModelPlan(sig, [EvtSentence("e", FALSE)]), alg, B3)
         assert r_max["e"] == frozenset()
         assert l_max  # initial states unconstrained
 
@@ -219,8 +239,8 @@ class TestMaximalModel:
         fam = parse_formula_text("n ≤ d ∧ n′ ≤ d ∧ n ≥ 0 ∧ n′ ≥ 0", ctx)
         body = parse_formula_text("n < d ∧ n′ = n + 1", ctx)
         alg = make_algebra(fsig, 3, {}, {"d": {(): 2}})
-        _, r_max = decoded(sig, alg, maximal_model(
-            sig, [EvtSentence("ML_out", fam), EvtSentence("ML_out", body)], alg, B3))
+        _, r_max = decoded(sig, alg, maximal_model(ModelPlan(
+            sig, [EvtSentence("ML_out", fam), EvtSentence("ML_out", body)]), alg, B3))
         brute = {
             (make_state({"n": n}), make_state({"n": np}))
             for n in range(-3, 4) for np in range(-3, 4)
@@ -234,7 +254,7 @@ class TestMaximalModel:
         sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
         alg = make_algebra(FopeqSignature(), 3, {}, {})
         with pytest.raises(EnumerationLimit):
-            maximal_model(sig, [EvtSentence("e", TRUE)], alg,
+            maximal_model(ModelPlan(sig, [EvtSentence("e", TRUE)]), alg,
                           Bounds(int_bound=3, pair_ceiling=10))
 
     def test_ceiling_checked_before_the_pools_are_built(self):
@@ -254,7 +274,7 @@ class TestMaximalModel:
             tracemalloc.start()
             try:
                 with pytest.raises(EnumerationLimit, match=refusal):
-                    maximal_model(sig, [init, EvtSentence("e", TRUE)], alg,
+                    maximal_model(ModelPlan(sig, [init, EvtSentence("e", TRUE)]), alg,
                                   Bounds(int_bound=2, pair_ceiling=ceiling))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -287,7 +307,7 @@ class TestMaximalModel:
         try:
             with pytest.raises(EnumerationLimit,
                                match="^event e: state pairs exceed the ceiling 1000000$"):
-                maximal_model(sig, sentences, make_algebra(FopeqSignature(), 3, {}, {}),
+                maximal_model(ModelPlan(sig, sentences), make_algebra(FopeqSignature(), 3, {}, {}),
                               Bounds(int_bound=3, pair_ceiling=ceiling))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -322,10 +342,11 @@ def test_m2_makes_one_pool_search_per_call(bridge, monkeypatch):
     sentences = ev.sentences_of(spec)
     algebras = enumerate_algebras(sig.fopeq, bounds, axioms=ev.flatten(spec).axioms)
     counts = _counting_searches(monkeypatch)
-    assert algebras
+    assert len(algebras) > 1
+    plan = ModelPlan(sig, sentences)
     for alg in algebras:
         before = counts["searches"]
-        l_max, r_max = maximal_model(sig, sentences, alg, bounds)
+        l_max, r_max = maximal_model(plan, alg, bounds)
         assert counts["searches"] - before == 1
         assert l_max and any(r_max.values())
 
@@ -368,7 +389,7 @@ def test_core_that_does_not_run_dry_adds_at_most_root_ceiling_states(monkeypatch
         ("e", "x0 ≠ 1 ∧ x0′ ≠ 1 ∧ x1 ≠ 2 ∧ x1′ = 0 ∧ x2′ = 0 ∧ x3′ = 0 ∧ x0′ = x0"),
     )]
     counts = _counting_searches(monkeypatch)
-    l_max, r_max = maximal_model(sig, sentences, make_algebra(FopeqSignature(), 3, {}, {}),
+    l_max, r_max = maximal_model(ModelPlan(sig, sentences), make_algebra(FopeqSignature(), 3, {}, {}),
                                  Bounds(int_bound=3, pair_ceiling=ceiling))
     assert (len(l_max), len(r_max["e"])) == (1, 1764)
     assert counts["searches"] == 4
@@ -409,7 +430,8 @@ def test_sparse_core_stops_at_its_budget(monkeypatch):
     root = math.isqrt(Bounds().pair_ceiling) + 1
     for bound in (2, 3):
         evaluations = 0
-        l_max, r_max = maximal_model(sig, sentences, make_algebra(FopeqSignature(), bound, {}, {}),
+        l_max, r_max = maximal_model(ModelPlan(sig, sentences),
+                                     make_algebra(FopeqSignature(), bound, {}, {}),
                                      Bounds(int_bound=bound))
         assert not l_max and not r_max["e"]
         # at most the core's budget, plus twice the candidates of e's before-pool
@@ -807,9 +829,16 @@ def _false_closed_conjunct_problem():
 @settings(max_examples=200, deadline=None)
 def test_joined_pairs_match_product_loop(problem):
     sig, alg, sentences, bound = problem
+    _assert_run_matches_product_loop(ModelPlan(sig, sentences), sentences, alg, bound)
 
-    def decoded_maximal_model(*args):
-        return decoded(sig, alg, maximal_model(*args))
+
+def _assert_run_matches_product_loop(plan, sentences, alg, bound):
+    """The plan's run over alg gives the product loop's maxima, and refuses
+    exactly where the product loop does."""
+    sig = plan.sig
+
+    def decoded_maximal_model(sig, sentences, algebra, bounds):
+        return decoded(sig, algebra, maximal_model(plan, algebra, bounds))
 
     def outcome(run, ceiling):
         try:
@@ -827,6 +856,69 @@ def test_joined_pairs_match_product_loop(problem):
     for k in ceilings:
         if k > 0:
             assert outcome(decoded_maximal_model, k) == outcome(_product_maximal_model, k)
+
+
+_K = OpApp("k", ())
+_CONST_FSIG = FopeqSignature(sorts=("E",), ops=(Op("k", (), INT),), preds=(Pred("p", ("E",)),))
+
+
+def _const_algebras(bound, carrier=("c0", "c1"), marked=("c0",)):
+    """One algebra of _CONST_FSIG per value of k in the bound."""
+    return [make_algebra(_CONST_FSIG, bound, {"E": list(carrier)}, {"k": {(): k}},
+                         {"p": {(c,) for c in marked}})
+            for k in range(-bound, bound + 1)]
+
+
+@st.composite
+def _plan_reuse_problems(draw):
+    """Events over ℤ and E variables and a constant k : ℤ, with one algebra
+    per value of k: k decides which closed conjuncts hold, which values the
+    unary conjuncts keep, and what the actions compute."""
+    sorts = draw(st.lists(st.sampled_from([INT, INT, "E"]), min_size=1, max_size=3))
+    events = tuple((f"e{i}", Status.ordinary) for i in range(draw(st.integers(1, 2))))
+    sig = EvtSignature(_CONST_FSIG, events, tuple((f"v{i}", s) for i, s in enumerate(sorts)))
+    bound = draw(st.integers(1, 2))
+    carrier = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    algebras = _const_algebras(bound, carrier, draw(st.sets(st.sampled_from(carrier))))
+
+    def scope(primed_sides):
+        return [(*(Var(n, p) for n, s in sig.vars for p in primed_sides if s == INT), _K), (),
+                tuple(Var(n, p) for n, s in sig.vars for p in primed_sides if s == "E")]
+
+    closed = st.lists(_pool_formulas((_K,), (), (), 1), max_size=2)
+    sentences = [EvtSentence(INIT, conjoin(draw(closed) + draw(st.lists(
+        _pool_formulas(*scope((True,)), 0), max_size=2))))]
+    before, both = scope((False,)), scope((False, True))
+    for e, _ in events:
+        actions = [Equal(Var(n, True), draw(_int_terms(before[0])) if s == INT
+                         else draw(st.sampled_from(before[2])))
+                   for n, s in draw(st.lists(st.sampled_from(sig.vars), min_size=1, max_size=3))]
+        unary = [draw(_pool_formulas(*(tuple(v for v in vs if v in (Var(n), _K)) for vs in before), 0))
+                 for n in draw(st.lists(st.sampled_from(sig.var_names), max_size=2))]
+        extra = draw(st.lists(_pool_formulas(*both, 1), max_size=2))
+        sentences.append(EvtSentence(e, conjoin(draw(st.permutations(
+            draw(closed) + unary + actions + extra)))))
+    return sig, algebras, sentences, bound
+
+
+def _constant_gated_problem():
+    """e0 holds only where k > 0, prunes v0 ≤ k, and Init reads v0′ = k, so
+    every algebra's run differs from the first one's."""
+    sig = EvtSignature(_CONST_FSIG, (("e0", Status.ordinary),), (("v0", INT),))
+    ctx = ElabContext(_CONST_FSIG, vars=sig.vars)
+    sentences = [EvtSentence(e, parse_formula_text(text, ctx)) for e, text in (
+        (INIT, "v0′ = k"), ("e0", "k > 0 ∧ v0 ≤ k ∧ v0′ = v0 + k"))]
+    return sig, _const_algebras(1), sentences, 1
+
+
+@given(_plan_reuse_problems())
+@example(_constant_gated_problem())
+@settings(max_examples=100, deadline=None)
+def test_one_plan_runs_over_every_algebra(problem):
+    sig, algebras, sentences, bound = problem
+    plan = ModelPlan(sig, sentences)
+    for alg in algebras:
+        _assert_run_matches_product_loop(plan, sentences, alg, bound)
 
 
 def test_action_keys_in_both_orientations():
@@ -888,19 +980,25 @@ def test_key_like_equation_outside_the_signature_stays_a_check():
     for stray in (Equal(zp, x), Equal(x, zp), Equal(xp, z), Equal(z, xp)):
         body = And((stray, Equal(xp, x)))
         with pytest.raises(SortError, match="unbound variable"):
-            maximal_model(sig, [EvtSentence("e", body)], alg, B1)
+            ModelPlan(sig, [EvtSentence("e", body)])
 
 
 def test_variable_outside_the_signature_is_refused_before_the_pools():
-    # the key x′ = x + 5 is undefined at bound 1, so no pair reaches z = x′
+    # the key x′ = x + 5 would be undefined at bound 1, so no pair would
+    # reach z = x′; the plan refuses z before it sees an algebra
     sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
-    alg = make_algebra(FopeqSignature(), 1, {}, {})
     x, xp = Var("x"), Var("x", True)
     body = And((Equal(xp, OpApp("+", (x, IntLit(5)))), Equal(Var("z"), xp)))
     with pytest.raises(SortError, match="unbound variable z$"):
-        maximal_model(sig, [EvtSentence("e", body)], alg, B1)
+        ModelPlan(sig, [EvtSentence("e", body)])
     with pytest.raises(SortError, match="unbound variable z′"):
-        maximal_model(sig, [EvtSentence(INIT, Equal(Var("z", True), IntLit(0)))], alg, B1)
+        ModelPlan(sig, [EvtSentence(INIT, Equal(Var("z", True), IntLit(0)))])
+
+
+def test_sentence_naming_an_unknown_event_is_refused_by_the_plan():
+    sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
+    with pytest.raises(SortError, match="^sentence names unknown event f$"):
+        ModelPlan(sig, [EvtSentence("e", TRUE), EvtSentence("f", TRUE)])
 
 
 class TestModelConstruction:
@@ -1626,7 +1724,7 @@ def test_downward_closure_exhaustive_small():
         EvtSentence(INIT, parse_formula_text("p(x′)", ctx)),
     ]
     alg = ualg(("u0", "u1"), ("u0",))
-    l_max, r_max = decoded(sig, alg, maximal_model(sig, sentences, alg, B1))
+    l_max, r_max = decoded(sig, alg, maximal_model(ModelPlan(sig, sentences), alg, B1))
     states = enumerate_states(sig, alg)
     all_pairs = list(itertools.product(states, states))
 

@@ -2,7 +2,10 @@ import itertools
 from dataclasses import fields, is_dataclass
 
 import pytest
+from click.testing import CliRunner
 
+from evtforge import specs
+from evtforge.cli import main
 from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import (
@@ -21,7 +24,7 @@ from evtforge.specs import (
 )
 from evtforge.sugar import parse_document, print_library, print_spec
 from evtforge.translate import TranslationOutput, translate
-from tests.conftest import load_fixture, parse_term_text
+from tests.conftest import FIXTURES, load_fixture, parse_term_text
 
 B3 = Bounds(int_bound=3)
 
@@ -295,6 +298,52 @@ class TestModOf:
         with pytest.raises(EnumerationLimit):
             Evaluator(None, Bounds(int_bound=3, pair_ceiling=5)).model_class(
                 Presentation(sig, Flat()))
+
+
+def test_refine_plans_each_spec_with_an_admitted_algebra_once(monkeypatch):
+    # refine of the bridge chain at --bound 4 with d free: five specs admit
+    # an algebra, and each plan is run once per admitted algebra
+    plans, runs, admitted = [], [], []
+    plan_class, run, enumerate_algebras = specs.ModelPlan, specs.maximal_model, specs.enumerate_algebras
+
+    def counted_plan(sig, sentences):
+        plans.append(plan_class(sig, sentences))
+        return plans[-1]
+
+    def counted_run(plan, algebra, bounds):
+        runs.append(plan)
+        return run(plan, algebra, bounds)
+
+    def counted_algebras(*args, **kwargs):
+        admitted.append(enumerate_algebras(*args, **kwargs))
+        return admitted[-1]
+
+    monkeypatch.setattr(specs, "ModelPlan", counted_plan)
+    monkeypatch.setattr(specs, "maximal_model", counted_run)
+    monkeypatch.setattr(specs, "enumerate_algebras", counted_algebras)
+    res = CliRunner().invoke(main, [
+        "refine", *(str(FIXTURES / n) for n in ("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt")),
+        "--bound", "4", "--allow-status-drop"])
+    assert res.exit_code == 0, res.output
+    assert (len(plans), len(runs)) == (5, 24)
+    assert len(plans) == sum(1 for algebras in admitted if algebras)
+    assert [id(p) for p in plans] == list(dict.fromkeys(id(p) for p in runs))
+
+
+def test_class_with_no_admitted_algebra_builds_no_plan(monkeypatch):
+    # the invariant names z, which the signature lacks: planning refuses it,
+    # but an axiom that no algebra satisfies leaves nothing to plan
+    sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
+    stray = Flat(invariants=(Equal(Var("z"), IntLit(0)),))
+    with pytest.raises(SortError, match="unbound variable z$"):
+        Evaluator(None, B3).model_class(Presentation(sig, stray))
+    plans = []
+    plan_class = specs.ModelPlan
+    monkeypatch.setattr(specs, "ModelPlan", lambda *args: plans.append(plan_class(*args)))
+    unsatisfiable = Flat(axioms=(Equal(IntLit(0), IntLit(1)),),
+                         invariants=stray.invariants)
+    rep = Evaluator(None, B3).model_class(Presentation(sig, unsatisfiable))
+    assert rep.slices == () and plans == []
 
 
 class TestOperatorLaws:
