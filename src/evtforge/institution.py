@@ -846,7 +846,8 @@ def maximal_model(
     sig, conjuncts = plan.sig, plan.conjuncts
     fns = _Memo(lambda i: compile_formula(conjuncts[i][0], algebra))
     compiled_term = _Memo(lambda t: fopeq.compile_term(t, algebra)).__getitem__
-    # each conjunct of the sentences is compiled before any pool, read or not
+    # every conjunct of the sentences is compiled before any pool, read or
+    # not, so one that the algebra cannot interpret fails here
     for i in range(plan.sentence_conjuncts):
         fns[i]
 
