@@ -125,9 +125,17 @@ def _parse_kv(pairs: Sequence[str], value_parser) -> tuple:
 
 
 def _echo(text: str, err: bool = False, nl: bool = True) -> None:
-    """click.echo with the stream passed: without file=, click caches each
-    sys.stdout it meets, so output a test runner captured is never freed."""
-    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"), nl=nl)
+    """Write text, and a newline unless nl is false, to stdout or stderr,
+    then flush.  The stream is looked up on every call, as click caches each
+    sys.stdout that click.echo without file= meets, so output a test runner
+    captured would never be freed.  Unlike click.echo, this neither copies
+    the whole text to append the newline nor scans it for ANSI escapes to
+    strip: evtforge prints no styling, and identifiers cannot hold ESC."""
+    stream = click.get_text_stream("stderr" if err else "stdout")
+    stream.write(text)
+    if nl:
+        stream.write("\n")
+    stream.flush()
 
 
 def _fail(e: Exception) -> None:

@@ -7,6 +7,7 @@ undefined, and an atom containing an undefined term evaluates to false.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -546,6 +547,67 @@ def make_algebra(
 # evaluation (formulas compile to closures over one algebra)
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _unbound(key: tuple[str, bool]) -> SortError:
+    return SortError(f"unbound variable {key[0]}{'′' if key[1] else ''}")
+
+
+def _binary(left: Term, right: Term, a: FiniteAlgebra, apply, miss, bound=None):
+    """The closure of apply on two operands, for builtin arithmetic (with a
+    bound: a result outside -bound..bound is UNDEF), Equal and comparisons.
+    The left operand is read first, and an UNDEF operand gives miss without
+    reading on.  A variable leaf on the left, and a variable leaf or defined
+    constant on the right, is read inline (a superoperator)."""
+    if bound is not None:
+        op = apply
+
+        def apply(x, y):
+            r = op(x, y)
+            return r if -bound <= r <= bound else UNDEF
+
+    lf, rf = compile_term(left, a), compile_term(right, a)
+    lk = left.key if isinstance(left, Var) else None
+    # a literal or a constant (a 0-ary user operation) reads no valuation
+    c = UNDEF if isinstance(right, Var) or isinstance(right, OpApp) and right.args else rf({})
+    if isinstance(right, Var):
+        rk = right.key
+        if lk:
+            def run(val):
+                try:
+                    return apply(val[lk], val[rk])
+                except KeyError as e:
+                    raise _unbound(e.args[0]) from None
+        else:
+            def run(val):
+                x = lf(val)
+                try:
+                    return miss if x is UNDEF else apply(x, val[rk])
+                except KeyError:
+                    raise _unbound(rk) from None
+    elif c is not UNDEF:
+        if lk:
+            def run(val):
+                try:
+                    return apply(val[lk], c)
+                except KeyError:
+                    raise _unbound(lk) from None
+        else:
+            def run(val):
+                x = lf(val)
+                return miss if x is UNDEF else apply(x, c)
+    else:
+        def run(val):
+            x = lf(val)
+            if x is UNDEF:
+                return miss
+            y = rf(val)
+            return miss if y is UNDEF else apply(x, y)
+    return run
+
+
 def compile_term(t: Term, a: FiniteAlgebra):
     if isinstance(t, Var):
         key = t.key
@@ -554,8 +616,7 @@ def compile_term(t: Term, a: FiniteAlgebra):
             try:
                 return val[key]
             except KeyError:
-                raise SortError(
-                    f"unbound variable {t.name}{'′' if t.primed else ''}") from None
+                raise _unbound(key) from None
 
         return run_var
     if isinstance(t, IntLit):
@@ -565,26 +626,16 @@ def compile_term(t: Term, a: FiniteAlgebra):
         v = t.value
         return lambda val: v
     if isinstance(t, OpApp):
-        subs = [compile_term(x, a) for x in t.args]
         if t.op in BUILTIN_OPS:
-            bound = a.int_bound
-            lf, rf = subs
-            op = t.op
-
-            def run(val):
-                x = lf(val)
-                if x is UNDEF:
-                    return UNDEF
-                y = rf(val)
-                if y is UNDEF:
-                    return UNDEF
-                r = x + y if op == "+" else x - y if op == "-" else x * y
-                return r if -bound <= r <= bound else UNDEF
-
-            return run
+            lt, rt = t.args
+            return _binary(lt, rt, a, _ARITH[t.op], UNDEF, a.int_bound)
+        subs = [compile_term(x, a) for x in t.args]
         table = a.op_tables.get(t.op)
         if table is None:
             raise SortError(f"operation {t.op} not interpreted")
+        if not subs:
+            v = table.get((), UNDEF)
+            return lambda val: v
 
         def run_user(val):
             args = []
@@ -605,38 +656,12 @@ def compile_formula(f: Formula, a: FiniteAlgebra):
     if isinstance(f, FalseF):
         return lambda val: False
     if isinstance(f, Equal):
-        lf, rf = compile_term(f.left, a), compile_term(f.right, a)
-
-        def run_eq(val):
-            x = lf(val)
-            if x is UNDEF:
-                return False
-            y = rf(val)
-            return y is not UNDEF and x == y
-
-        return run_eq
+        return _binary(f.left, f.right, a, operator.eq, False)
     if isinstance(f, PredApp):
-        subs = [compile_term(t, a) for t in f.args]
         if f.pred in BUILTIN_PREDS:
-            lf, rf = subs
-            name = f.pred
-
-            def run_cmp(val):
-                x = lf(val)
-                if x is UNDEF:
-                    return False
-                y = rf(val)
-                if y is UNDEF:
-                    return False
-                if name == "<":
-                    return x < y
-                if name == "<=":
-                    return x <= y
-                if name == ">":
-                    return x > y
-                return x >= y
-
-            return run_cmp
+            lt, rt = f.args
+            return _binary(lt, rt, a, _COMPARE[f.pred], False)
+        subs = [compile_term(t, a) for t in f.args]
         rel = a.pred_tables.get(f.pred)
         if rel is None:
             raise SortError(f"predicate {f.pred} not interpreted")
@@ -688,10 +713,24 @@ def compile_formula(f: Formula, a: FiniteAlgebra):
         return lambda val: not sub(val)
     if isinstance(f, And):
         subs = [compile_formula(p, a) for p in f.parts]
-        return lambda val: all(s(val) for s in subs)
+
+        def run_and(val):
+            for s in subs:
+                if not s(val):
+                    return False
+            return True
+
+        return run_and
     if isinstance(f, Or):
         subs = [compile_formula(p, a) for p in f.parts]
-        return lambda val: any(s(val) for s in subs)
+
+        def run_or(val):
+            for s in subs:
+                if s(val):
+                    return True
+            return False
+
+        return run_or
     if isinstance(f, Implies):
         lf, rf = compile_formula(f.left, a), compile_formula(f.right, a)
         return lambda val: (not lf(val)) or rf(val)

@@ -756,6 +756,45 @@ def _shared_pools(
     return pool
 
 
+def _check_interpreted(fsig: FopeqSignature, xs: Iterable) -> None:
+    """Raise the SortError that compiling the formulas or terms xs, in turn,
+    raises in an algebra over fsig: for the first operation, predicate or
+    sort, in the order compile_formula meets them, that fsig does not
+    interpret.  free_vars has checked the formula parts, so anything unknown
+    is not a term."""
+    for x in xs:
+        if isinstance(x, (fopeq.Var, fopeq.IntLit, fopeq.BoolLit, fopeq.TrueF, fopeq.FalseF)):
+            continue
+        if isinstance(x, (fopeq.OpApp, fopeq.PredApp)):
+            parts = x.args
+        elif isinstance(x, (fopeq.Equal, fopeq.Implies, fopeq.Iff)):
+            parts = (x.left, x.right)
+        elif isinstance(x, (fopeq.And, fopeq.Or)):
+            parts = x.parts
+        elif isinstance(x, fopeq.Not):
+            parts = (x.body,)
+        elif isinstance(x, fopeq.InSet):
+            parts = (x.item, *x.elems)
+        elif isinstance(x, fopeq.CarrierEq):
+            parts = x.elems
+        elif isinstance(x, (fopeq.Forall, fopeq.Exists)):
+            for _, sort in x.vars:
+                if not fsig.has_sort(sort):
+                    raise SortError(f"no carrier for sort {sort}")
+            parts = (x.body,)
+        else:
+            raise SortError(f"not a term: {x!r}")
+        _check_interpreted(fsig, parts)
+        if isinstance(x, fopeq.OpApp):
+            if x.op not in fopeq.BUILTIN_OPS and x.op not in fsig.op_map:
+                raise SortError(f"operation {x.op} not interpreted")
+        elif isinstance(x, fopeq.PredApp):
+            if x.pred not in fopeq.BUILTIN_PREDS and x.pred not in fsig.pred_map:
+                raise SortError(f"predicate {x.pred} not interpreted")
+        elif isinstance(x, fopeq.CarrierEq) and not fsig.has_sort(x.sort):
+            raise SortError(f"no carrier for sort {x.sort}")
+
+
 class ModelPlan:
     """What maximal_model needs of a signature and its sentences in every
     algebra: the distinct conjuncts, numbered with their free variables (the
@@ -763,10 +802,12 @@ class ModelPlan:
     init_conjuncts' rule) and each event, the numbers of its closed
     conjuncts and of its pool readers, which hold unprimed forms; an event
     also has its join keys (its first definition x′ = t per variable, t over
-    before-values) and checks.  SortError for an unknown event or variable.
+    before-values) and checks.  SortError for an unknown event or variable,
+    and for an operation, predicate or sort of a sentence that the
+    signature does not interpret (_check_interpreted).
     """
 
-    __slots__ = ("sig", "conjuncts", "sentence_conjuncts", "init", "events")
+    __slots__ = ("sig", "conjuncts", "init", "events")
 
     def __init__(self, sig: EvtSignature, sentences: Sequence[EvtSentence]):
         by_event: dict[str, list[Formula]] = {e: [] for e in sig.event_names}
@@ -788,7 +829,9 @@ class ModelPlan:
         # family bodies are shared by every event
         flat = _Memo(lambda body: [numbers[c] for c in _flatten_conjuncts(body)])
         ids = {e: [i for body in bodies for i in flat[body]] for e, bodies in by_event.items()}
-        self.sentence_conjuncts = len(conjuncts)
+        # a run compiles a conjunct only when something reads it, so one that
+        # no algebra over the signature interprets is refused here, unread
+        _check_interpreted(sig.fopeq, [c for c, _ in conjuncts])
         unprime = {(n, True): fopeq.Var(n) for n in sig.var_names}
         unprimed = _Memo(lambda i: numbers[substitute(conjuncts[i][0], unprime)])
 
@@ -834,8 +877,8 @@ def maximal_model(
     Satisfaction quantifies universally over each relation, so the class of
     satisfying models is exactly the non-empty-L downward closure of this
     maximum.  A run compiles each of the plan's conjuncts and key terms once,
-    on first use, every conjunct of the sentences before any pool; it
-    evaluates the closed conjuncts in this algebra, and a sentence whose
+    when a pool, key or check first reads it, and none that nothing reads;
+    it evaluates the closed conjuncts in this algebra, and a sentence whose
     closed conjuncts fail reads no pool.  A state is a valuation without a
     side, so every pool reader holds unprimed conjuncts, and only the join
     reads x′.  The state pools come from _shared_pools, which searches the
@@ -846,10 +889,6 @@ def maximal_model(
     sig, conjuncts = plan.sig, plan.conjuncts
     fns = _Memo(lambda i: compile_formula(conjuncts[i][0], algebra))
     compiled_term = _Memo(lambda t: fopeq.compile_term(t, algebra)).__getitem__
-    # every conjunct of the sentences is compiled before any pool, read or
-    # not, so one that the algebra cannot interpret fails here
-    for i in range(plan.sentence_conjuncts):
-        fns[i]
 
     def reader(ids: Sequence[int]) -> list[Conjunct]:
         return [(*conjuncts[i], fns[i]) for i in ids]

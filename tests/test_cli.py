@@ -9,8 +9,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from evtforge.cli import dump_json, main, models_payload
+from evtforge.fopeq import Bounds
 from evtforge.institution import StateCoding
 from evtforge.refinement import Counterexample, RefinementVerdict
+from evtforge.specs import Evaluator
 from tests.conftest import FIXTURES
 
 
@@ -390,6 +392,19 @@ def test_runs_free_their_captured_output(runner):
     finally:
         tracemalloc.stop()
     assert live < 200_000
+
+
+def test_multi_megabyte_listing_is_written_exactly(runner, bridge):
+    """A models --json --list payload of several MB reaches stdout byte for
+    byte, followed by one newline."""
+    args = ["models", "m2", *fx("ebm0.eb", "ebm1.eb", "ebm2.eb"), "--bound", "6",
+            "--json", "--list"]
+    res = runner.invoke(main, args)
+    rep = Evaluator(bridge.library, Bounds(int_bound=6)).model_class(
+        bridge.library.lookup("m2"))
+    want = dump_json(models_payload("m2", 6, rep.slices, True)) + "\n"
+    assert res.exit_code == 0 and len(want) > 3_000_000
+    assert res.stdout == want
 
 
 def _oracle_models_payload(name, bound, slices, list_pairs):

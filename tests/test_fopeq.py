@@ -8,7 +8,7 @@ from evtforge.fopeq import (
     BOOL, INT, And, BoolLit, Bounds, CarrierEq, Equal, FiniteAlgebra,
     FopeqMorphism, FopeqSignature, Forall, Exists, Implies, InSet, IntLit, Not,
     Op, OpApp, Or, Pred, PredApp, TRUE, FALSE, UNDEF, Var, algebra_reduct,
-    compile_formula, conjoin, enumerate_algebras, fopeq_compose,
+    compile_formula, compile_term, conjoin, enumerate_algebras, fopeq_compose,
     fopeq_identity, fopeq_morphism, fopeq_pushout, free_vars, make_algebra,
     prime_free_vars, substitute,
 )
@@ -84,14 +84,16 @@ class TestEvalFormula:
 
 # -- compiled evaluation agrees with the reference interpreter --------------
 
-_names = st.sampled_from(["x", "y"])
+# z is never bound, so reading it raises SortError
+_names = st.sampled_from(["x", "y", "z"])
 
 
 def _terms(depth):
     if depth == 0:
+        # half the literals lie past the bound 3 of the algebras below
         return st.one_of(
             st.builds(Var, _names, st.booleans()),
-            st.builds(IntLit, st.integers(-4, 4)),
+            st.builds(IntLit, st.sampled_from([0, 1, -3, 3, 4, -4, 5, -5])),
             st.just(OpApp("d")),
         )
     sub = _terms(depth - 1)
@@ -113,22 +115,62 @@ def _formulas(depth):
     if depth == 0:
         return atoms
     sub = _formulas(depth - 1)
+    parts = st.lists(sub, min_size=2, max_size=3).map(tuple)
     return st.one_of(
         atoms,
         st.builds(Not, sub),
-        st.builds(lambda a, b: And((a, b)), sub, sub),
-        st.builds(lambda a, b: Or((a, b)), sub, sub),
+        st.builds(And, parts),
+        st.builds(Or, parts),
         st.builds(Implies, sub, sub),
         st.builds(lambda f: Exists((("q", INT),), f), sub),
     )
 
 
+def _outcome(run):
+    """What run returns, or the message of the SortError it raises."""
+    try:
+        return run()
+    except SortError as e:
+        return f"SortError: {e}"
+
+
+def _parts(x):
+    """x and, recursively, its subformulas and subterms."""
+    yield x
+    if isinstance(x, (Equal, Implies)):
+        kids = (x.left, x.right)
+    elif isinstance(x, (OpApp, PredApp)):
+        kids = x.args
+    elif isinstance(x, InSet):
+        kids = (x.item, *x.elems)
+    elif isinstance(x, (And, Or)):
+        kids = x.parts
+    elif isinstance(x, (Not, Exists)):
+        kids = (x.body,)
+    else:
+        kids = ()
+    for k in kids:
+        yield from _parts(k)
+
+
 @given(_formulas(2), st.integers(-2, 2), st.integers(-3, 3), st.integers(-3, 3))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=1000, deadline=None)
 def test_compiled_matches_reference(f, d, x, y):
+    # each specialised closure shape is drawn: a variable leaf, primed or
+    # not, unbound (z) or bound, a literal in or past the bound or the
+    # constant d on either side of an atom or an operation, and And/Or of
+    # two or three parts; every subformula and subterm is evaluated too, so
+    # that none hides behind a short circuit
     a = plain_algebra(d=d)
     val = {("x", False): x, ("y", False): y, ("x", True): y, ("y", True): x}
-    assert compile_formula(f, a)(val) == eval_formula(f, a, val)
+    for p in _parts(f):
+        if isinstance(p, (Var, IntLit, OpApp)):
+            got = _outcome(lambda: compile_term(p, a)(val))
+            want = _outcome(lambda: eval_term(p, a, val))
+        else:
+            got = _outcome(lambda: compile_formula(p, a)(val))
+            want = _outcome(lambda: eval_formula(p, a, val))
+        assert got == want, p
 
 
 def test_compiled_missing_binding_is_structural():

@@ -9,7 +9,7 @@ from evtforge.cli import main
 from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import (
-    And, Bounds, Equal, FopeqSignature, INT, IntLit, Not, Op, OpApp, PredApp, Var,
+    FALSE, And, Bounds, Equal, FopeqSignature, INT, IntLit, Not, Op, OpApp, PredApp, Var,
     fopeq_identity, fopeq_morphism, fopeq_pushout,
 )
 from evtforge.institution import (
@@ -344,6 +344,17 @@ def test_class_with_no_admitted_algebra_builds_no_plan(monkeypatch):
                          invariants=stray.invariants)
     rep = Evaluator(None, B3).model_class(Presentation(sig, unsatisfiable))
     assert rep.slices == () and plans == []
+
+
+def test_conjunct_no_pool_reads_is_still_refused_when_uninterpreted():
+    # the guard FALSE leaves e nothing to read, so a run never compiles
+    # x = k; the plan still refuses k, which the signature lacks, as a run
+    # that compiled every conjunct did
+    sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
+    guards = (FALSE, Equal(Var("x"), OpApp("k")))
+    pres = Presentation(sig, Flat(events=(EventClauses("e", guards=guards),)))
+    with pytest.raises(SortError, match="^operation k not interpreted$"):
+        Evaluator(None, B3).model_class(pres)
 
 
 class TestOperatorLaws:
