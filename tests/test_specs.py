@@ -347,9 +347,8 @@ def test_class_with_no_admitted_algebra_builds_no_plan(monkeypatch):
 
 
 def test_conjunct_no_pool_reads_is_still_refused_when_uninterpreted():
-    # the guard FALSE leaves e nothing to read, so a run never compiles
-    # x = k; the plan still refuses k, which the signature lacks, as a run
-    # that compiled every conjunct did
+    # the guard FALSE leaves e nothing to read, so no run compiles x = k;
+    # the plan still refuses k, which the signature lacks
     sig = EvtSignature(events=(("e", Status.ordinary),), vars=(("x", INT),))
     guards = (FALSE, Equal(Var("x"), OpApp("k")))
     pres = Presentation(sig, Flat(events=(EventClauses("e", guards=guards),)))
