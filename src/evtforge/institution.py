@@ -489,9 +489,18 @@ def restrict_along(
     source.
 
     A pair of event e is bounded by the relations of e's preimages; each
-    bound filters what the ones before it kept.
+    bound filters what the ones before it kept.  Bounds whose morphisms map
+    the variables alike share one Projection, so each distinct code is
+    reduced once for all of them.
     """
-    views = [(Projection(m, coding), b, m.preimages) for m, b in bounds]
+    reducts: dict[tuple, Projection] = {}
+    views = []
+    for m, b in bounds:
+        key = m.source.var_names, m.state_positions
+        red = reducts.get(key)
+        if red is None:
+            red = reducts[key] = Projection(m, coding)
+        views.append((red, b, m.preimages))
     kept = init
     for red, b, _ in views:
         state, allowed = red.state, b.init_codes
@@ -739,8 +748,15 @@ def _shared_pools(
                 tests.append(fn)
         for s in core.states:
             val = s[1]
-            if all(val[k] in ok for k, ok in allowed) and all(fn(val) for fn in tests):
-                yield s
+            for k, ok in allowed:
+                if val[k] not in ok:
+                    break
+            else:
+                for fn in tests:
+                    if not fn(val):
+                        break
+                else:
+                    yield s
 
     def pool(conjs: Sequence[Conjunct]) -> _Pool:
         k = frozenset([c for c, _, _ in conjs])
@@ -893,15 +909,21 @@ def maximal_model(
     def reader(ids: Sequence[int]) -> list[Conjunct]:
         return [(*conjuncts[i], fns[i]) for i in ids]
 
+    def closed_hold(ids: Sequence[int]) -> bool:
+        for i in ids:
+            if not fns[i]({}):
+                return False
+        return True
+
     init_closed, init_ids = plan.init
     init_reader = reader(init_ids)
-    init_reads = all(fns[i]({}) for i in init_closed)
+    init_reads = closed_hold(init_closed)
     readers = [init_reader] if init_reads else []
     # each event's pools are joined on the after-values that its keys fix,
     # and a pair's valuation holds only the after-values checks read
     events = []
     for e, closed, before_only, after_only, keys, checks, read_after in plan.events:
-        if all(fns[i]({}) for i in closed):
+        if closed_hold(closed):
             sides = reader(before_only), reader(after_only)
             events.append((e, *sides, [compiled_term(t) for t in keys.values()], list(keys),
                            [fns[i] for i in checks], read_after))

@@ -415,14 +415,13 @@ class Evaluator:
     # -- flattening ---------------------------------------------------------
 
     def flatten(self, spec: Spec) -> Flattened:
+        spec = self._resolve(spec)
         fl = self._flats.get(spec)
         if fl is None:
             fl = self._flats[spec] = self._flatten(spec)
         return fl
 
     def _flatten(self, spec: Spec) -> Flattened:
-        if isinstance(spec, Named):
-            return self.flatten(self._resolve(spec.name))
         if isinstance(spec, Presentation):
             return self._flat_contents(spec.flat)
         if isinstance(spec, Enrich):
@@ -452,10 +451,14 @@ class Evaluator:
             return fl
         raise SpecError(f"not a specification: {spec!r}")
 
-    def _resolve(self, name: str) -> Spec:
-        if self.lib is None:
-            raise SpecError(f"no library to resolve {name}")
-        return self.lib.lookup(name)
+    def _resolve(self, spec: Spec) -> Spec:
+        """The spec, with a name (or a chain of them) replaced by the spec it
+        names, so that a name and its definition share one memo entry."""
+        while isinstance(spec, Named):
+            if self.lib is None:
+                raise SpecError(f"no library to resolve {spec.name}")
+            spec = self.lib.lookup(spec.name)
+        return spec
 
     def _lift(self, child: Spec, parent: Spec) -> Flattened:
         """The child's flattening, with its hide-image constraints re-targeted
@@ -509,6 +512,9 @@ class Evaluator:
         return expand_families(self.flatten(spec), sig)
 
     def model_class(self, spec: Spec) -> ModelClassRep:
+        """The class of spec, computed once per Evaluator for a spec and
+        every name that resolves to it."""
+        spec = self._resolve(spec)
         rep = self._classes.get(spec)
         if rep is None:
             rep = self._classes[spec] = self._model_class(spec)

@@ -1605,13 +1605,10 @@ def test_projected_codes_match_reduce_state(data):
         assert red.pair(coding.encode_pair(s, t)) == source.encode_pair(rs, rt)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_restricted_codes_match_tuple_restriction(data):
-    """restrict_along on codes keeps exactly what the tuple oracle keeps;
-    each bound holds the reducts of some of the restricted items, so that
-    both verdicts come up."""
-    sig, alg = data.draw(_coded_signatures())
+def _restriction_case(data, sig, alg, morphisms):
+    """Random init and relations over sig, and one bound along each
+    morphism; each bound holds the reducts of some of the restricted items,
+    so that both verdicts come up."""
     states = _states_of(sig, alg)
     init = data.draw(st.lists(states, max_size=8))
     rel = {e: data.draw(st.lists(st.tuples(states, states), max_size=10))
@@ -1621,8 +1618,7 @@ def test_restricted_codes_match_tuple_restriction(data):
         return data.draw(st.lists(st.sampled_from(items), max_size=3)) if items else []
 
     bounds = []
-    for _ in range(data.draw(st.integers(1, 2))):
-        m = data.draw(_morphisms_into(sig))
+    for m in morphisms:
         ra = algebra_reduct(alg, m.fopeq)
         src = _states_of(m.source, ra)
         b_init = [reduce_state(s, m) for s in some(init)]
@@ -1633,6 +1629,10 @@ def test_restricted_codes_match_tuple_restriction(data):
                         for s, t in some(rel[m.apply_event(e)])]
             b_rel[e] += data.draw(st.lists(st.tuples(src, src), max_size=3))
         bounds.append((m, make_model(m.source, ra, b_init, b_rel)))
+    return init, rel, bounds
+
+
+def _assert_restriction_matches_oracle(sig, alg, init, rel, bounds):
     want_init, want_rel = restrict_along(init, rel, bounds)
     coding = state_coding(sig, alg)
     got_init, got_rel = institution.restrict_along(
@@ -1642,6 +1642,47 @@ def test_restricted_codes_match_tuple_restriction(data):
     assert {coding.decode(c) for c in got_init} == want_init
     assert {e: {coding.decode_pair(p) for p in pairs} for e, pairs in got_rel.items()} \
         == want_rel
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_restricted_codes_match_tuple_restriction(data):
+    """restrict_along on codes keeps exactly what the tuple oracle keeps."""
+    sig, alg = data.draw(_coded_signatures())
+    morphisms = [data.draw(_morphisms_into(sig)) for _ in range(data.draw(st.integers(1, 2)))]
+    _assert_restriction_matches_oracle(sig, alg, *_restriction_case(data, sig, alg, morphisms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bounds_sharing_a_variable_map_share_one_projection(data):
+    """restrict_along builds one Projection per distinct variable map among
+    its bounds, as the slices a refining machine imports all hide one
+    machine along one map, and still keeps what the tuple oracle keeps."""
+    sig, alg = data.draw(_coded_signatures())
+    targets = st.lists(st.sampled_from(sig.var_names), max_size=3) if sig.vars else st.just([])
+    var_maps = [data.draw(targets) for _ in range(2)]
+    morphisms, used = [], set()
+    for _ in range(data.draw(st.integers(2, 4))):
+        vm = data.draw(st.sampled_from(var_maps))
+        events = data.draw(st.lists(st.sampled_from(sig.non_init_events), max_size=2))
+        src = EvtSignature(_CODED, tuple((f"a{i}", Status.ordinary) for i in range(len(events))),
+                           tuple((f"s{i}", sig.var_map[t]) for i, t in enumerate(vm)))
+        morphisms.append(evt_morphism(src, sig, {f"a{i}": e for i, e in enumerate(events)},
+                                      {f"s{i}": t for i, t in enumerate(vm)}))
+        used.add(tuple(vm))
+    case = _restriction_case(data, sig, alg, morphisms)
+    built = []
+    projection = institution.Projection
+
+    def counted(m, coding):
+        built.append(m.var_map)
+        return projection(m, coding)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(institution, "Projection", counted)
+        _assert_restriction_matches_oracle(sig, alg, *case)
+    assert len(built) == len(used)
 
 
 # -- the context embedding ---------------------------------------------------

@@ -301,8 +301,10 @@ class TestModOf:
 
 
 def test_refine_plans_each_spec_with_an_admitted_algebra_once(monkeypatch):
-    # refine of the bridge chain at --bound 4 with d free: five specs admit
-    # an algebra, and each plan is run once per admitted algebra
+    # refine of the bridge chain at --bound 4 with d free: m0, m1 and m2
+    # admit an algebra, each is planned once and its plan run once per
+    # admitted algebra; the refining machines' imports Named("m0") and
+    # Named("m1") reuse the classes of the definitions they name
     plans, runs, admitted = [], [], []
     plan_class, run, enumerate_algebras = specs.ModelPlan, specs.maximal_model, specs.enumerate_algebras
 
@@ -325,9 +327,33 @@ def test_refine_plans_each_spec_with_an_admitted_algebra_once(monkeypatch):
         "refine", *(str(FIXTURES / n) for n in ("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt")),
         "--bound", "4", "--allow-status-drop"])
     assert res.exit_code == 0, res.output
-    assert (len(plans), len(runs)) == (5, 24)
+    assert (len(plans), len(runs)) == (3, 16)
     assert len(plans) == sum(1 for algebras in admitted if algebras)
     assert [id(p) for p in plans] == list(dict.fromkeys(id(p) for p in runs))
+
+
+def test_a_name_and_its_definition_share_one_class(bridge):
+    lib = bridge.library
+    ev = Evaluator(lib, B3)
+    assert ev.model_class(Named("m0")) is ev.model_class(lib.lookup("m0"))
+    # a chain of names resolves to the spec at its end
+    aliases = SpecLibrary()
+    aliases.define("c", counter_presentation())
+    aliases.define("b", Named("c"))
+    aliases.define("a", Named("b"))
+    ev = Evaluator(aliases, B3)
+    assert ev.model_class(Named("a")) is ev.model_class(aliases.lookup("c"))
+    assert ev.model_class(aliases.lookup("a")) is ev.model_class(Named("b"))
+
+
+@pytest.mark.parametrize("with_library, message", [
+    (True, "unknown specification zz"), (False, "no library to resolve zz")])
+def test_unknown_name_keeps_its_refusal(bridge, with_library, message):
+    ev = Evaluator(bridge.library if with_library else None, B3)
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        ev.model_class(Named("zz"))
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        ev.flatten(Named("zz"))
 
 
 def test_class_with_no_admitted_algebra_builds_no_plan(monkeypatch):
