@@ -1559,12 +1559,17 @@ def _states_of(sig, alg):
                        for n, s in sig.vars))
 
 
+def _variable_targets(sig):
+    return st.lists(st.sampled_from(sig.var_names), max_size=3) if sig.vars else st.just([])
+
+
 @st.composite
-def _morphisms_into(draw, sig):
+def _morphisms_into(draw, sig, targets=None):
     """A morphism into sig whose source variables s0, s1, … each map to a
-    variable of sig with their sort, two possibly to one, and whose events
-    a0, a1, … map to sig's non-initial events."""
-    targets = draw(st.lists(st.sampled_from(sig.var_names), max_size=3)) if sig.vars else []
+    variable of sig with their sort (to targets when given), two possibly to
+    one, and whose events a0, a1, … map to sig's non-initial events."""
+    if targets is None:
+        targets = draw(_variable_targets(sig))
     events = draw(st.lists(st.sampled_from(sig.non_init_events), max_size=2))
     src = EvtSignature(_CODED, tuple((f"a{i}", Status.ordinary) for i in range(len(events))),
                        tuple((f"s{i}", sig.var_map[t]) for i, t in enumerate(targets)))
@@ -1660,23 +1665,18 @@ def test_bounds_sharing_a_variable_map_share_one_projection(data):
     its bounds, as the slices a refining machine imports all hide one
     machine along one map, and still keeps what the tuple oracle keeps."""
     sig, alg = data.draw(_coded_signatures())
-    targets = st.lists(st.sampled_from(sig.var_names), max_size=3) if sig.vars else st.just([])
-    var_maps = [data.draw(targets) for _ in range(2)]
+    var_maps = [data.draw(_variable_targets(sig)) for _ in range(2)]
     morphisms, used = [], set()
     for _ in range(data.draw(st.integers(2, 4))):
-        vm = data.draw(st.sampled_from(var_maps))
-        events = data.draw(st.lists(st.sampled_from(sig.non_init_events), max_size=2))
-        src = EvtSignature(_CODED, tuple((f"a{i}", Status.ordinary) for i in range(len(events))),
-                           tuple((f"s{i}", sig.var_map[t]) for i, t in enumerate(vm)))
-        morphisms.append(evt_morphism(src, sig, {f"a{i}": e for i, e in enumerate(events)},
-                                      {f"s{i}": t for i, t in enumerate(vm)}))
-        used.add(tuple(vm))
+        targets = data.draw(st.sampled_from(var_maps))
+        morphisms.append(data.draw(_morphisms_into(sig, targets)))
+        used.add(tuple(targets))
     case = _restriction_case(data, sig, alg, morphisms)
     built = []
     projection = institution.Projection
 
     def counted(m, coding):
-        built.append(m.var_map)
+        built.append(m)
         return projection(m, coding)
 
     with pytest.MonkeyPatch.context() as mp:
