@@ -64,7 +64,9 @@ def _located(path: str):
 
 def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
     """Load the input files in order: machine/context sources translate into
-    the library; sugared spec files add specs and refinement declarations."""
+    the library; sugared spec files add specs and refinement declarations.
+    A --carrier sort or --pin name that no loaded spec declares, which would
+    bound nothing, is a SpecError."""
     out = TranslationOutput()
     ws = LoadedWorkspace(out)
     rodin_batch: list[str] = []
@@ -100,6 +102,14 @@ def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
             ws.output = out
     flush_rodin()
     ws.output = out
+    sigs = out.library.fopeq_signatures()
+    sorts = {s for sig in sigs for s in sig.sorts}
+    ops = {o.name for sig in sigs for o in sig.ops}
+    for flag, names, declared, what in (("--carrier", cfg.carriers, sorts, "a sort"),
+                                        ("--pin", cfg.pins, ops, "an operation")):
+        for name, _ in names:
+            if name not in declared:
+                raise SpecError(f"{flag} {name}: no loaded specification declares {what} {name}")
     return ws
 
 

@@ -107,9 +107,14 @@ class _Parser:
     def __init__(self, text: str):
         self.ts = TokenStream(tokenize(text))
 
-    def at_keyword(self, *words: str) -> bool:
+    def _at_name(self, labelled: bool) -> bool:
+        """Whether the next token is an unprimed identifier that is not a
+        keyword, and the one after it is ':' (labelled) or is not."""
         t = self.ts.peek()
-        return t.kind == "IDENT" and not t.primed and t.text in words
+        if t.kind != "IDENT" or t.primed or t.text in _ALL_KEYWORDS:
+            return False
+        t = self.ts.peek(ahead=1)
+        return (t.kind == "SYM" and t.text == ":") == labelled
 
     def parse(self) -> EbSpecification:
         items = []
@@ -117,9 +122,9 @@ class _Parser:
             t = self.ts.peek()
             if t.kind == "EOF":
                 break
-            if self.at_keyword("machine"):
+            if self.ts.at_word("machine"):
                 items.append(self.machine())
-            elif self.at_keyword("context"):
+            elif self.ts.at_word("context"):
                 items.append(self.context())
             else:
                 raise ParseError(
@@ -136,38 +141,21 @@ class _Parser:
 
     def _name_list(self) -> list[str]:
         names = [self._name()]
-        while True:
-            if self.ts.accept_sym(","):
-                names.append(self._name())
-                continue
-            t = self.ts.peek()
-            if t.kind == "IDENT" and not t.primed and t.text not in _ALL_KEYWORDS \
-                    and not (self.ts.peek(ahead=1).kind == "SYM"
-                             and self.ts.peek(ahead=1).text == ":"):
-                names.append(self._name())
-                continue
-            return names
+        while self.ts.accept_sym(",") or self._at_name(labelled=False):
+            names.append(self._name())
+        return names
 
     def _labelled(self) -> LabelledPred:
         label = self.ts.expect_ident()
         self.ts.expect_sym(":")
         pred = ExprParser(self.ts).parse_formula_expr()
-        theorem = False
-        if self.at_keyword("theorem"):
-            self.ts.next()
-            theorem = True
-        return LabelledPred(label.text, pred, theorem)
+        return LabelledPred(label.text, pred, self.ts.accept_word("theorem"))
 
     def _labelled_list(self) -> list[LabelledPred]:
         out = []
-        while True:
-            t = self.ts.peek()
-            if (t.kind == "IDENT" and not t.primed and t.text not in _ALL_KEYWORDS
-                    and self.ts.peek(ahead=1).kind == "SYM"
-                    and self.ts.peek(ahead=1).text == ":"):
-                out.append(self._labelled())
-            else:
-                return out
+        while self._at_name(labelled=True):
+            out.append(self._labelled())
+        return out
 
     def context(self) -> ContextDef:
         self.ts.expect_word("context")
@@ -176,18 +164,14 @@ class _Parser:
         sets: list[str] = []
         constants: list[str] = []
         axioms: list[LabelledPred] = []
-        while not self.at_keyword("end"):
-            if self.at_keyword("extends"):
-                self.ts.next()
+        while not self.ts.at_word("end"):
+            if self.ts.accept_word("extends"):
                 extends = self._name_list()
-            elif self.at_keyword("sets"):
-                self.ts.next()
+            elif self.ts.accept_word("sets"):
                 sets = self._name_list()
-            elif self.at_keyword("constants"):
-                self.ts.next()
+            elif self.ts.accept_word("constants"):
                 constants = self._name_list()
-            elif self.at_keyword("axioms"):
-                self.ts.next()
+            elif self.ts.accept_word("axioms"):
                 axioms = self._labelled_list()
             else:
                 self.ts.error("expected a context section")
@@ -205,29 +189,23 @@ class _Parser:
         invariants: list[LabelledPred] = []
         variant = None
         events: list[EventDef] = []
-        while not self.at_keyword("end"):
-            if self.at_keyword("refines"):
-                self.ts.next()
+        while not self.ts.at_word("end"):
+            if self.ts.accept_word("refines"):
                 if refines is not None:
                     self.ts.error("a machine refines at most one machine")
                 refines = self._name()
-            elif self.at_keyword("sees"):
-                self.ts.next()
+            elif self.ts.accept_word("sees"):
                 sees = self._name_list()
-            elif self.at_keyword("variables"):
-                self.ts.next()
+            elif self.ts.accept_word("variables"):
                 variables = self._name_list()
-            elif self.at_keyword("invariants"):
-                self.ts.next()
+            elif self.ts.accept_word("invariants"):
                 invariants = self._labelled_list()
-            elif self.at_keyword("variant"):
-                self.ts.next()
+            elif self.ts.accept_word("variant"):
                 if variant is not None:
                     self.ts.error("a machine has at most one variant")
                 variant = ExprParser(self.ts).parse_formula_expr()
-            elif self.at_keyword("events"):
-                self.ts.next()
-                while self.at_keyword("event"):
+            elif self.ts.accept_word("events"):
+                while self.ts.at_word("event"):
                     events.append(self.event())
             else:
                 self.ts.error("expected a machine section")
@@ -248,28 +226,22 @@ class _Parser:
         guards: list[LabelledPred] = []
         witnesses: list[LabelledPred] = []
         actions: list[ActionDef] = []
-        while not self.at_keyword("end"):
-            if self.at_keyword("status"):
-                self.ts.next()
+        while not self.ts.at_word("end"):
+            if self.ts.accept_word("status"):
                 st = self.ts.expect_ident().text
                 try:
                     status = Status[st]
                 except KeyError:
                     self.ts.error(f"unknown status {st!r}")
-            elif self.at_keyword("refines"):
-                self.ts.next()
+            elif self.ts.accept_word("refines"):
                 refines = self._name_list()
-            elif self.at_keyword("any"):
-                self.ts.next()
+            elif self.ts.accept_word("any"):
                 params = self._params()
-            elif self.at_keyword("when"):
-                self.ts.next()
+            elif self.ts.accept_word("when"):
                 guards = self._labelled_list()
-            elif self.at_keyword("with"):
-                self.ts.next()
+            elif self.ts.accept_word("with"):
                 witnesses = self._labelled_list()
-            elif self.at_keyword("thenAct"):
-                self.ts.next()
+            elif self.ts.accept_word("thenAct"):
                 actions = self._actions()
             else:
                 self.ts.error("expected an event section")
@@ -293,24 +265,18 @@ class _Parser:
 
     def _actions(self) -> list[ActionDef]:
         out = []
-        while True:
-            t = self.ts.peek()
-            if not (t.kind == "IDENT" and not t.primed and t.text not in _ALL_KEYWORDS
-                    and self.ts.peek(ahead=1).kind == "SYM"
-                    and self.ts.peek(ahead=1).text == ":"):
-                return out
+        while self._at_name(labelled=True):
             label = self.ts.expect_ident().text
             self.ts.expect_sym(":")
             var = self._name()
             t = self.ts.peek()
-            if self.ts.accept_sym(":="):
-                rhs = ExprParser(self.ts).parse_formula_expr()
-                out.append(ActionDef(label, var, ":=", rhs))
-            elif self.ts.accept_sym(":|"):
-                rhs = ExprParser(self.ts).parse_formula_expr()
-                out.append(ActionDef(label, var, ":|", rhs))
+            for op in (":=", ":|"):
+                if self.ts.accept_sym(op):
+                    out.append(ActionDef(label, var, op, ExprParser(self.ts).parse_formula_expr()))
+                    break
             else:
                 raise ParseError(f"expected ':=' or ':|' after {var}", t.line, t.col)
+        return out
 
 
 def parse_text(source: str) -> EbSpecification:

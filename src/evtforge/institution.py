@@ -302,7 +302,7 @@ class StateCoding:
     states (i, j) is coded as i·size + j, which keeps that order too.
     """
 
-    __slots__ = ("names", "values", "ranks", "weights", "size", "_places")
+    __slots__ = ("names", "values", "ranks", "weights", "size", "_places", "_reducts")
 
     def __init__(self, names: Sequence[str], carriers: Sequence[Iterable[Value]]):
         self.names = tuple(names)
@@ -315,6 +315,7 @@ class StateCoding:
         self.weights = tuple(reversed(weights))
         self.size = size
         self._places = tuple(zip(self.names, self.values, self.weights))
+        self._reducts: dict[tuple[tuple[str, int], ...], Projection] = {}
 
     def encode(self, s: State) -> int:
         """The code of s; SortError when s is not over these variables or a
@@ -336,6 +337,14 @@ class StateCoding:
     def decode_pair(self, code: int) -> tuple[State, State]:
         i, j = divmod(code, self.size)
         return self.decode(i), self.decode(j)
+
+    def reduct(self, m: EvtMorphism) -> Projection:
+        """The Projection of these codes along m, built on first use and
+        shared by every morphism with m's variable map."""
+        red = self._reducts.get(m.state_positions)
+        if red is None:
+            red = self._reducts[m.state_positions] = Projection(m.state_positions, self)
+        return red
 
 
 @functools.lru_cache(maxsize=128)
@@ -366,16 +375,17 @@ class _Memo(dict):
 class Projection:
     """reduce_state along a morphism, on the codes of its target's states in
     one algebra: a source variable's digit is the digit at its image's place
-    (state_positions), and the source coding keeps the same sorted carriers,
-    which the reduct algebra has.  state reduces a state code, computing
-    each distinct code's reduct once; pair reduces a pair code as the pair
-    of its states' reducts."""
+    (positions, the morphism's state_positions, which also name the source
+    variables), and the source coding keeps the same sorted carriers, which
+    the reduct algebra has.  state reduces a state code, computing each
+    distinct code's reduct once; pair reduces a pair code as the pair of its
+    states' reducts.  Built only by StateCoding.reduct."""
 
     __slots__ = ("source", "state", "pair")
 
-    def __init__(self, m: EvtMorphism, coding: StateCoding):
-        places = [i for _, i in m.state_positions]
-        self.source = source = _coding(m.source.var_names,
+    def __init__(self, positions: tuple[tuple[str, int], ...], coding: StateCoding):
+        places = [i for _, i in positions]
+        self.source = source = _coding(tuple([v for v, _ in positions]),
                                        tuple([coding.values[i] for i in places]))
         digits = [(coding.weights[i], len(coding.values[i]), w)
                   for i, w in zip(places, source.weights)]
@@ -490,17 +500,10 @@ def restrict_along(
 
     A pair of event e is bounded by the relations of e's preimages; each
     bound filters what the ones before it kept.  Bounds whose morphisms map
-    the variables alike share one Projection, so each distinct code is
-    reduced once for all of them.
+    the variables alike share the coding's one Projection for that map, so
+    each distinct code is reduced once for all of them.
     """
-    reducts: dict[tuple, Projection] = {}
-    views = []
-    for m, b in bounds:
-        key = m.source.var_names, m.state_positions
-        red = reducts.get(key)
-        if red is None:
-            red = reducts[key] = Projection(m, coding)
-        views.append((red, b, m.preimages))
+    views = [(coding.reduct(m), b, m.preimages) for m, b in bounds]
     kept = init
     for red, b, _ in views:
         state, allowed = red.state, b.init_codes
@@ -522,7 +525,7 @@ def model_reduct(m: EvtMorphism, model: EvtModel) -> EvtModel:
     source event gets the reduct of its image's relation."""
     if model.signature != m.target:
         raise SortError("model is not over the morphism's target")
-    red = Projection(m, model.coding)
+    red = model.coding.reduct(m)
     rel = {e: frozenset(map(red.pair, model.code_map[m.apply_event(e)]))
            for e in m.source.non_init_events}
     return EvtModel(m.source, algebra_reduct(model.algebra, m.fopeq),
@@ -1198,7 +1201,7 @@ def _has_redundant_item(m: EvtModel, injections: Sequence[EvtMorphism]) -> bool:
     """Whether dropping one initialising state or one pair leaves the reduct
     along every injection unchanged: the item's image along each injection
     that sees it is shared with another item."""
-    reducts = [Projection(j, m.coding) for j in injections]
+    reducts = [m.coding.reduct(j) for j in injections]
 
     def redundant(items, keys) -> bool:
         counts = [Counter(map(key, items)) for key in keys]

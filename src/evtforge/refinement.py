@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import SortError, SpecError
 from .fopeq import algebra_reduct
 from .institution import (
-    INIT, EvtMorphism, EvtSignature, Projection, State, _Memo, evt_compose, evt_identity,
+    INIT, EvtMorphism, EvtSignature, State, evt_compose, evt_identity,
 )
 from .specs import Evaluator, ModelClassRep, Spec, SpecLibrary, sig_of
 from .sugar import RefinementText, build_morphism
@@ -114,8 +114,6 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
                      m: EvtMorphism) -> RefinementVerdict:
     algebras = 0
     pairs_checked = 0
-    # slices over one carrier per variable share a coding, and its reducts
-    reduct = _Memo(lambda coding: Projection(m, coding)).__getitem__
 
     def verdict(cx: Optional[Counterexample] = None) -> RefinementVerdict:
         return RefinementVerdict(name, cx is None, cx,
@@ -127,7 +125,7 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
         label = sl.algebra.describe()
         if asl is None:
             return verdict(Counterexample(label, None))
-        red = reduct(sl.coding)
+        red = sl.coding.reduct(m)
         # the counterexample is the least failing code, as a walk over the
         # codes in ascending (that is, sorted) order would meet it first;
         # pairs counts the walk up to it

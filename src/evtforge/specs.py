@@ -274,6 +274,10 @@ class SpecLibrary:
     def names(self) -> tuple[str, ...]:
         return tuple(self.entries)
 
+    def fopeq_signatures(self) -> list[FopeqSignature]:
+        """The first-order part of every spec signature seen so far."""
+        return [s.fopeq if isinstance(s, EvtSignature) else s for s in self._sigs.values()]
+
 
 # ---------------------------------------------------------------------------
 # signatures of specs

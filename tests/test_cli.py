@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from evtforge import institution
 from evtforge.cli import dump_json, main, models_payload
 from evtforge.fopeq import Bounds
 from evtforge.institution import StateCoding
@@ -190,6 +191,14 @@ end""", encoding="utf-8")
         golden = FIXTURES / "golden" / "models_m2_bound4_list.json"
         assert res.stdout_bytes == golden.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--pin", "q=1"), ("--carrier", "S=3")])
+    def test_undeclared_bound_name_is_refused(self, runner, flag, value):
+        # neither q nor S is declared, so the flag would bound nothing
+        res = runner.invoke(main, ["models", "m0", *fx("ebm0.eb"), flag, value])
+        assert res.exit_code == 2
+        name, what = value.split("=")[0], "a sort" if flag == "--carrier" else "an operation"
+        assert res.stderr == f"error: {flag} {name}: no loaded specification declares {what} {name}\n"
+
     def test_ceiling_exit(self, runner):
         res = runner.invoke(main, [
             "models", "m0", *fx("ebm0.eb"), "--ceiling", "3"])
@@ -242,6 +251,32 @@ class TestRefine:
         assert res.exit_code == 3
         golden = FIXTURES / "golden" / "refine_weak_d2.json"
         assert res.stdout_bytes == golden.read_bytes()
+
+    def test_undeclared_pin_is_refused(self, runner):
+        res = runner.invoke(main, [
+            "refine", *fx("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt"),
+            "--pin", "d=2", "--pin", "q=1", "--allow-status-drop"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: --pin q: no loaded specification declares an operation q\n"
+
+    def test_chain_builds_one_projection_per_variable_map_and_coding(self, runner, monkeypatch):
+        # each coding holds its reducts: the chain's slices at bound 4 fall
+        # into few codings, which every hide image and inclusion check shares
+        built = []
+        projection = institution.Projection
+
+        def counted(positions, coding):
+            built.append((positions, id(coding)))
+            return projection(positions, coding)
+
+        institution._coding.cache_clear()
+        monkeypatch.setattr(institution, "Projection", counted)
+        res = runner.invoke(main, [
+            "refine", *fx("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt"),
+            "--bound", "4", "--allow-status-drop"])
+        assert res.exit_code == 0, res.output
+        assert len(built) == len(set(built)) == 4
 
     def test_no_declarations(self, runner):
         res = runner.invoke(main, ["refine", *fx("ebm0.eb")])
@@ -494,6 +529,7 @@ def _refine_case(draw):
     return payload, payload
 
 
+@pytest.mark.oracle
 @settings(max_examples=200, deadline=None)
 @given(_models_case() | _refine_case())
 def test_json_emitter_matches_json_dumps(case):

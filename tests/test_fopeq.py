@@ -153,6 +153,7 @@ def _parts(x):
         yield from _parts(k)
 
 
+@pytest.mark.oracle
 @given(_formulas(2), st.integers(-2, 2), st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=1000, deadline=None)
 def test_compiled_matches_reference(f, d, x, y):

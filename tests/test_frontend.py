@@ -338,6 +338,7 @@ def _with_fixture_texts(test):
     return test
 
 
+@pytest.mark.oracle
 @given(st.lists(st.sampled_from(_LEX_ALPHABET), max_size=30).map("".join))
 @_with_fixture_texts
 @settings(max_examples=500, deadline=None)
@@ -364,6 +365,7 @@ def _cursor_walks(draw):
     return tokens, start, moves
 
 
+@pytest.mark.oracle
 @given(_cursor_walks())
 @settings(max_examples=500, deadline=None)
 def test_token_cursor_matches_linear_scan(walk):

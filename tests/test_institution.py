@@ -331,6 +331,7 @@ def _counting_searches(monkeypatch):
     return counts
 
 
+@pytest.mark.oracle
 def test_m2_makes_one_pool_search_per_call(bridge, monkeypatch):
     # every m2 sentence carries the invariants on both sides; at --bound 6
     # --pin d=4 they hold in fewer than ⌊√c⌋ + 1 states, so the core runs
@@ -351,6 +352,7 @@ def test_m2_makes_one_pool_search_per_call(bridge, monkeypatch):
         assert l_max and any(r_max.values())
 
 
+@pytest.mark.oracle
 def test_pool_states_are_never_encoded(monkeypatch):
     # the pool search builds each state's code next to its valuation, so
     # the evaluator never encodes a tuple state
@@ -374,6 +376,7 @@ def test_pool_states_are_never_encoded(monkeypatch):
     assert calls == 0
 
 
+@pytest.mark.oracle
 def test_core_that_does_not_run_dry_adds_at_most_root_ceiling_states(monkeypatch):
     # at bound 3 the invariant x0 ≠ 1 holds in 6·7³ = 2 058 states, more than
     # the ⌊√c⌋ + 1 = 142 the core grows to, so every reader searches on its
@@ -396,6 +399,7 @@ def test_core_that_does_not_run_dry_adds_at_most_root_ceiling_states(monkeypatch
     assert counts["yielded"] <= 1 + 1764 + 6 + math.isqrt(ceiling) + 1
 
 
+@pytest.mark.oracle
 def test_sparse_core_stops_at_its_budget(monkeypatch):
     # seven ℤ variables under v0 + … + v6 = 14, which no definition binds: a
     # core searched on that invariant alone would try the whole 5⁷ or 7⁷
@@ -566,6 +570,7 @@ def _with_definition_examples(test):
     return test
 
 
+@pytest.mark.oracle
 @given(_pool_problems())
 @_with_definition_examples
 @settings(max_examples=300, deadline=None)
@@ -818,6 +823,7 @@ def _false_closed_conjunct_problem():
                              f"{inv} ∧ v1 = 1 ∧ v0′ = v0 - 1"])
 
 
+@pytest.mark.oracle
 @given(_join_problems())
 @example(_shared_pool_problem())
 @example(_gluing_problem())
@@ -911,6 +917,7 @@ def _constant_gated_problem():
     return sig, _const_algebras(1), sentences, 1
 
 
+@pytest.mark.oracle
 @given(_plan_reuse_problems())
 @example(_constant_gated_problem())
 @settings(max_examples=100, deadline=None)
@@ -1345,6 +1352,31 @@ class TestAmalgamation:
         assert 0 < calls <= 10 * n
         assert model.init <= got.init and model.rel_map["e"] <= got.rel_map["e"]
 
+    def test_one_projection_per_variable_map_and_coding(self, monkeypatch):
+        # the span's reducts, the check that the join reduces back and the
+        # uniqueness check reduce along four (variable map, coding) pairs:
+        # s1 and s2 map x alike, but into the codings of two sides
+        shared = usig(1)
+        t1 = EvtSignature(USORT, (("e", Status.ordinary),), (("x", "U"), ("a", "U")))
+        t2 = EvtSignature(USORT, (("e", Status.ordinary),), (("x", "U"), ("b", "U")))
+        s1, s2 = evt_morphism(shared, t1), evt_morphism(shared, t2)
+        merged, j1, j2 = evt_pushout(s1, s2)
+        alg = ualg(("u0", "u1"))
+        states = enumerate_states(merged, alg)
+        model = make_model(merged, alg, states[:3], {"e": set(zip(states, states[1:]))})
+        m1, m2 = model_reduct(j1, model), model_reduct(j2, model)
+        built = []
+        projection = institution.Projection
+
+        def counted(positions, coding):
+            built.append((positions, id(coding)))
+            return projection(positions, coding)
+
+        institution._coding.cache_clear()
+        monkeypatch.setattr(institution, "Projection", counted)
+        amalgamate(m1, m2, s1, s2, (merged, j1, j2))
+        assert len(built) == len(set(built)) == 4
+
 
 def _smaller_amalgam_exists(got, j1, j2, m1, m2) -> bool:
     """Literally: dropping one initialising state, or one pair of one event,
@@ -1503,6 +1535,7 @@ def _two_preimage_problem():
     return span, evt_pushout(*span), [m1, m2]
 
 
+@pytest.mark.oracle
 @given(_amalgam_problems())
 @example(_two_preimage_problem())
 @settings(max_examples=200, deadline=None)
@@ -1577,6 +1610,7 @@ def _morphisms_into(draw, sig, targets=None):
                         {f"s{i}": t for i, t in enumerate(targets)})
 
 
+@pytest.mark.oracle
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_state_codes_decode_and_sort_as_tuple_states(data):
@@ -1593,13 +1627,14 @@ def test_state_codes_decode_and_sort_as_tuple_states(data):
     assert [coding.decode_pair(p) for p in sorted(pair_codes)] == sorted(pairs)
 
 
+@pytest.mark.oracle
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_projected_codes_match_reduce_state(data):
     sig, alg = data.draw(_coded_signatures())
     m = data.draw(_morphisms_into(sig))
     coding = state_coding(sig, alg)
-    red = institution.Projection(m, coding)
+    red = coding.reduct(m)
     # the source coding is the reduct algebra's
     source = state_coding(m.source, algebra_reduct(alg, m.fopeq))
     assert (red.source.names, red.source.values) == (source.names, source.values)
@@ -1649,6 +1684,7 @@ def _assert_restriction_matches_oracle(sig, alg, init, rel, bounds):
         == want_rel
 
 
+@pytest.mark.oracle
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_restricted_codes_match_tuple_restriction(data):
@@ -1658,12 +1694,14 @@ def test_restricted_codes_match_tuple_restriction(data):
     _assert_restriction_matches_oracle(sig, alg, *_restriction_case(data, sig, alg, morphisms))
 
 
+@pytest.mark.oracle
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_bounds_sharing_a_variable_map_share_one_projection(data):
     """restrict_along builds one Projection per distinct variable map among
     its bounds, as the slices a refining machine imports all hide one
-    machine along one map, and still keeps what the tuple oracle keeps."""
+    machine along one map, and still keeps what the tuple oracle keeps; the
+    coding keeps them, so restricting again builds none."""
     sig, alg = data.draw(_coded_signatures())
     var_maps = [data.draw(_variable_targets(sig)) for _ in range(2)]
     morphisms, used = [], set()
@@ -1675,12 +1713,16 @@ def test_bounds_sharing_a_variable_map_share_one_projection(data):
     built = []
     projection = institution.Projection
 
-    def counted(m, coding):
-        built.append(m)
-        return projection(m, coding)
+    def counted(positions, coding):
+        built.append(positions)
+        return projection(positions, coding)
 
+    # a cold table: no coding holds a Projection from an earlier example
+    institution._coding.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(institution, "Projection", counted)
+        _assert_restriction_matches_oracle(sig, alg, *case)
+        assert len(built) == len(used)
         _assert_restriction_matches_oracle(sig, alg, *case)
     assert len(built) == len(used)
 
@@ -1784,6 +1826,7 @@ def test_downward_closure_exhaustive_small():
 # -- hash-once values -------------------------------------------------------
 
 
+@pytest.mark.oracle
 @settings(max_examples=200, deadline=None)
 @given(_formulas(2), _formulas(2))
 def test_rebuilt_values_hit_memos_keyed_by_the_originals(f, g):

@@ -358,6 +358,7 @@ def _inclusion_problems(draw):
     return make_rep(concrete, c_models), make_rep(abstract, a_models.values()), m
 
 
+@pytest.mark.oracle
 @given(_inclusion_problems())
 @settings(max_examples=200, deadline=None)
 def test_maxima_shortcut_matches_literal_inclusion(problem):
