@@ -43,9 +43,9 @@ def main() -> int:
         rep = evaluator.model_class(out.library.lookup(name))
         dt = time.monotonic() - t0
         for sl in rep.slices:
-            total = sum(len(p) for _, p in sl.rel)
+            total = sum(len(p) for _, p in sl.rel_codes)
             print(f"  {name} [{sl.algebra.describe()}]: "
-                  f"{len(sl.init)} initial state(s), {total} pairs "
+                  f"{len(sl.init_codes)} initial state(s), {total} pairs "
                   f"({dt * 1000:.0f} ms)")
 
     _, refs = parse_document((FIXTURES / "refinements.evt").read_text(),

@@ -231,9 +231,17 @@ _RELOPS = {"=", "/=", "<", "<=", ">", ">=", "in"}
 _BOOL_WORDS = {"true": True, "false": False, "TRUE": True, "FALSE": False}
 _QUANTIFIERS = {"#forall": "forall", "#exists": "exists"}
 
+# Binding levels of the binary operators, loosest first, shared by the parser
+# and the printers.  Every operator associates to the left except =>.
+_CONNECTIVES = {"<=>": 1, "=>": 2, "\\/": 3, "/\\": 4}
+_ARITHMETIC = {"+": 1, "-": 1, "*": 2}
+_RIGHT_ASSOC = {"=>"}
+
 
 class ExprParser:
-    """Pratt-style parser over the shared token stream.
+    """Pratt-style parser over the shared token stream: one precedence-climbing
+    loop reads the connectives over negations, quantifiers and relations, and
+    the arithmetic operators over unary minus.
 
     With stop_at_newline, a newline outside parentheses ends the expression
     (used by clause lists in the sugared notation).
@@ -248,35 +256,24 @@ class ExprParser:
         return (not self.stop_at_newline) or self.depth > 0
 
     def parse_formula_expr(self):
-        return self._iff()
+        return self._binary(self._unary, _CONNECTIVES, 1)
 
-    def _iff(self):
-        left = self._implies()
-        while self.ts.at_sym("<=>", self._skip_nl()):
-            self.ts.next(self._skip_nl())
-            left = SBin("<=>", left, self._implies())
-        return left
+    def _arith(self):
+        return self._binary(self._neg, _ARITHMETIC, 1)
 
-    def _implies(self):
-        left = self._or()
-        if self.ts.at_sym("=>", self._skip_nl()):
+    def _binary(self, operand, levels, floor):
+        """Operands joined by the operators of levels that bind at floor or
+        tighter."""
+        left = operand()
+        while True:
+            t = self.ts.peek(self._skip_nl())
+            level = levels.get(t.text) if t.kind == "SYM" else None
+            if level is None or level < floor:
+                return left
             self.ts.next(self._skip_nl())
-            return SBin("=>", left, self._implies())
-        return left
-
-    def _or(self):
-        left = self._and()
-        while self.ts.at_sym("\\/", self._skip_nl()):
-            self.ts.next(self._skip_nl())
-            left = SBin("\\/", left, self._and())
-        return left
-
-    def _and(self):
-        left = self._unary()
-        while self.ts.at_sym("/\\", self._skip_nl()):
-            self.ts.next(self._skip_nl())
-            left = SBin("/\\", left, self._unary())
-        return left
+            right = self._binary(operand, levels,
+                                 level if t.text in _RIGHT_ASSOC else level + 1)
+            left = SBin(t.text, left, right)
 
     def _unary(self):
         t = self.ts.peek(self._skip_nl())
@@ -329,23 +326,6 @@ class ExprParser:
         self.depth -= 1
         self.ts.expect_sym("}", self._skip_nl())
         return SSet(tuple(elems))
-
-    def _arith(self):
-        left = self._mul()
-        while True:
-            t = self.ts.peek(self._skip_nl())
-            if t.kind == "SYM" and t.text in ("+", "-"):
-                self.ts.next(self._skip_nl())
-                left = SBin(t.text, left, self._mul())
-            else:
-                return left
-
-    def _mul(self):
-        left = self._neg()
-        while self.ts.at_sym("*", self._skip_nl()):
-            self.ts.next(self._skip_nl())
-            left = SBin("*", left, self._neg())
-        return left
 
     def _neg(self):
         if self.ts.at_sym("-", self._skip_nl()):
@@ -591,7 +571,8 @@ def elab_formula(node, ctx: ElabContext) -> Formula:
                 body = Implies(conjoin(guards), body)
             return Forall(tuple(bindings), body)
         if guards:
-            body = conjoin([*guards, body])
+            # the body's conjuncts join the guards' flat, as ∧ elaborates
+            body = conjoin([*guards, *(body.parts if isinstance(body, And) else (body,))])
         return Exists(tuple(bindings), body)
     if isinstance(node, SBin):
         op = node.op
@@ -701,7 +682,13 @@ def parse_formula_text(text: str, ctx: ElabContext, stop_at_newline: bool = Fals
 # ---------------------------------------------------------------------------
 # unparsing (canonical text, unicode operators)
 
-_TERM_PREC = {"+": 10, "-": 10, "*": 20}
+
+def _operand_levels(op: str, levels: dict[str, int]) -> tuple[int, int]:
+    """The parent levels at which op prints its left and right operands: an
+    operand of op's own level goes unbracketed only on the side op associates
+    to."""
+    level = levels[op]
+    return (level, level - 1) if op in _RIGHT_ASSOC else (level - 1, level)
 
 
 def unparse_term(t: Term, parent_prec: int = 0) -> str:
@@ -712,12 +699,10 @@ def unparse_term(t: Term, parent_prec: int = 0) -> str:
     if isinstance(t, BoolLit):
         return "TRUE" if t.value else "FALSE"
     if isinstance(t, OpApp):
-        if t.op in _TERM_PREC and len(t.args) == 2:
-            prec = _TERM_PREC[t.op]
-            left = unparse_term(t.args[0], prec - 1)
-            right = unparse_term(t.args[1], prec)
-            s = f"{left} {t.op} {right}"
-            return f"({s})" if prec <= parent_prec else s
+        if t.op in _ARITHMETIC and len(t.args) == 2:
+            lp, rp = _operand_levels(t.op, _ARITHMETIC)
+            s = f"{unparse_term(t.args[0], lp)} {t.op} {unparse_term(t.args[1], rp)}"
+            return f"({s})" if _ARITHMETIC[t.op] <= parent_prec else s
         if not t.args:
             return t.op
         return f"{t.op}({', '.join(unparse_term(a) for a in t.args)})"
@@ -725,8 +710,11 @@ def unparse_term(t: Term, parent_prec: int = 0) -> str:
 
 
 _PRED_SYM = {"<": "<", "<=": "≤", ">": ">", ">=": "≥"}
-# formula precedence: iff 1, implies 2, or 3, and 4, not 5, atoms 6
-_F_ATOM = 6
+# a quantifier's body runs as far right as it can, so any connective brackets
+# the quantifier; ¬ binds tighter than every connective, and an atom tighter
+_F_QUANT = min(_CONNECTIVES.values())
+_F_NOT = max(_CONNECTIVES.values()) + 1
+_F_ATOM = _F_NOT + 1
 
 
 def unparse_formula(f: Formula, parent_prec: int = 0) -> str:
@@ -756,23 +744,24 @@ def unparse_formula(f: Formula, parent_prec: int = 0) -> str:
         if isinstance(f.body, Equal):
             return wrap(
                 f"{unparse_term(f.body.left)} ≠ {unparse_term(f.body.right)}", _F_ATOM)
-        return wrap(f"¬{unparse_formula(f.body, 5)}", 5)
-    if isinstance(f, And):
-        s = " ∧ ".join(unparse_formula(p, 4) for p in f.parts)
-        return wrap(s, 4)
-    if isinstance(f, Or):
-        s = " ∨ ".join(unparse_formula(p, 3) for p in f.parts)
-        return wrap(s, 3)
+        return wrap(f"¬{unparse_formula(f.body, _F_NOT)}", _F_NOT)
+    if isinstance(f, (And, Or)):
+        op, sym = ("/\\", " ∧ ") if isinstance(f, And) else ("\\/", " ∨ ")
+        level = _CONNECTIVES[op]
+        return wrap(sym.join(unparse_formula(p, level) for p in f.parts), level)
     if isinstance(f, Implies):
-        s = f"{unparse_formula(f.left, 2)} ⇒ {unparse_formula(f.right, 1)}"
-        return wrap(s, 2)
+        lp, rp = _operand_levels("=>", _CONNECTIVES)
+        s = f"{unparse_formula(f.left, lp)} ⇒ {unparse_formula(f.right, rp)}"
+        return wrap(s, _CONNECTIVES["=>"])
     if isinstance(f, Iff):
-        s = f"{unparse_formula(f.left, 1)} ⇔ {unparse_formula(f.right, 1)}"
-        return wrap(s, 1)
+        # both operands at ⇔'s own level: a nested ⇔ is bracketed on either side
+        level = _CONNECTIVES["<=>"]
+        return wrap(f"{unparse_formula(f.left, level)} ⇔ {unparse_formula(f.right, level)}",
+                    level)
     if isinstance(f, (Forall, Exists)):
         sym = "∀" if isinstance(f, Forall) else "∃"
         binds = ", ".join(f"{n} : {s}" for n, s in f.vars)
-        return wrap(f"{sym} {binds} · {unparse_formula(f.body, 0)}", 1)
+        return wrap(f"{sym} {binds} · {unparse_formula(f.body, 0)}", _F_QUANT)
     raise SortError(f"not a formula: {f!r}")
 
 

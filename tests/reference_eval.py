@@ -15,6 +15,9 @@
 - ``reference_tokenize`` and ``LinearTokenStream``: the lexer as a loop over
   characters, and the token cursor as a linear scan over newlines, against
   which ``evtforge.mathlang.tokenize`` and ``TokenStream`` are checked.
+- ``ReferenceExprParser``: the expression parser as a recursive descent with
+  one method per binding level, against which the precedence table of
+  ``evtforge.mathlang.ExprParser`` is checked.
 """
 
 import itertools
@@ -31,8 +34,9 @@ from evtforge.institution import (
     EvtModel, EvtMorphism, EvtSignature, State, model_reduct, reduce_state,
 )
 from evtforge.mathlang import (
-    _MULTI, _QUANT, _SINGLE, _UNICODE_SYM, _WORD_SORTS, SApp, SBin, SBool,
-    SName, SNum, SQuant, SSet, SUn, Token, unparse_type,
+    _BOOL_WORDS, _MULTI, _QUANT, _QUANTIFIERS, _RELOPS, _SINGLE, _UNICODE_SYM,
+    _WORD_SORTS, BUILTIN_TYPES, SApp, SBin, SBool, SName, SNum, SQuant, SSet,
+    SortType, SubsetType, SUn, Token, TokenStream, _literal_term, unparse_type,
 )
 from evtforge.specs import ModelClassRep, enumerate_models, rep_contains
 
@@ -419,3 +423,170 @@ class LinearTokenStream:
     def skip_newlines(self) -> None:
         while self.tokens[self.pos].kind == "NEWLINE":
             self.pos += 1
+
+
+# ---------------------------------------------------------------------------
+# expression parser
+
+
+class ReferenceExprParser:
+    """The expression grammar as a descent ladder, loosest level first:
+    ⇔ (left), ⇒ (right), ∨, ∧, then ¬, quantifiers and one relation, then
+    + − (left), * (left) and unary minus."""
+
+    def __init__(self, ts: TokenStream, stop_at_newline: bool = False):
+        self.ts = ts
+        self.stop_at_newline = stop_at_newline
+        self.depth = 0
+
+    def _skip_nl(self) -> bool:
+        return (not self.stop_at_newline) or self.depth > 0
+
+    def parse_formula_expr(self):
+        return self._iff()
+
+    def _iff(self):
+        left = self._implies()
+        while self.ts.at_sym("<=>", self._skip_nl()):
+            self.ts.next(self._skip_nl())
+            left = SBin("<=>", left, self._implies())
+        return left
+
+    def _implies(self):
+        left = self._or()
+        if self.ts.at_sym("=>", self._skip_nl()):
+            self.ts.next(self._skip_nl())
+            return SBin("=>", left, self._implies())
+        return left
+
+    def _or(self):
+        left = self._and()
+        while self.ts.at_sym("\\/", self._skip_nl()):
+            self.ts.next(self._skip_nl())
+            left = SBin("\\/", left, self._and())
+        return left
+
+    def _and(self):
+        left = self._unary()
+        while self.ts.at_sym("/\\", self._skip_nl()):
+            self.ts.next(self._skip_nl())
+            left = SBin("/\\", left, self._unary())
+        return left
+
+    def _unary(self):
+        t = self.ts.peek(self._skip_nl())
+        if t.kind == "SYM" and t.text == "!":
+            self.ts.next(self._skip_nl())
+            return SUn("!", self._unary())
+        kind = _QUANTIFIERS.get(t.text) if t.kind == "SYM" else None
+        if kind is None:
+            return self._comparison()
+        self.ts.next(self._skip_nl())
+        bindings = [self._binding()]
+        while self.ts.accept_sym(",", self._skip_nl()):
+            bindings.append(self._binding())
+        self.ts.expect_sym(".", self._skip_nl())
+        body = self.parse_formula_expr()
+        return SQuant(kind, tuple(bindings), body)
+
+    def _binding(self):
+        name = self.ts.expect_ident()
+        if name.primed:
+            raise ParseError("bound variables may not be primed", name.line, name.col)
+        self.ts.expect_sym(":", self._skip_nl())
+        return (name.text, self._type_expr())
+
+    def _type_expr(self):
+        # a set type is read by a fresh parser, as mathlang.parse_type_expr does
+        t = self.ts.peek(self._skip_nl())
+        if t.kind == "SYM" and t.text == "{":
+            node = ReferenceExprParser(self.ts)._set_literal()
+            return SubsetType(tuple(_literal_term(e) for e in node.elems))
+        tok = self.ts.expect_ident()
+        if tok.primed:
+            raise ParseError("sort names may not be primed", tok.line, tok.col)
+        return BUILTIN_TYPES.get(tok.text, SortType(tok.text))
+
+    def _comparison(self):
+        left = self._arith()
+        t = self.ts.peek(self._skip_nl())
+        if t.kind == "SYM" and t.text in _RELOPS:
+            self.ts.next(self._skip_nl())
+            right = self._set_or_arith() if t.text == "in" else self._arith()
+            return SBin(t.text, left, right)
+        if t.kind == "IDENT" and t.text == "in" and not t.primed:
+            self.ts.next(self._skip_nl())
+            return SBin("in", left, self._set_or_arith())
+        return left
+
+    def _set_or_arith(self):
+        if self.ts.at_sym("{", self._skip_nl()):
+            return self._set_literal()
+        return self._arith()
+
+    def _set_literal(self):
+        self.ts.expect_sym("{", self._skip_nl())
+        self.depth += 1
+        elems = [self._arith()]
+        while self.ts.accept_sym(",", True):
+            elems.append(self._arith())
+        self.depth -= 1
+        self.ts.expect_sym("}", self._skip_nl())
+        return SSet(tuple(elems))
+
+    def _arith(self):
+        left = self._mul()
+        while True:
+            t = self.ts.peek(self._skip_nl())
+            if t.kind == "SYM" and t.text in ("+", "-"):
+                self.ts.next(self._skip_nl())
+                left = SBin(t.text, left, self._mul())
+            else:
+                return left
+
+    def _mul(self):
+        left = self._neg()
+        while self.ts.at_sym("*", self._skip_nl()):
+            self.ts.next(self._skip_nl())
+            left = SBin("*", left, self._neg())
+        return left
+
+    def _neg(self):
+        if self.ts.at_sym("-", self._skip_nl()):
+            self.ts.next(self._skip_nl())
+            body = self._neg()
+            if isinstance(body, SNum):
+                return SNum(-body.value)
+            return SUn("-", body)
+        return self._primary()
+
+    def _primary(self):
+        t = self.ts.peek(self._skip_nl())
+        if t.kind == "NUMBER":
+            self.ts.next(self._skip_nl())
+            return SNum(int(t.text))
+        if t.kind == "SYM" and t.text == "(":
+            self.ts.next(self._skip_nl())
+            self.depth += 1
+            inner = self.parse_formula_expr()
+            self.depth -= 1
+            self.ts.expect_sym(")", self._skip_nl())
+            return inner
+        if t.kind == "SYM" and t.text == "{":
+            return self._set_literal()
+        if t.kind == "IDENT":
+            if t.text in _BOOL_WORDS and not t.primed:
+                self.ts.next(self._skip_nl())
+                return SBool(_BOOL_WORDS[t.text])
+            self.ts.next(self._skip_nl())
+            if not t.primed and self.ts.at_sym("(", False):
+                self.ts.next(self._skip_nl())
+                self.depth += 1
+                args = [self._arith()]
+                while self.ts.accept_sym(",", True):
+                    args.append(self._arith())
+                self.depth -= 1
+                self.ts.expect_sym(")", self._skip_nl())
+                return SApp(t.text, tuple(args))
+            return SName(t.text, t.primed)
+        raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)

@@ -459,6 +459,80 @@ def test_unparse_parse_round_trip(text):
     assert parse_formula_text(unparse_formula(f), ctx) == f
 
 
+_RT_CTX = ElabContext(
+    FopeqSignature(sorts=("Color",),
+                   ops=(Op("d", (), INT), Op("green", (), "Color"),
+                        Op("red", (), "Color"), Op("dbl", (INT,), INT)),
+                   preds=(Pred("even", (INT,)),)),
+    vars=(("n", INT), ("a", INT), ("y", BOOL), ("ml", "Color")))
+_RT_LEAVES = {INT: ["d", "0", "1", "3"], BOOL: ["TRUE", "FALSE"], "Color": ["green", "red"]}
+_RT_BINDINGS = {"ℤ": INT, "ℕ": INT, "{0, 1, 2}": INT, "Color": "Color",
+                "{green}": "Color", "BOOL": BOOL}
+
+
+@st.composite
+def _formula_texts(draw, depth=3):
+    """Well-sorted formula text over _RT_CTX; compound operands are
+    bracketed or not at random, and every bound name is fresh."""
+    fresh = itertools.count()
+
+    def maybe_bracketed(s):
+        return f"({s})" if draw(st.booleans()) else s
+
+    def term(sort, scope, depth):
+        leaves = [v for v, s in scope if s == sort] + _RT_LEAVES[sort]
+        if sort != INT or depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(leaves))
+        kind = draw(st.sampled_from(["+", "−", "*", "minus", "dbl"]))
+        if kind == "minus":
+            return "−" + maybe_bracketed(term(INT, scope, depth - 1))
+        if kind == "dbl":
+            return f"dbl({term(INT, scope, depth - 1)})"
+        return (f"{maybe_bracketed(term(INT, scope, depth - 1))} {kind} "
+                f"{maybe_bracketed(term(INT, scope, depth - 1))}")
+
+    def atom(scope):
+        sort = draw(st.sampled_from([INT, INT, BOOL, "Color"]))
+        kind = draw(st.sampled_from(["rel", "in", "even", "const"]))
+        if kind == "const":
+            return draw(st.sampled_from(["true", "false"]))
+        if kind == "even" and sort == INT:
+            return f"even({term(INT, scope, 2)})"
+        left = term(sort, scope, 2)
+        if kind == "in":
+            elems = [term(sort, scope, 1) for _ in range(draw(st.integers(1, 3)))]
+            return f"{left} ∈ {{{', '.join(elems)}}}"
+        rels = ["=", "≠", "<", "≤", ">", "≥"] if sort == INT else ["=", "≠"]
+        return f"{left} {draw(st.sampled_from(rels))} {term(sort, scope, 2)}"
+
+    def formula(scope, depth):
+        kind = "atom" if depth == 0 else draw(st.sampled_from(
+            ["atom", "∧", "∨", "⇒", "⇔", "¬", "∀", "∃"]))
+        if kind == "atom":
+            return atom(scope)
+        if kind == "¬":
+            return "¬" + maybe_bracketed(formula(scope, depth - 1))
+        if kind in ("∀", "∃"):
+            types = draw(st.lists(st.sampled_from(sorted(_RT_BINDINGS)),
+                                  min_size=1, max_size=2))
+            bound = [(f"q{next(fresh)}", te) for te in types]
+            inner = scope + [(v, _RT_BINDINGS[te]) for v, te in bound]
+            binds = ", ".join(f"{v} : {te}" for v, te in bound)
+            return f"{kind} {binds} · {formula(inner, depth - 1)}"
+        return (f"{maybe_bracketed(formula(scope, depth - 1))} {kind} "
+                f"{maybe_bracketed(formula(scope, depth - 1))}")
+
+    return formula(list(_RT_CTX.vars), depth)
+
+
+@pytest.mark.oracle
+@given(_formula_texts())
+@settings(max_examples=500, deadline=None)
+def test_unparse_parse_round_trip_on_random_formulas(text):
+    f = parse_formula_text(text, _RT_CTX)
+    assert parse_formula_text(unparse_formula(f), _RT_CTX) == f
+
+
 def test_canonical_flattens_and_sorts():
     ctx = ElabContext(FopeqSignature(), vars=(("a", INT), ("b", INT)))
     f1 = parse_formula_text("a = 0 ∧ (b = 1 ∧ true)", ctx)

@@ -1,17 +1,19 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evtforge.errors import ParseError, SpecError
+from evtforge.errors import ParseError, SortError, SpecError
 from evtforge.eventb import (
     ContextDef, EbSpecification, Environment, MachineDef, build_env, parse_text,
 )
 from evtforge.fopeq import INT, FopeqSignature, Op
 from evtforge.institution import INIT, EvtSignature, Status
-from evtforge.mathlang import _MULTI, _SINGLE, Token, TokenStream, tokenize
+from evtforge.mathlang import (
+    _MULTI, _SINGLE, ExprParser, Token, TokenStream, tokenize,
+)
 from evtforge.rodin import parse_rodin, parse_rodin_paths
 from tests.conftest import FIXTURES, load_fixture
 from tests.reference_eval import (
-    LinearTokenStream, pretty_print_eb, reference_tokenize,
+    LinearTokenStream, ReferenceExprParser, pretty_print_eb, reference_tokenize,
 )
 
 
@@ -391,3 +393,56 @@ def test_token_cursor_matches_linear_scan(walk):
                 assert fast.at_word(text, skip) == (
                     t.kind == "IDENT" and t.text == text and not t.primed)
         assert fast.pos == slow.pos
+
+
+# ---------------------------------------------------------------------------
+# expression parser against the descent ladder
+
+_EXPR_VOCABULARY = [
+    "∧", "/\\", "∨", "\\/", "⇒", "=>", "⇔", "<=>", "¬", "!", "∀", "#forall",
+    "∃", "#exists", "·", ".", ":", "=", "≠", "/=", "<", "≤", "<=", ">", "≥",
+    ">=", "∈", "in", "+", "−", "-", "*", "×", "(", ")", "{", "}", ",",
+    "x", "y", "f", "ℕ", "BOOL", "TRUE", "x′", "y'", "0", "7", "\n",
+]
+_OPERANDS = ["x", "y", "x′", "0", "7", "TRUE"]
+_BINARY = ["∧", "/\\", "∨", "\\/", "⇒", "=>", "⇔", "<=>", "=", "<", "≥", "∈",
+           "+", "−", "-", "*", "×"]
+
+# any vocabulary token, or (twice as often) an operand and a binary operator:
+# runs of the second kind make the operator chains that precedence and
+# associativity decide
+_operand_operator = st.tuples(
+    st.sampled_from(_OPERANDS), st.sampled_from(_BINARY)).map(" ".join)
+_expr_texts = st.lists(
+    st.one_of(st.sampled_from(_EXPR_VOCABULARY), _operand_operator, _operand_operator),
+    max_size=30).map(" ".join)
+# every ordered pair of binary operators between three operands, each chain
+# closed by a stray ")": a change to any level or associativity changes the
+# parse from some chain's start
+_OPERATOR_PAIRS = " ) ".join(f"x {a} y {b} 0" for a in _BINARY for b in _BINARY)
+
+
+def _parsed_from(parser, tokens, start, stop_at_newline):
+    """The tree, or the error, of one parse from start, with the position the
+    parse left the stream at."""
+    ts = TokenStream(tokens)
+    ts.pos = start
+    try:
+        return parser(ts, stop_at_newline).parse_formula_expr(), ts.pos
+    except ParseError as e:
+        return (str(e), e.line, e.col), ts.pos
+    except SortError as e:  # a set type that lists a non-literal
+        return str(e), ts.pos
+
+
+@pytest.mark.oracle
+@given(_expr_texts)
+@example(_OPERATOR_PAIRS)
+@_with_fixture_texts
+@settings(max_examples=500, deadline=None)
+def test_expression_parser_matches_descent_ladder(text):
+    tokens = tokenize(text)
+    for start in range(len(tokens)):
+        for stop_at_newline in (False, True):
+            assert _parsed_from(ExprParser, tokens, start, stop_at_newline) == \
+                _parsed_from(ReferenceExprParser, tokens, start, stop_at_newline)

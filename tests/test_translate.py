@@ -6,7 +6,7 @@ from evtforge.fopeq import Bounds, INT, free_vars
 from evtforge.institution import INIT, Status, make_state
 from evtforge.mathlang import canonical, parse_formula_text, unparse_formula, ElabContext
 from evtforge.specs import Evaluator, Named, SpecLibrary, sig_of
-from evtforge.sugar import parse_document
+from evtforge.sugar import parse_document, print_library
 from evtforge.translate import translate
 from tests.conftest import FIXTURES, load_fixture
 
@@ -241,6 +241,19 @@ context c3 extends c1, c2 constants k axioms t3: k ∈ ℤ ax: k > a + b end
         out = translate(parse_text(src))
         fsig = out.env.fopeq("c3")
         assert {o.name for o in fsig.ops} == {"a", "b", "k"}
+
+
+class TestTypedQuantifiers:
+    def test_typed_exists_prints_to_a_fixed_point(self):
+        # an ∃ over ℕ or a literal set joins its body's conjuncts to the
+        # guard flat, so the printed library reads back to the same bytes
+        out = translate(parse_text(load_fixture("quant.eb")))
+        full = print_library(out.library, out.order)
+        assert ". ∃ p : Int · p ≥ 0 ∧ p > n ∧ p < 4\n" in full
+        assert "when ∃ p : Int · p ∈ {1, 2} ∧ n + p < k ∧ p ≠ n\n" in full
+        lib2 = SpecLibrary()
+        specs, _ = parse_document(full, lib2)
+        assert print_library(lib2, [("spec", n) for n, _ in specs]) == full
 
 
 class TestStructure:
