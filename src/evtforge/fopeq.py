@@ -94,46 +94,49 @@ class FopeqSignature:
     """User-declared sorts, operations and predicates.
 
     Int/Bool with arithmetic and comparisons are built in to every signature
-    and are not listed here.
+    and are not listed here.  known_sorts (the declared and builtin sorts),
+    op_map and pred_map are built by the validation that needs them.
     """
 
     sorts: tuple[str, ...] = ()
     ops: tuple[Op, ...] = ()
     preds: tuple[Pred, ...] = ()
+    known_sorts: frozenset[str] = field(init=False, repr=False, compare=False)
+    op_map: dict[str, Op] = field(init=False, repr=False, compare=False)
+    pred_map: dict[str, Pred] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sorts", tuple(sorted(set(self.sorts))))
-        object.__setattr__(self, "ops", tuple(sorted(set(self.ops))))
-        object.__setattr__(self, "preds", tuple(sorted(set(self.preds))))
-        names = [o.name for o in self.ops]
-        if len(names) != len(set(names)):
-            raise SortError(f"duplicate operation names in signature: {names}")
-        pnames = [p.name for p in self.preds]
-        if len(pnames) != len(set(pnames)):
-            raise SortError(f"duplicate predicate names in signature: {pnames}")
-        known = set(self.sorts) | BUILTIN_SORTS
-        for o in self.ops:
-            for s in (*o.args, o.result):
-                if s not in known:
-                    raise SortError(f"operation {o.name} uses undeclared sort {s}")
-        for p in self.preds:
-            for s in p.args:
-                if s not in known:
-                    raise SortError(f"predicate {p.name} uses undeclared sort {s}")
-
-    @cached_property
-    def op_map(self) -> dict[str, Op]:
-        return {o.name: o for o in self.ops}
-
-    @cached_property
-    def pred_map(self) -> dict[str, Pred]:
-        return {p.name: p for p in self.preds}
+        sorts = tuple(sorted(set(self.sorts)))
+        ops = tuple(sorted(set(self.ops)))
+        preds = tuple(sorted(set(self.preds)))
+        op_map = {o.name: o for o in ops}
+        if len(op_map) != len(ops):
+            raise SortError(f"duplicate operation names in signature: {[o.name for o in ops]}")
+        pred_map = {p.name: p for p in preds}
+        if len(pred_map) != len(preds):
+            raise SortError(
+                f"duplicate predicate names in signature: {[p.name for p in preds]}")
+        known = BUILTIN_SORTS.union(sorts)
+        for o in ops:
+            if not known.issuperset(o.args) or o.result not in known:
+                s = next(s for s in (*o.args, o.result) if s not in known)
+                raise SortError(f"operation {o.name} uses undeclared sort {s}")
+        for p in preds:
+            if not known.issuperset(p.args):
+                s = next(s for s in p.args if s not in known)
+                raise SortError(f"predicate {p.name} uses undeclared sort {s}")
+        object.__setattr__(self, "sorts", sorts)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "preds", preds)
+        object.__setattr__(self, "known_sorts", known)
+        object.__setattr__(self, "op_map", op_map)
+        object.__setattr__(self, "pred_map", pred_map)
 
     def all_sorts(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.sorts) | BUILTIN_SORTS))
+        return tuple(sorted(self.known_sorts))
 
     def has_sort(self, s: str) -> bool:
-        return s in BUILTIN_SORTS or s in self.sorts
+        return s in self.known_sorts
 
     def op_profile(self, name: str) -> tuple[tuple[str, ...], str]:
         if name in BUILTIN_OPS:
@@ -152,7 +155,15 @@ class FopeqSignature:
         return p.args
 
     def union(self, other: "FopeqSignature") -> "FopeqSignature":
-        """Merge by name; shared names must carry identical profiles."""
+        """Merge by name; shared names must carry identical profiles.  A union
+        to which other adds nothing (no sort named after a builtin one, and
+        only symbols this signature holds) is this signature."""
+        if other is self or (
+                other.op_map.items() <= self.op_map.items()
+                and other.pred_map.items() <= self.pred_map.items()
+                and self.known_sorts.issuperset(other.sorts)
+                and BUILTIN_SORTS.isdisjoint(other.sorts)):
+            return self
         return signature_image((self,), (other,))
 
 
@@ -161,8 +172,11 @@ def signature_image(*parts: tuple) -> FopeqSignature:
 
     Each part is (signature, sort map, operation map, predicate map); maps
     may be left off, and names a map does not list map to themselves.
-    Operations, and predicates, whose images meet must get one profile.
+    Operations, and predicates, whose images meet must get one profile.  The
+    image of one signature along no maps is that signature.
     """
+    if len(parts) == 1 and not any(parts[0][1:]):
+        return parts[0][0]
     sorts: set[str] = set()
     ops: dict[str, Op] = {}
     preds: dict[str, Pred] = {}
@@ -762,11 +776,39 @@ def compile_formula(f: Formula, a: FiniteAlgebra):
 # morphisms
 
 
+def in_source_order(pairs, names: tuple[str, ...]) -> tuple[tuple, dict]:
+    """A name map as its sorted tuple of pairs and as a dict.  A map that
+    lists each of names once, in order, as the builders emit a map over a
+    source's names, is not sorted again."""
+    if type(pairs) is not tuple:
+        pairs = tuple(pairs)
+    d = dict(pairs)
+    if len(d) != len(pairs):  # a repeated name keeps its last pair in sorted order
+        pairs = tuple(sorted(pairs))
+        return pairs, dict(pairs)
+    if tuple(d) != names:
+        pairs = tuple(sorted(pairs))
+    return pairs, d
+
+
+# each builtin symbol, which every morphism fixes
+_FIXED_SORTS = {s: s for s in BUILTIN_SORTS}
+_FIXED_OPS = {o: o for o in BUILTIN_OPS}
+_FIXED_PREDS = {p: p for p in BUILTIN_PREDS}
+
+
+def sort_images(m: "FopeqMorphism") -> dict[str, str]:
+    """apply_sort as a dict over m's source sorts and the builtin sorts."""
+    return {**m.sort_dict, **_FIXED_SORTS}
+
+
 @frozen
 class FopeqMorphism:
     """Total, profile-preserving renaming of user symbols; builtins are fixed.
 
-    The *_dict views are built once, by the validation that needs them.
+    The *_dict views are built once, by the validation that needs them, which
+    makes one pass over the source symbols: each sort, then each operation
+    and predicate against one dict of the sort images.
     """
 
     source: FopeqSignature
@@ -779,31 +821,37 @@ class FopeqMorphism:
     pred_dict: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sort_map", tuple(sorted(self.sort_map)))
-        object.__setattr__(self, "op_map", tuple(sorted(self.op_map)))
-        object.__setattr__(self, "pred_map", tuple(sorted(self.pred_map)))
-        object.__setattr__(self, "sort_dict", dict(self.sort_map))
-        object.__setattr__(self, "op_dict", dict(self.op_map))
-        object.__setattr__(self, "pred_dict", dict(self.pred_map))
-        smap, omap, pmap = self.sort_dict, self.op_dict, self.pred_dict
-        for s in self.source.sorts:
+        src, tgt = self.source, self.target
+        sort_map, smap = in_source_order(self.sort_map, src.sorts)
+        op_map, omap = (in_source_order(self.op_map, tuple(src.op_map))
+                        if self.op_map or src.ops else ((), {}))
+        pred_map, pmap = (in_source_order(self.pred_map, tuple(src.pred_map))
+                          if self.pred_map or src.preds else ((), {}))
+        object.__setattr__(self, "sort_map", sort_map)
+        object.__setattr__(self, "op_map", op_map)
+        object.__setattr__(self, "pred_map", pred_map)
+        object.__setattr__(self, "sort_dict", smap)
+        object.__setattr__(self, "op_dict", omap)
+        object.__setattr__(self, "pred_dict", pmap)
+        known = tgt.known_sorts
+        for s in src.sorts:
             if s not in smap:
                 raise SortError(f"sort map not total: {s} unmapped")
-            if not self.target.has_sort(smap[s]):
+            if smap[s] not in known:
                 raise SortError(f"sort {s} maps outside the target signature")
-        for o in self.source.ops:
+        if not (src.ops or src.preds):
+            return
+        image = sort_images(self)
+        for o in src.ops:
             if o.name not in omap:
                 raise SortError(f"operation map not total: {o.name} unmapped")
-            args, result = self.target.op_profile(omap[o.name])
-            want = tuple(self.apply_sort(s) for s in o.args)
-            if args != want or result != self.apply_sort(o.result):
+            args, result = tgt.op_profile(omap[o.name])
+            if args != tuple(map(image.__getitem__, o.args)) or result != image[o.result]:
                 raise SortError(f"operation map does not preserve the profile of {o.name}")
-        for p in self.source.preds:
+        for p in src.preds:
             if p.name not in pmap:
                 raise SortError(f"predicate map not total: {p.name} unmapped")
-            args = self.target.pred_profile(pmap[p.name])
-            want = tuple(self.apply_sort(s) for s in p.args)
-            if args != want:
+            if tgt.pred_profile(pmap[p.name]) != tuple(map(image.__getitem__, p.args)):
                 raise SortError(f"predicate map does not preserve the profile of {p.name}")
 
     def apply_sort(self, s: str) -> str:
@@ -839,14 +887,16 @@ def fopeq_morphism(
 ) -> FopeqMorphism:
     """The morphism sending each listed sort and operation to its image and
     every other user symbol, predicates included, to its own name."""
-    stray = (set(sorts) - set(source.sorts)) | (set(ops) - set(source.op_map))
-    if stray:
-        raise SortError(f"morphism maps symbols outside its source: {sorted(stray)}")
+    if sorts or ops:
+        stray = (set(sorts) - set(source.sorts)) | (set(ops) - set(source.op_map))
+        if stray:
+            raise SortError(f"morphism maps symbols outside its source: {sorted(stray)}")
+    snames, onames, pnames = source.sorts, tuple(source.op_map), tuple(source.pred_map)
     return FopeqMorphism(
         source, target,
-        tuple((s, sorts.get(s, s)) for s in source.sorts),
-        tuple((o.name, ops.get(o.name, o.name)) for o in source.ops),
-        tuple((p.name, p.name) for p in source.preds),
+        tuple(zip(snames, map(sorts.get, snames, snames))),
+        tuple(zip(onames, map(ops.get, onames, onames))),
+        tuple(zip(pnames, pnames)),
     )
 
 
@@ -854,16 +904,25 @@ def fopeq_identity(sig: FopeqSignature) -> FopeqMorphism:
     return fopeq_morphism(sig, sig)
 
 
+def compose_maps(pairs, d: dict, apply) -> tuple:
+    """The pairs (a, b) as (a, d[b]), or, when d misses some b, as
+    (a, apply(b)), which raises the SortError for it."""
+    try:
+        return tuple([(a, d[b]) for a, b in pairs])
+    except KeyError:
+        return tuple([(a, apply(b)) for a, b in pairs])
+
+
 def fopeq_compose(m2: FopeqMorphism, m1: FopeqMorphism) -> FopeqMorphism:
     """Composition m2 ∘ m1 (apply m1 first)."""
-    if m1.target != m2.source:
+    if m1.target is not m2.source and m1.target != m2.source:
         raise SortError("morphisms not composable")
-    return FopeqMorphism(
-        m1.source, m2.target,
-        tuple((s, m2.apply_sort(t)) for s, t in m1.sort_map),
-        tuple((o, m2.apply_op(t)) for o, t in m1.op_map),
-        tuple((p, m2.apply_pred(t)) for p, t in m1.pred_map),
-    )
+    sorts = compose_maps(m1.sort_map, sort_images(m2), m2.apply_sort) if m1.sort_map else ()
+    ops = (compose_maps(m1.op_map, {**m2.op_dict, **_FIXED_OPS}, m2.apply_op)
+           if m1.op_map else ())
+    preds = (compose_maps(m1.pred_map, {**m2.pred_dict, **_FIXED_PREDS}, m2.apply_pred)
+             if m1.pred_map else ())
+    return FopeqMorphism(m1.source, m2.target, sorts, ops, preds)
 
 
 # ---------------------------------------------------------------------------
@@ -884,52 +943,47 @@ def pushout_names(
     suffixes on clashes between distinct classes.  Returns the two injection
     name maps.
     """
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
+    if not (left or right):
+        return {}, {}
+    left, right = tuple(dict.fromkeys(left)), tuple(dict.fromkeys(right))
+    # one union-find over the indices of left + right (Tarjan 1975)
+    nl = len(left)
+    lpos = {n: i for i, n in enumerate(left)}
+    rpos = {n: i for i, n in enumerate(right, nl)}
+    parent = list(range(nl + len(right)))
 
-    def find(x):
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    elems = [("L", n) for n in left] + [("R", n) for n in right]
-    for e in elems:
-        parent[e] = e
     for s in shared:
-        union(("L", f1[s]), ("R", f2[s]))
-
-    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for e in elems:
-        classes.setdefault(find(e), []).append(e)
-
-    def preferred(members):
-        lnames = sorted(n for side, n in members if side == "L")
-        if lnames:
-            return lnames[0], 0
-        return sorted(n for _, n in members)[0], 1
-
-    ordered = sorted(
-        classes.values(),
-        key=lambda ms: (preferred(ms)[0], preferred(ms)[1], sorted(n for _, n in ms)),
-    )
+        a, b = find(lpos[f1[s]]), find(rpos[f2[s]])
+        if a != b:
+            parent[a] = b
+    roots = [find(i) for i in range(len(parent))]
+    # a class is named after its least left name, or else its least right
+    # one; the left-named classes order first on equal names, and no two
+    # classes share a (name, side) key
+    key: dict[int, tuple[str, int]] = {}
+    for side, names, start in ((0, left, 0), (1, right, nl)):
+        for n, r in zip(names, roots[start:]):
+            k = key.get(r)
+            if k is None or (k[1] == side and n < k[0]):
+                key[r] = (n, side)
     taken: set[str] = set()
-    final: dict[tuple[str, str], str] = {}
-    for members in ordered:
-        base, _ = preferred(members)
-        name, k = base, 0
+    final: dict[int, str] = {}
+    for r in sorted(key, key=key.__getitem__):
+        base = name = key[r][0]
+        k = 0
         while name in taken:
             k += 1
             name = f"{base}#{k}"
         taken.add(name)
-        for m in members:
-            final[m] = name
-    inj1 = {n: final[("L", n)] for n in left}
-    inj2 = {n: final[("R", n)] for n in right}
+        final[r] = name
+    inj1 = {n: final[r] for n, r in zip(left, roots)}
+    inj2 = {n: final[r] for n, r in zip(right, roots[nl:])}
     return inj1, inj2
 
 
@@ -937,7 +991,7 @@ def fopeq_pushout(
     m1: FopeqMorphism, m2: FopeqMorphism
 ) -> tuple[FopeqSignature, FopeqMorphism, FopeqMorphism]:
     """Pushout of a span m1: Σ→Σ1, m2: Σ→Σ2; returns (Σ', inj1, inj2)."""
-    if m1.source != m2.source:
+    if m1.source is not m2.source and m1.source != m2.source:
         raise SortError("pushout requires a common source signature")
     src, s1, s2 = m1.source, m1.target, m2.target
     for m in (m1, m2):
@@ -949,12 +1003,9 @@ def fopeq_pushout(
 
     sort1, sort2 = pushout_names(
         src.sorts, s1.sorts, s2.sorts, m1.sort_dict, m2.sort_dict)
-    op1, op2 = pushout_names(
-        [o.name for o in src.ops], [o.name for o in s1.ops], [o.name for o in s2.ops],
-        m1.op_dict, m2.op_dict)
+    op1, op2 = pushout_names(src.op_map, s1.op_map, s2.op_map, m1.op_dict, m2.op_dict)
     pred1, pred2 = pushout_names(
-        [p.name for p in src.preds], [p.name for p in s1.preds], [p.name for p in s2.preds],
-        m1.pred_dict, m2.pred_dict)
+        src.pred_map, s1.pred_map, s2.pred_map, m1.pred_dict, m2.pred_dict)
 
     merged = signature_image((s1, sort1, op1, pred1), (s2, sort2, op2, pred2))
     inj1 = FopeqMorphism(s1, merged, tuple(sort1.items()), tuple(op1.items()),

@@ -21,8 +21,9 @@ from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq
 from .fopeq import (
     And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
-    algebra_reduct, compile_formula, conjoin, fopeq_compose, fopeq_morphism,
-    fopeq_pushout, free_vars, frozen, pushout_names, substitute, value_key,
+    algebra_reduct, compile_formula, compose_maps, conjoin, fopeq_compose, fopeq_morphism,
+    fopeq_pushout, free_vars, frozen, in_source_order, pushout_names, sort_images,
+    substitute, value_key,
 )
 
 INIT = "Init"
@@ -47,6 +48,14 @@ def status_sup(*statuses: Status) -> Status:
 _PRIMES = ("'", "′")
 
 
+def _any_primed(names: Iterable[str]) -> bool:
+    """Whether a name may end in a prime: one test over the joined names,
+    true for every primed name (and for a name holding a prime and a
+    newline inside, which the per-name check then clears)."""
+    joined = "\n".join(names) + "\n"
+    return "'\n" in joined or "′\n" in joined
+
+
 # ---------------------------------------------------------------------------
 # signatures
 
@@ -55,7 +64,9 @@ _PRIMES = ("'", "′")
 class EvtSignature:
     """Five components: first-order part, status-tagged events, sorted vars.
 
-    Every signature contains the initial event with ordinary status.
+    Every signature contains the initial event with ordinary status.  The
+    validation checks the names and sorts as whole collections, and runs the
+    per-name check, which raises the first failure, only when one fails.
     """
 
     fopeq: FopeqSignature = fopeq.EMPTY_SIGNATURE
@@ -63,6 +74,8 @@ class EvtSignature:
     vars: tuple[tuple[str, str], ...] = ()
     event_map: dict[str, Status] = field(init=False, repr=False, compare=False)
     var_map: dict[str, str] = field(init=False, repr=False, compare=False)
+    event_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    var_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ev = dict(self.events)
@@ -74,6 +87,20 @@ class EvtSignature:
         if len(vs) != len(self.vars):
             raise SortError("duplicate variable names in signature")
         events, vars = tuple(sorted(ev.items())), tuple(sorted(vs.items()))
+        event_map, var_map = dict(events), dict(vars)
+        if (_any_primed(var_map) or not self.fopeq.known_sorts.issuperset(vs.values())
+                or _any_primed(event_map)):
+            self._refuse(events, vars)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "event_map", event_map)
+        object.__setattr__(self, "event_names", tuple(event_map))
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "var_map", var_map)
+        object.__setattr__(self, "var_names", tuple(var_map))
+
+    def _refuse(self, events, vars) -> None:
+        """Raise the first failure of the names and sorts, in name order,
+        variables first."""
         has_sort = self.fopeq.has_sort
         for name, sort in vars:
             if name.endswith(_PRIMES):
@@ -83,22 +110,10 @@ class EvtSignature:
         for name, _ in events:
             if name.endswith(_PRIMES):
                 raise SortError(f"event name {name} looks primed")
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "event_map", dict(events))
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "var_map", dict(vars))
-
-    @cached_property
-    def event_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.events)
 
     @cached_property
     def non_init_events(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.events if n != INIT)
-
-    @cached_property
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.vars)
 
     def status(self, event: str) -> Status:
         m = self.event_map
@@ -115,21 +130,44 @@ def merged_signature(
     """The signature over fsig with the listed events and variables, which may
     repeat: the statuses of one event join by supremum, and a variable must
     keep one sort."""
-    ev: dict[str, Status] = {}
-    for name, st in events:
-        if ev.setdefault(name, st) != st:
-            ev[name] = status_sup(ev[name], st)
-    vs: dict[str, str] = {}
-    for name, sort in vars:
-        if vs.setdefault(name, sort) != sort:
-            raise SortError(f"variable {name} gets conflicting sorts")
+    events, vars = tuple(events), tuple(vars)
+    ev = dict(events)
+    if len(set(events)) != len(ev):  # an event listed with two statuses
+        ev = {}
+        for name, st in events:
+            if ev.setdefault(name, st) != st:
+                ev[name] = status_sup(ev[name], st)
+    vs = dict(vars)
+    if len(set(vars)) != len(vs):  # a variable listed with two sorts
+        seen: dict[str, str] = {}
+        for name, sort in vars:
+            if seen.setdefault(name, sort) != sort:
+                raise SortError(f"variable {name} gets conflicting sorts")
     return EvtSignature(fsig, tuple(ev.items()), tuple(vs.items()))
+
+
+def signature_extension(
+    base: EvtSignature,
+    fsig: FopeqSignature,
+    events: Sequence[tuple[str, Status]],
+    vars: Sequence[tuple[str, str]],
+) -> EvtSignature:
+    """merged_signature of fsig, a first-order part containing base's, with
+    base's events and variables and the listed ones; base itself when fsig
+    is base's part and base holds every listed event, at its status, and
+    every listed variable, at its sort."""
+    if (fsig is base.fopeq and base.event_map.items() >= set(events)
+            and base.var_map.items() >= set(vars)):
+        return base
+    return merged_signature(fsig, base.events + tuple(events), base.vars + tuple(vars))
 
 
 def signature_union(a: EvtSignature, b: EvtSignature) -> EvtSignature:
     """Name-based union: shared symbols need identical profiles, shared events
-    join by status supremum."""
-    return merged_signature(a.fopeq.union(b.fopeq), a.events + b.events, a.vars + b.vars)
+    join by status supremum.  A union to which b adds nothing is a."""
+    if b is a:
+        return a
+    return signature_extension(a, a.fopeq.union(b.fopeq), b.events, b.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +176,10 @@ def signature_union(a: EvtSignature, b: EvtSignature) -> EvtSignature:
 
 @frozen
 class EvtMorphism:
+    """The validation makes one pass over the source symbols, with a map a
+    builder emits in source order not sorted again, and one image per
+    distinct sort."""
+
     source: EvtSignature
     target: EvtSignature
     fopeq: FopeqMorphism
@@ -148,36 +190,41 @@ class EvtMorphism:
     var_dict: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "event_map", tuple(sorted(self.event_map)))
-        object.__setattr__(self, "var_map", tuple(sorted(self.var_map)))
-        object.__setattr__(self, "event_dict", dict(self.event_map))
-        object.__setattr__(self, "var_dict", dict(self.var_map))
-        if self.fopeq.source != self.source.fopeq or self.fopeq.target != self.target.fopeq:
+        src, tgt, fm = self.source, self.target, self.fopeq
+        event_map, em = in_source_order(self.event_map, src.event_names)
+        var_map, vm = (in_source_order(self.var_map, src.var_names)
+                       if self.var_map or src.vars else ((), {}))
+        object.__setattr__(self, "event_map", event_map)
+        object.__setattr__(self, "var_map", var_map)
+        object.__setattr__(self, "event_dict", em)
+        object.__setattr__(self, "var_dict", vm)
+        if (fm.source is not src.fopeq and fm.source != src.fopeq
+                or fm.target is not tgt.fopeq and fm.target != tgt.fopeq):
             raise SortError("first-order component does not match the endpoints")
-        em, vm = self.event_dict, self.var_dict
-        tgt_events = self.target.event_map
         if em.get(INIT, INIT) != INIT:
             raise SortError("the initial event must map to the initial event")
-        for name, st in self.source.events:
+        tgt_events, check = tgt.event_map, self.check_status
+        for name, st in src.events:
             if name not in em:
                 raise SortError(f"event map not total: {name} unmapped")
             out = em[name]
-            if out not in tgt_events:
+            to = tgt_events.get(out)
+            if to is None:
                 raise SortError(f"event {name} maps to unknown event {out}")
             if out == INIT and name != INIT:
                 raise SortError("a non-initial event may not map to the initial event")
-            if self.check_status and tgt_events[out] < st:
-                raise SortError(
-                    f"event map lowers the status of {name} "
-                    f"({st} to {tgt_events[out]})")
-        tgt_vars = self.target.var_map
-        for name, sort in self.source.vars:
+            if check and to < st:
+                raise SortError(f"event map lowers the status of {name} ({st} to {to})")
+        if not src.vars:
+            return
+        tgt_vars, image = tgt.var_map, sort_images(fm)
+        for name, sort in src.vars:
             if name not in vm:
                 raise SortError(f"variable map not total: {name} unmapped")
             out = vm[name]
             if out not in tgt_vars:
                 raise SortError(f"variable {name} maps to unknown variable {out}")
-            if tgt_vars[out] != self.fopeq.apply_sort(sort):
+            if tgt_vars[out] != image[sort]:
                 raise SortError(f"variable map does not respect the sort of {name}")
 
     @cached_property
@@ -221,16 +268,22 @@ def evt_morphism(
     sorts: Mapping[str, str] = {},
     ops: Mapping[str, str] = {},
     check_status: bool = True,
+    first_order: Optional[FopeqMorphism] = None,
 ) -> EvtMorphism:
     """The morphism sending each listed symbol to its image and every other
-    source symbol, predicates included, to its own name."""
-    stray = (set(events) - set(source.event_map)) | (set(vars) - set(source.var_map))
-    if stray:
+    source symbol, predicates included, to its own name.  A caller that
+    builds many morphisms between the same first-order parts may pass that
+    part as first_order, in place of sorts and ops."""
+    if not (events.keys() <= source.event_map.keys() and vars.keys() <= source.var_map.keys()):
+        stray = (set(events) - set(source.event_map)) | (set(vars) - set(source.var_map))
         raise SortError(f"morphism maps symbols outside its source: {sorted(stray)}")
+    if first_order is None:
+        first_order = fopeq_morphism(source.fopeq, target.fopeq, sorts, ops)
+    enames, vnames = source.event_names, source.var_names
     return EvtMorphism(
-        source, target, fopeq_morphism(source.fopeq, target.fopeq, sorts, ops),
-        tuple((e, events.get(e, e)) for e, _ in source.events),
-        tuple((v, vars.get(v, v)) for v, _ in source.vars),
+        source, target, first_order,
+        tuple(zip(enames, map(events.get, enames, enames))),
+        tuple(zip(vnames, map(vars.get, vnames, vnames))),
         check_status,
     )
 
@@ -241,12 +294,12 @@ def evt_identity(sig: EvtSignature) -> EvtMorphism:
 
 def evt_compose(m2: EvtMorphism, m1: EvtMorphism) -> EvtMorphism:
     """Composition m2 ∘ m1 (apply m1 first)."""
-    if m1.target != m2.source:
+    if m1.target is not m2.source and m1.target != m2.source:
         raise SortError("morphisms not composable")
     return EvtMorphism(
         m1.source, m2.target, fopeq_compose(m2.fopeq, m1.fopeq),
-        tuple((e, m2.apply_event(t)) for e, t in m1.event_map),
-        tuple((v, m2.apply_var(t)) for v, t in m1.var_map),
+        compose_maps(m1.event_map, m2.event_dict, m2.apply_event),
+        compose_maps(m1.var_map, m2.var_dict, m2.apply_var) if m1.var_map else (),
         check_status=m1.check_status and m2.check_status,
     )
 
@@ -520,15 +573,19 @@ def restrict_along(
     return out_init, out_rel
 
 
-def model_reduct(m: EvtMorphism, model: EvtModel) -> EvtModel:
+def model_reduct(m: EvtMorphism, model: EvtModel,
+                 algebra: Optional[FiniteAlgebra] = None) -> EvtModel:
     """View a model over the morphism's target as one over its source: each
-    source event gets the reduct of its image's relation."""
+    source event gets the reduct of its image's relation.  algebra is the
+    reduct of the model's algebra along m, when the caller has it."""
     if model.signature != m.target:
         raise SortError("model is not over the morphism's target")
     red = model.coding.reduct(m)
     rel = {e: frozenset(map(red.pair, model.code_map[m.apply_event(e)]))
            for e in m.source.non_init_events}
-    return EvtModel(m.source, algebra_reduct(model.algebra, m.fopeq),
+    if algebra is None:
+        algebra = algebra_reduct(model.algebra, m.fopeq)
+    return EvtModel(m.source, algebra,
                     frozenset(map(red.state, model.init_codes)), tuple(rel.items()))
 
 
@@ -703,18 +760,23 @@ class _Pool:
         return self.states
 
 
+# a pool reader: the plan's numbers of some conjuncts, and those conjuncts
+Reader = tuple[Sequence[int], Sequence[Conjunct]]
+
+
 def _shared_pools(
     sig: EvtSignature,
     algebra: FiniteAlgebra,
-    readers: Sequence[Sequence[Conjunct]],
+    readers: Sequence[Reader],
     compile_term: Callable[[fopeq.Term], Callable[[Mapping], Value]],
     root: int,
-) -> Callable[[Sequence[Conjunct]], _Pool]:
+) -> Callable[[Reader], _Pool]:
     """The pool source of one maximal_model run, that is of one plan in one
     algebra: each reader, a list of conjuncts over unprimed variables with
-    the functions compiled for that algebra, gets the pool of the states
-    satisfying them, one pool per conjunct set, with each state's code and
-    valuation as _filter_pool yields them.  No pool outlives its run.
+    the functions compiled for that algebra, and their numbers in the plan,
+    gets the pool of the states satisfying them, one pool per set of
+    numbers, with each state's code and valuation as _filter_pool yields
+    them.  No pool outlives its run.
 
     The core, the conjuncts that every one of the (at least one) readers
     holds, is searched first, up to root states, in the first reader's
@@ -727,11 +789,13 @@ def _shared_pools(
     dropped, so a sparse core that no definition binds is not searched
     through the whole product.
     """
-    pools: dict[frozenset[Formula], _Pool] = {}
-    shared = frozenset.intersection(*(frozenset([c for c, _, _ in r]) for r in readers))
+    pools: dict[frozenset[int], _Pool] = {}
+    shared = frozenset.intersection(*(frozenset(ids) for ids, _ in readers))
     budget = [_CORE_BUDGET * root]
+    first_ids, first = readers[0]
     core = _Pool(_filter_pool(
-        sig, algebra, [cj for cj in readers[0] if cj[0] in shared], compile_term, budget))
+        sig, algebra, [cj for i, cj in zip(first_ids, first) if i in shared],
+        compile_term, budget))
     try:
         core.grow(root)
     except _BudgetSpent:
@@ -761,12 +825,13 @@ def _shared_pools(
                 else:
                     yield s
 
-    def pool(conjs: Sequence[Conjunct]) -> _Pool:
-        k = frozenset([c for c, _, _ in conjs])
+    def pool(reader: Reader) -> _Pool:
+        ids, conjs = reader
+        k = frozenset(ids)
         hit = pools.get(k)
         if hit is None:
             if core.dry:
-                search = sieve([cj for cj in conjs if cj[0] not in shared])
+                search = sieve([cj for i, cj in zip(ids, conjs) if i not in shared])
             else:
                 search = _filter_pool(sig, algebra, conjs, compile_term)
             hit = pools[k] = _Pool(search)
@@ -909,8 +974,8 @@ def maximal_model(
     fns = _Memo(lambda i: compile_formula(conjuncts[i][0], algebra))
     compiled_term = _Memo(lambda t: fopeq.compile_term(t, algebra)).__getitem__
 
-    def reader(ids: Sequence[int]) -> list[Conjunct]:
-        return [(*conjuncts[i], fns[i]) for i in ids]
+    def reader(ids: Sequence[int]) -> Reader:
+        return ids, [(*conjuncts[i], fns[i]) for i in ids]
 
     def closed_hold(ids: Sequence[int]) -> bool:
         for i in ids:
@@ -997,7 +1062,7 @@ def evt_pushout(
 ) -> tuple[EvtSignature, EvtMorphism, EvtMorphism]:
     """Pushout of a span of signature morphisms; event statuses of merged
     classes join by supremum."""
-    if s1.source != s2.source:
+    if s1.source is not s2.source and s1.source != s2.source:
         raise SortError("pushout requires a common source signature")
     src = s1.source
     fsig, finj1, finj2 = fopeq_pushout(s1.fopeq, s2.fopeq)
@@ -1008,11 +1073,12 @@ def evt_pushout(
     v1, v2 = pushout_names(
         src.var_names, s1.target.var_names, s2.target.var_names,
         s1.var_dict, s2.var_dict)
+    sorts1, sorts2 = sort_images(finj1), sort_images(finj2)
     merged = merged_signature(
         fsig,
         [(ev1[e], st) for e, st in s1.target.events] + [(ev2[e], st) for e, st in s2.target.events],
-        [(v1[v], finj1.apply_sort(s)) for v, s in s1.target.vars]
-        + [(v2[v], finj2.apply_sort(s)) for v, s in s2.target.vars])
+        [(v1[v], sorts1[s]) for v, s in s1.target.vars]
+        + [(v2[v], sorts2[s]) for v, s in s2.target.vars])
     inj1 = EvtMorphism(s1.target, merged, finj1, tuple(ev1.items()), tuple(v1.items()))
     inj2 = EvtMorphism(s2.target, merged, finj2, tuple(ev2.items()), tuple(v2.items()))
     return merged, inj1, inj2

@@ -96,7 +96,7 @@ def check_refinement_morphism(decl: RefinementDecl,
     lib = evaluator.lib
     rep_a = evaluator.model_class(lib.lookup(decl.abstract))
     rep_c = evaluator.model_class(lib.lookup(decl.concrete))
-    return _check_inclusion(decl.name, rep_c, rep_a, decl.morphism)
+    return _check_inclusion(decl.name, rep_c, rep_a, decl.morphism, evaluator.algebra_reduct)
 
 
 def check_refinement_same_sig(name: str, spec_a: Spec, spec_c: Spec,
@@ -107,11 +107,13 @@ def check_refinement_same_sig(name: str, spec_a: Spec, spec_c: Spec,
         raise SpecError(f"refinement {name}: signatures differ")
     rep_a = evaluator.model_class(spec_a)
     rep_c = evaluator.model_class(spec_c)
-    return _check_inclusion(name, rep_c, rep_a, evt_identity(sig_a))
+    return _check_inclusion(name, rep_c, rep_a, evt_identity(sig_a), evaluator.algebra_reduct)
 
 
 def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
-                     m: EvtMorphism) -> RefinementVerdict:
+                     m: EvtMorphism, reduct=algebra_reduct) -> RefinementVerdict:
+    """The inclusion test; reduct views a concrete algebra over m's source
+    (an Evaluator's algebra_reduct computes each one once)."""
     algebras = 0
     pairs_checked = 0
 
@@ -121,7 +123,7 @@ def _check_inclusion(name: str, rep_c: ModelClassRep, rep_a: ModelClassRep,
 
     for sl in rep_c.slices:
         algebras += 1
-        asl = rep_a.by_algebra.get(algebra_reduct(sl.algebra, m.fopeq))
+        asl = rep_a.by_algebra.get(reduct(sl.algebra, m.fopeq))
         label = sl.algebra.describe()
         if asl is None:
             return verdict(Counterexample(label, None))

@@ -22,13 +22,13 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq as F
 from .fopeq import (
-    Bounds, FiniteAlgebra, FopeqSignature, Formula, OpApp, PredApp, Term, Var,
+    Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, OpApp, PredApp, Term, Var,
     algebra_reduct, conjoin, enumerate_algebras, frozen, prime_free_vars, substitute,
 )
 from .institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
-    merged_signature, model_reduct, restrict_along, signature_union, state_coding,
+    model_reduct, restrict_along, signature_extension, signature_union, state_coding,
     translate_sentence,
 )
 from .mathlang import (
@@ -173,9 +173,9 @@ class Flat:
 
 def extend_signature(base: EvtSignature, flat: Flat) -> EvtSignature:
     fsig = extend_fopeq_signature(base.fopeq, flat)
-    return merged_signature(
-        fsig, base.events + tuple((ev.name, ev.status) for ev in flat.events),
-        base.vars + tuple((name, type_sort(te, fsig)) for name, te in flat.variables))
+    return signature_extension(
+        base, fsig, [(ev.name, ev.status) for ev in flat.events],
+        [(name, type_sort(te, fsig)) for name, te in flat.variables])
 
 
 def extend_fopeq_signature(base: FopeqSignature, flat: Flat) -> FopeqSignature:
@@ -415,6 +415,16 @@ class Evaluator:
         self.bounds = bounds
         self._classes: dict = {}
         self._flats: dict = {}
+        self._reducts: dict = {}
+
+    def algebra_reduct(self, a: FiniteAlgebra, m: FopeqMorphism) -> FiniteAlgebra:
+        """fopeq.algebra_reduct, computed once per Evaluator for each
+        algebra and morphism."""
+        key = (a, m)
+        red = self._reducts.get(key)
+        if red is None:
+            red = self._reducts[key] = algebra_reduct(a, m)
+        return red
 
     # -- flattening ---------------------------------------------------------
 
@@ -535,7 +545,7 @@ class Evaluator:
         for a in algebras:
             bounds = []
             for rep, tau in fl.constraints:
-                sl = rep.by_algebra.get(algebra_reduct(a, tau.fopeq))
+                sl = rep.by_algebra.get(self.algebra_reduct(a, tau.fopeq))
                 if sl is None:
                     break  # the algebra is not admissible under this hide image
                 bounds.append((tau, sl))
@@ -566,7 +576,7 @@ class Evaluator:
                 "maxima representation")
         grouped: dict[FiniteAlgebra, EvtModel] = {}
         for sl in rep.slices:
-            candidate = model_reduct(m, sl)
+            candidate = model_reduct(m, sl, self.algebra_reduct(sl.algebra, m.fopeq))
             prior = grouped.setdefault(candidate.algebra, candidate)
             if prior != candidate:
                 raise EnumerationLimit(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import SpecError
-from .fopeq import Formula
+from .fopeq import Formula, fopeq_morphism
 from .institution import INIT, EvtSignature, Status, evt_morphism
 from .eventb import (
     ContextDef, EbSpecification, Environment, EventDef, MachineDef,
@@ -190,15 +190,18 @@ def _refinement_slices(m: MachineDef, sig: EvtSignature,
     abstract_sig = out.env.evt(m.refines)
     slices: list[Spec] = []
     refined: set[str] = {INIT}
+    # every slice shares the first-order parts of its two morphisms
+    fopeq_h = fopeq_morphism(abstract_sig.fopeq, abstract_sig.fopeq)
+    fopeq_m = fopeq_morphism(abstract_sig.fopeq, sig.fopeq)
 
     def make_slice(abstract_events: Sequence[str], concrete: str) -> Spec:
         hidden = EvtSignature(
             abstract_sig.fopeq,
             tuple((e, Status.ordinary) for e in abstract_events),
             abstract_sig.vars)
-        sigma_h = evt_morphism(hidden, abstract_sig)
+        sigma_h = evt_morphism(hidden, abstract_sig, first_order=fopeq_h)
         sigma_m = evt_morphism(hidden, sig, events={
-            e: concrete for e in hidden.non_init_events})
+            e: concrete for e in abstract_events if e != INIT}, first_order=fopeq_m)
         return Translate(Hide(Named(m.refines), sigma_h), sigma_m)
 
     slices.append(make_slice((INIT,), INIT))

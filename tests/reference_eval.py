@@ -18,6 +18,11 @@
 - ``ReferenceExprParser``: the expression parser as a recursive descent with
   one method per binding level, against which the precedence table of
   ``evtforge.mathlang.ExprParser`` is checked.
+- ``reference_fopeq_signature``, ``reference_evt_signature``,
+  ``reference_fopeq_morphism`` and ``reference_evt_morphism``: the
+  validation of each signature and morphism as a loop over its names, one
+  name at a time, against which the whole-collection checks of the
+  constructors are checked.
 """
 
 import itertools
@@ -26,12 +31,12 @@ from typing import Iterable, Mapping, Sequence
 from evtforge.errors import ParseError, SortError
 from evtforge.eventb import ContextDef, EbSpecification, LabelledPred
 from evtforge.fopeq import (
-    BUILTIN_OPS, BUILTIN_PREDS, UNDEF, And, BoolLit, CarrierEq, Equal, FalseF,
+    BUILTIN_OPS, BUILTIN_PREDS, BUILTIN_SORTS, UNDEF, And, BoolLit, CarrierEq, Equal, FalseF,
     FiniteAlgebra, Forall, Exists, Formula, Iff, Implies, InSet, IntLit, Not,
     OpApp, Or, PredApp, Term, TrueF, Value, Var,
 )
 from evtforge.institution import (
-    EvtModel, EvtMorphism, EvtSignature, State, model_reduct, reduce_state,
+    INIT, EvtModel, EvtMorphism, EvtSignature, State, Status, model_reduct, reduce_state,
 )
 from evtforge.mathlang import (
     _BOOL_WORDS, _MULTI, _QUANT, _QUANTIFIERS, _RELOPS, _SINGLE, _UNICODE_SYM,
@@ -134,6 +139,144 @@ def eval_formula(f: Formula, a: FiniteAlgebra, val: Valuation) -> bool:
                 return True
         return want_all
     raise SortError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# signature and morphism validation, one name at a time
+#
+# Each takes a constructor's arguments and returns the fields the constructor
+# normalises, or raises the SortError it raises.
+
+
+def reference_fopeq_signature(sorts, ops, preds):
+    """FopeqSignature: (sorts, ops, preds), each sorted without repeats."""
+    sorts = tuple(sorted(set(sorts)))
+    ops = tuple(sorted(set(ops)))
+    preds = tuple(sorted(set(preds)))
+    names = [o.name for o in ops]
+    if len(names) != len(set(names)):
+        raise SortError(f"duplicate operation names in signature: {names}")
+    pnames = [p.name for p in preds]
+    if len(pnames) != len(set(pnames)):
+        raise SortError(f"duplicate predicate names in signature: {pnames}")
+    known = set(sorts) | BUILTIN_SORTS
+    for o in ops:
+        for s in (*o.args, o.result):
+            if s not in known:
+                raise SortError(f"operation {o.name} uses undeclared sort {s}")
+    for p in preds:
+        for s in p.args:
+            if s not in known:
+                raise SortError(f"predicate {p.name} uses undeclared sort {s}")
+    return sorts, ops, preds
+
+
+def reference_evt_signature(fsig, events, vars):
+    """EvtSignature: (events, vars), sorted by name, Init added."""
+    ev = dict(events)
+    if len(ev) != len(events):
+        raise SortError("duplicate event names in signature")
+    if ev.setdefault(INIT, Status.ordinary) != Status.ordinary:
+        raise SortError("the initial event must have ordinary status")
+    vs = dict(vars)
+    if len(vs) != len(vars):
+        raise SortError("duplicate variable names in signature")
+    events, vars = tuple(sorted(ev.items())), tuple(sorted(vs.items()))
+    for name, sort in vars:
+        if name.endswith(("'", "′")):
+            raise SortError(f"variable name {name} looks primed")
+        if not (sort in BUILTIN_SORTS or sort in fsig.sorts):
+            raise SortError(f"variable {name} has undeclared sort {sort}")
+    for name, _ in events:
+        if name.endswith(("'", "′")):
+            raise SortError(f"event name {name} looks primed")
+    return events, vars
+
+
+def _reference_image(d, name, builtins, what):
+    if name in builtins:
+        return name
+    if name not in d:
+        raise SortError(f"{what} {name} outside the morphism domain")
+    return d[name]
+
+
+def _reference_op_profile(sig, name):
+    if name in BUILTIN_OPS:
+        return BUILTIN_OPS[name]
+    o = {o.name: o for o in sig.ops}.get(name)
+    if o is None:
+        raise SortError(f"unknown operation {name}")
+    return o.args, o.result
+
+
+def _reference_pred_profile(sig, name):
+    if name in BUILTIN_PREDS:
+        return BUILTIN_PREDS[name]
+    p = {p.name: p for p in sig.preds}.get(name)
+    if p is None:
+        raise SortError(f"unknown predicate {name}")
+    return p.args
+
+
+def reference_fopeq_morphism(source, target, sort_map, op_map, pred_map):
+    """FopeqMorphism: (sort_map, op_map, pred_map), each sorted."""
+    sort_map, op_map, pred_map = map(tuple, map(sorted, (sort_map, op_map, pred_map)))
+    smap, omap, pmap = dict(sort_map), dict(op_map), dict(pred_map)
+
+    def image(s):
+        return _reference_image(smap, s, BUILTIN_SORTS, "sort")
+
+    for s in source.sorts:
+        if s not in smap:
+            raise SortError(f"sort map not total: {s} unmapped")
+        if not (smap[s] in BUILTIN_SORTS or smap[s] in target.sorts):
+            raise SortError(f"sort {s} maps outside the target signature")
+    for o in source.ops:
+        if o.name not in omap:
+            raise SortError(f"operation map not total: {o.name} unmapped")
+        args, result = _reference_op_profile(target, omap[o.name])
+        if args != tuple(image(s) for s in o.args) or result != image(o.result):
+            raise SortError(f"operation map does not preserve the profile of {o.name}")
+    for p in source.preds:
+        if p.name not in pmap:
+            raise SortError(f"predicate map not total: {p.name} unmapped")
+        if _reference_pred_profile(target, pmap[p.name]) != tuple(image(s) for s in p.args):
+            raise SortError(f"predicate map does not preserve the profile of {p.name}")
+    return sort_map, op_map, pred_map
+
+
+def reference_evt_morphism(source, target, fopeq, event_map, var_map, check_status=True):
+    """EvtMorphism: (event_map, var_map), each sorted."""
+    event_map, var_map = tuple(sorted(event_map)), tuple(sorted(var_map))
+    em, vm = dict(event_map), dict(var_map)
+    if fopeq.source != source.fopeq or fopeq.target != target.fopeq:
+        raise SortError("first-order component does not match the endpoints")
+    tgt_events = dict(target.events)
+    if em.get(INIT, INIT) != INIT:
+        raise SortError("the initial event must map to the initial event")
+    for name, st in source.events:
+        if name not in em:
+            raise SortError(f"event map not total: {name} unmapped")
+        out = em[name]
+        if out not in tgt_events:
+            raise SortError(f"event {name} maps to unknown event {out}")
+        if out == INIT and name != INIT:
+            raise SortError("a non-initial event may not map to the initial event")
+        if check_status and tgt_events[out] < st:
+            raise SortError(
+                f"event map lowers the status of {name} ({st} to {tgt_events[out]})")
+    tgt_vars = dict(target.vars)
+    sorts = dict(fopeq.sort_map)
+    for name, sort in source.vars:
+        if name not in vm:
+            raise SortError(f"variable map not total: {name} unmapped")
+        out = vm[name]
+        if out not in tgt_vars:
+            raise SortError(f"variable {name} maps to unknown variable {out}")
+        if tgt_vars[out] != _reference_image(sorts, sort, BUILTIN_SORTS, "sort"):
+            raise SortError(f"variable map does not respect the sort of {name}")
+    return event_map, var_map
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from evtforge import institution
+from evtforge import institution, refinement, specs
 from evtforge.cli import dump_json, main, models_payload
 from evtforge.fopeq import Bounds
 from evtforge.institution import StateCoding
@@ -222,6 +222,25 @@ class TestRefine:
             "--pin", "d=2", "--allow-status-drop"])
         assert res.exit_code == 0, res.output
         assert res.output.count("holds") == 3
+
+    def test_each_algebra_reduct_is_computed_once(self, runner, monkeypatch):
+        """One refine command reduces each algebra along each first-order
+        morphism once: its hide images, its spec classes and its inclusion
+        checks read the reducts the Evaluator keeps (120 computations of 12
+        reducts before)."""
+        calls = []
+
+        def counted(a, m, original=specs.algebra_reduct):
+            calls.append((a, m))
+            return original(a, m)
+
+        for module in (specs, institution, refinement):
+            monkeypatch.setattr(module, "algebra_reduct", counted)
+        res = runner.invoke(main, [
+            "refine", *fx("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt"),
+            "--bound", "4", "--allow-status-drop"])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == len(set(calls)) == 12
 
     def test_status_drop_needs_flag(self, runner):
         res = runner.invoke(main, [

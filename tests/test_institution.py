@@ -22,13 +22,16 @@ from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, StateCoding,
     Status, amalgamate, comorphism_mod, comorphism_sen, comorphism_sign, evt_compose,
     evt_identity, evt_morphism, evt_pushout, init_conjuncts, make_model,
-    make_state, maximal_model, model_reduct, reduce_state, satisfies,
-    state_coding, status_sup, translate_sentence,
+    make_state, maximal_model, merged_signature, model_reduct, reduce_state, satisfies,
+    signature_union, state_coding, status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.specs import Evaluator, sig_of
 from tests.conftest import FIXTURES, decoded
-from tests.reference_eval import enumerate_states, eval_formula, restrict_along
+from tests.reference_eval import (
+    enumerate_states, eval_formula, reference_evt_morphism, reference_evt_signature,
+    reference_fopeq_morphism, reference_fopeq_signature, restrict_along,
+)
 from tests.test_fopeq import _formulas
 
 B1 = Bounds(int_bound=1)
@@ -87,6 +90,42 @@ class TestSignature:
         assert status_sup(Status.ordinary, Status.convergent) == Status.convergent
 
 
+class TestUnion:
+    def test_a_union_adding_nothing_is_its_left_operand(self):
+        big = EvtSignature(USORT, (("e", Status.convergent), ("f", Status.ordinary)),
+                           (("x", "U"), ("y", INT)))
+        for small in (big, usig(1, events=()), EvtSignature(USORT, (("e", Status.convergent),), ()),
+                      EvtSignature(FopeqSignature(sorts=("U",)), (), (("y", INT),))):
+            assert signature_union(big, small) is big
+        assert USORT.union(FopeqSignature(sorts=("U",))) is USORT
+        assert USORT.union(FopeqSignature(preds=(Pred("p", ("U",)),), sorts=("U",))) is USORT
+
+    @pytest.mark.parametrize("small", [
+        EvtSignature(USORT, (("e", Status.ordinary),), ()),  # a status joined upwards
+        EvtSignature(USORT, (("g", Status.ordinary),), ()),
+        EvtSignature(USORT, (), (("z", "U"),)),
+        EvtSignature(FopeqSignature(sorts=("U", "V")), (), ()),
+    ])
+    def test_a_union_adding_something_is_the_merged_signature(self, small):
+        big = EvtSignature(USORT, (("e", Status.anticipated),), (("x", "U"),))
+        got = signature_union(small, big)
+        assert got is not small
+        assert got == merged_signature(small.fopeq.union(big.fopeq),
+                                       small.events + big.events, small.vars + big.vars)
+        assert signature_union(big, small) == got
+
+    def test_a_sort_named_after_a_builtin_one_is_added(self):
+        named_int = FopeqSignature(sorts=(INT,))
+        assert USORT.union(named_int).sorts == (INT, "U")
+
+    def test_a_conflicting_union_is_refused(self):
+        with pytest.raises(SortError, match="variable x gets conflicting sorts"):
+            signature_union(usig(1), EvtSignature(USORT, (), (("x", INT),)))
+        with pytest.raises(SortError, match="operation c gets conflicting profiles"):
+            FopeqSignature(ops=(Op("c", (), INT),)).union(
+                FopeqSignature(ops=(Op("c", (), BOOL),)))
+
+
 class TestMorphism:
     def test_init_must_map_to_init(self):
         a, b = usig(), usig()
@@ -143,6 +182,249 @@ class TestEvtMorphismBuilder:
         assert not evt_morphism(a, b, check_status=False).check_status
         with pytest.raises(SortError):
             evt_morphism(b, b, events={"e": INIT})
+
+
+# -- whole-collection validation against the per-name reference ------------
+
+
+_SORTS, _OPS, _PREDS = ("S", "T"), ("c", "f", "+"), ("p", "q", "<")
+# every draw goes through these few strategies, built once: a strategy built
+# per draw costs more to generate from than the constructors under test
+_INDEX = st.integers(0, 255)
+_SHUFFLE = st.randoms(use_true_random=False)
+
+
+def _pick(draw, xs):
+    return xs[draw(_INDEX) % len(xs)]
+
+
+def _some(draw, most: int) -> range:
+    return range(draw(_INDEX) % (most + 1))
+
+
+_FAULT, _MIX = st.integers(0, 6), st.integers(0, 31)
+
+
+def _faults(draw) -> int:
+    """Bits naming the faults to put in one value: none, one alone, so that
+    it is the first failure, or a mix."""
+    i = draw(_FAULT)
+    return draw(_MIX) if i == 6 else 1 << i >> 1
+
+
+def _op(draw, names, sorts):
+    return Op(_pick(draw, names), tuple(_pick(draw, sorts) for _ in _some(draw, 2)),
+              _pick(draw, sorts))
+
+
+def _pred(draw, names, sorts):
+    return Pred(_pick(draw, names), tuple(_pick(draw, sorts) for _ in _some(draw, 2)))
+
+
+def _insert(draw, xs: list, x) -> None:
+    xs.insert(draw(_INDEX) % (len(xs) + 1), x)
+
+
+@st.composite
+def _fopeq_parts(draw):
+    """Constructor arguments of a first-order signature, with the faults
+    _faults names: a profile with the undeclared sort U, a builtin name and
+    a repeated name."""
+    faults = _faults(draw)
+    sorts = [_pick(draw, _SORTS) for _ in _some(draw, 3)]
+    refs = (*sorts, INT, BOOL)
+    ops = [_op(draw, _OPS[:2], refs) for _ in _some(draw, 2)]
+    preds = [_pred(draw, _PREDS[:2], refs) for _ in _some(draw, 2)]
+    ops, preds = list(_unique(ops)), list(_unique(preds))
+    if faults & 1:
+        # under a name of its own, so that no repeat is met first
+        o, p = _op(draw, ("g",), refs), _pred(draw, ("r",), refs)
+        _insert(draw, *_pick(draw, [(ops, Op(o.name, o.args, "U")),
+                                    (ops, Op(o.name, (*o.args, "U"), o.result)),
+                                    (preds, Pred(p.name, ("U", *p.args)))]))
+    if faults & 2:
+        _insert(draw, ops, _op(draw, _OPS[2:], refs))
+        _insert(draw, preds, _pred(draw, _PREDS[2:], refs))
+    if faults & 4:
+        o, p = _op(draw, _OPS[:1], refs), _pred(draw, _PREDS[:1], refs)
+        xs, twins = _pick(draw, [(ops, (o, Op(o.name, o.args, BOOL if o.result == INT else INT))),
+                                 (preds, (p, Pred(p.name, (*p.args, INT))))])
+        for x in twins:
+            _insert(draw, xs, x)
+    return sorts, ops, preds
+
+
+def _unique(xs):
+    return tuple({x.name: x for x in xs}.values())
+
+
+@st.composite
+def _valid_fopeq(draw):
+    # no builtin names, which shadow a user symbol's profile, so that the
+    # identity on the signature exists
+    sorts = tuple({_pick(draw, _SORTS): None for _ in _some(draw, 2)})
+    refs = (*sorts, INT, BOOL)
+    return FopeqSignature(sorts, _unique([_op(draw, _OPS[:2], refs) for _ in _some(draw, 2)]),
+                          _unique([_pred(draw, _PREDS[:2], refs) for _ in _some(draw, 2)]))
+
+
+@st.composite
+def _evt_parts(draw, fsig, events=("e", "f", INIT), vars_=("x", "y"), valid=False):
+    """Constructor arguments of an event signature over fsig, unless valid
+    with the faults _faults names: a primed event or variable name, the
+    undeclared sort U, a repeated name and Init with another status."""
+    faults = 0 if valid else _faults(draw)
+    sorts = (*fsig.sorts, INT, BOOL)
+    statuses = list(Status)
+    evs = {_pick(draw, events): _pick(draw, statuses) for _ in _some(draw, 3)}
+    evs = [(e, Status.ordinary if e == INIT else st_) for e, st_ in evs.items()]
+    vs = list({_pick(draw, vars_): _pick(draw, sorts) for _ in _some(draw, 3)}.items())
+    if faults & 1:
+        _insert(draw, evs, (_pick(draw, ("e'", "g′")), _pick(draw, statuses)))
+    if faults & 2:
+        _insert(draw, vs, (_pick(draw, ("x'", "z′")), _pick(draw, sorts)))
+    if faults & 4:
+        _insert(draw, vs, (_pick(draw, ("x", "y", "w")), "U"))
+    if faults & 8:
+        name, xs, image = _pick(draw, [(events, evs, statuses), (vars_, vs, sorts)])
+        _insert(draw, xs, (_pick(draw, name), _pick(draw, image)))
+    if faults & 16:
+        _insert(draw, evs, (INIT, _pick(draw, statuses[1:])))
+    return tuple(evs), tuple(vs)
+
+
+_MAP_FAULT = st.integers(0, 5)
+
+
+@st.composite
+def _name_map(draw, names, images, faulty=True):
+    """A map over names, each to itself where images holds it and else to
+    some image, in source order or shuffled; when faulty, with one of: a
+    name left out, an unknown or another image, an extra key and a repeated
+    key."""
+    pairs = [(n, n if n in images else _pick(draw, (*images, "nowhere"))) for n in names]
+    fault = draw(_MAP_FAULT) if faulty else 0
+    if fault == 1 and pairs:
+        del pairs[draw(_INDEX) % len(pairs)]
+    elif fault in (2, 3) and pairs:
+        i = draw(_INDEX) % len(pairs)
+        pairs[i] = (pairs[i][0], "nowhere" if fault == 2 else _pick(draw, (*images, "nowhere")))
+    elif fault in (4, 5):
+        _insert(draw, pairs, (_pick(draw, ("extra",) if fault == 4 or not names else names),
+                              _pick(draw, (*images, "nowhere"))))
+    if draw(_INDEX) % 2:
+        draw(_SHUFFLE).shuffle(pairs)
+    return tuple(pairs)
+
+
+@st.composite
+def _fopeq_morphism_args(draw, source, target):
+    return (source, target,
+            draw(_name_map(source.sorts, (*target.sorts, INT, BOOL))),
+            draw(_name_map(tuple(source.op_map), (*target.op_map, "+"))),
+            draw(_name_map(tuple(source.pred_map), (*target.pred_map, "<"))))
+
+
+@st.composite
+def _evt_signature_args(draw):
+    return (draw(_valid_fopeq()), *draw(_evt_parts(draw(_valid_fopeq()))))
+
+
+@st.composite
+def _fopeq_morphism_cases(draw):
+    return draw(_fopeq_morphism_args(draw(_valid_fopeq()), draw(_valid_fopeq())))
+
+
+@st.composite
+def _evt_morphism_args(draw):
+    """Arguments of an event morphism, with the faults _faults names: a
+    status lowered, a variable sent to one of another sort, a faulty event
+    map, a faulty variable map, and a target over another first-order part,
+    with maps drawn between the two."""
+    faults = _faults(draw)
+    fsig = draw(_valid_fopeq())
+    events, vars_ = draw(_evt_parts(fsig, valid=True))
+    if faults & 1:  # an event whose status can be lowered
+        events += (("k", _pick(draw, (Status.anticipated, Status.convergent))),)
+    source = EvtSignature(fsig, events, vars_)
+    var_map = draw(_name_map(source.var_names, source.var_names, faults & 8))
+    if faults & 16:
+        tf = draw(_valid_fopeq())
+        target = EvtSignature(tf, *draw(_evt_parts(tf, ("e", "f", "g", INIT), valid=True)))
+        try:
+            fm = FopeqMorphism(*draw(_fopeq_morphism_args(source.fopeq, target.fopeq)))
+        except SortError:
+            fm = fopeq_identity(fsig)  # mismatches the target's part
+        var_map = draw(_name_map(source.var_names, target.var_names, faults & 8))
+    else:
+        # a target over the same part, holding the source's names at their
+        # statuses or higher ones, and maybe more
+        extra_events, extra_vars = draw(_evt_parts(fsig, ("g", "h"), ("z",), valid=True))
+        events = dict(source.events)
+        for e, st_ in source.events:
+            if e != INIT:
+                events[e] = Status(_pick(draw, range(st_, 3)))
+        lowered = [e for e, st_ in source.events if st_ > Status.ordinary]
+        if faults & 1 and lowered:
+            e = _pick(draw, lowered)
+            events[e] = Status(_pick(draw, range(source.event_map[e])))
+        vars_ = list(source.vars + extra_vars)
+        if faults & 2 and source.vars:
+            v, sort = _pick(draw, source.vars)
+            vars_.append(("w", INT if sort != INT else BOOL))
+            var_map = tuple((x, "w" if x == v else y) for x, y in var_map)
+        target = EvtSignature(fsig, tuple(events.items()) + extra_events, tuple(vars_))
+        fm = fopeq_identity(fsig)
+    return (source, target, fm,
+            draw(_name_map(source.event_names, target.event_names, faults & 4)),
+            var_map, bool(draw(_INDEX) % 2))
+
+
+# constructor, reference, arguments, the normalised fields and the views
+# that must be the dicts of those fields
+_VALIDATIONS = {
+    "FopeqSignature": (
+        FopeqSignature, reference_fopeq_signature, _fopeq_parts(),
+        lambda v: (v.sorts, v.ops, v.preds),
+        lambda v: [(v.op_map, {o.name: o for o in v.ops}),
+                   (v.pred_map, {p.name: p for p in v.preds})]),
+    "EvtSignature": (
+        EvtSignature, reference_evt_signature, _evt_signature_args(),
+        lambda v: (v.events, v.vars),
+        lambda v: [(v.event_map, dict(v.events)), (v.var_map, dict(v.vars)),
+                   (v.event_names, tuple(v.event_map)), (v.var_names, tuple(v.var_map))]),
+    "FopeqMorphism": (
+        FopeqMorphism, reference_fopeq_morphism, _fopeq_morphism_cases(),
+        lambda v: (v.sort_map, v.op_map, v.pred_map),
+        lambda v: [(v.sort_dict, dict(v.sort_map)), (v.op_dict, dict(v.op_map)),
+                   (v.pred_dict, dict(v.pred_map))]),
+    "EvtMorphism": (
+        EvtMorphism, reference_evt_morphism, _evt_morphism_args(),
+        lambda v: (v.event_map, v.var_map),
+        lambda v: [(v.event_dict, dict(v.event_map)), (v.var_dict, dict(v.var_map))]),
+}
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("kind", list(_VALIDATIONS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_constructors_validate_as_the_per_name_reference(kind, data):
+    """Each signature and morphism constructor builds the value the per-name
+    reference validation builds, or raises the SortError it raises."""
+    build, reference, args, fields_of, views = _VALIDATIONS[kind]
+    args = data.draw(args)
+    try:
+        want = reference(*args)
+    except SortError as e:
+        with pytest.raises(SortError) as got:
+            build(*args)
+        assert str(got.value) == str(e)
+        return
+    value = build(*args)
+    assert fields_of(value) == want
+    for view, fields in views(value):
+        assert view == fields
 
 
 def _rex_setup():

@@ -455,3 +455,22 @@ def test_sig_of_work_grows_linearly_with_chain_depth(monkeypatch):
         main, ["refine", *fixtures, "--pin", "d=2", "--allow-status-drop"])
     assert res.exit_code == 0, res.output
     check_memo()
+
+
+def test_slices_of_one_machine_share_their_first_order_morphisms(bridge):
+    """Every hide/rename slice of a refining machine holds the same two
+    first-order morphisms, built once for the machine."""
+    from evtforge.specs import Hide, Sum, Translate
+
+    def slices(spec):
+        if isinstance(spec, Sum):
+            yield from slices(spec.left)
+            yield from slices(spec.right)
+        elif isinstance(spec, Translate) and isinstance(spec.child, Hide):
+            yield spec
+
+    for name in ("m1", "m2"):
+        found = list(slices(bridge.library.lookup(name).child))
+        assert len(found) > 2
+        assert len({id(s.child.morphism.fopeq) for s in found}) == 1
+        assert len({id(s.morphism.fopeq) for s in found}) == 1
