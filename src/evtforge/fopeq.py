@@ -118,13 +118,13 @@ class FopeqSignature:
                 f"duplicate predicate names in signature: {[p.name for p in preds]}")
         known = BUILTIN_SORTS.union(sorts)
         for o in ops:
-            if not known.issuperset(o.args) or o.result not in known:
-                s = next(s for s in (*o.args, o.result) if s not in known)
-                raise SortError(f"operation {o.name} uses undeclared sort {s}")
+            for s in (*o.args, o.result):
+                if s not in known:
+                    raise SortError(f"operation {o.name} uses undeclared sort {s}")
         for p in preds:
-            if not known.issuperset(p.args):
-                s = next(s for s in p.args if s not in known)
-                raise SortError(f"predicate {p.name} uses undeclared sort {s}")
+            for s in p.args:
+                if s not in known:
+                    raise SortError(f"predicate {p.name} uses undeclared sort {s}")
         object.__setattr__(self, "sorts", sorts)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "preds", preds)

@@ -225,6 +225,10 @@ def _insert(draw, xs: list, x) -> None:
     xs.insert(draw(_INDEX) % (len(xs) + 1), x)
 
 
+def _unique(xs):
+    return tuple({x.name: x for x in xs}.values())
+
+
 @st.composite
 def _fopeq_parts(draw):
     """Constructor arguments of a first-order signature, with the faults
@@ -252,10 +256,6 @@ def _fopeq_parts(draw):
         for x in twins:
             _insert(draw, xs, x)
     return sorts, ops, preds
-
-
-def _unique(xs):
-    return tuple({x.name: x for x in xs}.values())
 
 
 @st.composite
@@ -347,7 +347,6 @@ def _evt_morphism_args(draw):
     if faults & 1:  # an event whose status can be lowered
         events += (("k", _pick(draw, (Status.anticipated, Status.convergent))),)
     source = EvtSignature(fsig, events, vars_)
-    var_map = draw(_name_map(source.var_names, source.var_names, faults & 8))
     if faults & 16:
         tf = draw(_valid_fopeq())
         target = EvtSignature(tf, *draw(_evt_parts(tf, ("e", "f", "g", INIT), valid=True)))
@@ -359,6 +358,7 @@ def _evt_morphism_args(draw):
     else:
         # a target over the same part, holding the source's names at their
         # statuses or higher ones, and maybe more
+        var_map = draw(_name_map(source.var_names, source.var_names, faults & 8))
         extra_events, extra_vars = draw(_evt_parts(fsig, ("g", "h"), ("z",), valid=True))
         events = dict(source.events)
         for e, st_ in source.events:
