@@ -445,10 +445,9 @@ class Environment:
 
 
 def context_signature(c: ContextDef, env: Environment) -> tuple[FopeqSignature, dict]:
-    sig = FopeqSignature(sorts=tuple(c.sets))
+    sig = FopeqSignature(sorts=tuple(c.sets)).union(*(env.fopeq(b) for b in c.extends))
     ctypes: dict[str, TypeExpr] = {}
     for base in c.extends:
-        sig = sig.union(env.fopeq(base))
         ctypes.update(env.constant_types.get(base, {}))
     known_sorts = sig.all_sorts()
     for ax in c.axioms:
@@ -466,14 +465,12 @@ def context_signature(c: ContextDef, env: Environment) -> tuple[FopeqSignature, 
 
 
 def machine_signature(m: MachineDef, env: Environment) -> tuple[EvtSignature, dict]:
-    fsig = FopeqSignature()
-    for ctx in m.sees:
-        fsig = fsig.union(env.fopeq(ctx))
-
+    fsigs = [env.fopeq(ctx) for ctx in m.sees]
     abstract: Optional[EvtSignature] = None
     if m.refines is not None:
         abstract = env.evt(m.refines)
-        fsig = fsig.union(abstract.fopeq)
+        fsigs.append(abstract.fopeq)
+    fsig = FopeqSignature().union(*fsigs)
 
     vtypes: dict[str, TypeExpr] = {}
     for inv in m.invariants:

@@ -154,17 +154,18 @@ class FopeqSignature:
             raise SortError(f"unknown predicate {name}")
         return p.args
 
-    def union(self, other: "FopeqSignature") -> "FopeqSignature":
+    def union(self, *others: "FopeqSignature") -> "FopeqSignature":
         """Merge by name; shared names must carry identical profiles.  A union
-        to which other adds nothing (no sort named after a builtin one, and
-        only symbols this signature holds) is this signature."""
-        if other is self or (
-                other.op_map.items() <= self.op_map.items()
-                and other.pred_map.items() <= self.pred_map.items()
-                and self.known_sorts.issuperset(other.sorts)
-                and BUILTIN_SORTS.isdisjoint(other.sorts)):
+        to which the others add nothing (no sort named after a builtin one,
+        and only symbols this signature holds) is this signature."""
+        others = [o for o in others if o is not self and not (
+            o.op_map.items() <= self.op_map.items()
+            and o.pred_map.items() <= self.pred_map.items()
+            and self.known_sorts.issuperset(o.sorts)
+            and BUILTIN_SORTS.isdisjoint(o.sorts))]
+        if not others:
             return self
-        return signature_image((self,), (other,))
+        return signature_image((self,), *((o,) for o in others))
 
 
 def signature_image(*parts: tuple) -> FopeqSignature:

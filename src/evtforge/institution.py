@@ -162,12 +162,15 @@ def signature_extension(
     return merged_signature(fsig, base.events + tuple(events), base.vars + tuple(vars))
 
 
-def signature_union(a: EvtSignature, b: EvtSignature) -> EvtSignature:
+def signature_union(first: EvtSignature, *rest: EvtSignature) -> EvtSignature:
     """Name-based union: shared symbols need identical profiles, shared events
-    join by status supremum.  A union to which b adds nothing is a."""
-    if b is a:
-        return a
-    return signature_extension(a, a.fopeq.union(b.fopeq), b.events, b.vars)
+    join by status supremum.  A union to which the rest add nothing is first."""
+    rest = [s for s in rest if s is not first]
+    if not rest:
+        return first
+    return signature_extension(first, first.fopeq.union(*(s.fopeq for s in rest)),
+                               [e for s in rest for e in s.events],
+                               [v for s in rest for v in s.vars])
 
 
 # ---------------------------------------------------------------------------

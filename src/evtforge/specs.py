@@ -211,8 +211,7 @@ class Translate:
 
 @frozen
 class Sum:
-    left: "Spec"
-    right: "Spec"
+    parts: tuple["Spec", ...]  # at least two
 
 
 @frozen
@@ -236,12 +235,10 @@ Spec = Union[Presentation, Named, Translate, Sum, Enrich, Hide, Embed]
 
 
 def sum_all(parts: Sequence[Spec]) -> Spec:
+    """The sum of the parts, or the part itself when there is one."""
     if not parts:
         raise SpecError("empty sum")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Sum(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
 
 class SpecLibrary:
@@ -321,11 +318,11 @@ def _sig_rule(spec: Spec, lib: Optional[SpecLibrary]):
             raise SpecError("only first-order specifications can be embedded")
         return comorphism_sign(child)
     if isinstance(spec, Sum):
-        left, right = sig_of(spec.left, lib), sig_of(spec.right, lib)
-        if isinstance(left, FopeqSignature) and isinstance(right, FopeqSignature):
-            return left.union(right)
-        if isinstance(left, EvtSignature) and isinstance(right, EvtSignature):
-            return signature_union(left, right)
+        first, *rest = sigs = [sig_of(p, lib) for p in spec.parts]
+        if all(isinstance(s, FopeqSignature) for s in sigs):
+            return first.union(*rest)
+        if all(isinstance(s, EvtSignature) for s in sigs):
+            return signature_union(first, *rest)
         raise SpecError("sum mixes first-order and event specifications; embed first")
     if isinstance(spec, Enrich):
         child = sig_of(spec.child, lib)
@@ -442,8 +439,7 @@ class Evaluator:
             return _merge_flattened(self._lift(spec.child, spec),
                                     self._flat_contents(spec.flat))
         if isinstance(spec, Sum):
-            return _merge_flattened(self._lift(spec.left, spec),
-                                    self._lift(spec.right, spec))
+            return _merge_flattened(*(self._lift(p, spec) for p in spec.parts))
         if isinstance(spec, Embed):
             # a first-order flattening holds only its closed axioms, each
             # attached to every event as an unpaired family
@@ -585,13 +581,11 @@ class Evaluator:
         return make_rep(m.source, grouped.values())
 
 
-def _merge_flattened(a: Flattened, b: Flattened) -> Flattened:
+def _merge_flattened(*parts: Flattened) -> Flattened:
     out = Flattened()
-    out.families = _dedupe(a.families + b.families)
-    out.variants = _dedupe(a.variants + b.variants)
-    out.sentences = _dedupe(a.sentences + b.sentences)
-    out.axioms = _dedupe(a.axioms + b.axioms)
-    out.constraints = a.constraints + b.constraints
+    for name in ("families", "variants", "sentences", "axioms"):
+        setattr(out, name, _dedupe([x for p in parts for x in getattr(p, name)]))
+    out.constraints = [c for p in parts for c in p.constraints]
     return out
 
 

@@ -109,27 +109,22 @@ def _split_enrich(spec: Spec) -> tuple[list[Spec], Optional[Flat]]:
     if isinstance(spec, Enrich):
         flat = spec.flat
         spec = spec.child
-    leaves: list[Spec] = []
+    return _summands(spec), flat
 
-    def walk(s: Spec):
-        if isinstance(s, Sum):
-            walk(s.left)
-            walk(s.right)
-        else:
-            leaves.append(s)
 
-    walk(spec)
-    return leaves, flat
+def _summands(spec: Spec) -> list[Spec]:
+    """The parts of a sum, each part that is a sum replaced by its own."""
+    if isinstance(spec, Sum):
+        return [leaf for p in spec.parts for leaf in _summands(p)]
+    return [spec]
 
 
 def _render_import(leaf: Spec, lib: SpecLibrary) -> str:
     if isinstance(leaf, Named):
         return leaf.name
     if isinstance(leaf, Embed):
-        inner = leaf.child
-        if isinstance(inner, Named):
-            return inner.name
-        raise SpecError("only named first-order specifications print as imports")
+        # the reader embeds a first-order part of an event-style sum again
+        return _render_import(leaf.child, lib)
     if isinstance(leaf, Presentation) and leaf.flat.abstract_of:
         return leaf.flat.abstract_of
     if isinstance(leaf, Translate):
@@ -139,8 +134,7 @@ def _render_import(leaf: Spec, lib: SpecLibrary) -> str:
         inner = _render_import(leaf.child, lib)
         return f"({inner} hide via {_render_morphism(leaf.morphism, hide=True)})"
     if isinstance(leaf, Sum):
-        left, right = (_render_import(s, lib) for s in (leaf.left, leaf.right))
-        return f"({left} and {right})"
+        return "(" + " and ".join(_render_import(p, lib) for p in leaf.parts) + ")"
     raise SpecError(f"cannot render import {leaf!r}")
 
 
@@ -303,14 +297,14 @@ def _parse_spec_block(ts: TokenStream, lib: SpecLibrary) -> tuple[str, Spec]:
 def _parse_term(ts: TokenStream, lib: SpecLibrary) -> Spec:
     t = ts.peek()
     if ts.accept_sym("("):
-        inner = _parse_term(ts, lib)
+        parts = [_parse_term(ts, lib)]
         while ts.accept_word("and"):
-            inner = _sum_mixed(inner, _parse_term(ts, lib), lib)
+            parts.append(_parse_term(ts, lib))
         if ts.accept_word("then"):
             # extension by a named spec: the union of both, glued by name
-            inner = _sum_mixed(inner, _parse_term(ts, lib), lib)
+            parts.append(_parse_term(ts, lib))
         ts.expect_sym(")")
-        spec = inner
+        spec = sum_all(_embed_mixed(parts, lib))
     else:
         ident = ts.expect_ident()
         spec = Named(ident.text)
@@ -329,14 +323,13 @@ def _parse_term(ts: TokenStream, lib: SpecLibrary) -> Spec:
             return spec
 
 
-def _sum_mixed(a: Spec, b: Spec, lib: SpecLibrary) -> Spec:
-    """Sum that embeds a first-order side when the other side is event-style."""
-    fa, fb = is_fopeq_spec(a, lib), is_fopeq_spec(b, lib)
-    if fa and not fb:
-        a = Embed(a)
-    elif fb and not fa:
-        b = Embed(b)
-    return Sum(a, b)
+def _embed_mixed(parts: list[Spec], lib: SpecLibrary) -> list[Spec]:
+    """The parts of a sum, with the first-order ones embedded when another
+    part is event-style."""
+    fopeq = [is_fopeq_spec(p, lib) for p in parts]
+    if all(fopeq):
+        return parts
+    return [Embed(p) if f else p for p, f in zip(parts, fopeq)]
 
 
 def _parse_maplets(ts: TokenStream) -> list[Maplet]:

@@ -557,11 +557,11 @@ def test_criterion_11_decomposition_recomposition():
     sig_m = sig_of(m_spec, lib)
     rep_m = ev.model_class(m_spec)
 
-    sv = Sum(lib.lookup("M1"), lib.lookup("M2"))
+    sv = Sum((lib.lookup("M1"), lib.lookup("M2")))
     iota = evt_morphism(sig_m, sig_of(sv, lib))
     assert ev.model_class(Hide(sv, iota)) == rep_m
 
-    se = Sum(lib.lookup("N1"), lib.lookup("N2"))
+    se = Sum((lib.lookup("N1"), lib.lookup("N2")))
     sig_se = sig_of(se, lib)
     ev_map = {e: e for e, _ in sig_se.events}
     ev_map["e2_1"] = "e2"

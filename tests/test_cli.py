@@ -77,6 +77,11 @@ class TestTranslate:
         b = runner.invoke(main, ["translate", *fx("ebm0.eb", "ebm1.eb", "ebm2.eb")])
         assert a.output == b.output
 
+    def test_mixed_and_groups_print_as_written(self, runner):
+        res = runner.invoke(main, ["translate", *fx("sums.evt")])
+        assert res.exit_code == 0, res.output
+        assert "  (c1 and cj and a) with {" in res.output
+
 
 class TestModels:
     def test_counter_listing(self, runner):

@@ -3,6 +3,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from evtforge import specs
 from evtforge.cli import main
@@ -66,7 +67,7 @@ class TestSigOf:
         b = EvtSignature(events=(("f", Status.ordinary),), vars=(("y", INT),))
         pa = Presentation(a, Flat())
         pb = Presentation(b, Flat())
-        merged = sig_of(Sum(pa, pb), None)
+        merged = sig_of(Sum((pa, pb)), None)
         assert set(merged.event_names) == {INIT, "e", "f"}
         assert merged.var_map == {"x": INT, "y": INT}
 
@@ -96,7 +97,7 @@ class TestSigOf:
         a = EvtSignature(vars=(("x", INT),))
         b = EvtSignature(FopeqSignature(sorts=("S",)), (), (("x", "S"),))
         with pytest.raises(SortError):
-            sig_of(Sum(Presentation(a, Flat()), Presentation(b, Flat())), None)
+            sig_of(Sum((Presentation(a, Flat()), Presentation(b, Flat()))), None)
 
     @pytest.mark.parametrize("files", [
         ("ebm0.eb", "modularm1.evt"),
@@ -386,13 +387,13 @@ class TestOperatorLaws:
     def test_sum_idempotent(self, bridge):
         ev = Evaluator(bridge.library, B3)
         m0 = bridge.library.lookup("m0")
-        assert ev.model_class(Sum(m0, m0)) == ev.model_class(m0)
+        assert ev.model_class(Sum((m0, m0))) == ev.model_class(m0)
 
     def test_sum_commutative(self, bridge):
         ev = Evaluator(bridge.library, B3)
         m0 = Named("m0")
         cd = Embed(Named("cd"))
-        assert ev.model_class(Sum(m0, cd)) == ev.model_class(Sum(cd, m0))
+        assert ev.model_class(Sum((m0, cd))) == ev.model_class(Sum((cd, m0)))
 
     def test_bijective_translate_then_hide_is_identity(self):
         pres = counter_presentation()
@@ -438,7 +439,7 @@ class TestOperatorLaws:
         parse_document(load_fixture("decomp_se.evt"), out.library)
         lib = out.library
         ev = Evaluator(lib, Bounds(int_bound=1))
-        se_sum = Sum(lib.lookup("N1"), lib.lookup("N2"))
+        se_sum = Sum((lib.lookup("N1"), lib.lookup("N2")))
         sig_se = sig_of(se_sum, lib)
         sigM = sig_of(lib.lookup("M"), lib)
         ev_map = {e: e for e, _ in sig_se.events}
@@ -683,12 +684,17 @@ class TestSugar:
             "      thenAct x := 0\nend\n"
             "spec nest_b =\n"
             "  ((nest_a hide via {x ↦ x, e ↦ e}) with {}) with {e ↦ f}\nend\n", lib)
+        # flat, nested and event-only `and` groups, first-order parts embedded
+        parse_document(load_fixture("sums.evt"), lib)
         order = [("spec", n) for n in lib.names()]
         full = print_library(lib, order)
+        assert "  ((c1 and cj) and a) with {" in full
         lib2 = SpecLibrary()
         specs, _ = parse_document(full, lib2)
         again = print_library(lib2, [("spec", n) for n, _ in specs])
         assert again == full
+        for name, spec in specs:
+            assert sig_of(spec, lib2) == lib.signature(name), name
 
     def test_no_elide_output_reparses_equivalently(self, bridge):
         from evtforge.sugar import print_library as plib
@@ -732,8 +738,8 @@ class TestSugar:
 
         def walk(s):
             if isinstance(s, Sum):
-                walk(s.left)
-                walk(s.right)
+                for p in s.parts:
+                    walk(p)
             else:
                 leaves.append(s)
 
@@ -763,6 +769,64 @@ class TestSugar:
         lib = SpecLibrary()
         with pytest.raises(SpecError):
             parse_document("spec x =\n  nowhere\nend\n", lib)
+
+
+# -- print∘parse on random spec terms -----------------------------------------
+
+# the leaves of the terms: sums.evt's first-order specs (no events) and event
+# specs (their events)
+_TERM_LEAVES = {"c1": None, "cj": None, "a": ("e",), "b": ("e",), "c": ("f",)}
+_TERM_EVENTS = ("e", "f", "g", "h")
+
+
+@st.composite
+def _spec_terms(draw, depth=3):
+    """(text, events) of a random import term over sums.evt; events is None
+    for a first-order term.  Terms are `and` groups, with a `then` part or
+    not, event renamings and hidings onto event subsets."""
+    kind = draw(st.sampled_from(("leaf", "group", "with", "hide") if depth else ("leaf",)))
+    if kind == "leaf":
+        name = draw(st.sampled_from(sorted(_TERM_LEAVES)))
+        return name, _TERM_LEAVES[name]
+    if kind == "group":
+        parts = draw(st.lists(_spec_terms(depth - 1), min_size=2, max_size=3))
+        text = " and ".join(t for t, _ in parts)
+        if draw(st.booleans()):
+            ext = draw(_spec_terms(depth - 1))
+            parts.append(ext)
+            text += f" then {ext[0]}"
+        found = [es for _, es in parts if es is not None]
+        return f"({text})", (tuple(sorted(set().union(*found))) if found else None)
+    inner, events = draw(_spec_terms(depth - 1).filter(lambda t: t[1] is not None))
+    if kind == "with":
+        renamed = {e: draw(st.sampled_from(_TERM_EVENTS)) for e in events
+                   if draw(st.booleans())}
+        maplets = ", ".join(f"{a} ↦ {b}" for a, b in renamed.items())
+        return (f"{inner} with {{{maplets}}}",
+                tuple(sorted({renamed.get(e, e) for e in events})))
+    kept = [e for e in events if draw(st.booleans())]
+    maplets = ", ".join(f"{e} ↦ {e}" for e in kept)
+    return f"({inner} hide via {{{maplets}}})", tuple(sorted(kept))
+
+
+_TERM_LIBRARY = load_fixture("sums.evt")
+
+
+@pytest.mark.oracle
+@given(st.lists(_spec_terms(), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_print_parse_is_the_identity_on_random_spec_terms(terms):
+    lib = SpecLibrary()
+    chain = " and\n  ".join(t for t, _ in terms)
+    parse_document(f"{_TERM_LIBRARY}\nspec t =\n  {chain}\nend\n", lib)
+    for elide in (True, False):
+        printed = print_spec("t", lib.lookup("t"), lib, elide)
+        again = SpecLibrary()
+        parse_document(_TERM_LIBRARY, again)
+        (_, spec), = parse_document(printed, again)[0]
+        assert print_spec("t", spec, again, elide) == printed
+        if not elide:
+            assert sig_of(spec, again) == lib.signature("t")
 
 
 class TestEnumerateModels:

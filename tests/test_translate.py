@@ -5,7 +5,7 @@ from evtforge.eventb import parse_text
 from evtforge.fopeq import Bounds, INT, free_vars
 from evtforge.institution import INIT, Status, make_state
 from evtforge.mathlang import canonical, parse_formula_text, unparse_formula, ElabContext
-from evtforge.specs import Evaluator, Named, SpecLibrary, sig_of
+from evtforge.specs import Enrich, Evaluator, Named, SpecLibrary, Sum, sig_of
 from evtforge.sugar import parse_document, print_library
 from evtforge.translate import translate
 from tests.conftest import FIXTURES, load_fixture
@@ -418,6 +418,7 @@ def test_sig_of_work_grows_linearly_with_chain_depth(monkeypatch):
 
         def wrapper(*args):
             calls["built"] += 1
+            calls[name] += 1
             return build(*args)
         return wrapper
 
@@ -448,6 +449,19 @@ def test_sig_of_work_grows_linearly_with_chain_depth(monkeypatch):
     shallow, deep = calls_at(3), calls_at(6)
     assert 0 < shallow and deep <= 3 * shallow, (shallow, deep)
 
+    # re-reading the printed chain builds one union per `and` chain, whatever
+    # its number of parts
+    out = translate(parse_text(_refinement_chain(6)))
+    printed = print_library(out.library, out.order, elide_identity=False)
+    reset()
+    lib = SpecLibrary()
+    parse_document(printed, lib)
+    check_memo()
+    chains = [s.child for s in lib.entries.values()
+              if isinstance(s, Enrich) and isinstance(s.child, Sum)]
+    assert len(chains) == 5 and all(len(c.parts) > 2 for c in chains)
+    assert calls["signature_union"] <= len(chains), calls["signature_union"]
+
     fixtures = [str(FIXTURES / n) for n in
                 ("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt")]
     reset()
@@ -460,12 +474,12 @@ def test_sig_of_work_grows_linearly_with_chain_depth(monkeypatch):
 def test_slices_of_one_machine_share_their_first_order_morphisms(bridge):
     """Every hide/rename slice of a refining machine holds the same two
     first-order morphisms, built once for the machine."""
-    from evtforge.specs import Hide, Sum, Translate
+    from evtforge.specs import Hide, Translate
 
     def slices(spec):
         if isinstance(spec, Sum):
-            yield from slices(spec.left)
-            yield from slices(spec.right)
+            for part in spec.parts:
+                yield from slices(part)
         elif isinstance(spec, Translate) and isinstance(spec.child, Hide):
             yield spec
 
