@@ -1,5 +1,5 @@
-"""Machine/context abstract syntax, the plain-text parser, and signature
-extraction into an environment.
+"""Machine/context abstract syntax, the plain-text parser, validation and
+the recognisers of typing predicates.
 
 Predicates and expressions are kept as unelaborated surface trees; sort
 elaboration happens once signatures are known.
@@ -7,15 +7,14 @@ elaboration happens once signatures are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ParseError, SortError, SpecError
-from .fopeq import FopeqSignature, Op
-from .institution import INIT, EvtSignature, Status
+from .institution import INIT, Status
 from .mathlang import (
     BUILTIN_TYPES, ExprParser, SBin, SName, SSet, SortType, SubsetType,
-    TokenStream, TypeExpr, parse_type_expr, tokenize, type_sort, _literal_term,
+    TokenStream, TypeExpr, parse_type_expr, tokenize, _literal_term,
 )
 
 INIT_EVENT_NAME = "Initialisation"
@@ -85,12 +84,6 @@ class ContextDef:
 @dataclass(frozen=True)
 class EbSpecification:
     items: tuple[Union[MachineDef, ContextDef], ...] = ()
-
-    def machines(self) -> tuple[MachineDef, ...]:
-        return tuple(i for i in self.items if isinstance(i, MachineDef))
-
-    def contexts(self) -> tuple[ContextDef, ...]:
-        return tuple(i for i in self.items if isinstance(i, ContextDef))
 
     def find(self, name: str):
         for i in self.items:
@@ -291,7 +284,7 @@ def parse_text(source: str) -> EbSpecification:
 
 
 def validate(spec: EbSpecification) -> None:
-    """Intra-file checks; cross-file references resolve in build_env."""
+    """Intra-file checks; cross-file references resolve in translate."""
     all_names = [i.name for i in spec.items]
     seen: set[str] = set()
     for item in spec.items:
@@ -412,120 +405,3 @@ def typing_of_axiom(lp: LabelledPred, constants: Sequence[str],
                     out[e.name] = SortType(lhs.name)
             return (out or None), True
     return None, True
-
-
-# ---------------------------------------------------------------------------
-# the environment: name -> signature
-
-
-@dataclass
-class Environment:
-    """Signatures for every machine/context seen so far, plus the typing data
-    needed to elaborate their bodies."""
-
-    signatures: dict[str, Union[EvtSignature, FopeqSignature]] = field(default_factory=dict)
-    constant_types: dict[str, dict[str, TypeExpr]] = field(default_factory=dict)
-    var_types: dict[str, dict[str, TypeExpr]] = field(default_factory=dict)
-
-    def evt(self, name: str) -> EvtSignature:
-        sig = self.signatures.get(name)
-        if sig is None:
-            raise SpecError(f"unknown machine {name}")
-        if not isinstance(sig, EvtSignature):
-            raise SpecError(f"{name} is not a machine")
-        return sig
-
-    def fopeq(self, name: str) -> FopeqSignature:
-        sig = self.signatures.get(name)
-        if sig is None:
-            raise SpecError(f"unknown context {name}")
-        if not isinstance(sig, FopeqSignature):
-            raise SpecError(f"{name} is not a context")
-        return sig
-
-
-def context_signature(c: ContextDef, env: Environment) -> tuple[FopeqSignature, dict]:
-    sig = FopeqSignature(sorts=tuple(c.sets)).union(*(env.fopeq(b) for b in c.extends))
-    ctypes: dict[str, TypeExpr] = {}
-    for base in c.extends:
-        ctypes.update(env.constant_types.get(base, {}))
-    known_sorts = sig.all_sorts()
-    for ax in c.axioms:
-        found, _kept = typing_of_axiom(ax, c.constants, known_sorts)
-        if found:
-            ctypes.update(found)
-    ops = []
-    for name in c.constants:
-        if name not in ctypes:
-            raise SpecError(
-                f"context {c.name}: no typing axiom for constant {name}")
-        ops.append(Op(name, (), type_sort(ctypes[name], sig)))
-    sig = FopeqSignature(sig.sorts, sig.ops + tuple(ops), sig.preds)
-    return sig, ctypes
-
-
-def machine_signature(m: MachineDef, env: Environment) -> tuple[EvtSignature, dict]:
-    fsigs = [env.fopeq(ctx) for ctx in m.sees]
-    abstract: Optional[EvtSignature] = None
-    if m.refines is not None:
-        abstract = env.evt(m.refines)
-        fsigs.append(abstract.fopeq)
-    fsig = FopeqSignature().union(*fsigs)
-
-    vtypes: dict[str, TypeExpr] = {}
-    for inv in m.invariants:
-        found = typing_of(inv.pred, m.variables, fsig.all_sorts())
-        if found:
-            name, te = found
-            if name in vtypes:
-                raise SpecError(f"machine {m.name}: variable {name} typed twice")
-            vtypes[name] = te
-
-    var_sorts: dict[str, str] = {}
-    for v in m.variables:
-        if v in vtypes:
-            var_sorts[v] = type_sort(vtypes[v], fsig)
-        elif abstract is not None and v in abstract.var_map:
-            var_sorts[v] = abstract.var_map[v]
-        else:
-            raise SpecError(
-                f"machine {m.name}: no typing invariant for variable {v}")
-
-    events = {e.name if not e.is_init else INIT:
-              Status.ordinary if e.is_init else e.status for e in m.events}
-    refined = {INIT}
-    for e in m.events:
-        refined.update(e.refines)
-        if e.is_init:
-            refined.add(INIT)
-    if abstract is not None:
-        for ref in refined - {INIT}:
-            if ref not in abstract.event_map:
-                raise SpecError(
-                    f"machine {m.name}: refined event {ref} not in {m.refines}")
-        for name, st in abstract.events:
-            if name not in refined and name not in events:
-                events[name] = st  # unrefined abstract events persist
-        for name, sort in abstract.vars:
-            if name in var_sorts and var_sorts[name] != sort:
-                raise SpecError(
-                    f"machine {m.name}: variable {name} changes sort in refinement")
-            var_sorts.setdefault(name, sort)
-
-    sig = EvtSignature(fsig, tuple(events.items()), tuple(var_sorts.items()))
-    return sig, vtypes
-
-
-def build_env(spec: EbSpecification, base: Optional[Environment] = None) -> Environment:
-    """Left-to-right signature extraction over the machine/context list."""
-    env = base or Environment()
-    for item in spec.items:
-        if isinstance(item, ContextDef):
-            sig, ctypes = context_signature(item, env)
-            env.signatures[item.name] = sig
-            env.constant_types[item.name] = ctypes
-        else:
-            sig, vtypes = machine_signature(item, env)
-            env.signatures[item.name] = sig
-            env.var_types[item.name] = vtypes
-    return env

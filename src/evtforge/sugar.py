@@ -81,12 +81,10 @@ def print_spec(name: str, spec: Spec, lib: SpecLibrary,
         lines.extend(_print_flat(spec.flat, "  ", fopeq_flavour))
     else:
         imports, flat = _split_enrich(spec)
-        # elision drops a same-name event import from the chain, never from
-        # inside a term: its sentences merge implicitly
-        rendered = [_render_import(leaf, lib) for leaf in imports
-                    if not (elide_identity and isinstance(leaf, Translate)
-                            and isinstance(leaf.child, Hide)
-                            and _is_identity_rename(leaf.morphism))]
+        rendered = [_render_import(leaf, lib) for leaf in imports]
+        if elide_identity:
+            rendered = [r for leaf, r in zip(imports, rendered)
+                        if not _elidable(leaf, rendered)]
         simple = [r for r in rendered if "\n" not in r and not r.startswith("(")]
         complex_ = [r for r in rendered if r not in simple]
         chain: list[str] = []
@@ -136,6 +134,17 @@ def _render_import(leaf: Spec, lib: SpecLibrary) -> str:
     if isinstance(leaf, Sum):
         return "(" + " and ".join(_render_import(p, lib) for p in leaf.parts) + ")"
     raise SpecError(f"cannot render import {leaf!r}")
+
+
+def _elidable(leaf: Spec, rendered: Sequence[str]) -> bool:
+    """Whether leaf is an identity-renamed hide slice of a named spec that
+    another import of the chain prints as, so its sentences merge implicitly
+    (as a refining machine's slices merge into its abstract import).  Only a
+    top-level chain elides, never the inside of a term."""
+    return (isinstance(leaf, Translate) and isinstance(leaf.child, Hide)
+            and isinstance(leaf.child.child, Named)
+            and leaf.child.child.name in rendered
+            and _is_identity_rename(leaf.morphism))
 
 
 def _is_identity_rename(m: EvtMorphism) -> bool:

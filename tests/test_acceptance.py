@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from evtforge.cli import main
-from evtforge.eventb import build_env, parse_text
+from evtforge.eventb import parse_text
 from evtforge.fopeq import (
     Bounds, Equal, FopeqMorphism, FopeqSignature, INT, IntLit, Not, Op, OpApp,
     Pred, PredApp, TRUE, FALSE, Var, enumerate_algebras, fopeq_identity,
@@ -112,7 +112,7 @@ def test_criterion_02_golden_m1_m2():
 
 
 def test_criterion_03_signature_extraction(bridge):
-    got = bridge.env.evt("m1")
+    got = bridge.library.signature("m1")
     expected = EvtSignature(
         FopeqSignature(ops=(Op("d", (), INT),)),
         ((INIT, Status.ordinary),

@@ -83,6 +83,30 @@ class TestTranslate:
         assert "  (c1 and cj and a) with {" in res.output
 
 
+    def test_event_b_input_imports_an_evt_spec(self, runner, tmp_path):
+        # a context may extend, and a machine see, a first-order spec read
+        # from .evt text; a machine may refine only a translated machine
+        spec = tmp_path / "k.evt"
+        spec.write_text("spec k =\n  ops c : ℤ\n  . c > 0\nend\n"
+                        "spec a =\n  events\n    Initialisation ordinary\nend\n",
+                        encoding="utf-8")
+        uses = tmp_path / "uses.eb"
+        uses.write_text("context c2 extends k constants e axioms t: e ∈ ℤ ax: e > c end\n"
+                        "machine m sees k variables x invariants t: x ∈ ℤ\n"
+                        "events event Initialisation thenAct a: x := c end end\n",
+                        encoding="utf-8")
+        res = runner.invoke(main, ["translate", str(spec), str(uses)])
+        assert res.exit_code == 0, res.output
+        assert "spec c2 =\n  k\n  then\n" in res.output
+        assert "spec m =\n  k\n  then\n" in res.output
+        refines = tmp_path / "refines.eb"
+        refines.write_text("machine r refines a events event Initialisation end end\n",
+                           encoding="utf-8")
+        res = runner.invoke(main, ["translate", str(spec), str(refines)])
+        assert res.exit_code == 2
+        assert res.stderr == "error: machine r: a is not a translated machine\n"
+
+
 class TestModels:
     def test_counter_listing(self, runner):
         res = runner.invoke(main, [
@@ -418,6 +442,40 @@ def test_elaboration_error_names_its_clause(runner, tmp_path, broken, where):
     res = runner.invoke(main, ["translate", str(src)])
     assert res.exit_code == 2
     assert res.stderr == f"error: {where}: unknown identifier y\n"
+
+
+# the signature rules of Event-B input: each refusal names the component
+# where it has one to name
+_ABSTRACT = "machine a0 variables v invariants t: v ∈ ℕ\n" \
+    "events event Initialisation thenAct a: v := 0 end end\n"
+_INIT = "events event Initialisation end end\n"
+
+
+@pytest.mark.parametrize("source,message", [
+    ("machine m sees nowhere " + _INIT, "unknown context nowhere"),
+    ("machine m variables v " + _INIT,
+     "machine m: no typing invariant for variable v"),
+    (_ABSTRACT + "machine c0 refines a0 events event Initialisation end\n"
+     "event e status ordinary refines nothere end end\n",
+     "machine c0: refined event nothere not in a0"),
+    (_ABSTRACT + "machine c0 refines a0 variables v invariants t: v ∈ BOOL\n"
+     "events event Initialisation thenAct a: v := FALSE end end\n",
+     "machine c0: variable v changes sort in refinement"),
+    ("machine m variables v invariants t1: v ∈ ℕ t2: v ∈ ℤ " + _INIT,
+     "machine m: variable v typed twice"),
+    ("context c constants k axioms ax: k > 0 end\n",
+     "context c: no typing axiom for constant k"),
+    ("machine a0 " + _INIT + "machine m sees a0 " + _INIT, "a0 is not a context"),
+    ("context c0 end\nmachine m refines c0 " + _INIT, "c0 is not a machine"),
+], ids=["unknown-context", "untyped-variable", "refined-event-not-abstract",
+        "retyped-variable", "variable-typed-twice", "untyped-constant",
+        "sees-a-machine", "refines-a-context"])
+def test_signature_rule_refusals(runner, tmp_path, source, message):
+    src = tmp_path / "bad.eb"
+    src.write_text(source, encoding="utf-8")
+    res = runner.invoke(main, ["translate", str(src)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
 
 
 # .evt clauses carry no labels, so the message names the spec and the event

@@ -2,15 +2,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evtforge.errors import ParseError, SortError, SpecError
-from evtforge.eventb import (
-    ContextDef, EbSpecification, Environment, MachineDef, build_env, parse_text,
-)
+from evtforge.eventb import ContextDef, EbSpecification, MachineDef, parse_text
 from evtforge.fopeq import INT, FopeqSignature, Op
 from evtforge.institution import INIT, EvtSignature, Status
 from evtforge.mathlang import (
     _MULTI, _SINGLE, ExprParser, Token, TokenStream, tokenize,
 )
 from evtforge.rodin import parse_rodin, parse_rodin_paths
+from evtforge.translate import translate
 from tests.conftest import FIXTURES, load_fixture
 from tests.reference_eval import (
     LinearTokenStream, ReferenceExprParser, pretty_print_eb, reference_tokenize,
@@ -102,7 +101,6 @@ context c
     t: k ∈ ℤ
     bad: k ∈ ℙ
 end"""
-        from evtforge.translate import translate
         with pytest.raises((ParseError, Exception)):
             translate(parse_text(src))
         with pytest.raises(ParseError):
@@ -153,7 +151,7 @@ end"""
 
 class TestBuildEnv:
     def test_m1_signature_matches_extraction(self, bridge):
-        sig = bridge.env.evt("m1")
+        sig = bridge.library.signature("m1")
         expected = EvtSignature(
             FopeqSignature(ops=(Op("d", (), INT),)),
             ((INIT, Status.ordinary), ("ML_in", Status.ordinary),
@@ -166,14 +164,13 @@ class TestBuildEnv:
     def test_minimal_machine(self):
         spec = parse_text(
             "machine m events event Initialisation end end")
-        env = build_env(spec)
-        sig = env.evt("m")
+        sig = translate(spec).library.signature("m")
         assert sig.event_map == {INIT: Status.ordinary}
         assert sig.vars == ()
         assert sig.fopeq == FopeqSignature()
 
     def test_refined_events_removed_from_abstract_part(self, bridge):
-        sig = bridge.env.evt("m2")
+        sig = bridge.library.signature("m2")
         names = set(sig.event_names)
         assert "ML_out" not in names and "IL_out" not in names
         assert {"ML_out1", "ML_out2", "IL_out1", "IL_out2"} <= names
@@ -183,14 +180,17 @@ class TestBuildEnv:
 
     def test_left_fold_compositional(self):
         both = parse_text(load_fixture("ebm0.eb"))
-        env_once = build_env(both)
+        lib_once = translate(both).library
         cd_only = EbSpecification(both.items[:1])
         m0_only = EbSpecification(both.items[1:])
-        env_split = build_env(m0_only, build_env(cd_only))
-        assert env_once.signatures == env_split.signatures
+        lib_split = translate(m0_only, translate(cd_only)).library
+        assert lib_once.names() == lib_split.names()
+        for name in lib_once.names():
+            assert lib_once.signature(name) == lib_split.signature(name)
 
     def test_every_signature_contains_init(self, bridge):
-        for name, sig in bridge.env.signatures.items():
+        for name in bridge.library.names():
+            sig = bridge.library.signature(name)
             if isinstance(sig, EvtSignature):
                 assert sig.event_map[INIT] == Status.ordinary
 
@@ -198,7 +198,7 @@ class TestBuildEnv:
         spec = parse_text(
             "machine m sees nowhere events event Initialisation end end")
         with pytest.raises(SpecError):
-            build_env(spec)
+            translate(spec)
 
     def test_untyped_variable_rejected(self):
         spec = parse_text("""
@@ -208,7 +208,7 @@ machine m
     event Initialisation thenAct a: v := 0 end
 end""")
         with pytest.raises(SpecError):
-            build_env(spec)
+            translate(spec)
 
     def test_persisting_abstract_event(self):
         src = """
@@ -227,8 +227,7 @@ machine c0
   events
     event Initialisation thenAct a: w := 0 end
 end"""
-        env = build_env(parse_text(src))
-        sig = env.evt("c0")
+        sig = translate(parse_text(src)).library.signature("c0")
         assert "keepme" in sig.event_map
         assert sig.var_map == {"v": INT, "w": INT}
 

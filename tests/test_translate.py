@@ -5,7 +5,7 @@ from evtforge.eventb import parse_text
 from evtforge.fopeq import Bounds, INT, free_vars
 from evtforge.institution import INIT, Status, make_state
 from evtforge.mathlang import canonical, parse_formula_text, unparse_formula, ElabContext
-from evtforge.specs import Enrich, Evaluator, Named, SpecLibrary, Sum, sig_of
+from evtforge.specs import Enrich, Evaluator, Named, SpecLibrary, Sum, _sig_rule, sig_of
 from evtforge.sugar import parse_document, print_library
 from evtforge.translate import translate
 from tests.conftest import FIXTURES, load_fixture
@@ -239,7 +239,7 @@ context c2 constants b axioms t2: b ∈ ℤ end
 context c3 extends c1, c2 constants k axioms t3: k ∈ ℤ ax: k > a + b end
 """
         out = translate(parse_text(src))
-        fsig = out.env.fopeq("c3")
+        fsig = out.library.signature("c3")
         assert {o.name for o in fsig.ops} == {"a", "b", "k"}
 
 
@@ -258,9 +258,11 @@ class TestTypedQuantifiers:
 
 class TestStructure:
     def test_signature_coherence_for_all_units(self, bridge):
+        # the signature remembered for each unit is the one the rule gives
+        # when it is recomputed at the unit's node
+        lib = bridge.library
         for kind, name in bridge.order:
-            spec = bridge.library.lookup(name)
-            assert sig_of(spec, bridge.library) == bridge.env.signatures[name]
+            assert _sig_rule(lib.lookup(name), lib) == lib.signature(name), name
 
     def test_bare_presentation_without_imports(self):
         out = translate(parse_text(load_fixture("rex.eb")))
@@ -319,7 +321,7 @@ machine cc
     event both status ordinary refines e1, e2 end
 end"""
         out = translate(parse_text(src))
-        sig = out.env.evt("cc")
+        sig = out.library.signature("cc")
         assert set(sig.event_names) == {INIT, "both"}
         ev = Evaluator(out.library, B3)
         rep = ev.model_class(out.library.lookup("cc"))
