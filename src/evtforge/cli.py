@@ -23,7 +23,6 @@ from .institution import INIT, _Memo
 from .refinement import (
     RefinementVerdict, check_refinement_morphism, resolve_refinement,
 )
-from .rodin import parse_rodin_paths
 from .specs import Evaluator
 from .sugar import (
     RefinementText, parse_document, parse_signature_document, print_library,
@@ -74,6 +73,7 @@ def load_workspace(cfg: RunConfig) -> LoadedWorkspace:
     def flush_rodin():
         nonlocal out
         if rodin_batch:
+            from .rodin import parse_rodin_paths  # xml is imported for Rodin input only
             out = translate(parse_rodin_paths(rodin_batch), out)
             ws.output = out
             rodin_batch.clear()

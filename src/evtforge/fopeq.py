@@ -135,6 +135,10 @@ class FopeqSignature:
     def all_sorts(self) -> tuple[str, ...]:
         return tuple(sorted(self.known_sorts))
 
+    @cached_property
+    def identity(self) -> "FopeqMorphism":
+        return fopeq_morphism(self, self)
+
     def has_sort(self, s: str) -> bool:
         return s in self.known_sorts
 
@@ -902,7 +906,7 @@ def fopeq_morphism(
 
 
 def fopeq_identity(sig: FopeqSignature) -> FopeqMorphism:
-    return fopeq_morphism(sig, sig)
+    return sig.identity
 
 
 def compose_maps(pairs, d: dict, apply) -> tuple:

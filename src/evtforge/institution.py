@@ -276,12 +276,15 @@ def evt_morphism(
     """The morphism sending each listed symbol to its image and every other
     source symbol, predicates included, to its own name.  A caller that
     builds many morphisms between the same first-order parts may pass that
-    part as first_order, in place of sorts and ops."""
+    part as first_order, in place of sorts and ops; between ends that share
+    one, no sort or op mapped, it is that signature's shared identity."""
     if not (events.keys() <= source.event_map.keys() and vars.keys() <= source.var_map.keys()):
         stray = (set(events) - set(source.event_map)) | (set(vars) - set(source.var_map))
         raise SortError(f"morphism maps symbols outside its source: {sorted(stray)}")
     if first_order is None:
-        first_order = fopeq_morphism(source.fopeq, target.fopeq, sorts, ops)
+        first_order = (source.fopeq.identity if source.fopeq is target.fopeq
+                       and not (sorts or ops) else
+                       fopeq_morphism(source.fopeq, target.fopeq, sorts, ops))
     enames, vnames = source.event_names, source.var_names
     return EvtMorphism(
         source, target, first_order,

@@ -23,13 +23,17 @@ from .fopeq import (
 # tokens
 
 
-@dataclass
 class Token:
-    kind: str  # IDENT NUMBER SYM NEWLINE EOF
-    text: str
-    line: int
-    col: int
-    primed: bool = False
+    """One token: kind is IDENT, NUMBER, SYM or EOF.  nl is 0 when no newline
+    comes before the token since the token before, else the column of the
+    first such newline, which ends that token's line (or line 1)."""
+
+    __slots__ = ("kind", "text", "line", "col", "primed", "nl")
+
+    def __init__(self, kind: str, text: str, line: int, col: int,
+                 primed: bool = False, nl: int = 0):
+        self.kind, self.text, self.line, self.col = kind, text, line, col
+        self.primed, self.nl = primed, nl
 
     def __repr__(self):
         return f"{self.kind}({self.text!r})"
@@ -53,7 +57,7 @@ _SINGLE = set("=<>+-*(){},:.!")
 _MAPPED = {**{c: ("IDENT", w) for c, w in _WORD_SORTS.items()},
            **{c: ("SYM", s) for c, s in (_QUANT | _UNICODE_SYM).items()}}
 _TOKEN_RE = re.compile(r"[ \t\r]*(?:" + "|".join([
-    r"(?P<NEWLINE>\n)",
+    r"(?P<newline>\n)",
     r"(?P<comment>//[^\n]*)",
     f"(?P<mapped>[{''.join(_MAPPED)}])",
     "(?P<SYM>" + "|".join(map(re.escape, ["#exists", "#forall", *_MULTI,
@@ -71,102 +75,82 @@ _TOKEN_RE = re.compile(r"[ \t\r]*(?:" + "|".join([
 def tokenize(text: str) -> list[Token]:
     """The tokens of text, ending in EOF.  Columns count code points from 1."""
     toks: list[Token] = []
-    line, line_start = 1, 0
+    append = toks.append
+    line, line_start, nl = 1, 0, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "newline":
+            nl = nl or m.start(kind) - line_start + 1
+            line, line_start = line + 1, m.end()
+            continue
         if kind == "comment" or kind == "end":
             continue
         s = m.group(kind)
         col = m.start(kind) - line_start + 1
         if kind == "IDENT" and (s[0].isalpha() or s[0] == "_"):
-            if s[-1] in "'′":
-                toks.append(Token(kind, s[:-1], line, col, True))
-            else:
-                toks.append(Token(kind, s, line, col))
+            primed = s[-1] in "'′"
+            append(Token(kind, s[:-1] if primed else s, line, col, primed, nl))
         elif kind == "SYM" or kind == "NUMBER":
-            toks.append(Token(kind, s, line, col))
-        elif kind == "NEWLINE":
-            toks.append(Token(kind, s, line, col))
-            line += 1
-            line_start = m.end()
+            append(Token(kind, s, line, col, False, nl))
         elif kind == "mapped":
-            toks.append(Token(*_MAPPED[s], line, col))
+            append(Token(*_MAPPED[s], line, col, False, nl))
         else:
             raise ParseError(f"unexpected character {s[0]!r}", line, col)
-    toks.append(Token("EOF", "", line, len(text) - line_start + 1))
+        nl = 0
+    append(Token("EOF", "", line, len(text) - line_start + 1, False, nl))
     return toks
 
 
 class TokenStream:
+    """A cursor over tokens ending in EOF, which a look-ahead past the end sees."""
+
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
         self.pos = 0
-        # _solid[i]: the first token at or after i that is not a NEWLINE, so
-        # a skip is one lookup; len(tokens) where there is none, and at the
-        # two positions past the end, which peek's look-ahead may reach
-        n = len(self.tokens)
-        self._solid = solid = list(range(n + 1)) + [n]
-        for i in reversed([i for i, t in enumerate(self.tokens) if t.kind == "NEWLINE"]):
-            solid[i] = solid[i + 1]
 
-    def peek(self, skip_newlines: bool = True, ahead: int = 0) -> Token:
-        if skip_newlines:
-            solid = self._solid
-            i = solid[self.pos]
-            while ahead:
-                i = solid[i + 1]
-                ahead -= 1
-        else:
-            i = self.pos + ahead
+    def peek(self, ahead: int = 0) -> Token:
+        i = self.pos + ahead
         return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
 
-    def next(self, skip_newlines: bool = True) -> Token:
-        i = self._solid[self.pos] if skip_newlines else self.pos
-        t = self.tokens[i]
-        self.pos = i + 1
+    def next(self) -> Token:
+        t = self.tokens[self.pos]
+        self.pos += 1
         return t
 
-    def skip_newlines(self) -> None:
-        self.pos = self._solid[self.pos]
-
-    # at_sym and at_word are peek(skip_newlines) inlined: they are the
-    # parsers' most frequent calls
-    def at_sym(self, text: str, skip_newlines: bool = True) -> bool:
-        i = self._solid[self.pos] if skip_newlines else self.pos
-        t = self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
+    def at_sym(self, text: str) -> bool:
+        t = self.tokens[self.pos]
         return t.kind == "SYM" and t.text == text
 
-    def at_word(self, word: str, skip_newlines: bool = True) -> bool:
-        i = self._solid[self.pos] if skip_newlines else self.pos
-        t = self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
+    def at_word(self, word: str) -> bool:
+        t = self.tokens[self.pos]
         return t.kind == "IDENT" and t.text == word and not t.primed
 
-    def accept_sym(self, text: str, skip_newlines: bool = True) -> bool:
-        if self.at_sym(text, skip_newlines):
-            self.next(skip_newlines)
+    def accept_sym(self, text: str) -> bool:
+        if self.at_sym(text):
+            self.pos += 1
             return True
         return False
 
-    def accept_word(self, word: str, skip_newlines: bool = True) -> bool:
-        if self.at_word(word, skip_newlines):
-            self.next(skip_newlines)
+    def accept_word(self, word: str) -> bool:
+        if self.at_word(word):
+            self.pos += 1
             return True
         return False
 
-    def expect_sym(self, text: str, skip_newlines: bool = True) -> Token:
-        t = self.peek(skip_newlines)
+    def expect_sym(self, text: str) -> Token:
+        t = self.tokens[self.pos]
         if t.kind == "SYM" and t.text == text:
-            return self.next(skip_newlines)
+            return self.next()
         raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
 
     def expect_word(self, word: str) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind == "IDENT" and t.text == word and not t.primed:
             return self.next()
         raise ParseError(f"expected {word!r}, found {t.text!r}", t.line, t.col)
 
     def expect_ident(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != "IDENT":
             raise ParseError(f"expected identifier, found {t.text!r}", t.line, t.col)
         return self.next()
@@ -241,135 +225,182 @@ _RIGHT_ASSOC = {"=>"}
 class ExprParser:
     """Pratt-style parser over the shared token stream: one precedence-climbing
     loop reads the connectives over negations, quantifiers and relations, and
-    the arithmetic operators over unary minus.
+    one reads the arithmetic operators over unary minus and the primaries.
 
-    With stop_at_newline, a newline outside parentheses ends the expression
-    (used by clause lists in the sugared notation).
+    With stop_at_newline, a token that starts a new line ends the expression,
+    unless it is the expression's first token or inside brackets (used by
+    clause lists in the sugared notation).  Where the expression cannot end,
+    the parse error is located at the newline.
     """
 
     def __init__(self, ts: TokenStream, stop_at_newline: bool = False):
         self.ts = ts
-        self.stop_at_newline = stop_at_newline
-        self.depth = 0
+        self.toks = ts.tokens
+        # a token at or after this position whose nl is set ends the
+        # expression; inside brackets it is len(toks), which no token reaches
+        self.nl_from = ts.pos + 1 if stop_at_newline else len(self.toks)
 
-    def _skip_nl(self) -> bool:
-        return (not self.stop_at_newline) or self.depth > 0
+    def _at_newline(self, i: int) -> bool:
+        return i >= self.nl_from and self.toks[i].nl > 0
+
+    def _error(self, expected: str) -> ParseError:
+        """expected, against the token under the cursor or the newline that
+        ends the expression there."""
+        i = self.ts.pos
+        t = self.toks[i]
+        if self._at_newline(i):
+            # the newline ends the line of the token before
+            return ParseError(f"expected {expected}, found '\\n'", self.toks[i - 1].line, t.nl)
+        return ParseError(f"expected {expected}, found {t.text!r}", t.line, t.col)
+
+    def _accept(self, text: str) -> bool:
+        i = self.ts.pos
+        if self.toks[i].text != text or self._at_newline(i):
+            return False
+        self.ts.pos = i + 1
+        return True
+
+    def _expect(self, text: str) -> None:
+        if not self._accept(text):
+            raise self._error(repr(text))
 
     def parse_formula_expr(self):
-        return self._binary(self._unary, _CONNECTIVES, 1)
+        return self._formula(1)
 
-    def _arith(self):
-        return self._binary(self._neg, _ARITHMETIC, 1)
-
-    def _binary(self, operand, levels, floor):
-        """Operands joined by the operators of levels that bind at floor or
-        tighter."""
-        left = operand()
+    def _formula(self, floor: int):
+        """Negations, quantifiers and relations joined by the connectives that
+        bind at floor or tighter."""
+        ts, toks = self.ts, self.toks
+        left = self._unary()
         while True:
-            t = self.ts.peek(self._skip_nl())
-            level = levels.get(t.text) if t.kind == "SYM" else None
-            if level is None or level < floor:
+            i = ts.pos
+            t = toks[i]
+            level = _CONNECTIVES.get(t.text)
+            if level is None or level < floor or t.nl and i >= self.nl_from:
                 return left
-            self.ts.next(self._skip_nl())
-            right = self._binary(operand, levels,
-                                 level if t.text in _RIGHT_ASSOC else level + 1)
+            ts.pos = i + 1
+            right = self._formula(level if t.text in _RIGHT_ASSOC else level + 1)
             left = SBin(t.text, left, right)
 
     def _unary(self):
-        t = self.ts.peek(self._skip_nl())
-        if t.kind == "SYM" and t.text == "!":
-            self.ts.next(self._skip_nl())
+        ts, toks = self.ts, self.toks
+        i = ts.pos
+        t = toks[i]
+        if t.nl and i >= self.nl_from:
+            raise self._error("an expression")
+        if t.text == "!":
+            ts.pos = i + 1
             return SUn("!", self._unary())
-        kind = _QUANTIFIERS.get(t.text) if t.kind == "SYM" else None
-        if kind is None:
-            return self._comparison()
-        self.ts.next(self._skip_nl())
-        bindings = [self._binding()]
-        while self.ts.accept_sym(",", self._skip_nl()):
-            bindings.append(self._binding())
-        self.ts.expect_sym(".", self._skip_nl())
-        body = self.parse_formula_expr()
-        return SQuant(kind, tuple(bindings), body)
+        kind = _QUANTIFIERS.get(t.text)
+        if kind is not None:
+            ts.pos = i + 1
+            bindings = [self._binding()]
+            while self._accept(","):
+                bindings.append(self._binding())
+            self._expect(".")
+            return SQuant(kind, tuple(bindings), self.parse_formula_expr())
+        left = self._arith(1)
+        i = ts.pos
+        t = toks[i]
+        # ∈ lexes to the symbol "in", which the word in (unprimed) spells too
+        if t.text not in _RELOPS or t.primed or t.nl and i >= self.nl_from:
+            # equality against a set literal comes through _arith -> SSet
+            return left
+        ts.pos = i + 1
+        if t.text == "in" and toks[i + 1].text == "{" and not self._at_newline(i + 1):
+            return SBin("in", left, self._set_literal())
+        return SBin(t.text, left, self._arith(1))
 
     def _binding(self):
         name = self.ts.expect_ident()
         if name.primed:
             raise ParseError("bound variables may not be primed", name.line, name.col)
-        self.ts.expect_sym(":", self._skip_nl())
-        te = parse_type_expr(self.ts, self._skip_nl())
-        return (name.text, te)
-
-    def _comparison(self):
-        left = self._arith()
-        t = self.ts.peek(self._skip_nl())
-        if t.kind == "SYM" and t.text in _RELOPS:
-            self.ts.next(self._skip_nl())
-            right = self._set_or_arith() if t.text == "in" else self._arith()
-            return SBin(t.text, left, right)
-        if t.kind == "IDENT" and t.text == "in" and not t.primed:
-            self.ts.next(self._skip_nl())
-            return SBin("in", left, self._set_or_arith())
-        # equality against a set literal comes through _arith -> SSet
-        return left
-
-    def _set_or_arith(self):
-        if self.ts.at_sym("{", self._skip_nl()):
-            return self._set_literal()
-        return self._arith()
+        self._expect(":")
+        t = self.toks[self.ts.pos]
+        if t.text == "{" and self._at_newline(self.ts.pos):
+            # a set type starts on its binding's line; on the next line its {
+            # stands where a sort name is expected
+            raise ParseError("expected identifier, found '{'", t.line, t.col)
+        return (name.text, parse_type_expr(self.ts))
 
     def _set_literal(self):
-        self.ts.expect_sym("{", self._skip_nl())
-        self.depth += 1
-        elems = [self._arith()]
-        while self.ts.accept_sym(",", True):
-            elems.append(self._arith())
-        self.depth -= 1
-        self.ts.expect_sym("}", self._skip_nl())
-        return SSet(tuple(elems))
+        """The set literal at the { under the cursor."""
+        self.ts.pos += 1
+        return SSet(self._arguments("}"))
 
-    def _neg(self):
-        if self.ts.at_sym("-", self._skip_nl()):
-            self.ts.next(self._skip_nl())
-            body = self._neg()
-            if isinstance(body, SNum):
-                return SNum(-body.value)
-            return SUn("-", body)
-        return self._primary()
+    def _arguments(self, close: str) -> tuple:
+        """Terms separated by commas up to the close bracket, which must not
+        start a line that ends the expression; newlines inside are free."""
+        ts, toks = self.ts, self.toks
+        outer, self.nl_from = self.nl_from, len(toks)
+        args = [self._arith(1)]
+        while toks[ts.pos].text == ",":
+            ts.pos += 1
+            args.append(self._arith(1))
+        self.nl_from = outer
+        self._expect(close)
+        return tuple(args)
+
+    def _arith(self, floor: int):
+        """Unary minus and primaries joined by the arithmetic operators that
+        bind at floor or tighter."""
+        ts, toks = self.ts, self.toks
+        left = self._primary()
+        while True:
+            i = ts.pos
+            t = toks[i]
+            level = _ARITHMETIC.get(t.text)
+            if level is None or level < floor or t.nl and i >= self.nl_from:
+                return left
+            ts.pos = i + 1
+            left = SBin(t.text, left, self._arith(level + 1))
 
     def _primary(self):
-        t = self.ts.peek(self._skip_nl())
-        if t.kind == "NUMBER":
-            self.ts.next(self._skip_nl())
-            return SNum(int(t.text))
-        if t.kind == "SYM" and t.text == "(":
-            self.ts.next(self._skip_nl())
-            self.depth += 1
-            inner = self.parse_formula_expr()
-            self.depth -= 1
-            self.ts.expect_sym(")", self._skip_nl())
-            return inner
-        if t.kind == "SYM" and t.text == "{":
-            return self._set_literal()
-        if t.kind == "IDENT":
-            if t.text in _BOOL_WORDS and not t.primed:
-                self.ts.next(self._skip_nl())
+        """A primary under any unary minuses."""
+        ts, toks = self.ts, self.toks
+        i = ts.pos
+        t = toks[i]
+        if t.nl and i >= self.nl_from:
+            raise self._error("an expression")
+        kind = t.kind
+        if kind == "IDENT":
+            ts.pos = i + 1
+            if t.primed:
+                return SName(t.text, True)
+            if t.text in _BOOL_WORDS:
                 return SBool(_BOOL_WORDS[t.text])
-            self.ts.next(self._skip_nl())
-            if not t.primed and self.ts.at_sym("(", False):
-                self.ts.next(self._skip_nl())
-                self.depth += 1
-                args = [self._arith()]
-                while self.ts.accept_sym(",", True):
-                    args.append(self._arith())
-                self.depth -= 1
-                self.ts.expect_sym(")", self._skip_nl())
-                return SApp(t.text, tuple(args))
-            return SName(t.text, t.primed)
-        raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
+            t1 = toks[i + 1]
+            if t1.text != "(" or t1.nl:  # f( takes its ( on the same line
+                return SName(t.text)
+            ts.pos = i + 2
+            return SApp(t.text, self._arguments(")"))
+        if kind == "NUMBER":
+            ts.pos = i + 1
+            return SNum(int(t.text))
+        if kind == "SYM":
+            if t.text == "-":
+                ts.pos = i + 1
+                body = self._primary()
+                return SNum(-body.value) if isinstance(body, SNum) else SUn("-", body)
+            if t.text == "(":
+                ts.pos = i + 1
+                outer, self.nl_from = self.nl_from, len(toks)
+                inner = self.parse_formula_expr()
+                self.nl_from = outer
+                self._expect(")")
+                return inner
+            if t.text == "{":
+                return self._set_literal()
+        raise self._error("an expression")
 
 
-def parse_expression(ts: TokenStream, stop_at_newline: bool = False):
-    return ExprParser(ts, stop_at_newline).parse_formula_expr()
+def parse_expression(ts: TokenStream):
+    """The expression at the cursor, which must be all that is left."""
+    node = ExprParser(ts).parse_formula_expr()
+    t = ts.peek()
+    if t.kind != "EOF":
+        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +443,8 @@ BUILTIN_TYPES = {"NAT": NAT, "INT": INT_TYPE, INT: INT_TYPE,
                  "BOOL": BOOL_TYPE, BOOL: BOOL_TYPE}
 
 
-def parse_type_expr(ts: TokenStream, skip_nl: bool = True) -> TypeExpr:
-    t = ts.peek(skip_nl)
-    if t.kind == "SYM" and t.text == "{":
+def parse_type_expr(ts: TokenStream) -> TypeExpr:
+    if ts.at_sym("{"):
         node = ExprParser(ts)._set_literal()
         return SubsetType(tuple(_literal_term(e) for e in node.elems))
     tok = ts.expect_ident()
@@ -670,13 +700,8 @@ def _elab_membership(left, right, ctx: ElabContext) -> Formula:
     raise SortError("membership is supported only for ℕ, ℤ, BOOL, a sort, or a literal set")
 
 
-def parse_formula_text(text: str, ctx: ElabContext, stop_at_newline: bool = False) -> Formula:
-    ts = TokenStream(tokenize(text))
-    node = parse_expression(ts, stop_at_newline)
-    t = ts.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return elab_formula(node, ctx)
+def parse_formula_text(text: str, ctx: ElabContext) -> Formula:
+    return elab_formula(parse_expression(TokenStream(tokenize(text))), ctx)
 
 
 # ---------------------------------------------------------------------------

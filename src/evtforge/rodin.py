@@ -17,7 +17,7 @@ from .eventb import (
     LabelledPred, MachineDef, validate,
 )
 from .institution import Status
-from .mathlang import ExprParser, TokenStream, tokenize
+from .mathlang import ExprParser, TokenStream, parse_expression, tokenize
 
 _CONVERGENCE = {"0": Status.ordinary, "1": Status.convergent, "2": Status.anticipated}
 
@@ -32,12 +32,7 @@ def _attrs(elem) -> dict[str, str]:
 
 def _parse_pred(text: str, where: str):
     try:
-        ts = TokenStream(tokenize(text))
-        node = ExprParser(ts).parse_formula_expr()
-        t = ts.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-        return node
+        return parse_expression(TokenStream(tokenize(text)))
     except ParseError as e:
         raise ParseError(f"{where}: malformed predicate {text!r}: {e}") from e
 
@@ -48,18 +43,14 @@ def _parse_assignment(text: str, where: str) -> tuple[str, str, object]:
     var = ts.expect_ident()
     if var.primed:
         raise ParseError(f"{where}: assigned variable may not be primed")
-    t = ts.peek()
-    if ts.accept_sym(":="):
-        kind = ":="
-    elif ts.accept_sym(":|"):
-        kind = ":|"
-    else:
-        raise ParseError(f"{where}: expected ':=' or ':|' in {text!r}", t.line, t.col)
+    op = ts.peek()
+    if not (ts.accept_sym(":=") or ts.accept_sym(":|")):
+        raise ParseError(f"{where}: expected ':=' or ':|' in {text!r}", op.line, op.col)
     rhs = ExprParser(ts).parse_formula_expr()
     t = ts.peek()
     if t.kind != "EOF":
         raise ParseError(f"{where}: trailing input {t.text!r}", t.line, t.col)
-    return var.text, kind, rhs
+    return var.text, op.text, rhs
 
 
 def _flag(attrs: dict[str, str], key: str) -> bool:

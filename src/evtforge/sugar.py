@@ -396,11 +396,9 @@ def _parse_raw_block(ts: TokenStream) -> _RawBlock:
                     break
         elif t.kind == "SYM" and t.text == ".":
             ts.next()
-            ts.skip_newlines()
             raw.formulas.append(ExprParser(ts, stop_at_newline=True).parse_formula_expr())
         elif t.kind == "IDENT" and t.text == "variant":
             ts.next()
-            ts.skip_newlines()
             raw.variant = ExprParser(ts, stop_at_newline=True).parse_formula_expr()
         elif t.kind == "IDENT" and t.text == "events":
             ts.next()
@@ -446,7 +444,6 @@ def _parse_raw_event(ts: TokenStream) -> _RawEvent:
                     break
                 var = ts.expect_ident().text
                 kind = ts.next().text
-                ts.skip_newlines()
                 rhs = ExprParser(ts, stop_at_newline=True).parse_formula_expr()
                 ev.actions.append((var, kind, rhs))
         else:
@@ -467,7 +464,6 @@ def _parse_formula_list(ts: TokenStream) -> list:
         if not (t.kind in ("IDENT", "NUMBER")
                 or (t.kind == "SYM" and t.text in ("(", "!", "-", "#exists", "#forall"))):
             return out
-        ts.skip_newlines()
         out.append(ExprParser(ts, stop_at_newline=True).parse_formula_expr())
 
 

@@ -2,7 +2,6 @@ from pathlib import Path
 
 import pytest
 
-from evtforge.errors import ParseError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import FiniteAlgebra, Term
 from evtforge.institution import EvtSignature, state_coding
@@ -29,12 +28,7 @@ def decoded(sig: EvtSignature, algebra: FiniteAlgebra, maximum):
 
 def parse_term_text(text: str, ctx: ElabContext) -> Term:
     """An elaborated term from text."""
-    ts = TokenStream(tokenize(text))
-    node = parse_expression(ts)
-    t = ts.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return elab_term(node, ctx)[0]
+    return elab_term(parse_expression(TokenStream(tokenize(text))), ctx)[0]
 
 
 @pytest.fixture(scope="session")

@@ -13,11 +13,13 @@
 - ``pretty_print_eb``: the print half of the Event-B text round trip
   (print∘parse must be the identity on parsed specifications).
 - ``reference_tokenize`` and ``LinearTokenStream``: the lexer as a loop over
-  characters, and the token cursor as a linear scan over newlines, against
-  which ``evtforge.mathlang.tokenize`` and ``TokenStream`` are checked.
+  characters that emits a NEWLINE token for every newline, and the token
+  cursor as a linear scan, against which ``evtforge.mathlang.tokenize`` (by
+  way of ``solid_tokens``) and ``TokenStream`` are checked.
 - ``ReferenceExprParser``: the expression parser as a recursive descent with
-  one method per binding level, against which the precedence table of
-  ``evtforge.mathlang.ExprParser`` is checked.
+  one method per binding level, over the NEWLINE tokens of the character
+  lexer, against which the precedence table and the newline rule of
+  ``evtforge.mathlang.ExprParser`` are checked.
 - ``reference_fopeq_signature``, ``reference_evt_signature``,
   ``reference_fopeq_morphism`` and ``reference_evt_morphism``: the
   validation of each signature and morphism as a loop over its names, one
@@ -41,7 +43,7 @@ from evtforge.institution import (
 from evtforge.mathlang import (
     _BOOL_WORDS, _MULTI, _QUANT, _QUANTIFIERS, _RELOPS, _SINGLE, _UNICODE_SYM,
     _WORD_SORTS, BUILTIN_TYPES, SApp, SBin, SBool, SName, SNum, SQuant, SSet,
-    SortType, SubsetType, SUn, Token, TokenStream, _literal_term, unparse_type,
+    SortType, SubsetType, SUn, Token, _literal_term, unparse_type,
 )
 from evtforge.specs import ModelClassRep, enumerate_models, rep_contains
 
@@ -535,37 +537,39 @@ def reference_tokenize(text: str) -> list[Token]:
 
 
 class LinearTokenStream:
-    """The token cursor's moves, each a scan that steps over newlines."""
+    """The token cursor's moves, each a scan: a look-ahead steps one token at
+    a time and stays on EOF, the last token."""
 
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
         self.pos = 0
 
-    def peek(self, skip_newlines: bool = True, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> Token:
         i = self.pos
-        seen = 0
-        while i < len(self.tokens):
-            t = self.tokens[i]
-            if skip_newlines and t.kind == "NEWLINE":
-                i += 1
-                continue
-            if seen == ahead:
-                return t
-            seen += 1
+        while ahead and i < len(self.tokens) - 1:
             i += 1
-        return self.tokens[-1]
+            ahead -= 1
+        return self.tokens[min(i, len(self.tokens) - 1)]
 
-    def next(self, skip_newlines: bool = True) -> Token:
-        while True:
-            t = self.tokens[self.pos]
-            self.pos += 1
-            if skip_newlines and t.kind == "NEWLINE":
-                continue
-            return t
+    def next(self) -> Token:
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
 
-    def skip_newlines(self) -> None:
-        while self.tokens[self.pos].kind == "NEWLINE":
-            self.pos += 1
+
+def solid_tokens(tokens: Sequence[Token]) -> list[Token]:
+    """The character lexer's tokens as the library lexes them: each NEWLINE
+    run dropped, and the token after it flagged with the column of the run's
+    first newline."""
+    out: list[Token] = []
+    nl = 0
+    for t in tokens:
+        if t.kind == "NEWLINE":
+            nl = nl or t.col
+            continue
+        out.append(Token(t.kind, t.text, t.line, t.col, t.primed, nl))
+        nl = 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,128 +579,176 @@ class LinearTokenStream:
 class ReferenceExprParser:
     """The expression grammar as a descent ladder, loosest level first:
     ⇔ (left), ⇒ (right), ∨, ∧, then ¬, quantifiers and one relation, then
-    + − (left), * (left) and unary minus."""
+    + − (left), * (left) and unary minus.
 
-    def __init__(self, ts: TokenStream, stop_at_newline: bool = False):
-        self.ts = ts
+    It reads the character lexer's tokens, NEWLINE tokens included, from
+    pos.  With stop_at_newline, every read outside brackets sees a NEWLINE
+    token as a token that fits nowhere, except a name's read, which steps
+    over newlines; elsewhere every read steps over them.
+    """
+
+    def __init__(self, tokens: Sequence[Token], pos: int, stop_at_newline: bool = False):
+        self.tokens = tokens
+        self.pos = pos
         self.stop_at_newline = stop_at_newline
         self.depth = 0
 
     def _skip_nl(self) -> bool:
         return (not self.stop_at_newline) or self.depth > 0
 
+    # -- the cursor, as a scan over newlines --------------------------------
+
+    def _peek(self, skip_newlines: bool) -> Token:
+        i = self.pos
+        while skip_newlines and self.tokens[i].kind == "NEWLINE":
+            i += 1
+        return self.tokens[i]
+
+    def _next(self, skip_newlines: bool) -> Token:
+        while skip_newlines and self.tokens[self.pos].kind == "NEWLINE":
+            self.pos += 1
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def _at_sym(self, text: str, skip_newlines: bool) -> bool:
+        t = self._peek(skip_newlines)
+        return t.kind == "SYM" and t.text == text
+
+    def _accept_sym(self, text: str, skip_newlines: bool) -> bool:
+        if self._at_sym(text, skip_newlines):
+            self._next(skip_newlines)
+            return True
+        return False
+
+    def _expect_sym(self, text: str, skip_newlines: bool) -> Token:
+        t = self._peek(skip_newlines)
+        if t.kind == "SYM" and t.text == text:
+            return self._next(skip_newlines)
+        raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+
+    def _expect_ident(self) -> Token:
+        t = self._peek(True)
+        if t.kind != "IDENT":
+            raise ParseError(f"expected identifier, found {t.text!r}", t.line, t.col)
+        return self._next(True)
+
+    # -- the ladder -----------------------------------------------------------
+
     def parse_formula_expr(self):
         return self._iff()
 
     def _iff(self):
         left = self._implies()
-        while self.ts.at_sym("<=>", self._skip_nl()):
-            self.ts.next(self._skip_nl())
+        while self._at_sym("<=>", self._skip_nl()):
+            self._next(self._skip_nl())
             left = SBin("<=>", left, self._implies())
         return left
 
     def _implies(self):
         left = self._or()
-        if self.ts.at_sym("=>", self._skip_nl()):
-            self.ts.next(self._skip_nl())
+        if self._at_sym("=>", self._skip_nl()):
+            self._next(self._skip_nl())
             return SBin("=>", left, self._implies())
         return left
 
     def _or(self):
         left = self._and()
-        while self.ts.at_sym("\\/", self._skip_nl()):
-            self.ts.next(self._skip_nl())
+        while self._at_sym("\\/", self._skip_nl()):
+            self._next(self._skip_nl())
             left = SBin("\\/", left, self._and())
         return left
 
     def _and(self):
         left = self._unary()
-        while self.ts.at_sym("/\\", self._skip_nl()):
-            self.ts.next(self._skip_nl())
+        while self._at_sym("/\\", self._skip_nl()):
+            self._next(self._skip_nl())
             left = SBin("/\\", left, self._unary())
         return left
 
     def _unary(self):
-        t = self.ts.peek(self._skip_nl())
+        t = self._peek(self._skip_nl())
         if t.kind == "SYM" and t.text == "!":
-            self.ts.next(self._skip_nl())
+            self._next(self._skip_nl())
             return SUn("!", self._unary())
         kind = _QUANTIFIERS.get(t.text) if t.kind == "SYM" else None
         if kind is None:
             return self._comparison()
-        self.ts.next(self._skip_nl())
+        self._next(self._skip_nl())
         bindings = [self._binding()]
-        while self.ts.accept_sym(",", self._skip_nl()):
+        while self._accept_sym(",", self._skip_nl()):
             bindings.append(self._binding())
-        self.ts.expect_sym(".", self._skip_nl())
+        self._expect_sym(".", self._skip_nl())
         body = self.parse_formula_expr()
         return SQuant(kind, tuple(bindings), body)
 
     def _binding(self):
-        name = self.ts.expect_ident()
+        name = self._expect_ident()
         if name.primed:
             raise ParseError("bound variables may not be primed", name.line, name.col)
-        self.ts.expect_sym(":", self._skip_nl())
+        self._expect_sym(":", self._skip_nl())
         return (name.text, self._type_expr())
 
     def _type_expr(self):
-        # a set type is read by a fresh parser, as mathlang.parse_type_expr does
-        t = self.ts.peek(self._skip_nl())
+        # a set type is read by a parser that steps over every newline
+        t = self._peek(self._skip_nl())
         if t.kind == "SYM" and t.text == "{":
-            node = ReferenceExprParser(self.ts)._set_literal()
+            inner = ReferenceExprParser(self.tokens, self.pos)
+            node = inner._set_literal()
+            self.pos = inner.pos
             return SubsetType(tuple(_literal_term(e) for e in node.elems))
-        tok = self.ts.expect_ident()
+        tok = self._expect_ident()
         if tok.primed:
             raise ParseError("sort names may not be primed", tok.line, tok.col)
         return BUILTIN_TYPES.get(tok.text, SortType(tok.text))
 
     def _comparison(self):
         left = self._arith()
-        t = self.ts.peek(self._skip_nl())
+        t = self._peek(self._skip_nl())
         if t.kind == "SYM" and t.text in _RELOPS:
-            self.ts.next(self._skip_nl())
+            self._next(self._skip_nl())
             right = self._set_or_arith() if t.text == "in" else self._arith()
             return SBin(t.text, left, right)
         if t.kind == "IDENT" and t.text == "in" and not t.primed:
-            self.ts.next(self._skip_nl())
+            self._next(self._skip_nl())
             return SBin("in", left, self._set_or_arith())
         return left
 
     def _set_or_arith(self):
-        if self.ts.at_sym("{", self._skip_nl()):
+        if self._at_sym("{", self._skip_nl()):
             return self._set_literal()
         return self._arith()
 
     def _set_literal(self):
-        self.ts.expect_sym("{", self._skip_nl())
+        self._expect_sym("{", self._skip_nl())
         self.depth += 1
         elems = [self._arith()]
-        while self.ts.accept_sym(",", True):
+        while self._accept_sym(",", True):
             elems.append(self._arith())
         self.depth -= 1
-        self.ts.expect_sym("}", self._skip_nl())
+        self._expect_sym("}", self._skip_nl())
         return SSet(tuple(elems))
 
     def _arith(self):
         left = self._mul()
         while True:
-            t = self.ts.peek(self._skip_nl())
+            t = self._peek(self._skip_nl())
             if t.kind == "SYM" and t.text in ("+", "-"):
-                self.ts.next(self._skip_nl())
+                self._next(self._skip_nl())
                 left = SBin(t.text, left, self._mul())
             else:
                 return left
 
     def _mul(self):
         left = self._neg()
-        while self.ts.at_sym("*", self._skip_nl()):
-            self.ts.next(self._skip_nl())
+        while self._at_sym("*", self._skip_nl()):
+            self._next(self._skip_nl())
             left = SBin("*", left, self._neg())
         return left
 
     def _neg(self):
-        if self.ts.at_sym("-", self._skip_nl()):
-            self.ts.next(self._skip_nl())
+        if self._at_sym("-", self._skip_nl()):
+            self._next(self._skip_nl())
             body = self._neg()
             if isinstance(body, SNum):
                 return SNum(-body.value)
@@ -704,32 +756,32 @@ class ReferenceExprParser:
         return self._primary()
 
     def _primary(self):
-        t = self.ts.peek(self._skip_nl())
+        t = self._peek(self._skip_nl())
         if t.kind == "NUMBER":
-            self.ts.next(self._skip_nl())
+            self._next(self._skip_nl())
             return SNum(int(t.text))
         if t.kind == "SYM" and t.text == "(":
-            self.ts.next(self._skip_nl())
+            self._next(self._skip_nl())
             self.depth += 1
             inner = self.parse_formula_expr()
             self.depth -= 1
-            self.ts.expect_sym(")", self._skip_nl())
+            self._expect_sym(")", self._skip_nl())
             return inner
         if t.kind == "SYM" and t.text == "{":
             return self._set_literal()
         if t.kind == "IDENT":
             if t.text in _BOOL_WORDS and not t.primed:
-                self.ts.next(self._skip_nl())
+                self._next(self._skip_nl())
                 return SBool(_BOOL_WORDS[t.text])
-            self.ts.next(self._skip_nl())
-            if not t.primed and self.ts.at_sym("(", False):
-                self.ts.next(self._skip_nl())
+            self._next(self._skip_nl())
+            if not t.primed and self._at_sym("(", False):
+                self._next(self._skip_nl())
                 self.depth += 1
                 args = [self._arith()]
-                while self.ts.accept_sym(",", True):
+                while self._accept_sym(",", True):
                     args.append(self._arith())
                 self.depth -= 1
-                self.ts.expect_sym(")", self._skip_nl())
+                self._expect_sym(")", self._skip_nl())
                 return SApp(t.text, tuple(args))
             return SName(t.text, t.primed)
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)

@@ -420,6 +420,18 @@ def test_parse_error_names_its_file(runner, tmp_path, name, content, command,
     assert res.stderr == f"error: {path}:{where}: unexpected character {char!r}\n"
 
 
+# a guard cut short by the end of its line: the error is located at that
+# newline, column 15 of line 5
+def test_parse_error_at_a_newline_names_its_line_and_column(runner, tmp_path):
+    path = tmp_path / "cut.evt"
+    path.write_text("spec a =\n  ops x : ℤ\n  events\n    e ordinary\n      when x <\n"
+                    "      thenAct x := 1\nend\n", encoding="utf-8")
+    res = runner.invoke(main, ["translate", str(path)])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {path}:5:15: expected an expression, found '\\n'\n"
+
+
 # an unknown identifier y in one clause of each kind; the message names the
 # component and the clause label
 _UNLOCATED = "context k constants c axioms t: c ∈ ℤ {axm}end\n" \

@@ -13,6 +13,7 @@ from evtforge.translate import translate
 from tests.conftest import FIXTURES, load_fixture
 from tests.reference_eval import (
     LinearTokenStream, ReferenceExprParser, pretty_print_eb, reference_tokenize,
+    solid_tokens,
 )
 
 
@@ -327,7 +328,7 @@ _LEX_ALPHABET = [
 
 def _lexed(lex, text):
     try:
-        return [(t.kind, t.text, t.line, t.col, t.primed) for t in lex(text)]
+        return [(t.kind, t.text, t.line, t.col, t.primed, t.nl) for t in lex(text)]
     except ParseError as e:
         return (str(e), e.line, e.col)
 
@@ -344,24 +345,26 @@ def _with_fixture_texts(test):
 @_with_fixture_texts
 @settings(max_examples=500, deadline=None)
 def test_tokenize_matches_reference_lexer(text):
-    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+    assert _lexed(tokenize, text) == _lexed(
+        lambda t: solid_tokens(reference_tokenize(t)), text)
 
 
 @st.composite
 def _cursor_walks(draw):
-    """A token list with newline runs, ending in EOF, a start position and a
-    sequence of cursor moves."""
+    """A token list ending in EOF, some tokens flagged as starting a line, a
+    start position and a sequence of cursor moves."""
     tokens = []
-    for kind in draw(st.lists(st.sampled_from(("NEWLINE", "IDENT", "SYM")), max_size=12)):
-        text = "\n" if kind == "NEWLINE" else draw(
-            st.sampled_from(("a", "b") if kind == "IDENT" else ("(", ",")))
+    for kind in draw(st.lists(st.sampled_from(("IDENT", "SYM")), max_size=12)):
+        text = draw(st.sampled_from(("a", "b") if kind == "IDENT" else ("(", ",")))
         tokens.append(Token(kind, text, 1, len(tokens) + 1,
-                            kind == "IDENT" and draw(st.booleans())))
-    tokens.append(Token("EOF", "", 1, len(tokens) + 1))
+                            kind == "IDENT" and draw(st.booleans()),
+                            draw(st.sampled_from((0, 0, 3)))))
+    tokens.append(Token("EOF", "", 1, len(tokens) + 1, False, draw(st.sampled_from((0, 3)))))
     start = draw(st.integers(0, len(tokens) - 1))
     moves = draw(st.lists(st.tuples(
-        st.sampled_from(("peek", "next", "skip_newlines", "at_sym", "at_word")),
-        st.booleans(), st.integers(0, 3), st.sampled_from(("a", "b", "(", ","))),
+        st.sampled_from(("peek", "next", "at_sym", "at_word", "accept_sym",
+                         "accept_word", "expect_sym", "expect_word", "expect_ident")),
+        st.integers(0, 3), st.sampled_from(("a", "b", "(", ","))),
         max_size=10))
     return tokens, start, moves
 
@@ -373,24 +376,34 @@ def test_token_cursor_matches_linear_scan(walk):
     tokens, start, moves = walk
     fast, slow = TokenStream(tokens), LinearTokenStream(tokens)
     fast.pos = slow.pos = start
-    for move, skip, ahead, text in moves:
+    for move, ahead, text in moves:
         # past EOF a parser only peeks, and sees EOF
         if slow.pos == len(tokens) and move != "peek":
             continue
+        t = slow.peek()
+        sym = t.kind == "SYM" and t.text == text
+        word = t.kind == "IDENT" and t.text == text and not t.primed
         if move == "peek":
-            assert fast.peek(skip, ahead) is slow.peek(skip, ahead)
+            assert fast.peek(ahead) is slow.peek(ahead)
         elif move == "next":
-            assert fast.next(skip) is slow.next(skip)
-        elif move == "skip_newlines":
-            fast.skip_newlines()
-            slow.skip_newlines()
+            assert fast.next() is slow.next()
+        elif move in ("at_sym", "at_word"):
+            assert getattr(fast, move)(text) == (sym if move == "at_sym" else word)
+        elif move in ("accept_sym", "accept_word"):
+            hit = sym if move == "accept_sym" else word
+            assert getattr(fast, move)(text) == hit
+            if hit:
+                slow.next()
         else:
-            t = slow.peek(skip)
-            if move == "at_sym":
-                assert fast.at_sym(text, skip) == (t.kind == "SYM" and t.text == text)
+            hit = {"expect_sym": sym, "expect_word": word,
+                   "expect_ident": t.kind == "IDENT"}[move]
+            try:
+                got = fast.expect_ident() if move == "expect_ident" else \
+                    getattr(fast, move)(text)
+            except ParseError as e:
+                assert not hit and (e.line, e.col) == (t.line, t.col)
             else:
-                assert fast.at_word(text, skip) == (
-                    t.kind == "IDENT" and t.text == text and not t.primed)
+                assert hit and got is slow.next()
         assert fast.pos == slow.pos
 
 
@@ -421,13 +434,11 @@ _expr_texts = st.lists(
 _OPERATOR_PAIRS = " ) ".join(f"x {a} y {b} 0" for a in _BINARY for b in _BINARY)
 
 
-def _parsed_from(parser, tokens, start, stop_at_newline):
-    """The tree, or the error, of one parse from start, with the position the
-    parse left the stream at."""
-    ts = TokenStream(tokens)
-    ts.pos = start
+def _parse_result(parse, ts):
+    """The tree, or the error, of one parse, with the position the parse left
+    the cursor at."""
     try:
-        return parser(ts, stop_at_newline).parse_formula_expr(), ts.pos
+        return parse(), ts.pos
     except ParseError as e:
         return (str(e), e.line, e.col), ts.pos
     except SortError as e:  # a set type that lists a non-literal
@@ -437,11 +448,26 @@ def _parsed_from(parser, tokens, start, stop_at_newline):
 @pytest.mark.oracle
 @given(_expr_texts)
 @example(_OPERATOR_PAIRS)
+@example("x <\n  y = 1 ∧ f\n(x) ∈\n {1}")
+@example("∀ x :\n {1} · x = 1 ∧ f(x // c\n)")
 @_with_fixture_texts
 @settings(max_examples=500, deadline=None)
 def test_expression_parser_matches_descent_ladder(text):
-    tokens = tokenize(text)
+    """From every token, with and without stop_at_newline, ExprParser over
+    the library's tokens parses as the ladder over the character lexer's,
+    NEWLINE tokens included; positions compare as counts of tokens that are
+    not NEWLINE."""
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return
+    lines = reference_tokenize(text)
+    solid = [i for i, t in enumerate(lines) if t.kind != "NEWLINE"]
     for start in range(len(tokens)):
         for stop_at_newline in (False, True):
-            assert _parsed_from(ExprParser, tokens, start, stop_at_newline) == \
-                _parsed_from(ReferenceExprParser, tokens, start, stop_at_newline)
+            ts = TokenStream(tokens)
+            ts.pos = start
+            fast = _parse_result(ExprParser(ts, stop_at_newline).parse_formula_expr, ts)
+            ladder = ReferenceExprParser(lines, solid[start], stop_at_newline)
+            slow, end = _parse_result(ladder.parse_formula_expr, ladder)
+            assert fast == (slow, sum(i < end for i in solid))

@@ -473,20 +473,38 @@ def test_sig_of_work_grows_linearly_with_chain_depth(monkeypatch):
     check_memo()
 
 
+def _slices(spec):
+    """The hide-then-rename slices in a sum."""
+    from evtforge.specs import Hide, Translate
+
+    if isinstance(spec, Sum):
+        for part in spec.parts:
+            yield from _slices(part)
+    elif isinstance(spec, Translate) and isinstance(spec.child, Hide):
+        yield spec
+
+
 def test_slices_of_one_machine_share_their_first_order_morphisms(bridge):
     """Every hide/rename slice of a refining machine holds the same two
     first-order morphisms, built once for the machine."""
-    from evtforge.specs import Hide, Translate
-
-    def slices(spec):
-        if isinstance(spec, Sum):
-            for part in spec.parts:
-                yield from slices(part)
-        elif isinstance(spec, Translate) and isinstance(spec.child, Hide):
-            yield spec
-
     for name in ("m1", "m2"):
-        found = list(slices(bridge.library.lookup(name).child))
+        found = list(_slices(bridge.library.lookup(name).child))
         assert len(found) > 2
         assert len({id(s.child.morphism.fopeq) for s in found}) == 1
         assert len({id(s.morphism.fopeq) for s in found}) == 1
+
+
+def test_slices_of_one_read_machine_share_their_first_order_morphisms(bridge):
+    """The sugar reader's twin: every slice of a machine printed with its
+    slices and read back holds one first-order morphism in both of its
+    morphisms, the shared identity of the abstract machine's first-order
+    signature."""
+    printed = print_library(bridge.library, bridge.order, elide_identity=False)
+    lib = SpecLibrary()
+    parse_document(printed, lib)
+    for name in ("m1", "m2"):
+        found = list(_slices(lib.lookup(name).child))
+        assert len(found) > 2
+        shared = found[0].child.morphism.target.fopeq.identity
+        assert all(s.child.morphism.fopeq is shared and s.morphism.fopeq is shared
+                   for s in found)
