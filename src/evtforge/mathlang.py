@@ -235,7 +235,7 @@ class ExprParser:
 
     def __init__(self, ts: TokenStream, stop_at_newline: bool = False):
         self.ts = ts
-        self.toks = ts.tokens
+        self.toks = ts.tokens  # symbols match by text: no IDENT, NUMBER or EOF spells one
         # a token at or after this position whose nl is set ends the
         # expression; inside brackets it is len(toks), which no token reaches
         self.nl_from = ts.pos + 1 if stop_at_newline else len(self.toks)
