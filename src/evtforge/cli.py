@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +18,7 @@ import click
 
 from .errors import EvtForgeError, ParseError, SpecError, read_source
 from .eventb import parse_text
-from .fopeq import Bounds
+from .fopeq import Bounds, frozen
 from .institution import INIT, _Memo
 from .refinement import (
     RefinementVerdict, check_refinement_morphism, resolve_refinement,
@@ -31,7 +31,7 @@ from .sugar import (
 from .translate import TranslationOutput, translate
 
 
-@dataclass
+@frozen(mutable=True)
 class RunConfig:
     inputs: tuple[str, ...] = ()
     input_format: str = "auto"  # text | rodin | auto (by extension)
@@ -46,7 +46,7 @@ class RunConfig:
                       pins=self.pins, pair_ceiling=self.ceiling)
 
 
-@dataclass
+@frozen(mutable=True)
 class LoadedWorkspace:
     output: TranslationOutput
     refinements: list[RefinementText] = field(default_factory=list)

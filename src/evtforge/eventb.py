@@ -7,11 +7,11 @@ elaboration happens once signatures are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ParseError, SortError, SpecError
-from .institution import INIT, Status
+from .fopeq import frozen
+from .institution import INIT, Status, status_named
 from .mathlang import (
     BUILTIN_TYPES, ExprParser, SBin, SName, SSet, SortType, SubsetType,
     TokenStream, TypeExpr, parse_type_expr, tokenize, _literal_term,
@@ -28,14 +28,14 @@ _EVENT_KEYWORDS = {"status", "refines", "any", "when", "with", "thenAct", "end",
 _ALL_KEYWORDS = _MACHINE_KEYWORDS | _CONTEXT_KEYWORDS | _EVENT_KEYWORDS
 
 
-@dataclass(frozen=True)
+@frozen
 class LabelledPred:
     label: str
     pred: object  # surface expression
     theorem: bool = False
 
 
-@dataclass(frozen=True)
+@frozen
 class ActionDef:
     label: str
     var: str
@@ -43,7 +43,7 @@ class ActionDef:
     rhs: object  # surface expression
 
 
-@dataclass(frozen=True)
+@frozen
 class EventDef:
     name: str
     status: Status = Status.ordinary
@@ -59,7 +59,7 @@ class EventDef:
         return self.name == INIT_EVENT_NAME
 
 
-@dataclass(frozen=True)
+@frozen
 class MachineDef:
     name: str
     refines: Optional[str] = None
@@ -71,7 +71,7 @@ class MachineDef:
     events: tuple[EventDef, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class ContextDef:
     name: str
     extends: tuple[str, ...] = ()
@@ -81,7 +81,7 @@ class ContextDef:
     theorems: tuple[LabelledPred, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class EbSpecification:
     items: tuple[Union[MachineDef, ContextDef], ...] = ()
 
@@ -221,11 +221,7 @@ class _Parser:
         actions: list[ActionDef] = []
         while not self.ts.at_word("end"):
             if self.ts.accept_word("status"):
-                st = self.ts.expect_ident().text
-                try:
-                    status = Status[st]
-                except KeyError:
-                    self.ts.error(f"unknown status {st!r}")
+                status = status_named(self.ts.expect_ident())
             elif self.ts.accept_word("refines"):
                 refines = self._name_list()
             elif self.ts.accept_word("any"):

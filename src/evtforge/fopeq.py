@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -45,21 +45,60 @@ class _Undefined:
 UNDEF = _Undefined()
 
 
-def frozen(cls):
-    """A frozen dataclass that keeps its field hash after the first hash(), so
-    hashing a tree again, as a memo lookup does, visits its root alone."""
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
 
-    cls._hash = None
-    cls.__hash__ = __hash__
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen(cls=None, /, *, order=False, mutable=False):
+    """Every record class: dataclasses records the fields, and one exec writes
+    the methods of a dataclass with eq (and order).  A frozen record keeps its
+    hash after the first hash(), so hashing a tree again, as a memo lookup
+    does, visits its root alone; a mutable one is unhashable."""
+    if cls is None:
+        return lambda c: frozen(c, order=order, mutable=mutable)
+    cls.__doc__ = cls.__doc__ or cls.__name__  # else dataclasses runs inspect.signature
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    env, params, body = {"_set": object.__setattr__, "MISSING": MISSING}, [], []
+    for f in fs:
+        n, factory = f.name, f.default_factory is not MISSING
+        env[f"_d_{n}"], env[f"_f_{n}"] = f.default, f.default_factory
+        if f.init:  # a factory's argument defaults to MISSING, its f.default
+            params.append(n if f.default is f.default_factory else f"{n}=_d_{n}")
+            value = f"_f_{n}() if {n} is MISSING else {n}" if factory else n
+        elif f.default is f.default_factory:
+            continue
+        else:
+            value = f"_f_{n}()" if factory else f"_d_{n}"
+        body.append(f"_set(self, {n!r}, {value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fs if f.repr)
+    src = [f"def __init__(self, {', '.join(params)}):", *(f" {b}" for b in body or ["pass"]),
+           "def __repr__(self):", f" return self.__class__.__qualname__ + f'({shown})'"]
+    ops = {"__eq__": "=="}
+    if order:
+        ops.update(__lt__="<", __le__="<=", __gt__=">", __ge__=">=")
+    mine, theirs = (
+        "(" + "".join(f"{w}.{f.name}," for f in fs if f.compare) + ")" for w in ("self", "other"))
+    for name, op in ops.items():
+        src += [f"def {name}(self, other):", " if other.__class__ is self.__class__:",
+                f"  return {mine} {op} {theirs}", " return NotImplemented"]
+    if not mutable:  # hashes the compared fields: no field sets hash=
+        src += ["def __hash__(self):", " h = self._hash", " if h is None:",
+                f"  h = hash({mine})", "  _set(self, '_hash', h)", " return h"]
+    exec("\n".join(src), env, made := {})
+    for name, fn in made.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, fn)
+    if mutable:
+        cls.__hash__ = None
+    else:
+        cls._hash, cls.__setattr__, cls.__delattr__ = None, _frozen_setattr, _frozen_delattr
     return cls
 
 
@@ -76,14 +115,14 @@ def value_key(v: Value):
 # signatures
 
 
-@dataclass(frozen=True, order=True)
+@frozen(order=True)
 class Op:
     name: str
     args: tuple[str, ...]
     result: str
 
 
-@dataclass(frozen=True, order=True)
+@frozen(order=True)
 class Pred:
     name: str
     args: tuple[str, ...]
@@ -1034,7 +1073,7 @@ def algebra_reduct(a: FiniteAlgebra, m: FopeqMorphism) -> FiniteAlgebra:
 # bounded enumeration
 
 
-@dataclass(frozen=True)
+@frozen
 class Bounds:
     """Finite-domain configuration for model enumeration."""
 

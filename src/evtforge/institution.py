@@ -13,11 +13,11 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import EnumerationLimit, SortError, SpecError
+from .errors import EnumerationLimit, ParseError, SortError, SpecError
 from . import fopeq
 from .fopeq import (
     And, Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, Value,
@@ -42,6 +42,13 @@ class Status(enum.IntEnum):
 
 def status_sup(*statuses: Status) -> Status:
     return Status(max(int(s) for s in statuses))
+
+
+def status_named(word) -> Status:
+    """The status a word token spells, or a ParseError at the word."""
+    if word.text in Status.__members__:
+        return Status[word.text]
+    raise ParseError(f"unknown status {word.text!r}", word.line, word.col)
 
 
 # the endings of a primed name
@@ -457,7 +464,7 @@ class Projection:
         self.state, self.pair = state, pair
 
 
-@dataclass(frozen=True)
+@frozen
 class EvtModel:
     """A first-order algebra, a non-empty initialising state set, and a
     before/after relation for every non-initial event.

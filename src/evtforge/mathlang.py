@@ -8,7 +8,6 @@ quantifiers.  Anything else is a parse error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -164,47 +163,47 @@ class TokenStream:
 # surface expression AST (untyped; elaboration sorts it out)
 
 
-@dataclass(frozen=True)
+@frozen
 class SNum:
     value: int
 
 
-@dataclass(frozen=True)
+@frozen
 class SBool:
     value: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class SName:
     name: str
     primed: bool = False
 
 
-@dataclass(frozen=True)
+@frozen
 class SApp:
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class SBin:
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@frozen
 class SUn:
     op: str
     body: object
 
 
-@dataclass(frozen=True)
+@frozen
 class SSet:
     elems: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class SQuant:
     kind: str  # "forall" | "exists"
     bindings: tuple  # ((name, TypeExpr), ...)
@@ -227,10 +226,10 @@ class ExprParser:
     loop reads the connectives over negations, quantifiers and relations, and
     one reads the arithmetic operators over unary minus and the primaries.
 
-    With stop_at_newline, a token that starts a new line ends the expression,
-    unless it is the expression's first token or inside brackets (used by
-    clause lists in the sugared notation).  Where the expression cannot end,
-    the parse error is located at the newline.
+    With stop_at_newline (for clause lists in the sugared notation), a token
+    that starts a new line ends the expression, unless it is the first token
+    or inside brackets, closing bracket included.  Where the expression
+    cannot end, the parse error is located at the newline.
     """
 
     def __init__(self, ts: TokenStream, stop_at_newline: bool = False):
@@ -329,16 +328,16 @@ class ExprParser:
         return SSet(self._arguments("}"))
 
     def _arguments(self, close: str) -> tuple:
-        """Terms separated by commas up to the close bracket, which must not
-        start a line that ends the expression; newlines inside are free."""
+        """Terms separated by commas up to the close bracket; newlines inside,
+        before the close bracket too, are free."""
         ts, toks = self.ts, self.toks
         outer, self.nl_from = self.nl_from, len(toks)
         args = [self._arith(1)]
         while toks[ts.pos].text == ",":
             ts.pos += 1
             args.append(self._arith(1))
-        self.nl_from = outer
         self._expect(close)
+        self.nl_from = outer
         return tuple(args)
 
     def _arith(self, floor: int):
@@ -386,8 +385,8 @@ class ExprParser:
                 ts.pos = i + 1
                 outer, self.nl_from = self.nl_from, len(toks)
                 inner = self.parse_formula_expr()
-                self.nl_from = outer
                 self._expect(")")
+                self.nl_from = outer
                 return inner
             if t.text == "{":
                 return self._set_literal()
@@ -518,7 +517,7 @@ def unparse_type(te: TypeExpr) -> str:
 # elaboration: surface tree -> well-sorted Term/Formula
 
 
-@dataclass(frozen=True)
+@frozen
 class ElabContext:
     sig: FopeqSignature
     vars: tuple[tuple[str, str], ...] = ()  # (name, sort), unprimed names

@@ -9,11 +9,11 @@ classes represented by per-algebra maxima this is a subset test on the maxima
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 from .errors import SortError, SpecError
-from .fopeq import algebra_reduct
+from .fopeq import algebra_reduct, frozen
 from .institution import (
     INIT, EvtMorphism, EvtSignature, State, evt_compose, evt_identity,
 )
@@ -21,7 +21,7 @@ from .specs import Evaluator, ModelClassRep, Spec, SpecLibrary, sig_of
 from .sugar import RefinementText, build_morphism
 
 
-@dataclass(frozen=True)
+@frozen
 class RefinementDecl:
     name: str
     abstract: str
@@ -29,7 +29,7 @@ class RefinementDecl:
     morphism: EvtMorphism  # abstract signature -> concrete signature
 
 
-@dataclass
+@frozen(mutable=True)
 class Counterexample:
     algebra: str
     event: Optional[str]  # None: the algebra itself is not abstract-admissible
@@ -45,7 +45,7 @@ class Counterexample:
         }
 
 
-@dataclass
+@frozen(mutable=True)
 class RefinementVerdict:
     name: str
     holds: bool

@@ -15,7 +15,7 @@ from a sub-specification constrain events added elsewhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -336,7 +336,7 @@ def _sig_rule(spec: Spec, lib: Optional[SpecLibrary]):
 # model class representation
 
 
-@dataclass(frozen=True)
+@frozen
 class ModelClassRep:
     """Per-algebra maximal models; the class is their downward closure with
     non-empty initialising sets.
@@ -373,7 +373,7 @@ def rep_contains(rep: ModelClassRep, model) -> bool:
 # flattening
 
 
-@dataclass
+@frozen(mutable=True)
 class Flattened:
     """Sentence-level view of a spec, with hide-images as opaque constraints."""
 

@@ -12,14 +12,13 @@ The printer and parser round-trip: print . parse . print == print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ParseError, SpecError
 from . import fopeq as F
-from .fopeq import FopeqSignature, signature_image
+from .fopeq import FopeqSignature, frozen, signature_image
 from .institution import (
-    INIT, EvtMorphism, EvtSignature, Status, evt_morphism, merged_signature,
+    INIT, EvtMorphism, EvtSignature, Status, evt_morphism, merged_signature, status_named,
 )
 from .mathlang import (
     ElabContext, ExprParser, TokenStream, TypeExpr, elab_formula,
@@ -44,7 +43,7 @@ _STOP_WORDS = _BLOCK_KEYWORDS | {"any", "when", "thenAct"}
 # maplets (shared by morphism literals and refinement declarations)
 
 
-@dataclass(frozen=True)
+@frozen
 class Maplet:
     src: str
     dst: str
@@ -52,7 +51,7 @@ class Maplet:
     dst_status: Optional[Status] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class RefinementText:
     """A parsed refinement declaration, before signature resolution."""
 
@@ -235,7 +234,7 @@ def _clause_lines(indent: str, kw: str, items: list[str]) -> list[str]:
 # parsing
 
 
-@dataclass
+@frozen(mutable=True)
 class _RawEvent:
     name: str
     written: str  # the name as the source spells it (Initialisation for Init)
@@ -246,7 +245,7 @@ class _RawEvent:
     actions: list  # (var, kind, surface)
 
 
-@dataclass
+@frozen(mutable=True)
 class _RawBlock:
     sorts: list[str]
     decls: list[tuple[str, TypeExpr]]
@@ -363,7 +362,7 @@ def _parse_map_item(ts: TokenStream) -> tuple[str, Optional[Status]]:
     if ts.accept_sym("<:") or ts.accept_sym("<"):
         name = ts.expect_ident().text
         ts.expect_sym(",")
-        st = Status[ts.expect_ident().text]
+        st = status_named(ts.expect_ident())
         if not (ts.accept_sym(":>") or ts.accept_sym(">")):
             ts.error("expected closing ⟩")
         return name, st
@@ -416,7 +415,7 @@ def _starts_event(ts: TokenStream) -> bool:
 
 def _parse_raw_event(ts: TokenStream) -> _RawEvent:
     written = ts.expect_ident().text
-    status = Status[ts.expect_ident().text]
+    status = status_named(ts.expect_ident())
     ev = _RawEvent(INIT if written == INIT_PRINT_NAME else written, written, status,
                    [], [], [], [])
     while True:
@@ -640,7 +639,7 @@ def _parse_signature_body(ts: TokenStream) -> EvtSignature:
         elif ts.accept_word("events"):
             while True:
                 name = ts.expect_ident().text
-                status = Status[ts.expect_ident().text]
+                status = status_named(ts.expect_ident())
                 events.append((name, status))
                 if not ts.accept_sym(","):
                     break

@@ -18,11 +18,11 @@ elide them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Optional, Sequence, Union
 
 from .errors import SpecError
-from .fopeq import EMPTY_SIGNATURE, FopeqSignature, Formula, fopeq_morphism
+from .fopeq import EMPTY_SIGNATURE, FopeqSignature, Formula, fopeq_morphism, frozen
 from .institution import INIT, EvtSignature, Status, evt_morphism
 from .eventb import (
     ContextDef, EbSpecification, EventDef, LabelledPred, MachineDef, typing_of,
@@ -39,7 +39,7 @@ from .specs import (
 _NO_IMPORTS = EvtSignature()
 
 
-@dataclass
+@frozen(mutable=True)
 class TranslationOutput:
     library: SpecLibrary = field(default_factory=SpecLibrary)
     order: list[tuple[str, str]] = field(default_factory=list)  # (kind, name)

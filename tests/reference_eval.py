@@ -582,9 +582,10 @@ class ReferenceExprParser:
     + − (left), * (left) and unary minus.
 
     It reads the character lexer's tokens, NEWLINE tokens included, from
-    pos.  With stop_at_newline, every read outside brackets sees a NEWLINE
-    token as a token that fits nowhere, except a name's read, which steps
-    over newlines; elsewhere every read steps over them.
+    pos.  With stop_at_newline, every read outside brackets (a closing
+    bracket's read is inside) sees a NEWLINE token as a token that fits
+    nowhere, except a name's read, which steps over newlines; elsewhere
+    every read steps over them.
     """
 
     def __init__(self, tokens: Sequence[Token], pos: int, stop_at_newline: bool = False):
@@ -725,8 +726,8 @@ class ReferenceExprParser:
         elems = [self._arith()]
         while self._accept_sym(",", True):
             elems.append(self._arith())
-        self.depth -= 1
         self._expect_sym("}", self._skip_nl())
+        self.depth -= 1
         return SSet(tuple(elems))
 
     def _arith(self):
@@ -764,8 +765,8 @@ class ReferenceExprParser:
             self._next(self._skip_nl())
             self.depth += 1
             inner = self.parse_formula_expr()
-            self.depth -= 1
             self._expect_sym(")", self._skip_nl())
+            self.depth -= 1
             return inner
         if t.kind == "SYM" and t.text == "{":
             return self._set_literal()
@@ -780,8 +781,8 @@ class ReferenceExprParser:
                 args = [self._arith()]
                 while self._accept_sym(",", True):
                     args.append(self._arith())
-                self.depth -= 1
                 self._expect_sym(")", self._skip_nl())
+                self.depth -= 1
                 return SApp(t.text, tuple(args))
             return SName(t.text, t.primed)
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)

@@ -432,6 +432,41 @@ def test_parse_error_at_a_newline_names_its_line_and_column(runner, tmp_path):
     assert res.stderr == f"error: {path}:5:15: expected an expression, found '\\n'\n"
 
 
+# newlines inside brackets are free, so a closing bracket may start a line
+def test_a_closing_bracket_may_start_a_line(runner, tmp_path):
+    path = tmp_path / "brackets.evt"
+    path.write_text("spec a =\n  ops x : ℤ\n  events\n    e ordinary\n      when x ∈ {1,\n"
+                    "        2\n      } ∧ (x = 1\n      )\n      thenAct x := 1\nend\n",
+                    encoding="utf-8")
+    res = runner.invoke(main, ["translate", str(path)])
+    assert res.exit_code == 0
+    assert "      when x ∈ {1, 2} ∧ x = 1\n      thenAct x := 1\n" in res.output
+
+
+# an unknown status word is a parse error at the word: in a signature's
+# events, in a maplet and in an Event-B event
+_BOGUS_EVENT = "machine m0\nvariables n\ninvariants\n  inv1: n ∈ ℕ\nevents\n" \
+    "  event Initialisation\n    thenAct\n      act1: n := 0\n  end\n" \
+    "  event inc\n    status bogus\n    thenAct\n      act1: n := n + 1\n  end\nend\n"
+
+
+@pytest.mark.parametrize("name,content,command,where,word", [
+    ("s.sig", "signature S0 =\n  events e vars\nend\n", "pushout", "2:12", "vars"),
+    ("m.sig", "signature S0 =\n  events e ordinary\nend\n\n"
+     "morphism m : S0 -> S0 =\n  {⟨e, bogus⟩ ↦ e}\nend\n", "pushout", "6:8", "bogus"),
+    ("m.eb", _BOGUS_EVENT, "translate", "11:12", "bogus"),
+], ids=["signature", "maplet", "eb"])
+def test_an_unknown_status_is_an_error_at_its_word(runner, tmp_path, name, content,
+                                                  command, where, word):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    args = [str(path)] * (2 if command == "pushout" else 1)
+    res = runner.invoke(main, [command, *args])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {path}:{where}: unknown status {word!r}\n"
+
+
 # an unknown identifier y in one clause of each kind; the message names the
 # component and the clause label
 _UNLOCATED = "context k constants c axioms t: c ∈ ℤ {axm}end\n" \
