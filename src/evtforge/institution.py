@@ -464,6 +464,42 @@ class Projection:
         self.state, self.pair = state, pair
 
 
+class _Joined:
+    """A relation as maximal_model's join left it for an event without
+    checks: blocks of a before-state's pair-code base and its bucket of
+    after-codes.  len() reads the count; the frozenset of pair codes is
+    built once, on first read, and it is what the relation iterates, equals
+    and hashes as."""
+
+    __slots__ = ("_count", "_blocks", "_codes")
+
+    def __init__(self, blocks: list[tuple[int, list[int]]]):
+        self._count = sum([len(b) for _, b in blocks])
+        self._blocks, self._codes = blocks, None
+
+    @property
+    def codes(self) -> frozenset[int]:
+        if self._codes is None:
+            self._codes = frozenset([base + j for base, b in self._blocks for j in b])
+            self._blocks = None
+        return self._codes
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.codes)
+
+    def __eq__(self, other) -> bool:
+        return self.codes == other
+
+    def __hash__(self) -> int:
+        return hash(self.codes)
+
+
+Relation = frozenset[int] | _Joined
+
+
 @frozen
 class EvtModel:
     """A first-order algebra, a non-empty initialising state set, and a
@@ -471,17 +507,20 @@ class EvtModel:
 
     States are held as codes of state_coding(signature, algebra) and pairs
     as pair codes; init, rel and rel_map are their views as tuple states,
-    decoded on first use."""
+    decoded on first use.  A relation in rel_codes is a frozenset of pair
+    codes or a join's count whose codes are built on first read: len() reads
+    the count, and code_map holds every relation's frozenset."""
 
     signature: EvtSignature
     algebra: FiniteAlgebra
     init_codes: frozenset[int]
-    rel_codes: tuple[tuple[str, frozenset[int]], ...]
+    rel_codes: tuple[tuple[str, Relation], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "init_codes", frozenset(self.init_codes))
         object.__setattr__(self, "rel_codes", tuple(sorted(
-            (e, frozenset(pairs)) for e, pairs in self.rel_codes)))
+            (e, pairs if pairs.__class__ is _Joined else frozenset(pairs))
+            for e, pairs in self.rel_codes)))
         if not self.init_codes:
             raise SortError("the initialising set must be non-empty")
         if set(dict(self.rel_codes)) != set(self.signature.non_init_events):
@@ -495,7 +534,8 @@ class EvtModel:
 
     @cached_property
     def code_map(self) -> dict[str, frozenset[int]]:
-        return dict(self.rel_codes)
+        return {e: pairs.codes if pairs.__class__ is _Joined else pairs
+                for e, pairs in self.rel_codes}
 
     @cached_property
     def init(self) -> frozenset[State]:
@@ -557,9 +597,9 @@ def satisfies(m: EvtModel, s: EvtSentence) -> bool:
 def restrict_along(
     coding: StateCoding,
     init: Iterable[int],
-    rel_map: Mapping[str, Iterable[int]],
+    rel_map: Mapping[str, Relation],
     bounds: Sequence[tuple[EvtMorphism, EvtModel]],
-) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
+) -> tuple[frozenset[int], dict[str, Relation]]:
     """The state codes and pair codes, under coding, whose reducts along
     every listed morphism lie in its bound, a model over the morphism's
     source.
@@ -582,7 +622,8 @@ def restrict_along(
             for e0 in pre[e]:
                 pair, allowed = red.pair, b.code_map[e0]
                 kept = [p for p in kept if pair(p) in allowed]
-        out_rel[e] = frozenset(kept)
+        # a relation no bound reads stays as it came
+        out_rel[e] = kept if kept is pairs else frozenset(kept)
     return out_init, out_rel
 
 
@@ -966,10 +1007,12 @@ def maximal_model(
     plan: ModelPlan,
     algebra: FiniteAlgebra,
     bounds: Bounds,
-) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
+) -> tuple[frozenset[int], dict[str, Relation]]:
     """The largest initialising set and per-event relation satisfying every
     sentence of the plan over the given algebra, as state codes and pair
-    codes of state_coding(plan.sig, algebra).
+    codes of state_coding(plan.sig, algebra).  An event without checks is
+    counted from its join's buckets, and its pair codes are built on first
+    read (EvtModel's relations).
 
     Satisfaction quantifies universally over each relation, so the class of
     satisfying models is exactly the non-empty-L downward closure of this
@@ -1043,17 +1086,20 @@ def maximal_model(
         for j, t in after.states:
             index.setdefault(tuple([t[k] for k in keys]), []).append(
                 (j, {(n, True): t[n, False] for n in read_after}) if checks else j)
+        # an undefined key term matches no bucket, as x′ = t is then false
+        probes = [(i, s, index.get(tuple([fn(s) for fn in key_fns])))
+                  for i, s in before.states]
+        if not checks:
+            # counted from the buckets; the pair codes are built on first read
+            r_max[e] = _Joined([(i * size, b) for i, _, b in probes if b])
+            continue
         pairs: list[int] = []
-        for i, s in before.states:
+        for i, s, bucket in probes:
+            if not bucket:
+                continue
             # the checks add after-values to the valuation, and pool states
             # are shared by every reader
-            val = dict(s) if checks else s
-            # an undefined key term matches no bucket, as x′ = t is then false
-            bucket = index.get(tuple([fn(val) for fn in key_fns]), ())
-            base = i * size
-            if not checks:
-                pairs.extend([base + j for j in bucket])
-                continue
+            val, base = dict(s), i * size
             for j, tval in bucket:
                 val.update(tval)
                 for fn in checks:

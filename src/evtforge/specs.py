@@ -366,7 +366,7 @@ def rep_contains(rep: ModelClassRep, model) -> bool:
     if model.signature.vars != rep.signature.vars or not model.init_codes <= sl.init_codes:
         return False
     rm = sl.code_map
-    return all(pairs <= rm[e] for e, pairs in model.rel_codes)
+    return all(pairs <= rm[e] for e, pairs in model.code_map.items())
 
 
 # ---------------------------------------------------------------------------

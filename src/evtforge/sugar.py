@@ -408,9 +408,13 @@ def _parse_raw_block(ts: TokenStream) -> _RawBlock:
 
 
 def _starts_event(ts: TokenStream) -> bool:
+    """Whether an event's name and status word come next.  A word after the
+    name on the name's line is read as the status, so that an unknown one is
+    an error at the word; a keyword there, or the word in, is not a status."""
     t0, t1 = ts.peek(), ts.peek(ahead=1)
     return (t0.kind == "IDENT" and not t0.primed and t0.text not in _BLOCK_KEYWORDS
-            and t1.kind == "IDENT" and t1.text in _STATUS_NAMES)
+            and t1.kind == "IDENT" and (t1.text in _STATUS_NAMES or (
+                not t1.nl and t1.text not in _STOP_WORDS and t1.text != "in")))
 
 
 def _parse_raw_event(ts: TokenStream) -> _RawEvent:

@@ -220,6 +220,36 @@ end""", encoding="utf-8")
         golden = FIXTURES / "golden" / "models_m2_bound4_list.json"
         assert res.stdout_bytes == golden.read_bytes()
 
+    def test_counts_of_check_free_relations_build_no_pair_codes(self, runner, tmp_path,
+                                                                monkeypatch):
+        # typed variables, a guard each and one assignment each: every pair
+        # comes from an event with no checks, as in a wide machine
+        src = tmp_path / "w.eb"
+        src.write_text(
+            "machine w variables a, b, c\n"
+            "invariants inv1: a ∈ ℤ inv2: b ∈ ℕ inv3: c ∈ BOOL\n"
+            "events event Initialisation thenAct act1: a := 0 act2: b := 1 act3: c := TRUE end\n"
+            "event inc status ordinary when grd1: a ≠ 1 thenAct act1: b := b + 1 end\n"
+            "event flip status ordinary when grd1: c = TRUE thenAct act1: c := FALSE end\n"
+            "end\n", encoding="utf-8")
+        built = []
+        codes = institution._Joined.codes
+        monkeypatch.setattr(institution._Joined, "codes",
+                            property(lambda r: built.append(r) or codes.fget(r)))
+        args = ["models", "w", str(src), "--bound", "2"]
+        text = runner.invoke(main, args)
+        counted = runner.invoke(main, [*args, "--json"])
+        assert (text.exit_code, counted.exit_code, built) == (0, 0, [])
+        assert "inc: 160 pair(s)" in text.output
+        listed = runner.invoke(main, [*args, "--json", "--list"])
+        assert listed.exit_code == 0 and built
+        (entry,) = json.loads(listed.output)["algebras"]
+        assert json.loads(counted.output)["algebras"] == [
+            {k: v for k, v in entry.items() if k not in ("init", "relations")}]
+        for e, pairs in entry["relations"].items():
+            distinct = {json.dumps(p, sort_keys=True) for p in pairs}
+            assert len(distinct) == len(pairs) == entry["events"][e]
+
     @pytest.mark.parametrize("flag, value", [("--pin", "q=1"), ("--carrier", "S=3")])
     def test_undeclared_bound_name_is_refused(self, runner, flag, value):
         # neither q nor S is declared, so the flag would bound nothing
@@ -444,7 +474,7 @@ def test_a_closing_bracket_may_start_a_line(runner, tmp_path):
 
 
 # an unknown status word is a parse error at the word: in a signature's
-# events, in a maplet and in an Event-B event
+# events, in a maplet, in an Event-B event and in a spec's event
 _BOGUS_EVENT = "machine m0\nvariables n\ninvariants\n  inv1: n ∈ ℕ\nevents\n" \
     "  event Initialisation\n    thenAct\n      act1: n := 0\n  end\n" \
     "  event inc\n    status bogus\n    thenAct\n      act1: n := n + 1\n  end\nend\n"
@@ -455,7 +485,9 @@ _BOGUS_EVENT = "machine m0\nvariables n\ninvariants\n  inv1: n ∈ ℕ\nevents\n
     ("m.sig", "signature S0 =\n  events e ordinary\nend\n\n"
      "morphism m : S0 -> S0 =\n  {⟨e, bogus⟩ ↦ e}\nend\n", "pushout", "6:8", "bogus"),
     ("m.eb", _BOGUS_EVENT, "translate", "11:12", "bogus"),
-], ids=["signature", "maplet", "eb"])
+    ("e.evt", "spec a =\n  ops x : ℤ\n  events\n    e bogus\n      thenAct x := 1\nend\n",
+     "translate", "4:7", "bogus"),
+], ids=["signature", "maplet", "eb", "evt"])
 def test_an_unknown_status_is_an_error_at_its_word(runner, tmp_path, name, content,
                                                   command, where, word):
     path = tmp_path / name

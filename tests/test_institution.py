@@ -1135,6 +1135,9 @@ def _assert_run_matches_product_loop(plan, sentences, alg, bound):
             return str(exc)
 
     l_max, r_max, need = _product_maximal_model(sig, sentences, alg, Bounds(int_bound=bound))
+    # a fresh run's counts, read before any of its pair codes are
+    _, counted = maximal_model(plan, alg, Bounds(int_bound=bound))
+    assert {e: len(p) for e, p in counted.items()} == {e: len(p) for e, p in r_max.items()}
     assert decoded_maximal_model(sig, sentences, alg, Bounds(int_bound=bound)) == (l_max, r_max)
     # refusals at the ceilings around the smallest admitting one, and at each
     # event's own |B|·|A|, |B|·|A| − 1 and |B|
