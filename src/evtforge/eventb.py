@@ -311,10 +311,6 @@ def _validate_machine(m: MachineDef, later: set[str]) -> None:
     init = inits[0]
     if init.params or init.guards or init.witnesses or init.refines:
         raise SpecError(f"{m.name}: the initialisation event only has actions")
-    for a in init.actions:
-        if _mentions_unprimed_var(a.rhs, set(m.variables)):
-            raise SpecError(
-                f"{m.name}: initialisation may not read state variables")
     names = [e.name for e in m.events]
     if len(names) != len(set(names)):
         raise SpecError(f"machine {m.name} declares an event twice")
@@ -335,21 +331,6 @@ def _validate_machine(m: MachineDef, later: set[str]) -> None:
         if m.refines is None and e.refines:
             raise SpecError(
                 f"{m.name}.{e.name}: refines clause without an abstract machine")
-
-
-def _mentions_unprimed_var(node, names: set[str]) -> bool:
-    if isinstance(node, SName):
-        return node.name in names and not node.primed
-    if isinstance(node, SBin):
-        return (_mentions_unprimed_var(node.left, names)
-                or _mentions_unprimed_var(node.right, names))
-    if isinstance(node, (SSet,)):
-        return any(_mentions_unprimed_var(e, names) for e in node.elems)
-    if hasattr(node, "body"):
-        return _mentions_unprimed_var(node.body, names)
-    if hasattr(node, "args"):
-        return any(_mentions_unprimed_var(a, names) for a in node.args)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -337,20 +337,6 @@ def translate_sentence(m: EvtMorphism, s: EvtSentence) -> EvtSentence:
 State = tuple[tuple[str, Value], ...]  # sorted by variable name
 
 
-def make_state(assignment: Mapping[str, Value]) -> State:
-    return tuple(sorted(assignment.items()))
-
-
-def state_valuation(s: State, primed: bool) -> dict[tuple[str, bool], Value]:
-    return {(name, primed): v for name, v in s}
-
-
-def pair_valuation(before: State, after: State) -> dict[tuple[str, bool], Value]:
-    val = state_valuation(before, False)
-    val.update(state_valuation(after, True))
-    return val
-
-
 def reduce_state(s: State, m: EvtMorphism) -> State:
     """View a state over the morphism's target as one over its source."""
     if tuple([n for n, _ in s]) != m.target.var_names:
@@ -506,10 +492,10 @@ class EvtModel:
     before/after relation for every non-initial event.
 
     States are held as codes of state_coding(signature, algebra) and pairs
-    as pair codes; init, rel and rel_map are their views as tuple states,
-    decoded on first use.  A relation in rel_codes is a frozenset of pair
-    codes or a join's count whose codes are built on first read: len() reads
-    the count, and code_map holds every relation's frozenset."""
+    as pair codes; init and rel are their views as tuple states, decoded on
+    first use.  A relation in rel_codes is a frozenset of pair codes or a
+    join's count whose codes are built on first read: len() reads the count,
+    and code_map holds every relation's frozenset."""
 
     signature: EvtSignature
     algebra: FiniteAlgebra
@@ -548,10 +534,6 @@ class EvtModel:
         return tuple((e, frozenset([(decode(p // n), decode(p % n)) for p in pairs]))
                      for e, pairs in self.rel_codes)
 
-    @cached_property
-    def rel_map(self) -> dict[str, frozenset[tuple[State, State]]]:
-        return dict(self.rel)
-
 
 def make_model(
     sig: EvtSignature,
@@ -582,16 +564,19 @@ def init_conjuncts(body: Formula) -> list[Formula]:
 
 def satisfies(m: EvtModel, s: EvtSentence) -> bool:
     """All pairs of the event's relation (all initialising states for the
-    initial event) make the body true."""
-    sig = m.signature
-    if s.event not in sig.event_map:
+    initial event) make the body true; each state's valuation is decoded
+    from its code once per call."""
+    if s.event not in m.signature.event_map:
         raise SortError(f"sentence names unknown event {s.event}")
+    decode = m.coding.decode
     if s.event == INIT:
         fn = compile_formula(conjoin(init_conjuncts(s.body)), m.algebra)
-        return all(fn(state_valuation(after, True)) for after in m.init)
+        return all(fn({(name, True): v for name, v in decode(c)}) for c in m.init_codes)
     fn = compile_formula(s.body, m.algebra)
-    return all(fn(pair_valuation(before, after))
-               for before, after in m.rel_map[s.event])
+    pairs, n = m.code_map[s.event], m.coding.size
+    before = {i: {(name, False): v for name, v in decode(i)} for i in {p // n for p in pairs}}
+    after = {j: {(name, True): v for name, v in decode(j)} for j in {p % n for p in pairs}}
+    return all(fn({**before[p // n], **after[p % n]}) for p in pairs)
 
 
 def restrict_along(
@@ -682,7 +667,7 @@ def _filter_pool(
     sig: EvtSignature,
     algebra: FiniteAlgebra,
     conjuncts: Sequence[Conjunct],
-    compile_term: Optional[Callable[[fopeq.Term], Callable[[Mapping], Value]]] = None,
+    compile_term: Callable[[fopeq.Term], Callable[[Mapping], Value]],
     budget: Optional[list[float]] = None,
 ) -> Iterator[PoolState]:
     """The states satisfying conjuncts over unprimed variables, given with
@@ -706,9 +691,6 @@ def _filter_pool(
     times its variable's weight, and a state's code is the sum of its
     values' digits.
     """
-    if compile_term is None:
-        def compile_term(t):
-            return fopeq.compile_term(t, algebra)
     coding = state_coding(sig, algebra)
     candidates = {(n, False): [(v, rank[v] * w) for v in algebra.carrier(s)]
                   for (n, s), rank, w in zip(sig.vars, coding.ranks, coding.weights)}

@@ -787,37 +787,3 @@ def unparse_formula(f: Formula, parent_prec: int = 0) -> str:
         binds = ", ".join(f"{n} : {s}" for n, s in f.vars)
         return wrap(f"{sym} {binds} · {unparse_formula(f.body, 0)}", _F_QUANT)
     raise SortError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# canonical forms for set-level sentence comparison
-
-
-def canonical(f: Formula) -> Formula:
-    """Flatten conjunctions, drop true conjuncts, sort and dedupe.
-
-    Comparison device only; stored formulas are never rewritten.
-    """
-    if isinstance(f, And):
-        parts = []
-        for p in f.parts:
-            q = canonical(p)
-            if isinstance(q, TrueF):
-                continue
-            if isinstance(q, And):
-                parts.extend(q.parts)
-            else:
-                parts.append(q)
-        unique = sorted(set(parts), key=unparse_formula)
-        return conjoin(unique)
-    if isinstance(f, Or):
-        return Or(tuple(canonical(p) for p in f.parts))
-    if isinstance(f, Not):
-        return Not(canonical(f.body))
-    if isinstance(f, Implies):
-        return Implies(canonical(f.left), canonical(f.right))
-    if isinstance(f, Iff):
-        return Iff(canonical(f.left), canonical(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.vars, canonical(f.body))
-    return f

@@ -14,7 +14,6 @@ from a sub-specification constrain events added elsewhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -357,18 +356,6 @@ def make_rep(sig: EvtSignature, slices: Iterable[EvtModel]) -> ModelClassRep:
     return ModelClassRep(sig, tuple(sorted(slices, key=lambda s: s.algebra.describe())))
 
 
-def rep_contains(rep: ModelClassRep, model) -> bool:
-    """Membership of a concrete model in the represented class."""
-    sl = rep.by_algebra.get(model.algebra)
-    if sl is None:
-        return False
-    # over one algebra, the same variables and sorts give the same coding
-    if model.signature.vars != rep.signature.vars or not model.init_codes <= sl.init_codes:
-        return False
-    rm = sl.code_map
-    return all(pairs <= rm[e] for e, pairs in model.code_map.items())
-
-
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -596,36 +583,4 @@ def _dedupe(items: list) -> list:
         if x not in seen:
             seen.add(x)
             out.append(x)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# explicit enumeration (oracle-sized instances only)
-
-
-def enumerate_models(rep: ModelClassRep, limit: int = 1 << 16):
-    """Every concrete model in the represented class; guarded by a count
-    limit since the downward closure is exponential."""
-    total = 0
-    for sl in rep.slices:
-        count = (2 ** len(sl.init_codes) - 1)
-        for _, pairs in sl.rel_codes:
-            count *= 2 ** len(pairs)
-        total += count
-        if total > limit:
-            raise EnumerationLimit(f"class has more than {limit} models")
-    for sl in rep.slices:
-        l_subsets = _subsets(sorted(sl.init_codes), nonempty=True)
-        event_names = [e for e, _ in sl.rel_codes]
-        pair_choices = [_subsets(sorted(pairs)) for _, pairs in sl.rel_codes]
-        for init in l_subsets:
-            for chosen in itertools.product(*pair_choices):
-                yield EvtModel(rep.signature, sl.algebra, init,
-                               tuple(zip(event_names, chosen)))
-
-
-def _subsets(items: list, nonempty: bool = False):
-    out = []
-    for r in range(0 if not nonempty else 1, len(items) + 1):
-        out.extend(itertools.combinations(items, r))
     return out

@@ -4,9 +4,16 @@
   library's only evaluator; ``eval_term``/``eval_formula`` walk a formula
   directly and must agree with it on every closed formula and every total
   valuation.
-- ``enumerate_states`` and ``literal_inclusion``: every state of a signature
-  over an algebra, and refinement as literal inclusion of enumerated model
-  classes, against which the maxima shortcut is checked.
+- ``literal_satisfies``: satisfaction over a model's tuple states with the
+  inductive evaluator, against which ``evtforge.institution.satisfies`` (over
+  state codes and compiled closures) is checked.
+- ``canonical``: a formula's conjunctions flattened, sorted and deduplicated,
+  for comparing sentence sets.
+- ``make_state``, ``enumerate_states`` and ``literal_inclusion``: a tuple
+  state from an assignment, every state of a signature over an algebra, and
+  refinement as literal inclusion of enumerated model classes, against which
+  the maxima shortcut is checked.  ``enumerate_models`` and ``rep_contains``
+  list a represented class's models and test membership in it.
 - ``restrict_along``: the restriction of states and pairs to the reducts in
   bounds, on tuple states, against which the library's restriction of state
   codes is checked.
@@ -30,22 +37,23 @@
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from evtforge.errors import ParseError, SortError
+from evtforge.errors import EnumerationLimit, ParseError, SortError
 from evtforge.eventb import ContextDef, EbSpecification, LabelledPred
 from evtforge.fopeq import (
     BUILTIN_OPS, BUILTIN_PREDS, BUILTIN_SORTS, UNDEF, And, BoolLit, CarrierEq, Equal, FalseF,
     FiniteAlgebra, Forall, Exists, Formula, Iff, Implies, InSet, IntLit, Not,
-    OpApp, Or, PredApp, Term, TrueF, Value, Var,
+    OpApp, Or, PredApp, Term, TrueF, Value, Var, conjoin,
 )
 from evtforge.institution import (
-    INIT, EvtModel, EvtMorphism, EvtSignature, State, Status, model_reduct, reduce_state,
+    INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, State, Status, init_conjuncts,
+    model_reduct, reduce_state,
 )
 from evtforge.mathlang import (
     _BOOL_WORDS, _MULTI, _QUANT, _QUANTIFIERS, _RELOPS, _SINGLE, _UNICODE_SYM,
     _WORD_SORTS, BUILTIN_TYPES, SApp, SBin, SBool, SName, SNum, SQuant, SSet,
-    SortType, SubsetType, SUn, Token, _literal_term, unparse_type,
+    SortType, SubsetType, SUn, Token, _literal_term, unparse_formula, unparse_type,
 )
-from evtforge.specs import ModelClassRep, enumerate_models, rep_contains
+from evtforge.specs import ModelClassRep
 
 Valuation = Mapping[tuple[str, bool], Value]
 
@@ -141,6 +149,59 @@ def eval_formula(f: Formula, a: FiniteAlgebra, val: Valuation) -> bool:
                 return True
         return want_all
     raise SortError(f"not a formula: {f!r}")
+
+
+def literal_satisfies(m: EvtModel, s: EvtSentence) -> bool:
+    """All pairs of the event's relation (all initialising states for the
+    initial event, on init_conjuncts) make the body true, each evaluated
+    inductively on the tuple states."""
+    if s.event not in m.signature.event_map:
+        raise SortError(f"sentence names unknown event {s.event}")
+    if s.event == INIT:
+        body = conjoin(init_conjuncts(s.body))
+        return all(eval_formula(body, m.algebra, valuation(after, True)) for after in m.init)
+    return all(eval_formula(s.body, m.algebra,
+                            {**valuation(before, False), **valuation(after, True)})
+               for before, after in dict(m.rel)[s.event])
+
+
+def valuation(s: State, primed: bool) -> dict[tuple[str, bool], Value]:
+    """The values of s's variables, primed or not."""
+    return {(name, primed): v for name, v in s}
+
+
+# ---------------------------------------------------------------------------
+# canonical forms for set-level sentence comparison
+
+
+def canonical(f: Formula) -> Formula:
+    """Flatten conjunctions, drop true conjuncts, sort and dedupe.
+
+    Comparison device only; stored formulas are never rewritten.
+    """
+    if isinstance(f, And):
+        parts = []
+        for p in f.parts:
+            q = canonical(p)
+            if isinstance(q, TrueF):
+                continue
+            if isinstance(q, And):
+                parts.extend(q.parts)
+            else:
+                parts.append(q)
+        unique = sorted(set(parts), key=unparse_formula)
+        return conjoin(unique)
+    if isinstance(f, Or):
+        return Or(tuple(canonical(p) for p in f.parts))
+    if isinstance(f, Not):
+        return Not(canonical(f.body))
+    if isinstance(f, Implies):
+        return Implies(canonical(f.left), canonical(f.right))
+    if isinstance(f, Iff):
+        return Iff(canonical(f.left), canonical(f.right))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.vars, canonical(f.body))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +346,10 @@ def reference_evt_morphism(source, target, fopeq, event_map, var_map, check_stat
 # model classes by enumeration
 
 
+def make_state(assignment: Mapping[str, Value]) -> State:
+    return tuple(sorted(assignment.items()))
+
+
 def enumerate_states(sig: EvtSignature, algebra: FiniteAlgebra) -> list[State]:
     names = sig.var_names
     domains = [algebra.carrier(sig.var_map[n]) for n in names]
@@ -301,6 +366,46 @@ def literal_inclusion(rep_c: ModelClassRep, rep_a: ModelClassRep,
     return True
 
 
+def rep_contains(rep: ModelClassRep, model) -> bool:
+    """Membership of a concrete model in the represented class."""
+    sl = rep.by_algebra.get(model.algebra)
+    if sl is None:
+        return False
+    # over one algebra, the same variables and sorts give the same coding
+    if model.signature.vars != rep.signature.vars or not model.init_codes <= sl.init_codes:
+        return False
+    rm = sl.code_map
+    return all(pairs <= rm[e] for e, pairs in model.code_map.items())
+
+
+def enumerate_models(rep: ModelClassRep, limit: int = 1 << 16):
+    """Every concrete model in the represented class; guarded by a count
+    limit since the downward closure is exponential."""
+    total = 0
+    for sl in rep.slices:
+        count = (2 ** len(sl.init_codes) - 1)
+        for _, pairs in sl.rel_codes:
+            count *= 2 ** len(pairs)
+        total += count
+        if total > limit:
+            raise EnumerationLimit(f"class has more than {limit} models")
+    for sl in rep.slices:
+        l_subsets = _subsets(sorted(sl.init_codes), nonempty=True)
+        event_names = [e for e, _ in sl.rel_codes]
+        pair_choices = [_subsets(sorted(pairs)) for _, pairs in sl.rel_codes]
+        for init in l_subsets:
+            for chosen in itertools.product(*pair_choices):
+                yield EvtModel(rep.signature, sl.algebra, init,
+                               tuple(zip(event_names, chosen)))
+
+
+def _subsets(items: list, nonempty: bool = False):
+    out = []
+    for r in range(0 if not nonempty else 1, len(items) + 1):
+        out.extend(itertools.combinations(items, r))
+    return out
+
+
 def restrict_along(
     init: Iterable[State],
     rel_map: Mapping[str, Iterable[tuple[State, State]]],
@@ -313,7 +418,7 @@ def restrict_along(
         reduce_state(s, m) in b.init for m, b in bounds))
     out_rel = {}
     for e, pairs in rel_map.items():
-        tests = [(m, b.rel_map[e0]) for m, b in bounds for e0 in m.preimages[e]]
+        tests = [(m, dict(b.rel)[e0]) for m, b in bounds for e0 in m.preimages[e]]
         out_rel[e] = frozenset(
             (s, t) for s, t in pairs
             if all((reduce_state(s, m), reduce_state(t, m)) in r for m, r in tests))

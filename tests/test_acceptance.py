@@ -21,10 +21,10 @@ from evtforge.fopeq import (
 from evtforge.institution import (
     INIT, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, Status, amalgamate,
     comorphism_sen, comorphism_sign, evt_compose, evt_identity, evt_morphism,
-    evt_pushout, make_model, make_state, maximal_model, model_reduct, satisfies,
+    evt_pushout, make_model, maximal_model, model_reduct, satisfies,
     translate_sentence,
 )
-from evtforge.mathlang import ElabContext, canonical, parse_formula_text, unparse_formula
+from evtforge.mathlang import ElabContext, parse_formula_text, unparse_formula
 from evtforge.refinement import (
     check_refinement_same_sig, resolve_refinement, check_refinement_morphism,
 )
@@ -35,7 +35,9 @@ from evtforge.specs import (
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
 from tests.conftest import FIXTURES, decoded, load_fixture, parse_term_text
-from tests.reference_eval import enumerate_states, eval_formula, literal_inclusion
+from tests.reference_eval import (
+    canonical, enumerate_states, eval_formula, literal_inclusion, make_state,
+)
 
 B3 = Bounds(int_bound=3)
 
@@ -529,7 +531,7 @@ def test_criterion_09_refinement_chain():
     sl = rep.slices[0]
     before = make_state(cex["before"])
     after = make_state(cex["after"])
-    assert (before, after) not in sl.rel_map[cex["event"]]
+    assert (before, after) not in dict(sl.rel)[cex["event"]]
     assert monotonic() - t0 < 10.0
 
 

@@ -180,7 +180,7 @@ end""", encoding="utf-8")
         assert "inc: 5 pair(s)" in res.output
 
     @pytest.mark.parametrize("name,where,text", [
-        ("r.eb", "r", "machine r variables n invariants t: n ∈ ℤ\n"
+        ("r.eb", "r.Initialisation", "machine r variables n invariants t: n ∈ ℤ\n"
                       "events event Initialisation thenAct a1: n := n + 1 end end\n"),
         ("r.evt", "spec r.Initialisation",
          "spec r =\n  ops n : ℤ\n  events\n    Initialisation ordinary\n"

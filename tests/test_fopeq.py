@@ -12,8 +12,8 @@ from evtforge.fopeq import (
     fopeq_identity, fopeq_morphism, fopeq_pushout, free_vars, make_algebra,
     prime_free_vars, substitute,
 )
-from evtforge.mathlang import ElabContext, canonical, parse_formula_text, unparse_formula
-from tests.reference_eval import eval_formula, eval_term
+from evtforge.mathlang import ElabContext, parse_formula_text, unparse_formula
+from tests.reference_eval import canonical, eval_formula, eval_term
 
 B3 = Bounds(int_bound=3)
 

@@ -77,8 +77,8 @@ machine m
   events
     event Initialisation thenAct a: v := v + 1 end
 end"""
-        with pytest.raises(SpecError):
-            parse_text(src)
+        with pytest.raises(SpecError, match="initialisation may not read state variables"):
+            translate(parse_text(src))
 
     def test_assignment_to_undeclared_variable(self):
         src = """

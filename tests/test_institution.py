@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from evtforge import institution
+from evtforge import fopeq, institution
 from evtforge.cli import main
 from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.fopeq import (
@@ -22,15 +22,16 @@ from evtforge.institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, StateCoding,
     Status, amalgamate, comorphism_mod, comorphism_sen, comorphism_sign, evt_compose,
     evt_identity, evt_morphism, evt_pushout, init_conjuncts, make_model,
-    make_state, maximal_model, merged_signature, model_reduct, reduce_state, satisfies,
+    maximal_model, merged_signature, model_reduct, reduce_state, satisfies,
     signature_union, state_coding, status_sup, translate_sentence,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.specs import Evaluator, sig_of
 from tests.conftest import FIXTURES, decoded
 from tests.reference_eval import (
-    enumerate_states, eval_formula, reference_evt_morphism, reference_evt_signature,
-    reference_fopeq_morphism, reference_fopeq_signature, restrict_along,
+    enumerate_states, eval_formula, literal_satisfies, make_state, reference_evt_morphism,
+    reference_evt_signature, reference_fopeq_morphism, reference_fopeq_signature,
+    restrict_along, valuation,
 )
 from tests.test_fopeq import _formulas
 
@@ -478,6 +479,39 @@ class TestSatisfies:
         assert not satisfies(bad, EvtSentence(INIT, fam))
 
 
+@pytest.mark.oracle
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_satisfies_agrees_with_literal_satisfaction(bridge, data):
+    """satisfies, on state codes and compiled closures, agrees with the
+    literal ⊨ on tuple states for every sentence of m0, on random models at
+    --bound 2 --pin d=1.  Each set mixes members of the maximal model, which
+    satisfy every sentence, with arbitrary states and pairs."""
+    bounds = Bounds(int_bound=2, pins=(("d", 1),))
+    ev = Evaluator(bridge.library, bounds)
+    spec = bridge.library.lookup("m0")
+    sig = sig_of(spec, bridge.library)
+    rep = ev.model_class(spec)
+    algebras = enumerate_algebras(sig.fopeq, bounds, axioms=ev.flatten(spec).axioms)
+    alg = data.draw(st.sampled_from(algebras))
+    sl = rep.by_algebra.get(alg)
+    states = enumerate_states(sig, alg)
+    pairs = list(itertools.product(states, states))
+
+    def mixed(arbitrary, maximal, min_size=0):
+        picked = data.draw(st.sets(st.sampled_from(sorted(maximal)), max_size=2)
+                           if maximal else st.just(set()))
+        return picked | data.draw(st.sets(st.sampled_from(arbitrary),
+                                          min_size=0 if picked else min_size, max_size=2))
+
+    maximal = dict(sl.rel) if sl is not None else {}
+    init = mixed(states, sl.init if sl is not None else (), min_size=1)
+    rel = {e: mixed(pairs, maximal.get(e, ())) for e in sig.non_init_events}
+    model = make_model(sig, alg, init, rel)
+    for s in ev.sentences_of(spec):
+        assert satisfies(model, s) == literal_satisfies(model, s), s
+
+
 def test_init_conjuncts_keep_after_value_conjuncts():
     ctx = ElabContext(FopeqSignature(), vars=(("n", INT),))
     fam = parse_formula_text("n ≤ 2 ∧ n′ ≤ 2", ctx)
@@ -866,7 +900,9 @@ def test_scheduled_pool_matches_product_filter(problem):
     coding = state_coding(sig, alg)
 
     def scheduled():
-        for code, val in institution._filter_pool(sig, alg, compiled):
+        search = institution._filter_pool(
+            sig, alg, compiled, lambda t: fopeq.compile_term(t, alg))
+        for code, val in search:
             state = coding.decode(code)
             assert val == {(n, False): v for n, v in state}
             yield state
@@ -893,7 +929,8 @@ def test_pool_conjunct_outside_the_signature_raises():
         compiled = [(c, free_vars(c), compile_formula(c, alg))
                     for c in (stray, PredApp("<", (x, y)))]
         with pytest.raises(SortError, match="unbound variable"):
-            list(institution._filter_pool(sig, alg, compiled))
+            list(institution._filter_pool(
+                sig, alg, compiled, lambda t: fopeq.compile_term(t, alg)))
 
 
 # -- joined event pairs against the product-loop oracle ---------------------
@@ -932,7 +969,8 @@ def _product_maximal_model(sig, sentences, algebra, bounds):
         need = max(need, len(before) * len(after))
         mixed = [fn for _, fv, fn in conjs if len({p for _, p in fv}) == 2]
         r_max[e] = frozenset((s, t) for s in before for t in after
-                             if all(fn(institution.pair_valuation(s, t)) for fn in mixed))
+                             if all(fn({**valuation(s, False), **valuation(t, True)})
+                                    for fn in mixed))
     return l_max, r_max, need
 
 
@@ -1259,7 +1297,8 @@ def test_definition_binds_instead_of_searching():
         conjuncts = [(c, free_vars(c), compile_formula(c, alg)) for c in unary]
         conjuncts.append((eq, free_vars(eq), counted))
         got = [state_coding(sig, alg).decode(code)
-               for code, _ in institution._filter_pool(sig, alg, conjuncts)]
+               for code, _ in institution._filter_pool(
+                   sig, alg, conjuncts, lambda t: fopeq.compile_term(t, alg))]
         assert set(got) == set(_product_filter_pool(sig, alg, [*unary, eq], False))
         assert len(got) == 4
         assert calls <= 4
@@ -1336,7 +1375,7 @@ class TestReduct:
         model = make_model(big, alg, [s0], {"e": {(s0, s1)}})
         red = model_reduct(m, model)
         assert red.init == {make_state({"x": "u0"})}
-        assert red.rel_map["e"] == {(make_state({"x": "u0"}), make_state({"x": "u1"}))}
+        assert dict(red.rel)["e"] == {(make_state({"x": "u0"}), make_state({"x": "u1"}))}
 
     def test_state_over_other_variables_is_rejected(self):
         big = usig(nvars=2)
@@ -1635,7 +1674,7 @@ class TestAmalgamation:
         monkeypatch.setattr(institution._Memo, "__missing__", counting)
         got, _ = amalgamate(m1, m2, s1, s2, (merged, j1, j2))
         assert 0 < calls <= 10 * n
-        assert model.init <= got.init and model.rel_map["e"] <= got.rel_map["e"]
+        assert model.init <= got.init and dict(model.rel)["e"] <= dict(got.rel)["e"]
 
     def test_one_projection_per_variable_map_and_coding(self, monkeypatch):
         # the span's reducts, the check that the join reduces back and the
@@ -1666,11 +1705,12 @@ class TestAmalgamation:
 def _smaller_amalgam_exists(got, j1, j2, m1, m2) -> bool:
     """Literally: dropping one initialising state, or one pair of one event,
     from the amalgam leaves both reduct equations true."""
-    smaller = [make_model(got.signature, got.algebra, got.init - {x}, got.rel_map)
+    rel = dict(got.rel)
+    smaller = [make_model(got.signature, got.algebra, got.init - {x}, rel)
                for x in got.init if len(got.init) > 1]
-    for e, pairs in got.rel:
+    for e, pairs in rel.items():
         smaller += [make_model(got.signature, got.algebra, got.init,
-                               {**got.rel_map, e: pairs - {p}}) for p in pairs]
+                               {**rel, e: pairs - {p}}) for p in pairs]
     return any(model_reduct(j1, c) == m1 and model_reduct(j2, c) == m2 for c in smaller)
 
 
@@ -1795,7 +1835,7 @@ def _changed_side(draw, m, keep, carrier):
         return tuple((v, x if v in keep else value(m.signature.var_map[v])) for v, x in s)
 
     init = {changed(s) if draw(st.booleans()) else s for s in sorted(m.init)}
-    rel = dict(m.rel_map)
+    rel = dict(m.rel)
     for e in sorted(rel):
         before, after = draw(st.sampled_from(
             sorted(rel[e]) or [(s, s) for s in sorted(m.init)]))

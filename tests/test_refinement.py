@@ -12,7 +12,7 @@ from evtforge.fopeq import (
 )
 from evtforge.institution import (
     INIT, EvtSentence, EvtSignature, Status, evt_identity, evt_morphism,
-    make_model, make_state, reduce_state, satisfies,
+    make_model, reduce_state, satisfies,
 )
 from evtforge.mathlang import ElabContext, parse_formula_text
 from evtforge.refinement import (
@@ -23,7 +23,7 @@ from evtforge.specs import Evaluator, Flat, Presentation, SpecLibrary, make_rep,
 from evtforge.sugar import parse_document
 from evtforge.translate import translate
 from tests.conftest import load_fixture, parse_term_text
-from tests.reference_eval import enumerate_states, literal_inclusion
+from tests.reference_eval import enumerate_states, literal_inclusion, make_state
 
 B3 = Bounds(int_bound=3)
 
@@ -264,10 +264,11 @@ def _sorted_walk(rep_c, rep_a, m):
         for s in sorted(sl.init):
             if red(s) not in asl.init:
                 return (INIT, None, red(s)), pairs
+        rel, arel = dict(sl.rel), dict(asl.rel)
         for e in m.source.non_init_events:
-            for s, t in sorted(sl.rel_map[m.apply_event(e)]):
+            for s, t in sorted(rel[m.apply_event(e)]):
                 pairs += 1
-                if (red(s), red(t)) not in asl.rel_map[e]:
+                if (red(s), red(t)) not in arel[e]:
                     return (e, red(s), red(t)), pairs
     return None, pairs
 
@@ -349,10 +350,10 @@ def _inclusion_problems(draw):
         pairs = list(itertools.product(states, states))
         init = some([s for s in states if am is None or red(s) in am.init], 0, 2)
         init = (init | some(states, 0, stray)) or some(states, 1, 1)
-        rel = []
+        rel, arel = [], {} if am is None else dict(am.rel)
         for c in c_events:
             inside = [(s, t) for s, t in pairs if am is None or all(
-                (red(s), red(t)) in am.rel_map[e] for e in m.preimages[c])]
+                (red(s), red(t)) in arel[e] for e in m.preimages[c])]
             rel.append((c, some(inside, 0, 2) | some(pairs, 0, stray)))
         c_models.append(make_model(concrete, alg, init, dict(rel)))
     return make_rep(concrete, c_models), make_rep(abstract, a_models.values()), m
@@ -380,5 +381,5 @@ def test_maxima_shortcut_matches_literal_inclusion(problem):
     elif cx.event == INIT:
         assert cx.after in set(map(red, sl.init)) - asl.init
     else:
-        images = {(red(s), red(t)) for s, t in sl.rel_map[m.apply_event(cx.event)]}
-        assert (cx.before, cx.after) in images - asl.rel_map[cx.event]
+        images = {(red(s), red(t)) for s, t in dict(sl.rel)[m.apply_event(cx.event)]}
+        assert (cx.before, cx.after) in images - dict(asl.rel)[cx.event]

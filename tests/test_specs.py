@@ -15,17 +15,17 @@ from evtforge.fopeq import (
 )
 from evtforge.institution import (
     INIT, EvtMorphism, EvtSignature, Status, comorphism_sign, evt_identity,
-    evt_morphism, evt_pushout, make_state, model_reduct,
+    evt_morphism, evt_pushout, model_reduct,
 )
 from evtforge.mathlang import ElabContext, NatType, parse_formula_text
 from evtforge.specs import (
     ActionClause, Embed, Enrich, Evaluator, EventClauses, Flat, Hide, Named,
-    Presentation, SpecLibrary, Sum, Translate, enumerate_models,
-    rep_contains, sig_of,
+    Presentation, SpecLibrary, Sum, Translate, sig_of,
 )
 from evtforge.sugar import parse_document, print_library, print_spec
 from evtforge.translate import TranslationOutput, translate
 from tests.conftest import FIXTURES, load_fixture, parse_term_text
+from tests.reference_eval import enumerate_models, make_state, rep_contains
 
 B3 = Bounds(int_bound=3)
 
@@ -243,7 +243,7 @@ class TestModOf:
         rep = ev.model_class(bridge.library.lookup("m0"))
         assert [sl.algebra.constant("d") for sl in rep.slices] == [1, 2, 3]
         d2 = [sl for sl in rep.slices if sl.algebra.constant("d") == 2][0]
-        assert d2.rel_map["ML_out"] == {
+        assert dict(d2.rel)["ML_out"] == {
             (make_state({"n": 0}), make_state({"n": 1})),
             (make_state({"n": 1}), make_state({"n": 2}))}
 
@@ -253,7 +253,7 @@ class TestModOf:
         rep = Evaluator(None, B3).model_class(Presentation(sig, Flat()))
         sl = rep.slices[0]
         assert len(sl.init) == 2
-        assert len(sl.rel_map["e"]) == 4
+        assert len(dict(sl.rel)["e"]) == 4
 
     def test_embed_models_have_singleton_init(self, bridge):
         ev = Evaluator(bridge.library, B3)
@@ -276,8 +276,8 @@ class TestModOf:
         reduced = {
             (tuple((k, v) for k, v in s if k in ("v1", "v2")),
              tuple((k, v) for k, v in t if k in ("v1", "v2")))
-            for s, t in ev.model_class(out.library.lookup("M")).slices[0].rel_map["e3"]}
-        assert sl.rel_map["e3_e"] == reduced
+            for s, t in dict(ev.model_class(out.library.lookup("M")).slices[0].rel)["e3"]}
+        assert dict(sl.rel)["e3_e"] == reduced
 
     def test_hide_refuses_non_injective_event_maps(self):
         sig = EvtSignature(events=(("e", Status.ordinary), ("f", Status.ordinary)),
@@ -428,7 +428,7 @@ class TestOperatorLaws:
         ev = Evaluator(None, B3)
         rep = ev.model_class(Translate(pres, m))
         sl = rep.slices[0]
-        assert len(sl.init) == 2 and len(sl.rel_map["e"]) == 4
+        assert len(sl.init) == 2 and len(dict(sl.rel)["e"]) == 4
 
     def test_non_injective_event_translate_synchronises(self):
         out = translate(parse_text(load_fixture("decomp.eb")))
@@ -493,8 +493,8 @@ class TestRenameAvoidsCapture:
             return tuple((new, v) for _, v in s)
 
         assert b.init == frozenset(map(ren, a.init))
-        assert b.rel_map["e"] == frozenset((ren(s), ren(t)) for s, t in a.rel_map["e"])
-        return a.rel_map["e"]
+        assert dict(b.rel)["e"] == frozenset((ren(s), ren(t)) for s, t in dict(a.rel)["e"])
+        return dict(a.rel)["e"]
 
     def test_parameter_named_like_the_image(self):
         assert len(self.renamed_maxima(CAPTURE, "p")) == 3
@@ -553,10 +553,11 @@ class TestIndependentOracle:
         ml_in = pairs(lambda n, a, b, c, n2, a2, b2, c2:
                       n > 0 and n2 == n - 1           # abstract event
                       and c > 0 and c2 == c - 1)
-        assert sl.rel_map["ML_out"] == ml_out
-        assert sl.rel_map["IL_in"] == il_in
-        assert sl.rel_map["IL_out"] == il_out
-        assert sl.rel_map["ML_in"] == ml_in
+        rel = dict(sl.rel)
+        assert rel["ML_out"] == ml_out
+        assert rel["IL_in"] == il_in
+        assert rel["IL_out"] == il_out
+        assert rel["ML_in"] == ml_in
         assert sl.init == frozenset(
             {make_state({"n": 0, "a": 0, "b": 0, "c": 0})})
 
@@ -585,8 +586,8 @@ class TestMaximalModelReduct:
 
         assert reduced.init == {restrict(s) for s in sl.init}
         for e in ("ML_out", "ML_in"):
-            assert reduced.rel_map[e] == {
-                (restrict(s), restrict(t)) for s, t in sl.rel_map[e]}
+            assert dict(reduced.rel)[e] == {
+                (restrict(s), restrict(t)) for s, t in dict(sl.rel)[e]}
 
 
 class TestTrivialShapes:
@@ -643,7 +644,7 @@ end"""
         ev = Evaluator(out.library, B3)
         sl = ev.model_class(out.library.lookup("nd")).slices[0]
         assert sl.init == frozenset({make_state({"v": 0}), make_state({"v": 1})})
-        assert sl.rel_map["grow"] == frozenset({
+        assert dict(sl.rel)["grow"] == frozenset({
             (make_state({"v": 0}), make_state({"v": 1})),
             (make_state({"v": 0}), make_state({"v": 2})),
             (make_state({"v": 1}), make_state({"v": 2})),
@@ -834,7 +835,7 @@ class TestEnumerateModels:
         ev = Evaluator(None, Bounds(int_bound=3, pins=(("d", 1),)))
         rep = ev.model_class(pres)
         sl = rep.slices[0]
-        total = (2 ** len(sl.init) - 1) * 2 ** len(sl.rel_map["up"])
+        total = (2 ** len(sl.init) - 1) * 2 ** len(dict(sl.rel)["up"])
         models = list(enumerate_models(rep))
         assert len(models) == total
         assert all(rep_contains(rep, m) for m in models)

@@ -3,12 +3,13 @@ import pytest
 from evtforge.errors import SortError, SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import Bounds, INT, free_vars
-from evtforge.institution import INIT, Status, make_state
-from evtforge.mathlang import canonical, parse_formula_text, unparse_formula, ElabContext
+from evtforge.institution import INIT, Status
+from evtforge.mathlang import parse_formula_text, unparse_formula, ElabContext
 from evtforge.specs import Enrich, Evaluator, Named, SpecLibrary, Sum, _sig_rule, sig_of
 from evtforge.sugar import parse_document, print_library
 from evtforge.translate import translate
 from tests.conftest import FIXTURES, load_fixture
+from tests.reference_eval import canonical, make_state
 
 B3 = Bounds(int_bound=3)
 
@@ -281,7 +282,7 @@ class TestNoFrameCondition:
         ev = Evaluator(out.library, Bounds(int_bound=1))
         rep = ev.model_class(out.library.lookup("M"))
         sl = rep.slices[0]
-        pairs = sl.rel_map["e1"]
+        pairs = dict(sl.rel)["e1"]
         befores = {s for s, _ in pairs}
         v2_changes = any(dict(s)["v2"] != dict(t)["v2"] for s, t in pairs)
         assert v2_changes
@@ -291,7 +292,7 @@ class TestNoFrameCondition:
         out = translate(parse_text(load_fixture("rex.eb")))
         ev = Evaluator(out.library, B3)
         rep = ev.model_class(out.library.lookup("rex"))
-        pairs = rep.slices[0].rel_map["e"]
+        pairs = dict(rep.slices[0].rel)["e"]
         expected = {
             (make_state({"x": x, "y": y}), make_state({"x": x + 1, "y": False}))
             for x in (0, 1) for y in (False, True)
@@ -325,7 +326,7 @@ end"""
         assert set(sig.event_names) == {INIT, "both"}
         ev = Evaluator(out.library, B3)
         rep = ev.model_class(out.library.lookup("cc"))
-        pairs = rep.slices[0].rel_map["both"]
+        pairs = dict(rep.slices[0].rel)["both"]
         assert pairs  # conjunction v < 2 and v > 0 is satisfiable
         assert all(dict(s)["v"] == 1 for s, _ in pairs)
 
@@ -344,7 +345,7 @@ end"""
         lib = out.library
         ev = Evaluator(lib, B3)
         rep = ev.model_class(lib.lookup("mm"))
-        base_pairs = rep.slices[0].rel_map["e"]
+        base_pairs = dict(rep.slices[0].rel)["e"]
         # an enrichment re-declaring e adds a second sentence for the same name
         from evtforge.sugar import parse_document
         parse_document("""
@@ -356,7 +357,7 @@ spec mm2 =
         when v > 0
 end""", lib)
         rep2 = ev.model_class(lib.lookup("mm2"))
-        stricter = rep2.slices[0].rel_map["e"]
+        stricter = dict(rep2.slices[0].rel)["e"]
         assert stricter < base_pairs
         assert all(dict(s)["v"] > 0 for s, _ in stricter)
 
