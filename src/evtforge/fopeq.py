@@ -1171,3 +1171,40 @@ def enumerate_algebras(
                 out.append(a)
     out.sort(key=lambda a: a.describe())
     return out
+
+
+def canonical_form(
+    sig: FopeqSignature, a: FiniteAlgebra,
+) -> tuple[tuple, dict[str, tuple[Value, ...]]]:
+    """The orbit key of an algebra over sig under renaming its user sorts'
+    elements, and the order that names them.
+
+    Each user sort's elements are numbered in order of first appearance in
+    the op tables and then the pred tables (signature order, row order, a
+    row's arguments before its result), and the unused ones follow in
+    carrier order; order[s] lists them by number.  The key is the carriers
+    and the tables with every element numbered, so two algebras a and b with
+    equal keys are isomorphic: order_a[s][k] ↦ order_b[s][k] maps a onto b.
+    Which places hold a user sort is read from the symbols' profiles, never
+    from a value's spelling.  Isomorphic algebras may still get different
+    keys.
+    """
+    seen: dict[str, dict[Value, int]] = {s: {} for s in sig.sorts}
+
+    def number(sorts: Sequence[str], row: tuple) -> tuple:
+        out = []
+        for s, v in zip(sorts, row):
+            nums = seen.get(s)
+            out.append(v if nums is None else nums.setdefault(v, len(nums)))
+        return tuple(out)
+
+    ops, preds = dict(a.ops), dict(a.preds)
+    key = [a.carriers]
+    for o in sig.ops:
+        sorts = (*o.args, o.result)
+        key.append(frozenset([number(sorts, (*args, v)) for args, v in ops[o.name]]))
+    for p in sig.preds:
+        key.append(frozenset([number(p.args, row) for row in preds[p.name]]))
+    order = {s: (*nums, *(v for v in a.carrier(s) if v not in nums))
+             for s, nums in seen.items()}
+    return tuple(key), order

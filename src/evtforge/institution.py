@@ -450,6 +450,38 @@ class Projection:
         self.state, self.pair = state, pair
 
 
+def relabel(
+    coding: StateCoding,
+    sorts: Sequence[str],
+    images: Mapping[str, Mapping[Value, Value]],
+    init: Iterable[int],
+    rel_map: Mapping[str, Relation],
+) -> tuple[frozenset[int], dict[str, Relation]]:
+    """maximal_model's output for one algebra carried along an isomorphism
+    onto another algebra with the same carriers, so under the same coding.
+    sorts lists the variables' sorts; for a variable whose sort images maps,
+    digit d becomes the rank of images[sort][values[d]], and every other
+    digit stays.  Each distinct state code is mapped once and a pair code
+    half by half; a join's count is mapped block by block, so it stays a
+    count until its codes are read."""
+    # each moved variable's weight, radix and shift per digit
+    moved = [(w, len(vs), [(rank[images[s][v]] - d) * w for d, v in enumerate(vs)])
+             for s, vs, rank, w in zip(sorts, coding.values, coding.ranks, coding.weights)
+             if s in images]
+    if not moved:
+        return init, rel_map
+    state = _Memo(lambda code: code + sum([shift[code // w % k] for w, k, shift in moved]))
+    state, n = state.__getitem__, coding.size
+    out = {}
+    for e, pairs in rel_map.items():
+        blocks = pairs._blocks if pairs.__class__ is _Joined else None
+        if blocks is None:
+            out[e] = frozenset([state(p // n) * n + state(p % n) for p in pairs])
+        else:
+            out[e] = _Joined([(state(base // n) * n, list(map(state, b))) for base, b in blocks])
+    return frozenset(map(state, init)), out
+
+
 class _Joined:
     """A relation as maximal_model's join left it for an event without
     checks: blocks of a before-state's pair-code base and its bucket of

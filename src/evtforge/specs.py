@@ -22,13 +22,14 @@ from .errors import EnumerationLimit, SortError, SpecError
 from . import fopeq as F
 from .fopeq import (
     Bounds, FiniteAlgebra, FopeqMorphism, FopeqSignature, Formula, OpApp, PredApp, Term, Var,
-    algebra_reduct, conjoin, enumerate_algebras, frozen, prime_free_vars, substitute,
+    algebra_reduct, canonical_form, conjoin, enumerate_algebras, frozen, prime_free_vars,
+    substitute,
 )
 from .institution import (
     INIT, EvtModel, EvtMorphism, EvtSentence, EvtSignature, ModelPlan, Status,
     comorphism_sign, evt_compose, evt_identity, evt_morphism, maximal_model,
-    model_reduct, restrict_along, signature_extension, signature_union, state_coding,
-    translate_sentence,
+    model_reduct, relabel, restrict_along, signature_extension, signature_union,
+    state_coding, translate_sentence,
 )
 from .mathlang import (
     ElabContext, SubsetType, TypeExpr, elab_formula, elab_term, type_constraint,
@@ -525,6 +526,8 @@ class Evaluator:
         # planned at the first admitted algebra, so a class with none plans nothing
         plan = None
         slices = []
+        # an orbit's first member's order and maxima, by orbit key
+        orbits: dict[tuple, tuple] = {}
         for a in algebras:
             bounds = []
             for rep, tau in fl.constraints:
@@ -535,7 +538,19 @@ class Evaluator:
             else:
                 if plan is None:
                     plan = ModelPlan(sig, expand_families(fl, sig))
-                l_max, r_max = maximal_model(plan, a, self.bounds)
+                orbit = canonical_form(sig.fopeq, a) if sig.fopeq.sorts else None
+                first = orbits.get(orbit[0]) if orbit else None
+                if first is None:
+                    l_max, r_max = maximal_model(plan, a, self.bounds)
+                    if orbit:
+                        orbits[orbit[0]] = orbit[1], l_max, r_max
+                else:
+                    # no sentence names an element, so the isomorphism from
+                    # the orbit's first member carries its maxima onto a's
+                    (was, l_max, r_max), now = first, orbit[1]
+                    images = {s: dict(zip(was[s], now[s])) for s in now if was[s] != now[s]}
+                    l_max, r_max = relabel(state_coding(sig, a), [s for _, s in sig.vars],
+                                           images, l_max, r_max)
                 if bounds:
                     l_max, r_max = restrict_along(
                         state_coding(sig, a), l_max, r_max, bounds)

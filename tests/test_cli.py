@@ -220,6 +220,28 @@ end""", encoding="utf-8")
         golden = FIXTURES / "golden" / "models_m2_bound4_list.json"
         assert res.stdout_bytes == golden.read_bytes()
 
+    def test_relabelled_orbit_matches_golden_with_one_run(self, runner, monkeypatch):
+        # Light = {red, amber, green} admits 3! labellings, one orbit: one
+        # maximal_model run, relabelled for the other five algebras
+        runs = []
+        run = specs.maximal_model
+        monkeypatch.setattr(specs, "maximal_model", lambda *a: runs.append(a) or run(*a))
+        res = runner.invoke(main, [
+            "models", "tl", *fx("lights3.eb"), "--carrier", "Light=3", "--bound", "2",
+            "--json", "--list"])
+        assert res.exit_code == 0
+        assert (len(json.loads(res.output)["algebras"]), len(runs)) == (6, 1)
+        golden = FIXTURES / "golden" / "models_lights3_bound2_list.json"
+        assert res.stdout_bytes == golden.read_bytes()
+
+    def test_a_pin_lists_the_matching_slices_of_an_orbit(self, runner):
+        args = ["models", "tl", *fx("lights3.eb"), "--carrier", "Light=3", "--bound", "2",
+                "--json", "--list"]
+        every = json.loads(runner.invoke(main, args).output)["algebras"]
+        pinned = json.loads(runner.invoke(main, [*args, "--pin", "red=Light0"]).output)
+        assert pinned["algebras"] == [a for a in every if "red=Light0" in a["algebra"]]
+        assert len(pinned["algebras"]) == 2
+
     def test_counts_of_check_free_relations_build_no_pair_codes(self, runner, tmp_path,
                                                                 monkeypatch):
         # typed variables, a guard each and one assignment each: every pair

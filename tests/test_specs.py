@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -10,12 +11,12 @@ from evtforge.cli import main
 from evtforge.errors import EnumerationLimit, SortError, SpecError
 from evtforge.eventb import parse_text
 from evtforge.fopeq import (
-    FALSE, And, Bounds, Equal, FopeqSignature, INT, IntLit, Not, Op, OpApp, PredApp, Var,
-    fopeq_identity, fopeq_morphism, fopeq_pushout,
+    FALSE, And, Bounds, Equal, FopeqSignature, INT, IntLit, Not, Op, OpApp, Pred, PredApp,
+    Var, enumerate_algebras, fopeq_identity, fopeq_morphism, fopeq_pushout,
 )
 from evtforge.institution import (
-    INIT, EvtMorphism, EvtSignature, Status, comorphism_sign, evt_identity,
-    evt_morphism, evt_pushout, model_reduct,
+    INIT, EvtMorphism, EvtSignature, ModelPlan, Status, comorphism_sign, evt_identity,
+    evt_morphism, evt_pushout, maximal_model, model_reduct,
 )
 from evtforge.mathlang import ElabContext, NatType, parse_formula_text
 from evtforge.specs import (
@@ -24,8 +25,8 @@ from evtforge.specs import (
 )
 from evtforge.sugar import parse_document, print_library, print_spec
 from evtforge.translate import TranslationOutput, translate
-from tests.conftest import FIXTURES, load_fixture, parse_term_text
-from tests.reference_eval import enumerate_models, make_state, rep_contains
+from tests.conftest import FIXTURES, decoded, load_fixture, parse_term_text
+from tests.reference_eval import enumerate_models, make_state, rep_contains, restrict_along
 
 B3 = Bounds(int_bound=3)
 
@@ -300,8 +301,10 @@ class TestModOf:
 def test_refine_plans_each_spec_with_an_admitted_algebra_once(monkeypatch):
     # refine of the bridge chain at --bound 4 with d free: m0, m1 and m2
     # admit an algebra, each is planned once and its plan run once per
-    # admitted algebra; the refining machines' imports Named("m0") and
-    # Named("m1") reuse the classes of the definitions they name
+    # orbit of admitted algebras (m0 and m1 have 4 each, one per d; m2's 8
+    # pair each d with both labellings of Color = {green, red}, 4 orbits);
+    # the refining machines' imports Named("m0") and Named("m1") reuse the
+    # classes of the definitions they name
     plans, runs, admitted = [], [], []
     plan_class, run, enumerate_algebras = specs.ModelPlan, specs.maximal_model, specs.enumerate_algebras
 
@@ -324,7 +327,8 @@ def test_refine_plans_each_spec_with_an_admitted_algebra_once(monkeypatch):
         "refine", *(str(FIXTURES / n) for n in ("ebm0.eb", "ebm1.eb", "ebm2.eb", "refinements.evt")),
         "--bound", "4", "--allow-status-drop"])
     assert res.exit_code == 0, res.output
-    assert (len(plans), len(runs)) == (3, 16)
+    assert (len(plans), len(runs)) == (3, 12)
+    assert re.findall(r"holds \((\d+) algebra", res.output) == ["4", "8", "8"]
     assert len(plans) == sum(1 for algebras in admitted if algebras)
     assert [id(p) for p in plans] == list(dict.fromkeys(id(p) for p in runs))
 
@@ -885,3 +889,75 @@ def test_hashing_a_tree_again_visits_its_root_alone(bridge, monkeypatch, which):
     hash(tree)
     assert memo[tree] == "hit"
     assert len(hashed) == 2 and all(v is tree for v in hashed)
+
+
+# -- one maximal_model run per orbit, against a run per algebra --------------
+
+
+@st.composite
+def _orbit_specs(draw):
+    """A machine over a user sort C of three elements (with two, every
+    permutation is its own inverse): 1–3 constants of C (1–2 with f), maybe
+    f : C → C or p ⊆ C, variables x : C, maybe y : C, and z : ℤ.  Half the time it is
+    summed with a hide slice of a copy that has one more invariant, so
+    restrict_along bounds its maxima."""
+    extra = draw(st.sampled_from(["", "f", "p"]))
+    # f's 27 tables times 3^3 constants would make one example take seconds
+    ks = [f"k{i}" for i in range(draw(st.integers(1, 2 if extra == "f" else 3)))]
+    fsig = FopeqSignature(
+        ("C",), tuple(Op(k, (), "C") for k in ks)
+        + ((Op("f", ("C",), "C"),) if extra == "f" else ()),
+        (Pred("p", ("C",)),) if extra == "p" else ())
+    cvars = ["x", "y"][:draw(st.integers(1, 2))]
+    ctx = ElabContext(fsig, tuple((v, "C") for v in cvars) + (("z", INT),))
+
+    def atoms(names, ints, lo, hi):
+        term = st.sampled_from(names)
+        if extra == "f":
+            term = st.one_of(term, term.map(lambda t: f"f({t})"))
+        atom = st.tuples(term, st.sampled_from(["=", "≠"]), term).map(" ".join)
+        if extra == "p":
+            atom = st.one_of(atom, term.map(lambda t: f"p({t})"))
+        if ints:
+            atom = st.one_of(atom, st.sampled_from(ints))
+        return tuple(parse_formula_text(f, ctx)
+                     for f in draw(st.lists(atom, min_size=lo, max_size=hi)))
+
+    primed = [v + "'" for v in cvars]
+    axioms = atoms(ks, [], 0, 2)
+    invariants = atoms(ks + cvars, ["z ≥ 0", "z ≤ 0"], 0, 2)
+    events = [EventClauses(INIT, guards=atoms(ks + primed, ["z' = 0", "z' ≥ 0"], 1, 2))]
+    for e in ("e1", "e2")[:draw(st.integers(1, 2))]:
+        events.append(EventClauses(e, guards=atoms(
+            ks + cvars + primed, ["z' = z + 1", "z' = 0", "z ≤ 0", "z' ≥ z"], 1, 3)))
+    sig = EvtSignature(fsig, tuple((e.name, Status.ordinary) for e in events[1:]), ctx.vars)
+    spec = Presentation(sig, Flat(axioms=axioms, invariants=invariants, events=tuple(events)))
+    if draw(st.booleans()):
+        stronger = Presentation(sig, Flat(axioms=axioms, events=tuple(events),
+                                          invariants=invariants + atoms(ks + cvars, [], 1, 1)))
+        small = EvtSignature(fsig, sig.events, sig.vars[:1] + sig.vars[-1:])
+        spec = Sum((spec, Hide(stronger, evt_morphism(small, sig))))
+    return spec
+
+
+@pytest.mark.oracle
+@given(_orbit_specs())
+@settings(max_examples=40, deadline=None)
+def test_orbit_maxima_equal_a_run_per_algebra(spec):
+    # every slice of model_class, whose maxima are shared along orbits of
+    # isomorphic algebras, against maximal_model and restrict_along run on
+    # that slice's own algebra; and no algebra with a maximum is missing
+    bounds = Bounds(int_bound=1, carrier_sizes=(("C", 3),))
+    ev = Evaluator(None, bounds)
+    sig, fl = sig_of(spec, None), ev.flatten(spec)
+    plan = ModelPlan(sig, ev.sentences_of(spec))
+    want = {}
+    for a in enumerate_algebras(sig.fopeq, bounds, axioms=fl.axioms):
+        slices = [(tau, rep.by_algebra.get(ev.algebra_reduct(a, tau.fopeq)))
+                  for rep, tau in fl.constraints]
+        if all(sl is not None for _, sl in slices):
+            init, rel = restrict_along(*decoded(sig, a, maximal_model(plan, a, bounds)), slices)
+            if init:
+                want[a] = init, rel
+    got = {sl.algebra: (sl.init, dict(sl.rel)) for sl in ev.model_class(spec).slices}
+    assert got == want
