@@ -19,7 +19,7 @@ import click
 from .errors import EvtForgeError, ParseError, SpecError, read_source
 from .eventb import parse_text
 from .fopeq import Bounds, frozen
-from .institution import INIT, _Memo
+from .institution import INIT, _Memo, pair_runs
 from .refinement import (
     RefinementVerdict, check_refinement_morphism, resolve_refinement,
 )
@@ -236,9 +236,9 @@ class States(list):
 
 
 class StatePairs(States):
-    """A JSON array of the ``(before, after)`` state pairs with these pair
-    codes under `coding`, in order: each prints as a two-item array of
-    objects."""
+    """A JSON array of the ``(before, after)`` state pairs of these runs
+    under `coding` (institution.pair_runs), in order: each pair prints as a
+    two-item array of objects."""
 
 
 def dump_json(payload) -> str:
@@ -269,22 +269,43 @@ def _put_members(items, level: int, out: list[str], memos: dict) -> None:
     out.append("\n" + "  " * level + "}")
 
 
-def _state_object(level: int, state) -> str:
-    """The JSON object text of a state at indent level."""
-    out: list[str] = []
-    # a state's values hold no state arrays, so they need no memo
-    _put_members(state, level, out, {})
-    return "".join(out)
+def _by_digit(coding, member, start: str, sep: str, end: str):
+    """The function from a state code under coding to its text: start, the
+    member(name, value) texts of its variables joined by sep, and end.
+    Each member text is rendered once per value and picked by digit."""
+    places = [(w, len(vs), [member(n, v) for v in vs])
+              for n, vs, w in zip(coding.names, coding.values, coding.weights)]
+    return lambda code: start + sep.join([m[code // w % k] for w, k, m in places]) + end
 
 
-def _texts(memos: dict, coding, render, *args) -> _Memo:
-    """The texts render(*args, state) of the states under coding, by state
-    code, kept in memos under (render, args, coding) so that each is
-    rendered once."""
-    key = (render, args, coding)
+def _json_state(coding, level: int):
+    """The JSON object texts at indent level of the states under coding."""
+    if not coding.names:
+        return lambda code: "{}"
+    inner = "\n" + "  " * (level + 1)
+
+    def member(name: str, value) -> str:
+        out = [_quote(name), ": "]
+        # a value holds no state arrays, so it needs no memo
+        _put(value, level + 1, out, {})
+        return "".join(out)
+
+    return _by_digit(coding, member, "{" + inner, "," + inner, "\n" + "  " * level + "}")
+
+
+def _text_state(coding):
+    """The texts of the states under coding as _format_state writes them."""
+    return _by_digit(coding, lambda n, v: f"{n}={_format_value(v)}", "(", ", ", ")")
+
+
+def _texts(memos: dict, coding, renderer, *args) -> _Memo:
+    """The texts renderer(coding, *args)(code) of the states under coding,
+    by state code, kept in memos under (renderer, args, coding) so that
+    each is rendered once."""
+    key = (renderer, args, coding)
     text = memos.get(key)
     if text is None:
-        text = memos[key] = _Memo(lambda code: render(*args, coding.decode(code)))
+        text = memos[key] = _Memo(renderer(coding, *args))
     return text
 
 
@@ -307,17 +328,18 @@ def _put(o, level: int, out: list[str], memos: dict) -> None:
             return
         inner = "\n" + "  " * (level + 1)
         if isinstance(o, StatePairs):
-            text = _texts(memos, o.coding, _state_object, level + 2)
+            text = _texts(memos, o.coding, _json_state, level + 2)
             inner2 = "\n" + "  " * (level + 2)
             lead, comma = inner + "[" + inner2, "," + inner + "[" + inner2
             mid, tail = "," + inner2, inner + "]"
-            n = o.coding.size
             out.append("[")
-            for p in o:
-                out += (lead, text[p // n], mid, text[p % n], tail)
+            # a run's pairs share their before-state's text
+            for i, run in o:
+                head = text[i] + mid
+                out += (lead, head, (tail + comma + head).join(map(text.__getitem__, run)), tail)
                 lead = comma
         elif isinstance(o, States):
-            text = _texts(memos, o.coding, _state_object, level + 1)
+            text = _texts(memos, o.coding, _json_state, level + 1)
             out += ("[", inner, ("," + inner).join([text[s] for s in o]))
         else:
             sep, comma = "[" + inner, "," + inner
@@ -332,21 +354,48 @@ def _put(o, level: int, out: list[str], memos: dict) -> None:
         out.append(_quote(str(o)))
 
 
-def models_payload(name: str, bound: int, slices, list_pairs: bool) -> dict:
-    """The ``models --json`` report of per-algebra maximal models."""
+def models_payload(name: str, bound: int, slices, list_pairs: bool,
+                   event_name: str | None = None) -> dict:
+    """The ``models --json`` report of per-algebra maximal models; with an
+    event_name, of that event alone, as the text report."""
     payload = {"spec": name, "bound": bound, "algebras": []}
+    with_init = event_name in (None, INIT)
     for sl in slices:
-        entry = {
-            "algebra": sl.algebra.describe(),
-            "initial_states": len(sl.init_codes),
-            "events": {e: len(p) for e, p in sl.rel_codes},
-        }
+        rels = [(e, p) for e, p in sl.rel_codes if event_name in (None, e)]
+        entry = {"algebra": sl.algebra.describe()}
+        if with_init:
+            entry["initial_states"] = len(sl.init_codes)
+        entry["events"] = {e: len(p) for e, p in rels}
         if list_pairs:
-            entry["init"] = States(sorted(sl.init_codes), sl.coding)
-            entry["relations"] = {e: StatePairs(sorted(p), sl.coding)
-                                  for e, p in sl.rel_codes}
+            if with_init:
+                entry["init"] = States(sorted(sl.init_codes), sl.coding)
+            entry["relations"] = {e: StatePairs(pair_runs(p, sl.coding.size), sl.coding)
+                                  for e, p in rels}
         payload["algebras"].append(entry)
     return payload
+
+
+def models_lines(slices, list_pairs: bool, event_name: str | None = None) -> list[str]:
+    """The text report's lines of per-algebra maximal models, after its
+    header; with an event_name, of that event alone."""
+    texts: dict = {}  # each distinct state formatted once per coding
+    lines = []
+    for sl in slices:
+        lines.append(f"algebra {sl.algebra.describe()}")
+        text = _texts(texts, sl.coding, _text_state)
+        if event_name in (None, INIT):
+            lines.append(f"  Init: {len(sl.init_codes)} initial state(s)")
+            if list_pairs:
+                lines.extend([f"    {text[s]}" for s in sorted(sl.init_codes)])
+        for e, pairs in sl.rel_codes:
+            if event_name not in (None, e):
+                continue
+            lines.append(f"  {e}: {len(pairs)} pair(s)")
+            if list_pairs:
+                for i, run in pair_runs(pairs, sl.coding.size):
+                    head = f"    {text[i]} -> "
+                    lines.extend([head + text[j] for j in run])
+    return lines
 
 
 @main.command("models")
@@ -375,30 +424,15 @@ def cmd_models(name, files, bound, carriers, pins, ceiling, input_format,
         return
 
     if as_json:
-        _echo(dump_json(models_payload(name, bound, rep.slices, list_pairs)))
+        _echo(dump_json(models_payload(name, bound, rep.slices, list_pairs, event_name)))
         return
 
-    texts: dict = {}  # each distinct state formatted once per coding
     lines = [f"spec {name}  [bound {bound}"
              + (f", pins {', '.join(f'{k}={v}' for k, v in cfg.pins)}" if cfg.pins else "")
              + "]"]
     if not rep.slices:
         lines.append("  no admissible algebras (empty model class)")
-    for sl in rep.slices:
-        lines.append(f"algebra {sl.algebra.describe()}")
-        text = _texts(texts, sl.coding, _format_state)
-        n = sl.coding.size
-        if event_name is None or event_name == INIT:
-            lines.append(f"  Init: {len(sl.init_codes)} initial state(s)")
-            if list_pairs:
-                lines.extend(f"    {text[s]}" for s in sorted(sl.init_codes))
-        for e, pairs in sl.rel_codes:
-            if event_name is not None and e != event_name:
-                continue
-            lines.append(f"  {e}: {len(pairs)} pair(s)")
-            if list_pairs:
-                lines.extend(f"    {text[p // n]} -> {text[p % n]}" for p in sorted(pairs))
-    _echo("\n".join(lines))
+    _echo("\n".join(lines + models_lines(rep.slices, list_pairs, event_name)))
 
 
 @main.command("refine")

@@ -1128,7 +1128,8 @@ def enumerate_algebras(
             if o.args:
                 raise SortError(f"cannot pin non-constant operation {o.name}")
             v = fixed[o.name]
-            if v not in rng:
+            # by value_key, as True == 1
+            if value_key(v) not in map(value_key, rng):
                 raise SortError(f"pinned value {v!r} for {o.name} outside its carrier")
             tables = [{(): v}]
         else:

@@ -374,11 +374,14 @@ class StateCoding:
         value lies outside its carrier."""
         if tuple([n for n, _ in s]) != self.names:
             raise SortError(f"state {s} is not over the variables {self.names}")
-        try:
-            return sum([rank[v] * w for (_, v), rank, w in zip(s, self.ranks, self.weights)])
-        except KeyError:
-            n, v = next((n, v) for (n, v), rank in zip(s, self.ranks) if v not in rank)
-            raise SortError(f"state {s}: value {v!r} of {n} lies outside its carrier") from None
+        code = 0
+        for (n, v), vs, rank, w in zip(s, self.values, self.ranks, self.weights):
+            r = rank.get(v)
+            # True == 1, so the rank of an equal value of another type is no rank
+            if r is None or value_key(vs[r]) != value_key(v):
+                raise SortError(f"state {s}: value {v!r} of {n} lies outside its carrier")
+            code += r * w
+        return code
 
     def encode_pair(self, s: State, t: State) -> int:
         return self.encode(s) * self.size + self.encode(t)
@@ -516,6 +519,26 @@ class _Joined:
 
 
 Relation = frozenset[int] | _Joined
+
+
+def pair_runs(relation: Relation, size: int) -> list[tuple[int, list[int]]]:
+    """The pairs of a relation over states coded below size, as runs of a
+    before-code and its ascending after-codes, in ascending before order.
+
+    A join that still holds its blocks is read block by block: each
+    before-state has one block and a bucket holds distinct after-codes, so
+    the blocks and buckets are put in order in place, which leaves the
+    relation's set of pairs as it was, and no pair code is built.  Otherwise
+    the pair codes are sorted once and split where the before-code changes."""
+    blocks = relation._blocks if relation.__class__ is _Joined else None
+    if blocks is None:
+        return [(i, [p - i * size for p in run])
+                for i, run in itertools.groupby(sorted(relation), lambda p: p // size)]
+    # a bucket may serve many blocks; sorting it again is one linear pass
+    blocks.sort()
+    for _, b in blocks:
+        b.sort()
+    return [(base // size, b) for base, b in blocks]
 
 
 @frozen

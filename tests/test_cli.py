@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from evtforge import institution, refinement, specs
-from evtforge.cli import dump_json, main, models_payload
+from evtforge.cli import _format_state, dump_json, main, models_lines, models_payload
 from evtforge.fopeq import Bounds
 from evtforge.institution import StateCoding
 from evtforge.refinement import Counterexample, RefinementVerdict
@@ -234,6 +234,15 @@ end""", encoding="utf-8")
         golden = FIXTURES / "golden" / "models_lights3_bound2_list.json"
         assert res.stdout_bytes == golden.read_bytes()
 
+    def test_relabelled_orbit_text_listing_matches_golden(self, runner):
+        # the relabelled joins are listed run by run, as a run per algebra
+        # listed them (the golden file)
+        res = runner.invoke(main, [
+            "models", "tl", *fx("lights3.eb"), "--carrier", "Light=3", "--bound", "2",
+            "--list"])
+        golden = FIXTURES / "golden" / "models_lights3_bound2_list.txt"
+        assert (res.exit_code, res.stdout_bytes) == (0, golden.read_bytes())
+
     def test_a_pin_lists_the_matching_slices_of_an_orbit(self, runner):
         args = ["models", "tl", *fx("lights3.eb"), "--carrier", "Light=3", "--bound", "2",
                 "--json", "--list"]
@@ -263,14 +272,54 @@ end""", encoding="utf-8")
         counted = runner.invoke(main, [*args, "--json"])
         assert (text.exit_code, counted.exit_code, built) == (0, 0, [])
         assert "inc: 160 pair(s)" in text.output
+        # the listings read the join's runs, so no pair code is built either
         listed = runner.invoke(main, [*args, "--json", "--list"])
-        assert listed.exit_code == 0 and built
+        listed_text = runner.invoke(main, [*args, "--list"])
+        assert (listed.exit_code, listed_text.exit_code, built) == (0, 0, [])
+        assert listed_text.output.count(" -> ") == sum(json.loads(counted.output)
+                                                      ["algebras"][0]["events"].values())
         (entry,) = json.loads(listed.output)["algebras"]
         assert json.loads(counted.output)["algebras"] == [
             {k: v for k, v in entry.items() if k not in ("init", "relations")}]
         for e, pairs in entry["relations"].items():
             distinct = {json.dumps(p, sort_keys=True) for p in pairs}
             assert len(distinct) == len(pairs) == entry["events"][e]
+
+    @pytest.mark.parametrize("listing", [[], ["--list"]])
+    @pytest.mark.parametrize("event", ["ML_out", "Init"])
+    def test_json_report_keeps_only_the_named_event(self, runner, event, listing):
+        args = ["models", "m0", *fx("ebm0.eb"), "--pin", "d=2", "--bound", "2", "--json",
+                *listing]
+        (every,) = json.loads(runner.invoke(main, args).output)["algebras"]
+        res = runner.invoke(main, [*args, "--event", event])
+        assert res.exit_code == 0
+        # as the text report: the initial states belong to the event Init
+        want = {k: v for k, v in every.items()
+                if event == "Init" or k not in ("initial_states", "init")}
+        want["events"] = {e: n for e, n in every["events"].items() if e == event}
+        if listing:
+            want["relations"] = {e: p for e, p in every["relations"].items() if e == event}
+        assert json.loads(res.output)["algebras"] == [want]
+
+    @pytest.mark.parametrize("pins, message", [
+        (["--pin", "flag=1", "--pin", "k=1"], "pinned value 1 for flag outside its carrier"),
+        (["--pin", "flag=TRUE", "--pin", "k=FALSE"],
+         "pinned value False for k outside its carrier"),
+        (["--pin", "flag=TRUE", "--pin", "k=1"], None),
+    ])
+    def test_a_pin_of_another_type_is_outside_the_carrier(self, runner, tmp_path, pins,
+                                                          message):
+        # True == 1 in Python, but 1 is no value of BOOL and FALSE none of ℤ
+        src = tmp_path / "c.eb"
+        src.write_text(
+            "context c constants flag, k axioms a1: flag ∈ BOOL a2: k ∈ ℤ end\n"
+            "machine m sees c variables n invariants i1: n ∈ ℤ\n"
+            "events event Initialisation thenAct a1: n := 0 end end\n", encoding="utf-8")
+        res = runner.invoke(main, ["models", "m", str(src), "--bound", "1", *pins])
+        if message is None:
+            assert res.exit_code == 0 and "algebra flag=True, k=1\n" in res.output
+        else:
+            assert (res.exit_code, res.stderr) == (2, f"error: {message}\n")
 
     @pytest.mark.parametrize("flag, value", [("--pin", "q=1"), ("--carrier", "S=3")])
     def test_undeclared_bound_name_is_refused(self, runner, flag, value):
@@ -666,8 +715,10 @@ def _states(draw):
 
 
 @st.composite
-def _models_case(draw):
-    states = draw(_states())
+def _slices(draw):
+    """Slices as ``models`` reads them, over a few states drawn over one set
+    of variables, so that a before-state often has several after-states."""
+    states = st.sampled_from(draw(st.lists(draw(_states()), min_size=1, max_size=5)))
     slices = []
     for label in draw(st.lists(_names, max_size=3)):
         events = draw(st.lists(_names, unique=True, max_size=3))
@@ -677,14 +728,20 @@ def _models_case(draw):
             rel=tuple(sorted(
                 (e, draw(st.frozensets(st.tuples(states, states), max_size=6)))
                 for e in events))))
-    _coded(slices)
-    args = (draw(_names), draw(st.integers(-3, 9)), slices, draw(st.booleans()))
+    _coded(draw, slices)
+    return slices
+
+
+@st.composite
+def _models_case(draw):
+    args = (draw(_names), draw(st.integers(-3, 9)), draw(_slices()), draw(st.booleans()))
     return models_payload(*args), _oracle_models_payload(*args)
 
 
-def _coded(slices):
+def _coded(draw, slices):
     """Give each slice the codes and the coding that ``models`` reads: the
-    coding ranks the values each variable takes in the slices."""
+    coding ranks the values each variable takes in the slices, and a
+    relation is a frozenset of pair codes or a join (_joined)."""
     states = [x for sl in slices
               for x in (*sl.init, *(x for _, p in sl.rel for pair in p for x in pair))]
     names = [n for n, _ in states[0]] if states else []
@@ -693,8 +750,24 @@ def _coded(slices):
         sl.coding = coding
         sl.init_codes = frozenset(map(coding.encode, sl.init))
         sl.rel_codes = tuple(
-            (e, frozenset(coding.encode_pair(s, t) for s, t in p))
+            (e, draw(st.sampled_from([frozenset, _joined(draw, coding.size)]))(
+                frozenset(coding.encode_pair(s, t) for s, t in p)))
             for e, p in sl.rel)
+
+
+def _joined(draw, size):
+    """The join of these pair codes as maximal_model leaves it for an event
+    without checks, with its blocks and each bucket in a drawn order;
+    before-states with equal after-codes share one bucket."""
+    def join(codes):
+        afters: dict = {}
+        for p in codes:
+            afters.setdefault(p // size, set()).add(p % size)
+        buckets = {b: draw(st.permutations(sorted(b)))
+                   for b in dict.fromkeys(map(frozenset, afters.values()))}
+        blocks = [(i * size, buckets[frozenset(b)]) for i, b in afters.items()]
+        return institution._Joined(draw(st.permutations(blocks)))
+    return join
 
 
 @st.composite
@@ -718,3 +791,21 @@ def _refine_case(draw):
 def test_json_emitter_matches_json_dumps(case):
     payload, oracle = case
     assert dump_json(payload) == json.dumps(oracle, indent=2, default=str)
+
+
+@pytest.mark.oracle
+@settings(max_examples=200, deadline=None)
+@given(_slices(), st.booleans())
+def test_text_listing_renders_the_sorted_pairs(slices, list_pairs):
+    """The text report lists each slice's states and pairs as the sorted
+    tuple states rendered one by one, from a join as from a set of codes."""
+    want = []
+    for sl in slices:
+        want += [f"algebra {sl.algebra.describe()}", f"  Init: {len(sl.init)} initial state(s)"]
+        if list_pairs:
+            want += [f"    {_format_state(s)}" for s in sorted(sl.init)]
+        for e, p in sl.rel:
+            want.append(f"  {e}: {len(p)} pair(s)")
+            if list_pairs:
+                want += [f"    {_format_state(s)} -> {_format_state(t)}" for s, t in sorted(p)]
+    assert models_lines(slices, list_pairs) == want

@@ -1354,6 +1354,11 @@ class TestModelConstruction:
         sig, typed, body, alg = _rex_setup()
         with pytest.raises(SortError, match="value 4 of x lies outside its carrier"):
             make_model(sig, alg, [make_state({"x": 4, "y": False})], {})
+        # True == 1, but neither is a value of the other's carrier
+        with pytest.raises(SortError, match="value 1 of y lies outside its carrier"):
+            make_model(sig, alg, [make_state({"x": 1, "y": 1})], {})
+        with pytest.raises(SortError, match="value True of x lies outside its carrier"):
+            make_model(sig, alg, [make_state({"x": True, "y": True})], {})
 
 
 class TestReduct:
